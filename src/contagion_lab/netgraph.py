@@ -68,7 +68,6 @@ class DirectedGraph:
         edges: np.ndarray,
         node_ids: tuple[str, ...] | None = None,
         n_nodes: int | None = None,
-        report_counts: tuple[int, int] | None = None,
     ) -> "DirectedGraph":
         """Build from an (m, 2) integer array of (source, target) pairs.
 
@@ -80,13 +79,6 @@ class DirectedGraph:
         keep = edges[:, 0] != edges[:, 1]
         n_self = int(n_records - keep.sum())
         edges = edges[keep]
-        if len(edges):
-            edges = np.unique(edges, axis=0)
-        n_dup = int(n_records - n_self - len(edges))
-        if n_self:
-            log.warning("dropped %d self-loop record(s)", n_self)
-        if n_dup:
-            log.warning("collapsed %d duplicate record(s)", n_dup)
 
         if n_nodes is None:
             n_nodes = int(edges.max()) + 1 if len(edges) else 0
@@ -96,16 +88,25 @@ class DirectedGraph:
             node_ids = tuple(f"{i:0{w}d}" for i in range(n_nodes))
         if len(node_ids) != n_nodes:
             raise DataError(f"expected {n_nodes} node ids, got {len(node_ids)}")
+        # before the keying below, where an out-of-range pair would alias
         if len(edges) and (edges.min() < 0 or edges.max() >= n_nodes):
             raise DataError("edge endpoint out of node range")
+
+        # sorted unique (source, target) pairs via one scalar key per edge
+        span = max(n_nodes, 1)
+        key = np.sort(edges[:, 0] * span + edges[:, 1])
+        key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
+        edges = np.column_stack([key // span, key % span])
+        n_dup = int(n_records - n_self - len(edges))
+        if n_self:
+            log.warning("dropped %d self-loop record(s)", n_self)
+        if n_dup:
+            log.warning("collapsed %d duplicate record(s)", n_dup)
 
         # followees of i: targets of records with source i
         fe_ptr, fe = _csr(edges[:, 0], edges[:, 1], n_nodes)
         # followers of i: sources of records with target i
         fo_ptr, fo = _csr(edges[:, 1], edges[:, 0], n_nodes)
-        if report_counts is not None:
-            n_records, extra_self = report_counts[0], report_counts[1]
-            n_self += extra_self
         report = LoadReport(
             records=n_records, edges=len(edges), duplicates=n_dup, self_loops=n_self
         )
@@ -237,12 +238,10 @@ class DirectedGraph:
 
 def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays for `values` grouped by `keys`, both ascending."""
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order]
+    order = np.argsort(keys * n + values)  # pairs are distinct: one order
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, keys + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, values.astype(np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr, values[order]
 
 
 def load_edge_list(path) -> DirectedGraph:

@@ -71,12 +71,12 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
         np.int64
     )
 
-    all_ids = np.arange(n)
-    src, dst = [], []
+    dst = []
     for i in range(n):
         if trait is None or cfg.homophily == 0:
-            cand = np.concatenate([all_ids[:i], all_ids[i + 1 :]])
-            chosen = rng.choice(cand, size=k[i], replace=False)
+            # same draws as choosing from all ids but i: skip past i
+            idx = rng.choice(n - 1, size=k[i], replace=False)
+            chosen = idx + (idx >= i)
         else:
             w = np.where(trait == trait[i], 1.0, 1.0 - cfg.homophily)
             w[i] = 0.0
@@ -85,9 +85,9 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
                 raise DataError("node has no eligible followees under homophily 1")
             ki = min(k[i], int(np.count_nonzero(w)))
             chosen = rng.choice(n, size=ki, replace=False, p=w / total)
-        src.append(np.full(len(chosen), i, dtype=np.int64))
         dst.append(chosen.astype(np.int64))
-    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
+    src = np.repeat(np.arange(n, dtype=np.int64), [len(c) for c in dst])
+    edges = np.column_stack([src, np.concatenate(dst)])
     return DirectedGraph.from_edges(edges, n_nodes=n)
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from contagion_lab.errors import ParseError
+from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import (
     DirectedGraph,
+    LoadReport,
     degrees,
     load_edge_list,
     neighbors,
@@ -171,3 +172,65 @@ def test_arrays_frozen():
     ptr, ids = g.followee_csr()
     with pytest.raises(ValueError):
         ids[0] = 5
+
+
+# -- construction against the unique-rows reference ------------------------------
+
+
+def reference_csr(edges, n):
+    """Self-loops dropped, rows deduplicated with np.unique(axis=0), and
+    each direction grouped with lexsort and np.add.at."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    kept = edges[edges[:, 0] != edges[:, 1]]
+    uniq = np.unique(kept, axis=0) if len(kept) else kept
+    arrays = []
+    for keys, values in ((uniq[:, 0], uniq[:, 1]), (uniq[:, 1], uniq[:, 0])):
+        order = np.lexsort((values, keys))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(indptr, keys[order] + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        arrays += [indptr, values[order].astype(np.int64)]
+    report = LoadReport(
+        records=len(edges),
+        edges=len(uniq),
+        duplicates=len(kept) - len(uniq),
+        self_loops=len(edges) - len(kept),
+    )
+    return arrays, report
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 5), (2, 1), (7, 60), (40, 900), (300, 5000)])
+@pytest.mark.parametrize("given_n", [True, False])
+def test_from_edges_matches_unique_reference(n, m, given_n):
+    rng = np.random.default_rng(n * 1000 + m)
+    edges = rng.integers(0, n, size=(m, 2))
+    if m:
+        edges[rng.integers(0, m, size=max(m // 10, 1))] = edges[0]  # duplicates
+        edges[-1] = (n - 1, n - 1)  # self-loop on the top id
+    g = DirectedGraph.from_edges(edges, n_nodes=n if given_n else None)
+    if not given_n:
+        kept = edges[edges[:, 0] != edges[:, 1]]
+        n = int(kept.max()) + 1 if len(kept) else 0
+    arrays, report = reference_csr(edges, n)
+    assert g.node_count == n
+    assert g.load_report == report
+    for a, b in zip((*g.followee_csr(), *g.follower_csr()), arrays):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (2, -1)],  # negative endpoint
+        [(0, 1), (5, 2)],  # endpoint >= n_nodes
+        [(1, -1)],  # key 1*5 - 1 would decode to the valid pair (0, 4)
+    ],
+)
+def test_from_edges_rejects_out_of_range_endpoints(edges):
+    with pytest.raises(DataError, match="out of node range"):
+        DirectedGraph.from_edges(np.array(edges), n_nodes=5)
+
+
+def test_from_edges_rejects_negative_without_n_nodes():
+    with pytest.raises(DataError, match="out of node range"):
+        DirectedGraph.from_edges(np.array([(1, -1), (0, 4)]))

@@ -1,10 +1,14 @@
 """Synthetic graph, homophily-world, and pure-cascade generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from contagion_lab.calibrate import NEVER, MechanismParams
 from contagion_lab.errors import DataError
+from contagion_lab.netgraph import DirectedGraph
+from contagion_lab.rngstream import GRAPH_GEN, stream
 from contagion_lab.shocks import ShockSchedule
 from contagion_lab.synthgen import (
     SynthConfig,
@@ -209,3 +213,75 @@ def test_mask_params_fields():
     assert m.shock_prob_at_peak == 0.5 and m.r == 0.0
     with pytest.raises(DataError):
         mask_params(p, "Viral")
+
+
+# -- graph construction against the candidate-array reference -------------------
+
+
+def csr_digest(g):
+    """sha256 over the four CSR arrays, which must all be int64."""
+    h = hashlib.sha256()
+    for a in (*g.followee_csr(), *g.follower_csr()):
+        assert a.dtype == np.int64
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def reference_trait_blind_edges(cfg):
+    """Reference trait-blind selection: choose from an explicit candidate
+    array of every id but i, one array per node."""
+    rng = stream(cfg.seed, GRAPH_GEN, 0)
+    n = cfg.n_nodes
+    u = rng.random(n)
+    raw = np.power(1.0 - u, -1.0 / (cfg.exponent - 1.0))
+    k = np.clip(np.rint(raw * (cfg.mean_degree / raw.mean())), 1, n - 1).astype(
+        np.int64
+    )
+    all_ids = np.arange(n)
+    src, dst = [], []
+    for i in range(n):
+        cand = np.concatenate([all_ids[:i], all_ids[i + 1 :]])
+        chosen = rng.choice(cand, size=k[i], replace=False)
+        src.append(np.full(len(chosen), i, dtype=np.int64))
+        dst.append(chosen.astype(np.int64))
+    return np.column_stack([np.concatenate(src), np.concatenate(dst)]), k
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SynthConfig(n_nodes=2, mean_degree=1.0, seed=0),
+        SynthConfig(n_nodes=60, mean_degree=4.0, seed=1),
+        SynthConfig(n_nodes=500, mean_degree=12.0, exponent=1.8, seed=5),
+        SynthConfig(n_nodes=800, mean_degree=6.0, trait_balance=0.3, seed=2),
+        # above 10,000 candidates with k > (n-1)//50, Generator.choice takes
+        # its tail-shuffle path instead of Floyd's algorithm
+        SynthConfig(n_nodes=10_002, mean_degree=6.0, exponent=1.6, seed=3),
+    ],
+)
+def test_trait_blind_graph_matches_candidate_reference(cfg):
+    edges, k = reference_trait_blind_edges(cfg)
+    if cfg.n_nodes > 10_001:
+        assert k.max() > (cfg.n_nodes - 1) // 50
+    expect = DirectedGraph.from_edges(edges, n_nodes=cfg.n_nodes)
+    # a trait vector with homophily 0 takes the same trait-blind branch
+    for g in (gen_graph(cfg), gen_graph(cfg, gen_traits(cfg))):
+        assert g == expect
+        assert g.load_report == expect.load_report
+        for a, b in zip(
+            (*g.followee_csr(), *g.follower_csr()),
+            (*expect.followee_csr(), *expect.follower_csr()),
+        ):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_graph_bytes_pinned():
+    # any change to the draws changes these; say so in CHANGES.md
+    blind = gen_graph(SynthConfig(n_nodes=200, mean_degree=6.0, seed=4))
+    assert csr_digest(blind) == (
+        "599442513f26fd400f5489717b13258e3a219bcb14ec9ed24b13405b3b1eb59a"
+    )
+    cfg = SynthConfig(n_nodes=200, mean_degree=6.0, homophily=0.7, seed=4)
+    assert csr_digest(gen_graph(cfg)) == (
+        "9516d91e3450c99efa02c1e16e520b17cadf7710997ef5b03f14592dfc26e4ea"
+    )
