@@ -130,10 +130,35 @@ def daily_counts(log: AdoptionLog) -> np.ndarray:
     return counts
 
 
-def exposure_on_eve(g: DirectedGraph, log: AdoptionLog, u: int, day: int) -> int:
-    """Number of u's followees adopted strictly before `day`."""
-    t_v = log.adoption_day[g.followees(u)]
-    return int(np.count_nonzero((t_v != NEVER) & (t_v < day)))
+def eve_exposure(
+    g: DirectedGraph, adoption_day: np.ndarray, nodes: np.ndarray, days: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exposure of each node nodes[i] on the eve of day days[i].
+
+    Counts the followees v with NEVER != t_v < days[i] and returns (m, first,
+    last): that count and the earliest and latest such t_v, both NEVER where
+    m = 0.  One pass over the queried nodes' followee segments.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    days = np.asarray(days, dtype=np.int64)
+    ptr, fe = g.followee_csr()
+    deg = ptr[nodes + 1] - ptr[nodes]
+    seg_start = np.cumsum(deg) - deg  # each query's offset into the gather
+    idx = np.arange(int(deg.sum())) + np.repeat(ptr[nodes] - seg_start, deg)
+    t_v = adoption_day[fe[idx]]
+    hit = (t_v != NEVER) & (t_v < np.repeat(days, deg))
+
+    m = np.zeros(len(nodes), dtype=np.int64)
+    first = np.full(len(nodes), NEVER, dtype=np.int64)
+    last = np.full(len(nodes), NEVER, dtype=np.int64)
+    # reduceat on an empty segment would yield a neighbor's element
+    has = deg > 0
+    at = seg_start[has]
+    m[has] = np.add.reduceat(hit, at, dtype=np.int64)
+    lo = np.minimum.reduceat(np.where(hit, t_v, np.iinfo(np.int64).max), at)
+    first[has] = np.where(m[has] > 0, lo, NEVER)
+    last[has] = np.maximum.reduceat(np.where(hit, t_v, NEVER), at)
+    return m, first, last
 
 
 @dataclass(frozen=True)
@@ -160,13 +185,17 @@ class PoolResult:
         }
 
 
-def _qualifying_adopters(log: AdoptionLog) -> np.ndarray:
-    """Adopters outside shock periods, ascending node id."""
-    out = []
-    for u in log.adopters():
-        if not log.in_shock(int(log.adoption_day[u])):
-            out.append(u)
-    return np.array(out, dtype=np.int64)
+def _non_shock_exposure(
+    g: DirectedGraph, log: AdoptionLog
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adopters outside shock periods, ascending node id, with their eve m."""
+    nodes = log.adopters()
+    days = log.adoption_day[nodes]
+    if log.shock_mask is not None:
+        keep = ~log.shock_mask[days - log.first_day]
+        nodes, days = nodes[keep], days[keep]
+    m, _, _ = eve_exposure(g, log.adoption_day, nodes, days)
+    return nodes, m
 
 
 def calibrate_transmission(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
@@ -174,15 +203,11 @@ def calibrate_transmission(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
 
     Adopters with zero exposure (or inside shock periods) are excluded.
     """
-    nodes, values = [], []
-    for u in _qualifying_adopters(log):
-        m = exposure_on_eve(g, log, int(u), int(log.adoption_day[u]))
-        if m > 0:
-            nodes.append(int(u))
-            values.append(1.0 / m)
-    if not values:
+    nodes, m = _non_shock_exposure(g, log)
+    exposed = m > 0
+    if not exposed.any():
         raise DataError("no adopter with positive adoption-eve exposure")
-    return PoolResult(np.array(values), np.array(nodes, dtype=np.int64))
+    return PoolResult(1.0 / m[exposed], nodes[exposed])
 
 
 def calibrate_thresholds(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
@@ -192,18 +217,12 @@ def calibrate_thresholds(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
     same exposed subset the transmission pool draws from), so every value
     lands in (0, 1].
     """
-    k = g.in_degree
-    nodes, values = [], []
-    for u in _qualifying_adopters(log):
-        if k[u] == 0:
-            continue
-        m = exposure_on_eve(g, log, int(u), int(log.adoption_day[u]))
-        if m > 0:
-            nodes.append(int(u))
-            values.append(m / k[u])
-    if not values:
+    nodes, m = _non_shock_exposure(g, log)
+    exposed = m > 0  # m > 0 implies positive degree
+    if not exposed.any():
         raise DataError("no adopter with positive degree and exposure")
-    return PoolResult(np.array(values), np.array(nodes, dtype=np.int64))
+    nodes = nodes[exposed]
+    return PoolResult(m[exposed] / g.in_degree[nodes], nodes)
 
 
 def calibrate_background(g: DirectedGraph, log: AdoptionLog) -> float:
@@ -218,11 +237,8 @@ def calibrate_background(g: DirectedGraph, log: AdoptionLog) -> float:
     total = int(sus.sum())
     if total <= 0:
         raise DataError("zero susceptible-days in horizon")
-    zero_exposure = 0
-    for u in _qualifying_adopters(log):
-        if exposure_on_eve(g, log, int(u), int(days[u])) == 0:
-            zero_exposure += 1
-    return zero_exposure / total
+    _, m = _non_shock_exposure(g, log)
+    return int(np.count_nonzero(m == 0)) / total
 
 
 def calibrate_activity(

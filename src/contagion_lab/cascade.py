@@ -31,11 +31,11 @@ import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
 from .errors import DataError, ParseError
+from .features import eve_features
 from .netgraph import DirectedGraph
 from .rngstream import REALIZATION, stream
 
 MECHANISMS = ("Simple", "Complex", "Spontaneous", "Shock")
-N_FEATURES = 7
 
 DEFAULT_STOP_FRACTION = 0.18
 DEFAULT_HORIZON_DAYS = 730
@@ -67,16 +67,6 @@ class CascadeEvent:
     realization: int = 0
 
 
-class _EngineState:
-    """Mutable per-realization arrays; exposure lags adoption by one day."""
-
-    def __init__(self, n: int):
-        self.adopted_day = np.full(n, NEVER, dtype=np.int64)
-        self.exposure = np.zeros(n, dtype=np.int64)
-        self.first_exposure = np.full(n, NEVER, dtype=np.int64)
-        self.last_exposure = np.full(n, NEVER, dtype=np.int64)
-
-
 def _shock_prob(params: MechanismParams, day: int) -> float:
     from .shocks import shock_intensity
 
@@ -86,14 +76,6 @@ def _shock_prob(params: MechanismParams, day: int) -> float:
     lam = shock_intensity(s, day)
     peak = float(s.gamma.max())
     return min(1.0, params.shock_prob_at_peak * lam / peak)
-
-
-def _shock_recency(params: MechanismParams, day: int) -> float:
-    tau = params.shock_schedule.tau
-    if len(tau) == 0 or day < tau[0]:
-        return -1.0
-    j = int(np.searchsorted(tau, day, side="right")) - 1
-    return float(day - tau[j])
 
 
 def run_realization(
@@ -112,16 +94,15 @@ def run_realization(
     Stops after the first day on which the adopted fraction reaches
     stop_fraction, or after horizon_days days.
     """
-    from .shocks import shock_intensity
-
     n = g.node_count
     if params.n_nodes != n:
         raise DataError(
             f"params cover {params.n_nodes} nodes but graph has {n}"
         )
     rng = stream(seed, REALIZATION, realization_id)
-    st = _EngineState(n)
-    events: list[CascadeEvent] = []
+    adopted_day = np.full(n, NEVER, dtype=np.int64)
+    exposure = np.zeros(n, dtype=np.int64)  # lags adoption by one day
+    adoptions: list[tuple[int, int, str, tuple[str, ...]]] = []
 
     if seeds is None:
         seed_ids = np.array([], dtype=np.int64)
@@ -135,18 +116,9 @@ def run_realization(
 
     for day in range(horizon_days):
         if day == 0 and len(seed_ids):
-            st.adopted_day[seed_ids] = 0
+            adopted_day[seed_ids] = 0
             for u in seed_ids:
-                events.append(
-                    CascadeEvent(
-                        node=int(u),
-                        day=0,
-                        mechanism="Spontaneous",
-                        fired=("Spontaneous",),
-                        features=_feature_row(st, params, k, int(u), 0),
-                        realization=realization_id,
-                    )
-                )
+                adoptions.append((int(u), 0, "Spontaneous", ("Spontaneous",)))
 
         # fixed per-day draw block: consumed regardless of state
         u_active = rng.random(n)
@@ -155,10 +127,10 @@ def run_realization(
         u_shock = rng.random(n)
         u_tie = rng.random(n)
 
-        susceptible = st.adopted_day == NEVER
+        susceptible = adopted_day == NEVER
         active = susceptible & (u_active < params.activity)
 
-        m = st.exposure
+        m = exposure
         fired_simple = active & (u_simple < simple_probability(params.beta, m))
         fired_complex = active & complex_fires(m, k, params.phi)
 
@@ -173,62 +145,38 @@ def run_realization(
         n_fired = fired.sum(axis=1)
         adopters = np.flatnonzero(n_fired > 0)
 
-        lam_today = shock_intensity(params.shock_schedule, day)
-        rec_today = _shock_recency(params, day)
         for u in adopters:
             rules = np.flatnonzero(fired[u])
             pick = rules[int(u_tie[u] * len(rules))]
-            st.adopted_day[u] = day
-            events.append(
-                CascadeEvent(
-                    node=int(u),
-                    day=day,
-                    mechanism=MECHANISMS[pick],
-                    fired=tuple(MECHANISMS[i] for i in rules),
-                    features=_feature_row(
-                        st, params, k, int(u), day, lam=lam_today, rec=rec_today
-                    ),
-                    realization=realization_id,
-                )
+            adopted_day[u] = day
+            adoptions.append(
+                (int(u), day, MECHANISMS[pick], tuple(MECHANISMS[i] for i in rules))
             )
 
         # synchronous update: today's adopters raise exposure from tomorrow
-        for v in np.flatnonzero(st.adopted_day == day):
-            audience = fo[fo_ptr[v] : fo_ptr[v + 1]]
-            st.exposure[audience] += 1
-            first = st.first_exposure[audience]
-            st.first_exposure[audience] = np.where(first == NEVER, day, first)
-            st.last_exposure[audience] = day
+        for v in np.flatnonzero(adopted_day == day):
+            exposure[fo[fo_ptr[v] : fo_ptr[v + 1]]] += 1
 
-        if (st.adopted_day != NEVER).sum() >= stop_fraction * n:
+        if (adopted_day != NEVER).sum() >= stop_fraction * n:
             break
 
-    return events
-
-
-def _feature_row(
-    st: _EngineState,
-    params: MechanismParams,
-    k: np.ndarray,
-    u: int,
-    day: int,
-    lam: float | None = None,
-    rec: float | None = None,
-) -> np.ndarray:
-    from .shocks import shock_intensity
-
-    if lam is None:
-        lam = shock_intensity(params.shock_schedule, day)
-    if rec is None:
-        rec = _shock_recency(params, day)
-    m = int(st.exposure[u])
-    ku = int(k[u])
-    sat = m / ku if ku > 0 else 0.0
-    dur = float(day - st.first_exposure[u]) if m > 0 else -1.0
-    recency = float(day - st.last_exposure[u]) if m > 0 else -1.0
-    row = np.array([m, ku, sat, dur, recency, lam, rec], dtype=float)
-    row.setflags(write=False)
-    return row
+    # eve features read only adoptions before each event's day, so the final
+    # adoption days give what the state held on that day
+    nodes = np.array([a[0] for a in adoptions], dtype=np.int64)
+    days = np.array([a[1] for a in adoptions], dtype=np.int64)
+    X = eve_features(g, adopted_day, params.shock_schedule, nodes, days)
+    X.setflags(write=False)
+    return [
+        CascadeEvent(
+            node=u,
+            day=d,
+            mechanism=mechanism,
+            fired=rules,
+            features=x,
+            realization=realization_id,
+        )
+        for (u, d, mechanism, rules), x in zip(adoptions, X)
+    ]
 
 
 @dataclass(frozen=True)

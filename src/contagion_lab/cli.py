@@ -775,7 +775,12 @@ def _apply_config(sp, path):
             sp.error(f"unknown config key: {key}")
         action = actions[dest]
         if action.type is not None and isinstance(value, str):
-            value = action.type(value)
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError) as e:
+                raise ParseError(
+                    f"bad value for config key {key!r}: {e}", path=str(path)
+                ) from e
         defaults[dest] = value
     sp.set_defaults(**defaults)
 

@@ -18,10 +18,10 @@ import csv
 
 import numpy as np
 
-from .calibrate import NEVER, AdoptionLog
+from .calibrate import AdoptionLog, eve_exposure
 from .errors import DataError, ParseError
 from .netgraph import DirectedGraph
-from .shocks import ShockSchedule, shock_intensity
+from .shocks import ShockSchedule, shock_intensity, shock_recency
 
 FEATURE_NAMES = (
     "m",
@@ -34,6 +34,33 @@ FEATURE_NAMES = (
 )
 
 
+def eve_features(
+    g: DirectedGraph,
+    adoption_day: np.ndarray,
+    shocks: ShockSchedule,
+    nodes: np.ndarray,
+    days: np.ndarray,
+) -> np.ndarray:
+    """Feature rows, one per node nodes[i] adopting on day days[i].
+
+    adoption_day holds each node's adoption day or NEVER; for row i, entries
+    at days >= days[i] are ignored (no lookahead).
+    """
+    days = np.asarray(days, dtype=np.int64)
+    m, first, last = eve_exposure(g, adoption_day, nodes, days)
+    k = g.in_degree[nodes]
+    exposed = m > 0
+    X = np.empty((len(days), len(FEATURE_NAMES)), dtype=float)
+    X[:, 0] = m
+    X[:, 1] = k
+    X[:, 2] = m / np.maximum(k, 1)  # k = 0 forces m = 0, so 0.0
+    X[:, 3] = np.where(exposed, days - first, -1)
+    X[:, 4] = np.where(exposed, days - last, -1)
+    X[:, 5] = shock_intensity(shocks, days)
+    X[:, 6] = shock_recency(shocks, days)
+    return X
+
+
 def extract_features(
     g: DirectedGraph,
     adoption_day: np.ndarray,
@@ -41,29 +68,13 @@ def extract_features(
     u: int,
     t_u: int,
 ) -> np.ndarray:
-    """Feature vector for node u adopting on day t_u.
-
-    adoption_day holds each node's adoption day or NEVER; entries at days
-    >= t_u are ignored (no lookahead).
-    """
+    """Feature vector for node u adopting on day t_u (see eve_features)."""
     if t_u < 0:
         raise DataError("adoption day must be non-negative")
-    followees = g.followees(u)  # raises IndexError when u out of range
-    t_v = adoption_day[followees]
-    earlier = t_v[(t_v != NEVER) & (t_v < t_u)]
-    m = len(earlier)
-    k = len(followees)
-    sat = m / k if k > 0 else 0.0
-    dur = float(t_u - earlier.min()) if m > 0 else -1.0
-    rec = float(t_u - earlier.max()) if m > 0 else -1.0
-    lam = shock_intensity(shocks, t_u)
-    tau = shocks.tau
-    if len(tau) == 0 or t_u < tau[0]:
-        shock_rec = -1.0
-    else:
-        j = int(np.searchsorted(tau, t_u, side="right")) - 1
-        shock_rec = float(t_u - tau[j])
-    return np.array([m, k, sat, dur, rec, lam, shock_rec], dtype=float)
+    # explicit: numpy would wrap a negative index to a valid node
+    if not 0 <= u < g.node_count:
+        raise IndexError(f"node id {u} out of range [0, {g.node_count})")
+    return eve_features(g, adoption_day, shocks, np.array([u]), np.array([t_u]))[0]
 
 
 def extract_features_log(
@@ -76,12 +87,8 @@ def extract_features_log(
     nodes = log.adopters()
     if len(nodes) == 0:
         raise DataError("log has no adopters")
-    X = np.empty((len(nodes), len(FEATURE_NAMES)), dtype=float)
-    for row, u in enumerate(nodes):
-        X[row] = extract_features(
-            g, log.adoption_day, shocks, int(u), int(log.adoption_day[u])
-        )
-    return nodes, X
+    days = log.adoption_day[nodes]
+    return nodes, eve_features(g, log.adoption_day, shocks, nodes, days)
 
 
 def events_feature_matrix(events) -> tuple[np.ndarray, np.ndarray]:

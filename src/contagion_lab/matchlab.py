@@ -223,8 +223,8 @@ class TreatmentPanel:
                 raise DataError("outcomes must be 0/1")
             if self.treatment.min() < 0 or self.treatment.max() >= len(self.levels):
                 raise DataError("treatment codes outside the level set")
-            keys = self.ego.astype(np.int64) * (self.day.max() + 1) + self.day
-            if len(np.unique(keys)) != n:
+            keys = np.sort(self.ego.astype(np.int64) * (self.day.max() + 1) + self.day)
+            if np.any(keys[1:] == keys[:-1]):
                 raise DataError("duplicate (ego, day) rows in panel")
         for arr in (self.ego, self.day, self.treatment, self.outcome, self.X):
             arr.setflags(write=False)
@@ -234,7 +234,11 @@ class TreatmentPanel:
         return len(self.ego)
 
     def days(self) -> np.ndarray:
-        return np.unique(self.day)
+        """Distinct days, ascending (sort plus mask: 1-D np.unique hashes)."""
+        d = np.sort(self.day)
+        keep = np.ones(len(d), dtype=bool)
+        keep[1:] = d[1:] != d[:-1]
+        return d[keep]
 
     def level_counts(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.levels))

@@ -83,19 +83,24 @@ class BoostedForest:
                 d = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ParseError(f"invalid JSON: {e}", path=str(path)) from e
+        if not isinstance(d, dict):
+            raise ParseError("expected a JSON object", path=str(path))
         if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
             raise ParseError("unrecognized model format", path=str(path))
-        return cls(
-            classes=tuple(d["classes"]),
-            feature_names=tuple(d["feature_names"]),
-            trees=d["trees"],
-            learning_rate=float(d["learning_rate"]),
-            max_depth=int(d["max_depth"]),
-            min_child_weight=float(d["min_child_weight"]),
-            reg_lambda=float(d["reg_lambda"]),
-            seed=int(d["seed"]),
-            loss_curve=tuple(d.get("loss_curve", ())),
-        )
+        try:
+            return cls(
+                classes=tuple(d["classes"]),
+                feature_names=tuple(d["feature_names"]),
+                trees=d["trees"],
+                learning_rate=float(d["learning_rate"]),
+                max_depth=int(d["max_depth"]),
+                min_child_weight=float(d["min_child_weight"]),
+                reg_lambda=float(d["reg_lambda"]),
+                seed=int(d["seed"]),
+                loss_curve=tuple(d.get("loss_curve", ())),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"bad model field: {e!r}", path=str(path)) from e
 
 
 # -- binning ---------------------------------------------------------------------

@@ -136,15 +136,6 @@ class DirectedGraph:
         """Reciprocated ties of i, ascending."""
         return np.intersect1d(self.followees(i), self.followers(i))
 
-    def neighbors(self, i: int, direction: str = "followee") -> np.ndarray:
-        if direction == "followee":
-            return self.followees(i)
-        if direction == "follower":
-            return self.followers(i)
-        if direction == "mutual":
-            return self.mutual(i)
-        raise ValueError(f"unknown direction: {direction!r}")
-
     @property
     def in_degree(self) -> np.ndarray:
         """Per-node followee count (the exposure channel size k_i)."""
@@ -290,12 +281,3 @@ def save_id_map(g: DirectedGraph, path) -> None:
         w.writerow(["id", "external"])
         for i, x in enumerate(g.node_ids):
             w.writerow([i, x])
-
-
-def degrees(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (in_degree, out_degree, mutual_degree)."""
-    return g.in_degree.copy(), g.out_degree.copy(), g.mutual_degree
-
-
-def neighbors(g: DirectedGraph, i: int, direction: str = "followee") -> np.ndarray:
-    return g.neighbors(i, direction)

@@ -121,6 +121,16 @@ def shock_intensity(s: ShockSchedule, t) -> np.ndarray | float:
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def shock_recency(s: ShockSchedule, t: np.ndarray) -> np.ndarray:
+    """Days since the most recent peak at each day in t; -1 before the first peak."""
+    t = np.asarray(t, dtype=np.int64)
+    j = np.searchsorted(s.tau, t, side="right") - 1
+    live = j >= 0
+    out = np.full(len(t), -1.0)
+    out[live] = t[live] - s.tau[j[live]]
+    return out
+
+
 @dataclass(frozen=True)
 class AdoptionSeries:
     """Per-day adoption counts, day 0 = series start."""

@@ -13,7 +13,7 @@ from contagion_lab.calibrate import (
     calibrate_thresholds,
     calibrate_transmission,
     daily_counts,
-    exposure_on_eve,
+    eve_exposure,
 )
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import DirectedGraph
@@ -89,9 +89,19 @@ def random_world(seed, n=200, n_edges=1200, adopt_frac=0.4, horizon=60):
     return g, AdoptionLog(days, first_day=0, last_day=horizon - 1)
 
 
+def shock_masked_world(seed, first_day=10, horizon=60):
+    g, log = random_world(seed, horizon=horizon)
+    days = np.where(log.adoption_day == NEVER, NEVER, log.adoption_day + first_day)
+    mask = np.zeros(horizon, dtype=bool)
+    mask[[3, 4, 5, 30, 31]] = True
+    return g, AdoptionLog(
+        days, first_day=first_day, last_day=first_day + horizon - 1, shock_mask=mask
+    )
+
+
 def test_pools_match_brute_force():
-    for seed in range(3):
-        g, log = random_world(seed)
+    worlds = [random_world(seed) for seed in range(3)] + [shock_masked_world(3)]
+    for g, log in worlds:
         eb, ep, er = brute_pools(g, log)
         beta = calibrate_transmission(g, log)
         phi = calibrate_thresholds(g, log)
@@ -269,9 +279,10 @@ def test_daily_counts():
 def test_exposure_strictly_before_day():
     g = graph_from([(0, 1), (0, 2)], 3)
     log = log_from([NEVER, 4, 6], last_day=9)
-    assert exposure_on_eve(g, log, 0, 4) == 0  # same-day excluded
-    assert exposure_on_eve(g, log, 0, 5) == 1
-    assert exposure_on_eve(g, log, 0, 7) == 2
+    m, first, last = eve_exposure(g, log.adoption_day, [0, 0, 0, 1], [4, 5, 7, 7])
+    assert list(m) == [0, 1, 2, 0]  # same-day excluded; node 1 follows nobody
+    assert list(first) == [NEVER, 4, 4, NEVER]
+    assert list(last) == [NEVER, 4, 6, NEVER]
 
 
 # -- params container ----------------------------------------------------------------

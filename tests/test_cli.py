@@ -222,6 +222,14 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "color" in capsys.readouterr().err
 
 
+def test_config_bad_value_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nodes": "abc"}))
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "g.npz"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "nodes" in err
+
+
 def test_train_requires_exactly_one_source(world, tmp_path, capsys):
     out = tmp_path / "m.json"
     assert run(["train", "--out", out]) == 1
@@ -249,6 +257,27 @@ def test_classify_output_shape(world, tmp_path, capsys):
         p = np.array([float(x) for x in row[2:]])
         assert abs(p.sum() - 1.0) < 1e-9
         assert row[1] == classes[int(np.argmax(p))]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["not", "an", "object"],
+        {"format": "contagion-lab-gbdt", "version": 1},  # no fields at all
+        {"format": "contagion-lab-gbdt", "version": 1, "classes": ["a"],
+         "feature_names": [], "trees": [], "learning_rate": "fast",
+         "max_depth": 3, "min_child_weight": 1.0, "reg_lambda": 1.0, "seed": 0},
+    ],
+)
+def test_classify_malformed_model_is_data_error(tmp_path, capsys, payload):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(payload))
+    feats = tmp_path / "f.csv"
+    feats.write_text("m,k,saturation,exposure_duration,influence_recency,"
+                     "shock_intensity,shock_recency\n1,2,0.5,1,1,0,-1\n")
+    assert run(["classify", "--model", model, "--features", feats,
+                "--out", tmp_path / "lab.csv"]) == 2
+    assert str(model) in capsys.readouterr().err
 
 
 def test_detect_then_fit_shock(tmp_path):

@@ -8,6 +8,7 @@ from contagion_lab.cascade import events_to_log, run_realization
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.features import (
     FEATURE_NAMES,
+    eve_features,
     events_feature_matrix,
     extract_features,
     extract_features_log,
@@ -15,7 +16,7 @@ from contagion_lab.features import (
     write_feature_csv,
 )
 from contagion_lab.netgraph import DirectedGraph
-from contagion_lab.shocks import ShockSchedule
+from contagion_lab.shocks import ShockSchedule, shock_intensity
 
 
 def graph_from(edges, n):
@@ -30,6 +31,26 @@ def days_of(n, **assigned):
 
 
 NO_SHOCKS = ShockSchedule.empty()
+
+
+def reference_features(g, adoption_day, shocks, u, t_u):
+    """Eve features of one node, computed from the definitions node by node."""
+    followees = g.followees(u)
+    t_v = adoption_day[followees]
+    earlier = t_v[(t_v != NEVER) & (t_v < t_u)]
+    m = len(earlier)
+    k = len(followees)
+    sat = m / k if k > 0 else 0.0
+    dur = float(t_u - earlier.min()) if m > 0 else -1.0
+    rec = float(t_u - earlier.max()) if m > 0 else -1.0
+    lam = shock_intensity(shocks, t_u)
+    tau = shocks.tau
+    if len(tau) == 0 or t_u < tau[0]:
+        shock_rec = -1.0
+    else:
+        j = int(np.searchsorted(tau, t_u, side="right")) - 1
+        shock_rec = float(t_u - tau[j])
+    return np.array([m, k, sat, dur, rec, lam, shock_rec], dtype=float)
 
 
 def test_twelve_followee_ego():
@@ -97,6 +118,30 @@ def test_out_of_range_node_raises():
     g = graph_from([(0, 1)], 2)
     with pytest.raises(IndexError):
         extract_features(g, days_of(2), NO_SHOCKS, 5, 1)
+    with pytest.raises(IndexError):
+        extract_features(g, days_of(2), NO_SHOCKS, -1, 1)
+
+
+def test_eve_features_match_reference():
+    sched = ShockSchedule(np.array([8, 14]), np.array([0.5, 1.0]), np.array([0.7, 1.3]))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 60
+        g = graph_from(rng.integers(0, n, (90, 2)), n)  # sparse: some k = 0
+        days = np.where(rng.random(n) < 0.6, rng.integers(0, 25, n), NEVER)
+        nodes = rng.integers(0, n, 200)
+        # own adoption day where there is one, any day for every other query
+        t = np.where(days[nodes] != NEVER, days[nodes], rng.integers(0, 30, 200))
+        t[::2] = rng.integers(0, 30, 100)
+        shocks = sched if seed % 2 else NO_SHOCKS
+        X = eve_features(g, days, shocks, nodes, t)
+        assert X.shape == (200, 7)
+        for row, u, t_u in zip(X, nodes, t):
+            expect = reference_features(g, days, shocks, int(u), int(t_u))
+            assert np.array_equal(row, expect), (seed, u, t_u)
+        assert np.any(g.in_degree[nodes] == 0) and np.any(t < sched.tau[0])
+        assert np.any(days == NEVER) and np.any(t[::2] != days[nodes[::2]])
+        assert any(np.any(days[g.followees(int(u))] == t_u) for u, t_u in zip(nodes, t))
 
 
 def test_round_trip_with_engine_logged_features():
@@ -114,7 +159,7 @@ def test_round_trip_with_engine_logged_features():
     events = run_realization(g, p, seed=13, seeds=[0, 1], horizon_days=30)
     log = events_to_log(events, 80, last_day=29)
     for e in events:
-        f = extract_features(g, log.adoption_day, sched, e.node, e.day)
+        f = reference_features(g, log.adoption_day, sched, e.node, e.day)
         assert np.array_equal(f, e.features), (e.node, e.day)
 
 

@@ -214,6 +214,26 @@ def random_panel(n, p, seed, treat_rule):
     )
 
 
+def test_panel_duplicate_rows_and_days():
+    def panel(ego, day):
+        n = len(ego)
+        return TreatmentPanel(
+            ego=np.array(ego, dtype=np.int64),
+            day=np.array(day, dtype=np.int64),
+            treatment=np.zeros(n, dtype=np.int64),
+            outcome=np.zeros(n, dtype=np.int64),
+            X=np.zeros((n, 1)),
+            names=("a",),
+            core_idx=(0,),
+            levels=BINARY_LEVELS,
+        )
+
+    assert list(panel([3, 1, 3, 2], [5, 2, 2, 5]).days()) == [2, 5]
+    assert len(panel([], []).days()) == 0
+    with pytest.raises(DataError):
+        panel([3, 1, 3], [5, 2, 5])
+
+
 def test_propensity_no_signal_auc():
     panel = random_panel(1000, 5, 0, lambda rng, X: rng.integers(0, 2, len(X)))
     model = fit_propensity(panel)

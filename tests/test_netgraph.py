@@ -7,9 +7,7 @@ from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import (
     DirectedGraph,
     LoadReport,
-    degrees,
     load_edge_list,
-    neighbors,
     save_edge_list,
     save_id_map,
 )
@@ -38,7 +36,7 @@ def brute_degrees(edges, n):
 def test_reciprocal_pair(tmp_path):
     p = write_csv(tmp_path / "e.csv", "source,target\na,b\nb,a\n")
     g = load_edge_list(p)
-    ind, outd, mut = degrees(g)
+    ind, outd, mut = g.in_degree, g.out_degree, g.mutual_degree
     assert list(ind) == [1, 1]
     assert list(outd) == [1, 1]
     assert list(mut) == [1, 1]
@@ -61,13 +59,12 @@ def test_ten_node_star():
     # leaves 1..9 all follow hub 0; hub follows nobody
     edges = np.array([(s, 0) for s in range(1, 10)])
     g = DirectedGraph.from_edges(edges, n_nodes=10)
-    ind, outd, mut = degrees(g)
+    ind, outd, mut = g.in_degree, g.out_degree, g.mutual_degree
     assert ind[0] == 0 and outd[0] == 9
     assert all(ind[i] == 1 and outd[i] == 0 for i in range(1, 10))
     assert mut.sum() == 0
     assert list(g.followers(0)) == list(range(1, 10))
     assert list(g.followees(3)) == [0]
-    assert list(neighbors(g, 0, "follower")) == list(range(1, 10))
 
 
 def test_degrees_match_brute_force_recount():
@@ -75,7 +72,7 @@ def test_degrees_match_brute_force_recount():
     n = 50
     edges = rng.integers(0, n, size=(400, 2))
     g = DirectedGraph.from_edges(edges, n_nodes=n)
-    ind, outd, mut = degrees(g)
+    ind, outd, mut = g.in_degree, g.out_degree, g.mutual_degree
     bi, bo, bm = brute_degrees(edges.tolist(), n)
     assert np.array_equal(ind, bi)
     assert np.array_equal(outd, bo)
@@ -88,7 +85,7 @@ def test_mutual_is_intersection():
     g = DirectedGraph.from_edges(edges, n_nodes=30)
     for i in range(30):
         expect = sorted(set(g.followees(i)) & set(g.followers(i)))
-        assert list(neighbors(g, i, "mutual")) == expect
+        assert list(g.mutual(i)) == expect
 
 
 def test_degree_sums_equal_edge_count():
