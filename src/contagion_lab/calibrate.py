@@ -130,35 +130,50 @@ def daily_counts(log: AdoptionLog) -> np.ndarray:
     return counts
 
 
-def eve_exposure(
-    g: DirectedGraph, adoption_day: np.ndarray, nodes: np.ndarray, days: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exposure of each node nodes[i] on the eve of day days[i].
+class ExposureIndex:
+    """Each node's adopted neighbors in a CSR, sorted by adoption day.
 
-    Counts the followees v with NEVER != t_v < days[i] and returns (m, first,
-    last): that count and the earliest and latest such t_v, both NEVER where
-    m = 0.  One pass over the queried nodes' followee segments.
+    Built once from a CSR (followee, follower or mutual) and the adoption
+    days; answers "which neighbors adopted strictly before day t" for any
+    (node, day) pairs.  Memory is O(edges).
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    days = np.asarray(days, dtype=np.int64)
-    ptr, fe = g.followee_csr()
-    deg = ptr[nodes + 1] - ptr[nodes]
-    seg_start = np.cumsum(deg) - deg  # each query's offset into the gather
-    idx = np.arange(int(deg.sum())) + np.repeat(ptr[nodes] - seg_start, deg)
-    t_v = adoption_day[fe[idx]]
-    hit = (t_v != NEVER) & (t_v < np.repeat(days, deg))
 
-    m = np.zeros(len(nodes), dtype=np.int64)
-    first = np.full(len(nodes), NEVER, dtype=np.int64)
-    last = np.full(len(nodes), NEVER, dtype=np.int64)
-    # reduceat on an empty segment would yield a neighbor's element
-    has = deg > 0
-    at = seg_start[has]
-    m[has] = np.add.reduceat(hit, at, dtype=np.int64)
-    lo = np.minimum.reduceat(np.where(hit, t_v, np.iinfo(np.int64).max), at)
-    first[has] = np.where(m[has] > 0, lo, NEVER)
-    last[has] = np.maximum.reduceat(np.where(hit, t_v, NEVER), at)
-    return m, first, last
+    def __init__(self, csr: tuple[np.ndarray, np.ndarray], adoption_day: np.ndarray):
+        ptr, nbr = csr
+        n = len(ptr) - 1
+        t_v = adoption_day[nbr]
+        hit = t_v != NEVER
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))[hit]
+        # Key days by rank, not by value: log days come from outside and a
+        # raw owner * (max_day + 2) + day key can overflow int64.
+        d = np.sort(adoption_day[adoption_day != NEVER])
+        self._days = d[np.diff(d, prepend=NEVER) != 0]
+        self._span = len(self._days) + 1
+        self._key = np.sort(owner * self._span + np.searchsorted(self._days, t_v[hit]))
+        self._start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n), out=self._start[1:])
+
+    def count(self, nodes: np.ndarray, days) -> np.ndarray:
+        """Number of neighbors v of nodes[i] with NEVER != t_v < days[i]; days may be one day."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rank = np.searchsorted(self._days, np.asarray(days, dtype=np.int64))
+        return np.searchsorted(self._key, nodes * self._span + rank) - self._start[nodes]
+
+    def exposure(self, nodes: np.ndarray, days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m, first, last): the count, and the earliest and latest such t_v.
+
+        first and last are NEVER where m = 0.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        m = self.count(nodes, days)
+        has = m > 0
+        lo = self._start[nodes][has]  # each segment is sorted by day
+        hi = lo + m[has] - 1
+        first = np.full(m.shape, NEVER, dtype=np.int64)
+        last = np.full(m.shape, NEVER, dtype=np.int64)
+        first[has] = self._days[self._key[lo] % self._span]
+        last[has] = self._days[self._key[hi] % self._span]
+        return m, first, last
 
 
 @dataclass(frozen=True)
@@ -194,8 +209,8 @@ def _non_shock_exposure(
     if log.shock_mask is not None:
         keep = ~log.shock_mask[days - log.first_day]
         nodes, days = nodes[keep], days[keep]
-    m, _, _ = eve_exposure(g, log.adoption_day, nodes, days)
-    return nodes, m
+    index = ExposureIndex(g.followee_csr(), log.adoption_day)
+    return nodes, index.count(nodes, days)
 
 
 def calibrate_transmission(g: DirectedGraph, log: AdoptionLog) -> PoolResult:

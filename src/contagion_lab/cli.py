@@ -286,8 +286,14 @@ def cmd_calibrate(args, sp):
     log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
     inputs = [args.graph, args.log]
     if args.shock_ranges:
-        with open(args.shock_ranges) as fh:
-            ranges = [tuple(r) for r in json.load(fh)["ranges"]]
+        path = args.shock_ranges
+        with open(path, encoding="utf-8") as fh:
+            try:
+                ranges = [tuple(r) for r in json.load(fh)["ranges"]]
+            except (ValueError, KeyError, TypeError) as e:
+                raise ParseError(f'expected {{"ranges": [[first, last], ...]}}: {e}', path=path)
+        if not all(len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
+            raise ParseError("ranges must be [first, last] integer pairs", path=path)
         mask = shock_day_mask(log.horizon_days, ranges)
         log = AdoptionLog(log.adoption_day, log.first_day, log.last_day, shock_mask=mask)
         inputs.append(args.shock_ranges)
@@ -553,9 +559,13 @@ def cmd_report(args, sp):
             continue
         mpath = os.path.join(args.dir, name)
         with open(mpath, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+                outputs = [os.fspath(out) for out in manifest.get("outputs", [])]
+            except (ValueError, AttributeError, TypeError) as e:
+                raise ParseError(f"not a manifest: {e}", path=mpath) from e
         checked = []
-        for out in manifest.get("outputs", []):
+        for out in outputs:
             cand = out if os.path.isabs(out) else os.path.join(args.dir, os.path.basename(out))
             path = out if os.path.exists(out) else cand
             ok = os.path.exists(path) and os.path.getsize(path) > 0

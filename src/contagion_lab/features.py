@@ -18,7 +18,7 @@ import csv
 
 import numpy as np
 
-from .calibrate import AdoptionLog, eve_exposure
+from .calibrate import AdoptionLog, ExposureIndex
 from .errors import DataError, ParseError
 from .netgraph import DirectedGraph
 from .shocks import ShockSchedule, shock_intensity, shock_recency
@@ -47,7 +47,7 @@ def eve_features(
     at days >= days[i] are ignored (no lookahead).
     """
     days = np.asarray(days, dtype=np.int64)
-    m, first, last = eve_exposure(g, adoption_day, nodes, days)
+    m, first, last = ExposureIndex(g.followee_csr(), adoption_day).exposure(nodes, days)
     k = g.in_degree[nodes]
     exposed = m > 0
     X = np.empty((len(days), len(FEATURE_NAMES)), dtype=float)

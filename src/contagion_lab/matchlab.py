@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import expit
 
-from .calibrate import NEVER, AdoptionLog
+from .calibrate import NEVER, AdoptionLog, ExposureIndex
 from .errors import ConvergenceError, DataError, ParseError
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
@@ -117,7 +117,8 @@ class CovariateTable:
 
     Columns: adopted-neighbor counts and fractions for the three tie
     directions as of day-lag, then five network-size columns. Optional
-    static per-node columns are appended after the core block.
+    static per-node columns are appended after the core block.  Holds one
+    exposure index per direction, so memory is O(edges), not O(n·horizon).
     """
 
     def __init__(self, g: DirectedGraph, log: AdoptionLog, lag: int = 7, static=None):
@@ -125,18 +126,14 @@ class CovariateTable:
             raise DataError(f"covariate lag must be >= 0, got {lag}")
         self.lag = lag
         self._n = g.node_count
-        self._first = log.first_day
-        self._h = log.horizon_days
+        self._first, self._last = log.first_day, log.last_day
         names = list(CORE_COVARIATES)
-        self._prefix = {
-            d: _prefix_counts(_neighbor_adoption_matrix(g, log, d)) for d in DIRECTIONS
-        }
-        in_deg = g.in_degree.astype(float)
-        out_deg = g.out_degree.astype(float)
-        mu_deg = g.mutual_degree.astype(float)
-        total = in_deg + out_deg
-        self._net = np.column_stack([in_deg, out_deg, mu_deg, total, np.log1p(total)])
-        self._deg = {"followee": in_deg, "follower": out_deg, "mutual": mu_deg}
+        # DIRECTIONS name the graph's followee_csr, follower_csr and mutual_csr
+        csrs = [getattr(g, f"{d}_csr")() for d in DIRECTIONS]
+        self._index = [ExposureIndex(csr, log.adoption_day) for csr in csrs]
+        self._deg = np.column_stack([g.in_degree, g.out_degree, g.mutual_degree]).astype(float)
+        total = self._deg[:, 0] + self._deg[:, 1]
+        self._net = np.column_stack([self._deg, total, np.log1p(total)])
         if static is not None:
             extra_names, extra = static
             extra = np.atleast_2d(np.asarray(extra, dtype=float))
@@ -152,49 +149,17 @@ class CovariateTable:
         self.core_idx = tuple(range(len(CORE_COVARIATES)))
 
     def values(self, day: int) -> np.ndarray:
-        if not self._first <= day <= self._first + self._h - 1:
+        if not self._first <= day <= self._last:
             raise DataError(f"covariates requested for day {day} outside the log horizon")
-        cutoff = day - self.lag
-        col = int(np.clip(cutoff - self._first + 1, 0, self._h))
-        blocks = []
-        fracs = []
-        for d in DIRECTIONS:
-            cnt = self._prefix[d][:, col].astype(float)
-            blocks.append(cnt)
-            deg = self._deg[d]
-            frac = np.zeros(self._n)
-            np.divide(cnt, deg, out=frac, where=deg > 0)
-            fracs.append(frac)
-        cols = blocks + fracs + [self._net]
+        # neighbors adopted on or before the cutoff day - lag
+        nodes = np.arange(self._n)
+        cnt = np.column_stack([ix.count(nodes, day - self.lag + 1) for ix in self._index])
+        cnt = cnt.astype(float)
+        frac = np.divide(cnt, self._deg, out=np.zeros_like(cnt), where=self._deg > 0)
+        cols = [cnt, frac, self._net]
         if self._static is not None:
             cols.append(self._static)
         return np.column_stack(cols)
-
-
-def _neighbor_adoption_matrix(g: DirectedGraph, log: AdoptionLog, direction: str):
-    """A[u, t] = number of u's direction-neighbors adopting exactly on day t."""
-    _check_direction(direction)
-    n = g.node_count
-    h = log.horizon_days
-    A = np.zeros((n, h), dtype=np.int64)
-    days = log.adoption_day
-    for v in log.adopters():
-        t = days[v] - log.first_day
-        if direction == "followee":
-            nbrs = g.followers(v)  # v is a followee of those who follow v
-        elif direction == "follower":
-            nbrs = g.followees(v)
-        else:
-            nbrs = g.mutual(v)
-        if len(nbrs):
-            A[nbrs, t] += 1
-    return A
-
-
-def _prefix_counts(A: np.ndarray) -> np.ndarray:
-    P = np.zeros((A.shape[0], A.shape[1] + 1), dtype=np.int64)
-    np.cumsum(A, axis=1, out=P[:, 1:])
-    return P
 
 
 @dataclass(frozen=True)
@@ -366,15 +331,12 @@ def build_panel(
             f"covariate lag {lag} does not predate the {DOSE_WINDOW}-day dose window"
         )
 
-    first, h = log.first_day, log.horizon_days
-    last = first + h - 1
+    first, last = log.first_day, log.last_day
     if days is None:
         start = first + (lag if lag is not None else DOSE_WINDOW)
         if start > last:
             raise DataError("log horizon too short for the covariate lag")
         days = range(start, last + 1)
-    A = _neighbor_adoption_matrix(g, log, kind.direction)
-    P = _prefix_counts(A)
     ad = log.adoption_day
 
     if isinstance(kind, Timing):
@@ -388,6 +350,7 @@ def build_panel(
         levels = BINARY_LEVELS
     else:
         raise DataError(f"unknown treatment kind {kind!r}")
+    index = ExposureIndex(getattr(g, f"{kind.direction}_csr")(), log.adoption_day)
 
     egos, day_col, treat, out, xs = [], [], [], [], []
     for D in days:
@@ -397,9 +360,7 @@ def build_panel(
         if risk.size == 0:
             continue
         lo, hi = window(D)
-        ia = max(lo - first, 0)
-        ib = min(hi - first, h - 1)
-        cnt = P[risk, ib + 1] - P[risk, ia] if ib >= ia else np.zeros(risk.size, np.int64)
+        cnt = index.count(risk, hi + 1) - index.count(risk, lo)
         if isinstance(kind, Dose):
             codes = np.minimum(cnt, len(DOSE_LEVELS) - 1)
         else:

@@ -148,7 +148,7 @@ class DirectedGraph:
 
     @property
     def mutual_degree(self) -> np.ndarray:
-        return np.array([len(self.mutual(i)) for i in range(self.node_count)])
+        return np.diff(self.mutual_csr()[0])
 
     def edges(self) -> np.ndarray:
         """All (source, target) pairs, sorted by (source, target)."""
@@ -167,6 +167,13 @@ class DirectedGraph:
 
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self._fo_ptr, self._fo
+
+    def mutual_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR of reciprocated ties: the (i, j) edges whose (j, i) also exists."""
+        n = self.node_count
+        src = np.repeat(np.arange(n, dtype=np.int64), self.in_degree)
+        keep = np.isin(src * n + self._fe, self._fe * n + src)
+        return _csr(src[keep], self._fe[keep], n)
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.node_count:

@@ -513,12 +513,17 @@ def test_cli_pipeline_reproducible(tmp_path, announce):
              "--metrics-out", "metrics.json"],
             ["decompose", "--graph", "g.npz", "--log", "log.csv",
              "--model", "model.json", "--out", "report.json"],
+            # follower ties: the propensity fit converges on this log
+            ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "timing",
+             "--d", "3", "--direction", "follower", "--out-pairs", "pairs.csv",
+             "--out-risk", "risk.json", "--out-diagnostics", "diagnostics.json"],
         ]
         outs = ["g.npz", "events.jsonl", "log.csv", "pools.json",
-                "model.json", "metrics.json", "report.json"]
+                "model.json", "metrics.json", "report.json",
+                "pairs.csv", "risk.json", "diagnostics.json"]
         manifests = ["g.npz.manifest.json", "events.jsonl.manifest.json",
                      "pools.json.manifest.json", "model.json.manifest.json",
-                     "report.json.manifest.json"]
+                     "report.json.manifest.json", "pairs.csv.manifest.json"]
         for step in steps:
             proc = _run_cli(step, d)
             assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import pytest
 from contagion_lab.calibrate import (
     NEVER,
     AdoptionLog,
+    ExposureIndex,
     MechanismParams,
     assign_from_pools,
     calibrate_activity,
@@ -13,7 +14,6 @@ from contagion_lab.calibrate import (
     calibrate_thresholds,
     calibrate_transmission,
     daily_counts,
-    eve_exposure,
 )
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import DirectedGraph
@@ -279,10 +279,42 @@ def test_daily_counts():
 def test_exposure_strictly_before_day():
     g = graph_from([(0, 1), (0, 2)], 3)
     log = log_from([NEVER, 4, 6], last_day=9)
-    m, first, last = eve_exposure(g, log.adoption_day, [0, 0, 0, 1], [4, 5, 7, 7])
+    index = ExposureIndex(g.followee_csr(), log.adoption_day)
+    m, first, last = index.exposure([0, 0, 0, 1], [4, 5, 7, 7])
     assert list(m) == [0, 1, 2, 0]  # same-day excluded; node 1 follows nobody
     assert list(first) == [NEVER, 4, 4, NEVER]
     assert list(last) == [NEVER, 4, 6, NEVER]
+    # cutoffs at or before day 0 see nothing; past the last adoption, everything
+    m, first, last = index.exposure([0, 0, 0, 2], [-3, 0, 10**6, 10**6])
+    assert list(m) == [0, 0, 2, 0]
+    assert list(first) == [NEVER, NEVER, 4, NEVER]
+    assert list(last) == [NEVER, NEVER, 6, NEVER]
+    # a log with no adopters
+    none = ExposureIndex(g.followee_csr(), np.full(3, NEVER))
+    m, first, last = none.exposure([0, 1, 2, 0], [0, 5, 10**6, -1])
+    assert list(m) == [0, 0, 0, 0]
+    assert list(first) == list(last) == [NEVER] * 4
+
+
+def test_exposure_huge_days_match_loop():
+    # days near 2e15 on 5k nodes: a raw node * (max_day + 2) + day key would
+    # overflow int64, so the index must key days by rank
+    rng = np.random.default_rng(8)
+    n, base = 5000, 2 * 10**15
+    g = graph_from(rng.integers(0, n, size=(40_000, 2)), n)
+    days = base + rng.integers(0, 50, size=n)
+    days[rng.random(n) < 0.5] = NEVER
+    days[:2] = [0, base + 10**6]
+    log = log_from(days)
+    nodes = rng.integers(0, n, size=3000)
+    cut = rng.choice(np.array([0, 1, base, base + 25, base + 60, base + 10**6 + 1]), 3000)
+    m, first, last = ExposureIndex(g.followee_csr(), log.adoption_day).exposure(nodes, cut)
+    for i, (u, t) in enumerate(zip(nodes, cut)):
+        t_v = log.adoption_day[g.followees(u)]
+        t_v = t_v[(t_v != NEVER) & (t_v < t)]
+        assert m[i] == len(t_v)
+        assert first[i] == (t_v.min() if len(t_v) else NEVER)
+        assert last[i] == (t_v.max() if len(t_v) else NEVER)
 
 
 # -- params container ----------------------------------------------------------------

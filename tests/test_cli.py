@@ -386,6 +386,38 @@ def test_report_flags_missing_outputs(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]", '{"outputs": 5}'])
+def test_report_malformed_manifest_is_data_error(tmp_path, capsys, text):
+    bad = tmp_path / "a.json.manifest.json"
+    bad.write_text(text)
+    assert run(["report", "--dir", tmp_path, "--out", tmp_path / "report.json"]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ('{"ranges": [[3, 10], [40, 45]]}', 0),
+        ("{bad", 2),
+        ('{"spans": [[3, 10]]}', 2),  # no "ranges"
+        ('{"ranges": 5}', 2),
+        ('[[3, 10]]', 2),
+        ('{"ranges": [[3, 10, 12]]}', 2),  # not a pair
+        ('{"ranges": [[3, "x"]]}', 2),
+    ],
+)
+def test_calibrate_shock_ranges_file(world, tmp_path, capsys, text, code):
+    ranges = tmp_path / "ranges.json"
+    ranges.write_text(text)
+    out = tmp_path / "cal.json"
+    assert run(["calibrate", "--graph", world["graph"], "--log", world["log"],
+                "--shock-ranges", ranges, "--out", out]) == code
+    if code:
+        assert str(ranges) in capsys.readouterr().err
+    else:
+        assert str(ranges) in manifest(out)["inputs"]
+
+
 def test_ingest_round_trip(world, tmp_path):
     edges = tmp_path / "edges.csv"
     from contagion_lab.netgraph import save_edge_list

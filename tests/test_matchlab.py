@@ -179,6 +179,90 @@ def test_covariate_values_hand_case():
     assert x17[names.index("log_total_degree")] == pytest.approx(np.log(2.0))
 
 
+def reference_neighbor_adoptions(g, log, direction):
+    """A[u, t] = number of u's direction-neighbors adopting exactly on day first_day + t.
+
+    The dense per-adopter loop the exposure index replaced, kept as a reference.
+    """
+    A = np.zeros((g.node_count, log.horizon_days), dtype=np.int64)
+    for v in log.adopters():
+        t = log.adoption_day[v] - log.first_day
+        if direction == "followee":
+            nbrs = g.followers(v)  # v is a followee of those who follow v
+        elif direction == "follower":
+            nbrs = g.followees(v)
+        else:
+            nbrs = g.mutual(v)
+        A[nbrs, t] += 1
+    return A
+
+
+def reference_worlds():
+    """Random worlds with reciprocal ties, isolated nodes and first_day > 0."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n, used = 60, 52  # nodes 52..59 have no ties
+        edges = rng.integers(0, used, size=(300, 2))
+        edges = np.vstack([edges, edges[:80, ::-1]])  # reciprocate some ties
+        g = DirectedGraph.from_edges(edges, n_nodes=n)
+        first, last = 5, 40
+        ad = rng.integers(first, last + 1, size=n)
+        ad[rng.random(n) < 0.4] = NEVER
+        yield g, AdoptionLog(ad, first_day=first, last_day=last)
+
+
+def test_covariate_counts_match_reference():
+    for g, log in reference_worlds():
+        deg = {
+            "followee": g.in_degree,
+            "follower": g.out_degree,
+            "mutual": np.array([len(g.mutual(i)) for i in range(g.node_count)]),
+        }
+        for lag in (0, 7):
+            cov = CovariateTable(g, log, lag=lag)
+            names = list(cov.names)
+            for direction in ("followee", "follower", "mutual"):
+                A = reference_neighbor_adoptions(g, log, direction)
+                i_cnt = names.index(f"{direction}_adopted_count")
+                i_frac = names.index(f"{direction}_adopted_frac")
+                for D in range(log.first_day, log.last_day + 1):
+                    # adopted on or before the cutoff day D - lag
+                    col = max(D - lag - log.first_day + 1, 0)
+                    cnt = A[:, :col].sum(axis=1)
+                    X = cov.values(D)
+                    assert np.array_equal(X[:, i_cnt], cnt), (direction, lag, D)
+                    frac = np.where(deg[direction] > 0, cnt / np.maximum(deg[direction], 1), 0)
+                    assert np.array_equal(X[:, i_frac], frac), (direction, lag, D)
+
+
+def test_panel_treatment_matches_reference():
+    # (design for a direction, window offsets from the panel day, code of a count)
+    designs = [
+        (lambda dr: Timing(d=3, direction=dr), (-3, -1), lambda c: c > 0),
+        (lambda dr: Dose(direction=dr), (-7, -1), lambda c: np.minimum(c, 4)),
+        (lambda dr: PlaceboFuture(d=4, direction=dr), (1, 4), lambda c: c > 0),
+    ]
+    for g, log in reference_worlds():
+        cov = CovariateTable(g, log, lag=7)
+        ad = log.adoption_day
+        # every horizon day: the first windows start before first_day and
+        # the last placebo windows end after last_day
+        days = range(log.first_day, log.last_day + 1)
+        for direction in ("followee", "follower", "mutual"):
+            A = reference_neighbor_adoptions(g, log, direction)
+            for make, (a, b), code in designs:
+                kind = make(direction)
+                panel = build_panel(g, log, cov, kind, days=days)
+                for D in days:
+                    rows = panel.day == D
+                    risk = np.flatnonzero((ad == NEVER) | (ad >= D))
+                    assert np.array_equal(panel.ego[rows], risk)
+                    ia = max(D + a - log.first_day, 0)
+                    ib = min(D + b - log.first_day, log.horizon_days - 1)
+                    cnt = A[risk, ia : ib + 1].sum(axis=1)
+                    assert np.array_equal(panel.treatment[rows], code(cnt)), (kind, D)
+
+
 def test_panel_csv_round_trip(tmp_path):
     g, log, trait = homophily_world(seed=5)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))

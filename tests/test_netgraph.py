@@ -82,10 +82,16 @@ def test_degrees_match_brute_force_recount():
 def test_mutual_is_intersection():
     rng = np.random.default_rng(3)
     edges = rng.integers(0, 30, size=(200, 2))
-    g = DirectedGraph.from_edges(edges, n_nodes=30)
-    for i in range(30):
-        expect = sorted(set(g.followees(i)) & set(g.followers(i)))
-        assert list(g.mutual(i)) == expect
+    edgeless = np.empty((0, 2), dtype=np.int64)
+    for g in (DirectedGraph.from_edges(edges, n_nodes=30),
+              DirectedGraph.from_edges(edgeless, n_nodes=4)):
+        ptr, ids = g.mutual_csr()
+        assert len(ptr) == g.node_count + 1
+        for i in range(g.node_count):
+            expect = sorted(set(g.followees(i)) & set(g.followers(i)))
+            assert list(g.mutual(i)) == expect
+            assert list(ids[ptr[i] : ptr[i + 1]]) == expect
+        assert np.array_equal(g.mutual_degree, np.diff(ptr))
 
 
 def test_degree_sums_equal_edge_count():
