@@ -21,6 +21,7 @@ from .rngstream import PARAM_ASSIGNMENT, stream
 from .shocks import ShockSchedule
 
 NEVER = -1  # sentinel adoption day for nodes that never adopt
+_MAX_DAY = int(np.iinfo(np.int64).max)
 
 DEFAULT_ACTIVITY_MEAN = 0.032
 
@@ -109,6 +110,14 @@ class AdoptionLog:
                     raise ParseError(
                         f"malformed record {row!r}", path=str(path), line=lineno
                     ) from e
+                # A day of NEVER would read as "never adopted", and one past
+                # int64 would overflow the day array.
+                if not 0 <= day <= _MAX_DAY:
+                    raise ParseError(
+                        f"adoption day {day} outside [0, {_MAX_DAY}]",
+                        path=str(path),
+                        line=lineno,
+                    )
                 if node in seen:
                     raise ParseError(
                         f"duplicate record for node {row[0]!r}",

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
 
 from .calibrate import NEVER, AdoptionLog, ExposureIndex
 from .errors import ConvergenceError, DataError, ParseError
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
+from .structtest import average_ranks
 
 DIRECTIONS = ("followee", "follower", "mutual")
 DOSE_LEVELS = ("0", "1", "2", "3", "3+")
@@ -438,7 +437,7 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
     n0 = len(positive) - n1
     if n1 == 0 or n0 == 0:
         return None
-    r = stats.rankdata(scores)
+    r = average_ranks(scores)
     return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
@@ -460,6 +459,8 @@ def fit_propensity(
     so perfectly separable panels stay finite; step halving guards the
     penalized likelihood. Requires at least two levels meeting the row floor.
     """
+    from scipy.special import expit  # deferred: costs ~0.3 s to import
+
     counts = panel.level_counts()
     if np.count_nonzero(counts >= min_level_rows) < 2:
         raise DataError(
@@ -475,8 +476,7 @@ def fit_propensity(
     D = np.column_stack([np.ones(n), Z])
     pen = np.full(p + 1, ridge)
     pen[0] = 0.0  # intercept unpenalized
-    code_of = {c: i for i, c in enumerate(classes)}
-    y = np.array([code_of[int(t)] for t in panel.treatment])
+    y = np.searchsorted(np.asarray(classes), panel.treatment)
     K = len(classes)
 
     if K == 2:

@@ -12,13 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .calibrate import AdoptionLog
 from .errors import DataError
 from .netgraph import DirectedGraph
 
 DEGREE_KINDS = ("in", "out", "total")
+
+
+def average_ranks(a) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties given their group's mean rank.
+
+    Equals ``scipy.stats.rankdata(a, method="average")`` for input without
+    NaN, without importing ``scipy.stats``.
+    """
+    a = np.asarray(a)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    end = np.append(start[1:], len(a))
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -61,8 +76,8 @@ def degree_order_test(
     if np.all(days == days[0]):
         raise DataError("all adoptions on one day; order undefined")
 
-    day_rank = stats.rankdata(days, method="average")
-    deg_rank = stats.rankdata(degs, method="average")
+    day_rank = average_ranks(days)
+    deg_rank = average_ranks(degs)
     dx = deg_rank - deg_rank.mean()
     dy = day_rank - day_rank.mean()
     rho = float((dx * dy).sum() / np.sqrt((dx**2).sum() * (dy**2).sum()))
@@ -70,6 +85,8 @@ def degree_order_test(
     if abs(rho) >= 1.0:
         p = 0.0
     else:
+        from scipy.special import stdtr  # deferred: costs ~0.3 s to import
+
         t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * stats.t.sf(abs(t), df=n - 2))
+        p = float(2.0 * stdtr(n - 2, -abs(t)))  # the t distribution's upper tail
     return OrderTestResult(rho=rho, p_value=p, n=n, degree_kind=degree_kind)

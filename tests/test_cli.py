@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contagion_lab
 from contagion_lab import cli
 from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.netgraph import DirectedGraph
@@ -62,6 +67,19 @@ def hworld(tmp_path_factory):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy_stats_or_special():
+    # every CLI step pays its import; scipy.stats alone costs about 1 s
+    env = dict(os.environ)
+    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    code = ("import sys, contagion_lab.cli; "
+            "print(sorted(m for m in ('scipy', 'scipy.stats', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['scipy']"
 
 
 def test_version_exits_zero(capsys):
@@ -145,8 +163,6 @@ def test_pipeline_smoke(tmp_path, capsys):
     # every manifest-listed output exists and is non-empty
     for out in (g, ev, model, dec):
         for path in manifest(out)["outputs"]:
-            import os
-
             assert os.path.getsize(path) > 0, path
     shares = json.load(open(dec))["overall_shares"]
     assert abs(sum(shares.values()) - 1.0) < 1e-9
@@ -416,6 +432,18 @@ def test_calibrate_shock_ranges_file(world, tmp_path, capsys, text, code):
         assert str(ranges) in capsys.readouterr().err
     else:
         assert str(ranges) in manifest(out)["inputs"]
+
+
+@pytest.mark.parametrize("day", ["100000000000000000000", "-1"])
+def test_calibrate_log_day_out_of_range_is_parse_error(world, tmp_path, capsys, day):
+    # a day past int64 used to overflow with a traceback; -1 is the NEVER
+    # sentinel and used to read silently as "never adopted"
+    node = DirectedGraph.load(world["graph"]).node_ids[0]
+    log = tmp_path / "log.csv"
+    log.write_text(f"node,day\n{node},{day}\n")
+    assert run(["calibrate", "--graph", world["graph"], "--log", log,
+                "--out", tmp_path / "cal.json"]) == 2
+    assert f"{log}:2:" in capsys.readouterr().err
 
 
 def test_ingest_round_trip(world, tmp_path):

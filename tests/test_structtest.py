@@ -7,7 +7,7 @@ from scipy import stats
 from contagion_lab.calibrate import NEVER, AdoptionLog
 from contagion_lab.errors import DataError
 from contagion_lab.netgraph import DirectedGraph
-from contagion_lab.structtest import degree_order_test
+from contagion_lab.structtest import average_ranks, degree_order_test
 from contagion_lab.synthgen import SynthConfig, gen_graph, gen_pure_cascade
 from tests.test_synthgen import base_params
 
@@ -52,6 +52,33 @@ def test_matches_scipy_oracle():
         want_rho, want_p = stats.spearmanr(deg, day_arr)
         assert res.rho == pytest.approx(want_rho, abs=1e-12)
         assert res.p_value == pytest.approx(want_p, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [7.5],
+        [3.0, 3.0, 3.0, 3.0],
+        np.array([4, 1, 4, 2, 1, 4, 0, 2], dtype=np.int64),
+        [np.inf, -1.0, -np.inf, np.inf, 0.0, -np.inf, 2.5, 0.0],
+        [-np.inf, -np.inf],
+    ],
+)
+def test_average_ranks_match_scipy(a):
+    want = stats.rankdata(a, method="average")
+    got = average_ranks(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_average_ranks_match_scipy_random_ties():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        a = rng.integers(-4, 5, size=n).astype(float)
+        a[rng.random(n) < 0.1] = np.inf
+        a[rng.random(n) < 0.1] = -np.inf
+        assert np.array_equal(average_ranks(a), stats.rankdata(a, method="average"))
 
 
 def test_monotone_degree_transform_invariance():
