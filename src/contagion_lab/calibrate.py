@@ -337,7 +337,7 @@ class MechanismParams:
             "shock_prob_at_peak": self.shock_prob_at_peak,
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
             fh.write("\n")
 
     @classmethod

@@ -204,6 +204,19 @@ class TreatmentPanel:
         keep[1:] = d[1:] != d[:-1]
         return d[keep]
 
+    def rows_by_day(self) -> list:
+        """(day, ascending row indices) for each distinct day, ascending.
+
+        One stable argsort of the day column, so grouping costs O(n log n)
+        once instead of a full-column scan per day.
+        """
+        if self.n_rows == 0:
+            return []
+        order = np.argsort(self.day, kind="stable")
+        d = self.day[order]
+        bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1], True])
+        return [(int(d[a]), order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
     def level_counts(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.levels))
 
@@ -398,8 +411,7 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
     """Shuffle treatment labels within each day, preserving daily level counts."""
     rng = stream(seed, PLACEBO)
     treat = np.array(panel.treatment)
-    for D in panel.days():
-        idx = np.flatnonzero(panel.day == D)
+    for _, idx in panel.rows_by_day():
         treat[idx] = treat[idx][rng.permutation(idx.size)]
     return replace(
         panel,
@@ -496,10 +508,12 @@ def fit_propensity(
                 cand = theta + t * step
                 new = _penalized_nll_binary(D, yb, cand, pen)
                 if new <= nll + 1e-12:
+                    theta, nll = cand, new
                     break
                 t *= 0.5
-            theta = theta + t * step
-            nll = _penalized_nll_binary(D, yb, theta, pen)
+            else:  # every halving failed: take the last, smaller step anyway
+                theta = theta + t * step
+                nll = _penalized_nll_binary(D, yb, theta, pen)
             if np.max(np.abs(t * step)) < tol:
                 break
         else:
@@ -566,11 +580,15 @@ def fit_propensity(
         step = np.linalg.solve(H, grad)
         t = 1.0
         for _ in range(30):
-            if pnll(theta + t * step) <= nll + 1e-12:
+            cand = theta + t * step
+            new = pnll(cand)
+            if new <= nll + 1e-12:
+                theta, nll = cand, new
                 break
             t *= 0.5
-        theta = theta + t * step
-        nll = pnll(theta)
+        else:  # every halving failed: take the last, smaller step anyway
+            theta = theta + t * step
+            nll = pnll(theta)
         if np.max(np.abs(t * step)) < tol:
             break
     else:
@@ -653,9 +671,23 @@ class _MatchContext:
             self.VI = np.eye(self.Z.shape[1])
 
 
-def _match_day(ctx, day, caliper_mult, level, control_level, shortlist):
+def _caliper_windows(sc, st, caliper):
+    """[lo, hi) slices of the ascending control logits `sc` holding, for each
+    treated logit in `st`, every control with |sc - st| <= caliper.
+
+    The bounds are widened by a few ulps of the largest magnitude in play so
+    that rounding in `st +- caliper` cannot drop a boundary control; the
+    caller re-applies the exact test to each slice.
+    """
+    top = max(float(np.abs(sc).max()), float(np.abs(st).max()), caliper)
+    width = caliper + 4 * np.spacing(top)
+    if not np.isfinite(width):  # non-finite logits or caliper: scan every control
+        return np.zeros(st.size, dtype=np.int64), np.full(st.size, sc.size)
+    return np.searchsorted(sc, st - width, "left"), np.searchsorted(sc, st + width, "right")
+
+
+def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
     panel = ctx.panel
-    rows = np.flatnonzero(panel.day == day)
     if rows.size == 0:
         return DayMatchResult(day, (), 0, 0, "no risk-set rows")
     s = ctx.scores[rows]
@@ -670,33 +702,48 @@ def _match_day(ctx, day, caliper_mult, level, control_level, shortlist):
     t_rows = t_rows[np.argsort(panel.ego[t_rows], kind="stable")]
     st = ctx.scores[t_rows]
     sc = ctx.scores[c_rows]
+    if shortlist is None:
+        # controls in ascending logit order, so each caliper is one slice;
+        # (distance, control ego) fully orders candidates, so their order
+        # does not change the pick
+        order = np.argsort(sc, kind="stable")
+        c_rows, sc = c_rows[order], sc[order]
+        lo, hi = _caliper_windows(sc, st, caliper)
     Zt = ctx.Z[t_rows]
     Zc = ctx.Z[c_rows]
     c_ego = panel.ego[c_rows]
     available = np.ones(c_rows.size, dtype=bool)
+    n_avail = c_rows.size
     pairs = []
     for i in range(t_rows.size):
-        avail = np.flatnonzero(available)
-        if avail.size == 0:
+        if n_avail == 0:
             break
-        diff = Zc[avail] - Zt[i]
-        if shortlist is not None and avail.size > shortlist:
-            eu = np.einsum("ij,ij->i", diff, diff)
-            keep = np.lexsort((c_ego[avail], eu))[:shortlist]
-            cand = avail[keep]
-            diff = diff[keep]
+        if shortlist is None:
+            a, b = lo[i], hi[i]
+            ok = available[a:b] & (np.abs(sc[a:b] - st[i]) <= caliper)
+            cand = ok.nonzero()[0] + a
+            diff = Zc[cand] - Zt[i]
         else:
-            cand = avail
-        ok = np.abs(sc[cand] - st[i]) <= caliper
-        if not ok.any():
+            avail = np.flatnonzero(available)
+            diff = Zc[avail] - Zt[i]
+            if avail.size > shortlist:
+                eu = np.einsum("ij,ij->i", diff, diff)
+                keep = np.lexsort((c_ego[avail], eu))[:shortlist]
+                cand = avail[keep]
+                diff = diff[keep]
+            else:
+                cand = avail
+            ok = np.abs(sc[cand] - st[i]) <= caliper
+            cand = cand[ok]
+            diff = diff[ok]
+        if cand.size == 0:
             continue
-        cand = cand[ok]
-        diff = diff[ok]
         d2 = np.einsum("ij,jk,ik->i", diff, ctx.VI, diff)
         md = np.sqrt(np.maximum(d2, 0.0))
         j = np.lexsort((c_ego[cand], md))[0]
         pick = cand[j]
         available[pick] = False
+        n_avail -= 1
         pairs.append(
             MatchedPair(
                 day=int(day),
@@ -729,7 +776,8 @@ def match_day(
     """
     core = tuple(core_features) if core_features is not None else panel.core_idx
     ctx = _MatchContext(panel, model, level, core)
-    return _match_day(ctx, day, caliper_mult, level, control_level, shortlist)
+    rows = np.flatnonzero(panel.day == day)
+    return _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist)
 
 
 def match_all_days(
@@ -744,8 +792,8 @@ def match_all_days(
     core = tuple(core_features) if core_features is not None else panel.core_idx
     ctx = _MatchContext(panel, model, level, core)
     results = [
-        _match_day(ctx, int(D), caliper_mult, level, control_level, shortlist)
-        for D in panel.days()
+        _match_day(ctx, D, rows, caliper_mult, level, control_level, shortlist)
+        for D, rows in panel.rows_by_day()
     ]
     return MatchRun(tuple(results))
 
@@ -842,8 +890,7 @@ def diagnostics(
     """Balance and overlap summary: per-day AUC, logit gaps, match distances."""
     scores = model.level_logits(level)
     aucs = []
-    for D in panel.days():
-        rows = np.flatnonzero(panel.day == D)
+    for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
         use = (grp == level) | (grp == control_level)
         if use.any():

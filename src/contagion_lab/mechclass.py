@@ -73,7 +73,7 @@ class BoostedForest:
             "trees": self.trees,
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
             fh.write("\n")
 
     @classmethod
@@ -514,7 +514,7 @@ class DecompositionReport:
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
             fh.write("\n")
 
 

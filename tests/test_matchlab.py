@@ -1,6 +1,7 @@
 """Matched-sample estimator: panel semantics, propensity fits, greedy matching."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from contagion_lab.matchlab import (
     BINARY_LEVELS,
     CORE_COVARIATES,
     CovariateTable,
+    DayMatchResult,
     Dose,
+    MatchedPair,
     PlaceboFuture,
     PlaceboPermuted,
     PropensityModel,
@@ -28,6 +31,7 @@ from contagion_lab.matchlab import (
     pool_risk_ratio,
     read_pairs,
     write_pairs,
+    _MatchContext,
 )
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.synthgen import SynthConfig, gen_graph, gen_homophily_adoptions, gen_traits
@@ -544,6 +548,244 @@ def test_shortlist_limits_candidates():
         assert top1.n_matched <= full.n_matched or len(top1.pairs) == len(full.pairs)
         for p in top1.pairs:
             assert p.control in {int(e) for e in panel.ego[panel.treatment == 0]}
+
+
+def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortlist=None):
+    """The full-scan matcher: every available control is differenced and
+    caliper-tested for every treated ego."""
+    panel = ctx.panel
+    rows = np.flatnonzero(panel.day == day)
+    if rows.size == 0:
+        return DayMatchResult(day, (), 0, 0, "no risk-set rows")
+    s = ctx.scores[rows]
+    sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
+    caliper = caliper_mult * sd
+    t_rows = rows[panel.treatment[rows] == level]
+    c_rows = rows[panel.treatment[rows] == control_level]
+    if t_rows.size == 0 or c_rows.size == 0:
+        return DayMatchResult(
+            day, (), int(t_rows.size), 0, "insufficient treated or control counts"
+        )
+    t_rows = t_rows[np.argsort(panel.ego[t_rows], kind="stable")]
+    st = ctx.scores[t_rows]
+    sc = ctx.scores[c_rows]
+    Zt = ctx.Z[t_rows]
+    Zc = ctx.Z[c_rows]
+    c_ego = panel.ego[c_rows]
+    available = np.ones(c_rows.size, dtype=bool)
+    pairs = []
+    for i in range(t_rows.size):
+        avail = np.flatnonzero(available)
+        if avail.size == 0:
+            break
+        diff = Zc[avail] - Zt[i]
+        if shortlist is not None and avail.size > shortlist:
+            eu = np.einsum("ij,ij->i", diff, diff)
+            keep = np.lexsort((c_ego[avail], eu))[:shortlist]
+            cand = avail[keep]
+            diff = diff[keep]
+        else:
+            cand = avail
+        ok = np.abs(sc[cand] - st[i]) <= caliper
+        if not ok.any():
+            continue
+        cand = cand[ok]
+        diff = diff[ok]
+        d2 = np.einsum("ij,jk,ik->i", diff, ctx.VI, diff)
+        md = np.sqrt(np.maximum(d2, 0.0))
+        j = np.lexsort((c_ego[cand], md))[0]
+        pick = cand[j]
+        available[pick] = False
+        pairs.append(
+            MatchedPair(
+                day=int(day),
+                treated=int(panel.ego[t_rows[i]]),
+                control=int(c_ego[pick]),
+                logit_gap=float(st[i] - sc[pick]),
+                mahalanobis=float(md[j]),
+                treated_outcome=int(panel.outcome[t_rows[i]]),
+                control_outcome=int(panel.outcome[c_rows[pick]]),
+            )
+        )
+    return DayMatchResult(day, tuple(pairs), int(t_rows.size), len(pairs), None)
+
+
+class FixedLogits:
+    """Propensity stand-in whose treated-level logits are given per row."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=float)
+
+    def level_logits(self, level):
+        return self.logits
+
+
+def result_bits(res):
+    """A DayMatchResult as plain values, floats as their exact bit patterns."""
+    bits = lambda x: struct.pack("<d", x)
+    pairs = tuple(
+        (p.day, p.treated, p.control, bits(p.logit_gap), bits(p.mahalanobis),
+         p.treated_outcome, p.control_outcome)
+        for p in res.pairs
+    )
+    return (res.day, pairs, res.n_treated, res.n_matched, res.skip_reason)
+
+
+EDGE_MULT = 0.6
+
+
+def edge_logits(c):
+    """Logits that sit on the rounding edges of a caliper `c`.
+
+    Treated A and control B have fl(B - A) == c although B - A > c, so the
+    exact test admits B, yet fl(A + c) < B: a window bounded by the rounded
+    A + c alone would lose B.  The next two mirror this on the lower bound.
+    The last two, a treated 0.0 and a control just above c, lie outside the
+    caliper but inside a window widened by a few ulps.
+    """
+    a = np.nextafter(c, 0.0)
+    g = c - a
+    return np.array([-a, g + g / 8, a, -(g + g / 8), 0.0, np.nextafter(c, np.inf)])
+
+
+def window_panel(seed, n_days=12, p=3, logits="grid"):
+    """Multi-day panel plus per-row logits that stress the caliper windows.
+
+    "grid" days share one logit sequence: values on a 1/8 grid, then the
+    edge_logits of the caliper that EDGE_MULT gives on those days (found by
+    iterating, since the edge rows move the day's SD).  Each edge pair has
+    covariates unlike any other row.  "huge" logits sit near +-1e6.  Day 1
+    has no controls and day 2 a single row.  Covariates are small integers,
+    so distances often tie.
+    """
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-24, 25, 60) / 8.0
+    c = EDGE_MULT * float(np.std(grid, ddof=1))
+    for _ in range(30):
+        shared = np.r_[grid, edge_logits(c)]
+        c, last = EDGE_MULT * float(np.std(shared, ddof=1)), c
+        if c == last:
+            break
+    else:
+        raise AssertionError("edge logits did not settle")
+    ego, day, treat, x, lg = [], [], [], [], []
+    for D in range(n_days):
+        if D == 2:
+            size = 1
+        elif logits == "grid":
+            size = shared.size
+        else:
+            size = int(rng.integers(20, 90))
+        e = np.sort(rng.choice(500, size, replace=False))
+        rng.shuffle(e)  # treated egos arrive in no particular order
+        t = (rng.random(size) < 0.4).astype(np.int64)
+        X = rng.integers(-2, 3, (size, p)).astype(float)
+        if logits == "grid" and size == shared.size:
+            s = shared.copy()
+            t[-6:] = (1, 0, 1, 0, 1, 0)
+            X[-6:] = np.repeat([[9.0], [-9.0], [7.0]], 2, axis=0)
+        elif logits == "grid":
+            s = shared[:size].copy()
+        else:
+            sign = rng.choice([-1.0, 1.0])
+            s = sign * 1e6 + rng.integers(-40, 41, size) * rng.choice([2.0**-30, 0.37])
+        if D == 1:
+            t[:] = 1
+        ego.append(e)
+        day.append(np.full(size, D, dtype=np.int64))
+        treat.append(t)
+        x.append(X)
+        lg.append(s)
+    X = np.concatenate(x)
+    panel = TreatmentPanel(
+        ego=np.concatenate(ego).astype(np.int64),
+        day=np.concatenate(day),
+        treatment=np.concatenate(treat),
+        outcome=rng.integers(0, 2, X.shape[0]),
+        X=X,
+        names=tuple(f"c{i}" for i in range(p)),
+        core_idx=tuple(range(p)),
+        levels=BINARY_LEVELS,
+    )
+    return panel, FixedLogits(np.concatenate(lg))
+
+
+def multiplier_for(panel, model, day, caliper):
+    """A caliper_mult whose product with the day's logit SD is exactly
+    `caliper`, or None when no float multiplier lands on it."""
+    sd = float(np.std(model.level_logits(1)[panel.day == day], ddof=1))
+    m = caliper / sd
+    for _ in range(8):
+        if m * sd == caliper:
+            return m
+        m = np.nextafter(m, np.inf if m * sd < caliper else -np.inf)
+    return None
+
+
+def test_window_matcher_equals_full_scan():
+    cases = on_grid = 0
+    for seed in range(6):
+        for logits, p in (("grid", 3), ("grid", 2), ("huge", 3)):
+            panel, model = window_panel(seed, p=p, logits=logits)
+            mults = [0.0, 0.1, 0.7, EDGE_MULT, np.inf]
+            if logits == "grid":
+                for target in (0.125, 0.25, 0.5, 1.0):
+                    m = multiplier_for(panel, model, 0, target)
+                    if m is not None:
+                        mults += [m, np.nextafter(m, 0.0), np.nextafter(m, 1.0)]
+                        on_grid += 1
+            for mult in mults:
+                for shortlist in (None, 3):
+                    ctx = _MatchContext(panel, model, 1, panel.core_idx)
+                    ref = [
+                        result_bits(reference_match_day(ctx, int(D), mult, shortlist=shortlist))
+                        for D in panel.days()
+                    ]
+                    got = match_all_days(panel, model, caliper_mult=mult, shortlist=shortlist)
+                    assert [result_bits(r) for r in got.results] == ref, (seed, logits, mult)
+                    one_day = match_day(panel, model, 0, caliper_mult=mult, shortlist=shortlist)
+                    assert result_bits(one_day) == ref[0]
+                    cases += 1
+    assert on_grid >= 12  # calipers that land exactly on a grid step
+    assert cases >= 6 * 3 * 4 * 2
+
+
+def test_window_panel_hits_the_edge_cases():
+    # the comparison above is only as strong as its panels: at EDGE_MULT
+    # every grid day pairs its edge rows at |gap| == caliper, and a control
+    # just outside the caliper stays unmatched to its twin
+    panel, model = window_panel(0)
+    run = match_all_days(panel, model, caliper_mult=EDGE_MULT)
+    s = model.level_logits(1)[panel.day == 0]
+    c = EDGE_MULT * float(np.std(s, ddof=1))
+    twins = [p for p in run.pairs if p.mahalanobis == 0.0]
+    edge = [p for p in twins if abs(p.logit_gap) == c]
+    assert len(edge) >= 10
+    outside = np.nextafter(c, np.inf)
+    assert not any(p.logit_gap == -outside for p in run.pairs)
+    days = run.results
+    assert days[1].skip_reason is not None and days[1].n_treated > 0
+    assert days[2].skip_reason is not None
+    assert sum(r.skip_reason is None for r in days) == 10
+
+
+def test_rows_by_day_groups_unsorted_panels():
+    panel, _ = window_panel(3)
+    order = np.random.default_rng(0).permutation(panel.n_rows)
+    shuffled = TreatmentPanel(
+        ego=panel.ego[order],
+        day=panel.day[order],
+        treatment=panel.treatment[order],
+        outcome=panel.outcome[order],
+        X=panel.X[order],
+        names=panel.names,
+        core_idx=panel.core_idx,
+        levels=panel.levels,
+    )
+    groups = shuffled.rows_by_day()
+    assert [D for D, _ in groups] == list(shuffled.days())
+    for D, rows in groups:
+        assert np.array_equal(rows, np.flatnonzero(shuffled.day == D))
 
 
 # ------------------------------------------------------------------ pipelines
