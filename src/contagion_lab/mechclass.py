@@ -130,7 +130,8 @@ def _binize(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
 
 
 def _fit_tree(
-    B: np.ndarray,
+    codes: np.ndarray,
+    beyond: np.ndarray,
     edges: list[np.ndarray],
     g: np.ndarray,
     h: np.ndarray,
@@ -142,8 +143,15 @@ def _fit_tree(
     learning_rate: float,
     deltas: np.ndarray,
 ) -> dict:
-    G = float(g[idx].sum())
-    H = float(h[idx].sum())
+    """Grow one tree over rows `idx`, writing each row's leaf value to `deltas`.
+
+    `codes[i, f]` is row i's bin for feature f offset by f * width, so one
+    bincount fills every feature's histogram as row f of a (d, width) grid;
+    `beyond[f, b]` marks the bins b at or past feature f's edge count.
+    """
+    gi, hi = g[idx], h[idx]
+    G = float(gi.sum())
+    H = float(hi.sum())
 
     def close_leaf():
         value = -learning_rate * G / (H + reg_lambda)
@@ -153,39 +161,35 @@ def _fit_tree(
     if depth >= max_depth or len(idx) < 2:
         return close_leaf()
 
+    # bincount adds each bin's rows in index order, so the sums match a
+    # per-feature pass bit for bit
+    d, width = beyond.shape
+    node_codes = codes[idx].ravel()
+    GL, HL = (
+        np.bincount(node_codes, weights=np.repeat(w, d), minlength=d * width)
+        .reshape(d, width)
+        .cumsum(axis=1)
+        for w in (gi, hi)
+    )
+    GR = G - GL
+    HR = H - HL
     base = G * G / (H + reg_lambda)
-    best_gain = MIN_SPLIT_GAIN
-    best_f = best_b = -1
-    for f in range(B.shape[1]):
-        n_edges = len(edges[f])
-        if n_edges == 0:
-            continue
-        gb = np.bincount(B[idx, f], weights=g[idx], minlength=n_edges + 1)
-        hb = np.bincount(B[idx, f], weights=h[idx], minlength=n_edges + 1)
-        GL = np.cumsum(gb)[:-1]
-        HL = np.cumsum(hb)[:-1]
-        GR = G - GL
-        HR = H - HL
-        valid = (HL >= min_child_weight) & (HR >= min_child_weight)
-        if not valid.any():
-            continue
-        gains = 0.5 * (
-            GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - base
-        )
-        gains[~valid] = -np.inf
-        b = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[b] > best_gain:  # strict: lowest feature wins ties
-            best_gain = float(gains[b])
-            best_f, best_b = f, b
-
-    if best_f < 0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - base)
+    valid = (HL >= min_child_weight) & (HR >= min_child_weight) & ~beyond
+    gains[~valid] = -np.inf
+    gains[np.isnan(gains).any(axis=1)] = -np.inf  # a NaN gain rules out its feature
+    # first max: lowest feature wins ties, then lowest threshold
+    best_f, best_b = divmod(int(np.argmax(gains)), width)
+    best_gain = float(gains[best_f, best_b])
+    if not best_gain > MIN_SPLIT_GAIN:
         return close_leaf()
 
     threshold = float(edges[best_f][best_b])
-    go_left = B[idx, best_f] <= best_b
+    go_left = codes[idx, best_f] <= best_f * width + best_b
     left_idx = idx[go_left]
     right_idx = idx[~go_left]
-    args = (B, edges, g, h)
+    args = (codes, beyond, edges, g, h)
     kw = dict(
         max_depth=max_depth,
         min_child_weight=min_child_weight,
@@ -333,7 +337,10 @@ def _boost(
     n = len(Xtr)
     d = Xtr.shape[1]
     edges = [_bin_edges(Xtr[:, f], max_bins) for f in range(d)]
-    B = _binize(Xtr, edges)
+    n_edges = np.array([len(e) for e in edges])
+    width = int(n_edges.max()) + 1
+    codes = _binize(Xtr, edges) + np.arange(d, dtype=np.int64) * width
+    beyond = np.arange(width) >= n_edges[:, None]
     Y = np.zeros((n, n_classes))
     Y[np.arange(n), ytr] = 1.0
     F = np.zeros((n, n_classes))
@@ -350,7 +357,8 @@ def _boost(
             hk = p[:, k] * (1.0 - p[:, k])
             deltas = np.zeros(n)
             node = _fit_tree(
-                B,
+                codes,
+                beyond,
                 edges,
                 gk,
                 hk,

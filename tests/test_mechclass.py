@@ -1,5 +1,6 @@
 """Boosted-tree classifier: capacity, determinism, importances, decomposition."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 from contagion_lab.calibrate import NEVER, AdoptionLog
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.mechclass import (
+    MIN_SPLIT_GAIN,
     BoostedForest,
+    _bin_edges,
+    _binize,
+    _fit_tree,
     classification_metrics,
     decompose,
     gain_importance,
@@ -234,3 +239,99 @@ def test_decompose_empty_log_raises():
     log = AdoptionLog(np.array([NEVER, NEVER]), last_day=3)
     with pytest.raises(DataError):
         decompose(res.model, log, g, ShockSchedule.empty())
+
+
+# -- single-pass histograms against the per-feature loop ------------------------
+
+
+def fit_tree_per_feature(B, edges, g, h, idx, depth, max_depth, mcw, lam, lr, deltas, nans):
+    """The per-feature split search: two bincounts per feature per node."""
+    G = float(g[idx].sum())
+    H = float(h[idx].sum())
+
+    def close_leaf():
+        value = -lr * G / (H + lam)
+        deltas[idx] = value
+        return {"leaf": value}
+
+    if depth >= max_depth or len(idx) < 2:
+        return close_leaf()
+    base = G * G / (H + lam)
+    best_gain, best_f, best_b = MIN_SPLIT_GAIN, -1, -1
+    for f in range(B.shape[1]):
+        n_edges = len(edges[f])
+        if n_edges == 0:
+            continue
+        GL = np.cumsum(np.bincount(B[idx, f], weights=g[idx], minlength=n_edges + 1))[:-1]
+        HL = np.cumsum(np.bincount(B[idx, f], weights=h[idx], minlength=n_edges + 1))[:-1]
+        GR, HR = G - GL, H - HL
+        valid = (HL >= mcw) & (HR >= mcw)
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - base)
+        gains[~valid] = -np.inf
+        nans[0] += int(np.isnan(gains).any())
+        b = int(np.argmax(gains))
+        if gains[b] > best_gain:  # a NaN first max never wins: the feature is skipped
+            best_gain, best_f, best_b = float(gains[b]), f, b
+    if best_f < 0:
+        return close_leaf()
+    go_left = B[idx, best_f] <= best_b
+    rest = (depth + 1, max_depth, mcw, lam, lr, deltas, nans)
+    return {
+        "feature": best_f,
+        "threshold": float(edges[best_f][best_b]),
+        "gain": best_gain,
+        "left": fit_tree_per_feature(B, edges, g, h, idx[go_left], *rest),
+        "right": fit_tree_per_feature(B, edges, g, h, idx[~go_left], *rest),
+    }
+
+
+@pytest.mark.parametrize("case", ["float", "dyadic-unregularized", "tied-columns"])
+def test_single_pass_split_search_matches_per_feature_loop(case):
+    rng = np.random.default_rng(["float", "dyadic-unregularized", "tied-columns"].index(case))
+    n, d = 300, 6
+    X = rng.integers(0, 12, size=(n, d)).astype(float)
+    X[:, 2] = rng.normal(size=n)  # many distinct values: quantile edges
+    X[:, 4] = 1.0  # constant: no edges
+    if case == "tied-columns":
+        X[:, 3] = X[:, 1]
+    if case == "dyadic-unregularized":
+        # exact sums, so an empty side has H exactly 0 and its gain is 0/0
+        g = rng.integers(-8, 9, size=n) / 8.0
+        h = rng.integers(1, 9, size=n) / 8.0
+        mcw, lam = 0.0, 0.0
+    else:
+        g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
+        mcw, lam = 1.0, 1.0
+    edges = [_bin_edges(X[:, f], 16) for f in range(d)]
+    B = _binize(X, edges)
+    n_edges = np.array([len(e) for e in edges])
+    width = int(n_edges.max()) + 1
+    codes = B + np.arange(d, dtype=np.int64) * width
+    beyond = np.arange(width) >= n_edges[:, None]
+    idx = np.arange(n)
+    want, got = np.zeros(n), np.zeros(n)
+    nans = [0]
+    ref = fit_tree_per_feature(B, edges, g, h, idx, 0, 5, mcw, lam, 0.1, want, nans)
+    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 5, mcw, lam, 0.1, got)
+    assert tree == ref
+    assert np.array_equal(got, want)
+    assert "feature" in tree
+    if case == "dyadic-unregularized":
+        assert nans[0] > 0
+
+
+def test_model_json_bytes_pinned(tmp_path):
+    # any change to the split search, gain arithmetic or writer shows here
+    X, y = synth_rows(40, seed=12)
+    pins = {
+        (): "60ca8985da1d66f2293f035fb7119781a7d1f4ce069abac9918b6b817e3f1a51",
+        (("max_bins", 8), ("max_depth", 3)):
+            "0887bd5e0c6effdd34650762da363e7a84b7272fc208978820c4bce0883518e4",
+    }
+    for kw, digest in pins.items():
+        path = tmp_path / "model.json"
+        train(X, y, n_rounds=12, seed=3, **dict(kw)).model.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,5 +1,7 @@
 """Graph loading, adjacency, degrees, round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from contagion_lab.netgraph import (
     save_edge_list,
     save_id_map,
 )
+
+SYNTH_CACHE_SHA256 = "c21aae8d0386e35e89fdda3a52e551566b72f3d2cea9b3a60f0128860a8d0435"
 
 
 def write_csv(path, text):
@@ -133,6 +137,128 @@ def test_npz_round_trip(tmp_path):
     g2 = DirectedGraph.load(p)
     assert g == g2
     assert np.array_equal(g.out_degree, g2.out_degree)
+
+
+EXOTIC_IDS = ("a", "a\x00", "\u00fc", "x" * 40)
+
+
+def exotic_graph(tmp_path):
+    """An ingest graph whose ids a fixed-width unicode array would corrupt."""
+    a, a0, u, long = EXOTIC_IDS
+    p = tmp_path / "exotic.csv"
+    p.write_text(
+        f"source,target\n{a},{a0}\n{a0},{u}\n{u},{a}\n{long},{a}\n{a},{long}\n",
+        encoding="utf-8",
+    )
+    return load_edge_list(p)
+
+
+def synth_graph():
+    from contagion_lab.synthgen import SynthConfig, gen_graph
+
+    return gen_graph(SynthConfig(n_nodes=200, mean_degree=4, seed=5))
+
+
+def assert_same_graph(g, g2):
+    # __eq__ ignores the follower CSR, so compare every array here
+    assert g2 == g
+    assert g2.node_ids == g.node_ids
+    for a, b in zip((*g.followee_csr(), *g.follower_csr()),
+                    (*g2.followee_csr(), *g2.follower_csr())):
+        assert b.dtype == np.int64 and np.array_equal(a, b)
+        assert not b.flags.writeable
+
+
+@pytest.mark.parametrize("make", ["exotic", "synth"])
+def test_npz_round_trip_keeps_ids_and_both_csrs(tmp_path, make):
+    g = exotic_graph(tmp_path) if make == "exotic" else synth_graph()
+    if make == "exotic":
+        assert set(g.node_ids) == set(EXOTIC_IDS)
+    p = tmp_path / "g.npz"
+    g.save(p)
+    assert_same_graph(g, DirectedGraph.load(p))
+
+
+def test_npz_saves_are_byte_identical_and_pinned(tmp_path):
+    g = synth_graph()
+    g.save(tmp_path / "a.npz")
+    g.save(tmp_path / "b.npz")
+    a = (tmp_path / "a.npz").read_bytes()
+    assert a == (tmp_path / "b.npz").read_bytes()
+    # pinned so that a change to the cache bytes is a deliberate one
+    assert hashlib.sha256(a).hexdigest() == SYNTH_CACHE_SHA256
+
+
+def test_npz_holds_no_object_arrays(tmp_path):
+    p = tmp_path / "g.npz"
+    exotic_graph(tmp_path).save(p)
+    with np.load(p, allow_pickle=False) as z:
+        assert all(z[name].dtype != object for name in z.files)
+        assert "followee_ids" in z.files
+
+
+def write_mutated_cache(tmp_path, **changes):
+    """A copy of a valid cache with each named member replaced by fn(members)."""
+    good = tmp_path / "good.npz"
+    exotic_graph(tmp_path).save(good)
+    with np.load(good) as z:
+        members = {name: z[name] for name in z.files}
+    members.update({name: fn(members) for name, fn in changes.items()})
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **members)
+    return bad
+
+
+def _at(name, i, value):
+    """Member `name` with entry i set to value, or to value(array)."""
+    def put(m):
+        a = m[name].copy()
+        a[i] = value(a) if callable(value) else value
+        return a
+    return put
+
+
+@pytest.mark.parametrize(
+    "name, new, message",
+    [
+        ("format", lambda m: np.array("something-else"), "not a contagion-lab graph cache"),
+        ("version", lambda m: np.array(2.0), "not a contagion-lab graph cache"),
+        ("version", lambda m: np.array(3), "version 3"),
+        ("followee_indptr", lambda m: m["followee_indptr"].astype(np.int32),
+         "followee_indptr is not 1-D int64"),
+        ("follower_ids", lambda m: m["follower_ids"].reshape(1, -1),
+         "follower_ids is not 1-D int64"),
+        ("node_id_utf8", lambda m: m["node_id_utf8"].astype(np.int64),
+         "node_id_utf8 is not 1-D uint8"),
+        ("node_id_utf8", lambda m: np.frombuffer(b"\xff\xfe", dtype=np.uint8), "not UTF-8"),
+        ("followee_ids", _at("followee_ids", 0, 5), "followee_ids outside"),
+        ("follower_ids", _at("follower_ids", -1, -1), "follower_ids outside"),
+        ("followee_indptr", _at("followee_indptr", 0, 1), "followee_indptr"),
+        ("follower_indptr", _at("follower_indptr", 1, lambda a: a[-1]), "follower_indptr"),
+        ("followee_indptr", _at("followee_indptr", -1, lambda a: a[-1] + 1), "followee_indptr"),
+        ("follower_indptr", lambda m: np.append(m["follower_indptr"], 5), "follower_indptr"),
+        ("node_id_offsets", _at("node_id_offsets", -1, lambda a: a[-1] - 1), "node_id_offsets"),
+        ("node_id_offsets", _at("node_id_offsets", 1, 5), "node_id_offsets"),
+        ("node_id_offsets", lambda m: m["node_id_offsets"][:0], "node_id_offsets"),
+    ],
+)
+def test_npz_structural_checks_name_the_file(tmp_path, name, new, message):
+    bad = write_mutated_cache(tmp_path, **{name: new})
+    with pytest.raises(DataError, match=message) as e:
+        DirectedGraph.load(bad)
+    assert str(bad) in str(e.value)
+
+
+def test_npz_csrs_must_hold_the_same_edges(tmp_path):
+    # each CSR is well-formed on its own; the follower one lost its last edge
+    bad = write_mutated_cache(
+        tmp_path,
+        follower_ids=lambda m: m["follower_ids"][:-1],
+        follower_indptr=_at("follower_indptr", -1, lambda a: a[-1] - 1),
+    )
+    with pytest.raises(DataError, match="CSRs hold 5 and 4 edges") as e:
+        DirectedGraph.load(bad)
+    assert str(bad) in str(e.value)
 
 
 def test_dense_ids_sorted_by_external(tmp_path):
