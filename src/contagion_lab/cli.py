@@ -539,6 +539,7 @@ def cmd_match(args, sp):
         "kind": panel.kind_label,
         "level": args.level,
         "panel_rows": panel.n_rows,
+        "propensity_iterations": model.iterations,
         "n_pairs": len(run.pairs),
         "n_days_skipped": len(run.skipped),
         "rr": table.rr,

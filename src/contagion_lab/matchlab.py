@@ -37,7 +37,6 @@ CORE_COVARIATES = (
     "in_degree",
     "out_degree",
     "mutual_degree",
-    "total_degree",
     "log_total_degree",
 )
 
@@ -115,7 +114,9 @@ class CovariateTable:
     """Per-ego covariates measured `lag` days before each panel day.
 
     Columns: adopted-neighbor counts and fractions for the three tie
-    directions as of day-lag, then five network-size columns. Optional
+    directions as of day-lag, then four network-size columns (no total
+    degree: it is in + out degree, which would make the block singular,
+    while its log is not linear in the others). Optional
     static per-node columns are appended after the core block.  Holds one
     exposure index per direction, so memory is O(edges), not O(n·horizon).
     """
@@ -131,8 +132,7 @@ class CovariateTable:
         csrs = [getattr(g, f"{d}_csr")() for d in DIRECTIONS]
         self._index = [ExposureIndex(csr, log.adoption_day) for csr in csrs]
         self._deg = np.column_stack([g.in_degree, g.out_degree, g.mutual_degree]).astype(float)
-        total = self._deg[:, 0] + self._deg[:, 1]
-        self._net = np.column_stack([self._deg, total, np.log1p(total)])
+        self._net = np.column_stack([self._deg, np.log1p(self._deg[:, 0] + self._deg[:, 1])])
         if static is not None:
             extra_names, extra = static
             extra = np.atleast_2d(np.asarray(extra, dtype=float))
@@ -219,101 +219,6 @@ class TreatmentPanel:
 
     def level_counts(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.levels))
-
-    def to_csv(self, path, schema_path=None) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["ego", "day", "outcome", "treatment"]
-                + [f"cov_{i + 1}" for i in range(len(self.names))]
-            )
-            for i in range(self.n_rows):
-                w.writerow(
-                    [
-                        int(self.ego[i]),
-                        int(self.day[i]),
-                        int(self.outcome[i]),
-                        self.levels[self.treatment[i]],
-                    ]
-                    + [repr(float(x)) for x in self.X[i]]
-                )
-        if schema_path is None:
-            schema_path = str(path) + ".schema.json"
-        with open(schema_path, "w") as f:
-            json.dump(
-                {
-                    "covariates": list(self.names),
-                    "core": list(self.core_idx),
-                    "levels": list(self.levels),
-                    "kind": self.kind_label,
-                },
-                f,
-                indent=2,
-            )
-            f.write("\n")
-
-    @classmethod
-    def from_csv(cls, path, schema_path=None) -> "TreatmentPanel":
-        import os
-
-        if schema_path is None:
-            cand = str(path) + ".schema.json"
-            schema_path = cand if os.path.exists(cand) else None
-        schema = None
-        if schema_path is not None:
-            with open(schema_path) as f:
-                schema = json.load(f)
-        egos, days, outs, treats, rows = [], [], [], [], []
-        with open(path, newline="") as f:
-            r = csv.reader(f)
-            header = next(r, None)
-            if header is None or header[:4] != ["ego", "day", "outcome", "treatment"]:
-                raise ParseError(
-                    "expected header ego,day,outcome,treatment,cov_...", path=str(path)
-                )
-            p = len(header) - 4
-            for ln, rec in enumerate(r, start=2):
-                if not rec:
-                    continue
-                if len(rec) != 4 + p:
-                    raise ParseError("wrong field count", path=str(path), line=ln)
-                try:
-                    egos.append(int(rec[0]))
-                    days.append(int(rec[1]))
-                    outs.append(int(rec[2]))
-                    treats.append(rec[3])
-                    rows.append([float(x) for x in rec[4:]])
-                except ValueError as e:
-                    raise ParseError(str(e), path=str(path), line=ln) from None
-        if schema is not None:
-            names = tuple(schema["covariates"])
-            core = tuple(schema["core"])
-            levels = tuple(schema["levels"])
-            kind_label = schema.get("kind", "")
-        else:
-            names = tuple(header[4:])
-            core = tuple(range(min(len(CORE_COVARIATES), len(names))))
-            levels = (
-                DOSE_LEVELS if any(t not in BINARY_LEVELS for t in treats) else BINARY_LEVELS
-            )
-            kind_label = ""
-        lut = {lv: i for i, lv in enumerate(levels)}
-        try:
-            codes = np.array([lut[t] for t in treats], dtype=np.int64)
-        except KeyError as e:
-            raise ParseError(f"treatment level {e} not in schema", path=str(path)) from None
-        X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-        return cls(
-            ego=np.array(egos, dtype=np.int64),
-            day=np.array(days, dtype=np.int64),
-            treatment=codes,
-            outcome=np.array(outs, dtype=np.int64),
-            X=X,
-            names=names,
-            core_idx=core,
-            levels=levels,
-            kind_label=kind_label,
-        )
 
 
 def build_panel(
@@ -469,7 +374,11 @@ def fit_propensity(
 
     Newton iteration with an L2 ridge on the slopes (intercept unpenalized)
     so perfectly separable panels stay finite; step halving guards the
-    penalized likelihood. Requires at least two levels meeting the row floor.
+    penalized likelihood. The fit stops once half the squared Newton
+    decrement, grad' H^-1 grad / 2 (the decrease the step predicts), is at
+    most `tol` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a direction the
+    covariates leave unidentified cannot hold it open. Requires at least
+    two levels meeting the row floor.
     """
     from scipy.special import expit  # deferred: costs ~0.3 s to import
 
@@ -503,6 +412,8 @@ def fit_propensity(
             w = prob * (1.0 - prob)
             H = D.T @ (D * w[:, None]) + np.diag(pen)
             step = np.linalg.solve(H, grad)
+            if 0.5 * (grad @ step) <= tol:
+                break
             t = 1.0
             for _ in range(30):
                 cand = theta + t * step
@@ -514,8 +425,6 @@ def fit_propensity(
             else:  # every halving failed: take the last, smaller step anyway
                 theta = theta + t * step
                 nll = _penalized_nll_binary(D, yb, theta, pen)
-            if np.max(np.abs(t * step)) < tol:
-                break
         else:
             raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
         eta = D @ theta
@@ -578,6 +487,8 @@ def fit_propensity(
                     H[(l - 1) * q : l * q, (k - 1) * q : k * q] = blk
         H += np.diag(pen_full)
         step = np.linalg.solve(H, grad)
+        if 0.5 * (grad @ step) <= tol:
+            break
         t = 1.0
         for _ in range(30):
             cand = theta + t * step
@@ -589,8 +500,6 @@ def fit_propensity(
         else:  # every halving failed: take the last, smaller step anyway
             theta = theta + t * step
             nll = pnll(theta)
-        if np.max(np.abs(t * step)) < tol:
-            break
     else:
         raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
     P = probs_of(theta)
@@ -653,22 +562,44 @@ class MatchRun:
 
 
 class _MatchContext:
-    """Panel-wide quantities shared by every day's matching pass."""
+    """Panel-wide quantities shared by every day's matching pass.
+
+    `Z` is the standardized core block. `W = Z @ L`, where `L Lᵀ` is the
+    Cholesky factorization of the inverse covariance `VI`, so the
+    Mahalanobis distance `diffᵀ·VI·diff` of two rows is the squared
+    Euclidean distance of their `W` rows (`_sq_dist`).
+    """
 
     def __init__(self, panel, model, level, core):
         self.panel = panel
         self.scores = model.level_logits(level)
-        C = panel.X[:, list(core)]
+        C = np.asarray(panel.X[:, list(core)], dtype=float)
         mu = C.mean(axis=0) if len(C) else np.zeros(C.shape[1])
         sd = C.std(axis=0) if len(C) else np.ones(C.shape[1])
-        sd = np.where(sd == 0, 1.0, sd)
-        self.Z = (C - mu) / sd
+        C -= mu  # in place: indexing already made a copy
+        C /= np.where(sd == 0, 1.0, sd)
+        self.Z = C
         if len(self.Z) >= 2:
             S = np.cov(self.Z, rowvar=False, ddof=1)
             S = np.atleast_2d(S) + 1e-9 * np.eye(self.Z.shape[1])
-            self.VI = np.linalg.inv(S)
+            VI = np.linalg.inv(S)
         else:
-            self.VI = np.eye(self.Z.shape[1])
+            VI = np.eye(self.Z.shape[1])
+        # (Lᵀ Zᵀ)ᵀ is column-major, so `_sq_dist` reads each column contiguously
+        self.W = (np.linalg.cholesky(VI).T @ self.Z.T).T
+
+
+def _sq_dist(W, a, b):
+    """Squared whitened distances between rows `a` and rows `b` of `W`.
+
+    Summed one column at a time in a fixed order with elementwise ops only,
+    so a pair's bits do not depend on how many pairs share the call.
+    """
+    d2 = np.zeros(np.shape(a))
+    for col in W.T:
+        d = col[a] - col[b]
+        d2 += d * d
+    return d2
 
 
 def _caliper_windows(sc, st, caliper):
@@ -686,6 +617,101 @@ def _caliper_windows(sc, st, caliper):
     return np.searchsorted(sc, st - width, "left"), np.searchsorted(sc, st + width, "right")
 
 
+# window entries scored at once; bounds a day's temporaries when calipers are wide
+_WINDOW_CHUNK = 1 << 20
+
+
+def _window_picks(ctx, t_rows, c_rows, caliper):
+    """Greedy picks over caliper windows: (treated rows, control rows, distances).
+
+    A distance does not depend on which controls are still free, so every
+    (treated, control) pair in the windows is scored once. Each treated
+    ego's first choice, its least (distance, control ego), comes from two
+    `minimum.reduceat` passes; only an ego whose first choice is taken
+    sorts its own candidates and walks them.
+    """
+    # controls in ascending logit order, so each caliper is one slice;
+    # (distance, control ego) fully orders candidates, so their order does
+    # not change the pick
+    c_rows = c_rows[np.argsort(ctx.scores[c_rows], kind="stable")]
+    st, sc = ctx.scores[t_rows], ctx.scores[c_rows]
+    c_ego = ctx.panel.ego[c_rows]
+    lo, hi = _caliper_windows(sc, st, caliper)
+    lens = hi - lo
+    by_ego = np.argsort(c_ego, kind="stable")
+    ego_rank = np.empty(c_ego.size, dtype=np.int64)
+    ego_rank[by_ego] = np.arange(c_ego.size)
+    used = bytearray(c_ego.size)
+    n_free = c_ego.size
+    ti, cj, dist = [], [], []
+    chunk = (np.cumsum(lens) - lens) // _WINDOW_CHUNK
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, st.size]):
+        n = lens[a:b]
+        seg = np.repeat(np.arange(a, b), n)  # treated index of each entry
+        c = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
+        ok = np.abs(sc[c] - st[seg]) <= caliper  # the exact caliper test
+        seg, c = seg[ok], c[ok]
+        if seg.size == 0:
+            continue
+        md = np.sqrt(_sq_dist(ctx.W, c_rows[c], t_rows[seg]))
+        starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        ends = np.r_[starts[1:], seg.size]
+        best = np.minimum.reduceat(md, starts)
+        tied = np.where(md == np.repeat(best, ends - starts), ego_rank[c], c_ego.size)
+        first = by_ego[np.minimum.reduceat(tied, starts)]
+        for i, j, d, s0, s1 in zip(
+            seg[starts].tolist(), first.tolist(), best.tolist(), starts.tolist(), ends.tolist()
+        ):
+            if used[j]:
+                cand = c[s0:s1]
+                for k in np.lexsort((c_ego[cand], md[s0:s1])).tolist():
+                    if not used[cand[k]]:
+                        j, d = int(cand[k]), float(md[s0 + k])
+                        break
+                else:
+                    continue
+            used[j] = 1
+            ti.append(i)
+            cj.append(j)
+            dist.append(d)
+            n_free -= 1
+            if n_free == 0:
+                return t_rows[ti], c_rows[cj], dist
+    return t_rows[ti], c_rows[cj], dist
+
+
+def _shortlist_picks(ctx, t_rows, c_rows, caliper, shortlist):
+    """Greedy picks among each treated ego's `shortlist` Euclidean-nearest
+    free controls (on `Z`), scanned one ego at a time."""
+    st, sc = ctx.scores[t_rows], ctx.scores[c_rows]
+    c_ego = ctx.panel.ego[c_rows]
+    Zt = ctx.Z[t_rows]
+    Zc = ctx.Z[c_rows]
+    available = np.ones(c_rows.size, dtype=bool)
+    ti, cj, dist = [], [], []
+    for i in range(t_rows.size):
+        avail = np.flatnonzero(available)
+        if avail.size == 0:
+            break
+        if avail.size > shortlist:
+            diff = Zc[avail] - Zt[i]
+            eu = np.einsum("ij,ij->i", diff, diff)
+            cand = avail[np.lexsort((c_ego[avail], eu))[:shortlist]]
+        else:
+            cand = avail
+        cand = cand[np.abs(sc[cand] - st[i]) <= caliper]
+        if cand.size == 0:
+            continue
+        md = np.sqrt(_sq_dist(ctx.W, c_rows[cand], t_rows[i]))
+        k = np.lexsort((c_ego[cand], md))[0]
+        available[cand[k]] = False
+        ti.append(i)
+        cj.append(int(cand[k]))
+        dist.append(float(md[k]))
+    return t_rows[ti], c_rows[cj], dist
+
+
 def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
     panel = ctx.panel
     if rows.size == 0:
@@ -700,62 +726,23 @@ def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
             day, (), int(t_rows.size), 0, "insufficient treated or control counts"
         )
     t_rows = t_rows[np.argsort(panel.ego[t_rows], kind="stable")]
-    st = ctx.scores[t_rows]
-    sc = ctx.scores[c_rows]
     if shortlist is None:
-        # controls in ascending logit order, so each caliper is one slice;
-        # (distance, control ego) fully orders candidates, so their order
-        # does not change the pick
-        order = np.argsort(sc, kind="stable")
-        c_rows, sc = c_rows[order], sc[order]
-        lo, hi = _caliper_windows(sc, st, caliper)
-    Zt = ctx.Z[t_rows]
-    Zc = ctx.Z[c_rows]
-    c_ego = panel.ego[c_rows]
-    available = np.ones(c_rows.size, dtype=bool)
-    n_avail = c_rows.size
-    pairs = []
-    for i in range(t_rows.size):
-        if n_avail == 0:
-            break
-        if shortlist is None:
-            a, b = lo[i], hi[i]
-            ok = available[a:b] & (np.abs(sc[a:b] - st[i]) <= caliper)
-            cand = ok.nonzero()[0] + a
-            diff = Zc[cand] - Zt[i]
-        else:
-            avail = np.flatnonzero(available)
-            diff = Zc[avail] - Zt[i]
-            if avail.size > shortlist:
-                eu = np.einsum("ij,ij->i", diff, diff)
-                keep = np.lexsort((c_ego[avail], eu))[:shortlist]
-                cand = avail[keep]
-                diff = diff[keep]
-            else:
-                cand = avail
-            ok = np.abs(sc[cand] - st[i]) <= caliper
-            cand = cand[ok]
-            diff = diff[ok]
-        if cand.size == 0:
-            continue
-        d2 = np.einsum("ij,jk,ik->i", diff, ctx.VI, diff)
-        md = np.sqrt(np.maximum(d2, 0.0))
-        j = np.lexsort((c_ego[cand], md))[0]
-        pick = cand[j]
-        available[pick] = False
-        n_avail -= 1
-        pairs.append(
-            MatchedPair(
-                day=int(day),
-                treated=int(panel.ego[t_rows[i]]),
-                control=int(c_ego[pick]),
-                logit_gap=float(st[i] - sc[pick]),
-                mahalanobis=float(md[j]),
-                treated_outcome=int(panel.outcome[t_rows[i]]),
-                control_outcome=int(panel.outcome[c_rows[pick]]),
-            )
+        tr, cr, dist = _window_picks(ctx, t_rows, c_rows, caliper)
+    else:
+        tr, cr, dist = _shortlist_picks(ctx, t_rows, c_rows, caliper, shortlist)
+    pairs = tuple(
+        map(
+            MatchedPair,
+            [int(day)] * tr.size,
+            panel.ego[tr].tolist(),
+            panel.ego[cr].tolist(),
+            (ctx.scores[tr] - ctx.scores[cr]).tolist(),
+            dist,
+            panel.outcome[tr].tolist(),
+            panel.outcome[cr].tolist(),
         )
-    return DayMatchResult(day, tuple(pairs), int(t_rows.size), len(pairs), None)
+    )
+    return DayMatchResult(day, pairs, int(t_rows.size), len(pairs), None)
 
 
 def match_day(
@@ -829,11 +816,6 @@ class RiskTable:
             a=float(a), b=float(b), c=float(c), d=float(d),
             rr=rr, ci_low=lo, ci_high=hi, corrected=corrected,
         )
-
-    def corrected_cells(self) -> tuple:
-        if self.corrected:
-            return (self.a + 0.5, self.b + 0.5, self.c + 0.5, self.d + 0.5)
-        return (self.a, self.b, self.c, self.d)
 
     def to_dict(self) -> dict:
         return {

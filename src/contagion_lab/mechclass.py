@@ -179,14 +179,20 @@ def _fit_tree(
     valid = (HL >= min_child_weight) & (HR >= min_child_weight) & ~beyond
     gains[~valid] = -np.inf
     gains[np.isnan(gains).any(axis=1)] = -np.inf  # a NaN gain rules out its feature
-    # first max: lowest feature wins ties, then lowest threshold
-    best_f, best_b = divmod(int(np.argmax(gains)), width)
-    best_gain = float(gains[best_f, best_b])
-    if not best_gain > MIN_SPLIT_GAIN:
-        return close_leaf()
+    while True:
+        # first max: lowest feature wins ties, then lowest threshold
+        best_f, best_b = divmod(int(np.argmax(gains)), width)
+        best_gain = float(gains[best_f, best_b])
+        if not best_gain > MIN_SPLIT_GAIN:
+            return close_leaf()
+        go_left = codes[idx, best_f] <= best_f * width + best_b
+        if 0 < np.count_nonzero(go_left) < len(idx):
+            break
+        # with no hessian floor, rounding in H - HL can leave a split with an
+        # empty child a finite gain; that split would make a 0/0 leaf
+        gains[best_f, best_b] = -np.inf
 
     threshold = float(edges[best_f][best_b])
-    go_left = codes[idx, best_f] <= best_f * width + best_b
     left_idx = idx[go_left]
     right_idx = idx[~go_left]
     args = (codes, beyond, edges, g, h)

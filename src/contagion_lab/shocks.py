@@ -52,11 +52,6 @@ class ShockSchedule:
     def __len__(self) -> int:
         return len(self.tau)
 
-    @property
-    def anchor(self) -> int:
-        """Index of the height-1 shock everything is normalized against."""
-        return int(np.argmax(self.gamma))
-
     @classmethod
     def empty(cls) -> "ShockSchedule":
         return cls(np.array([], dtype=np.int64), np.array([]), np.array([]))

@@ -374,6 +374,26 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     assert str(risk) in m["outputs"]
 
 
+def test_match_dose_converges(hworld, tmp_path, capsys):
+    # the multinomial fit stops on its Newton decrement
+    pairs = tmp_path / "pairs.csv"
+    rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--kind", "dose", "--min-level-rows", 5,
+              "--out-pairs", pairs, "--out-risk", tmp_path / "risk.json"])
+    assert rc == 0
+    capsys.readouterr()
+    assert 1 <= manifest(pairs)["summary"]["propensity_iterations"] < 30
+
+
+def test_train_without_regularization_ends_cleanly(world, tmp_path, capsys):
+    # no ridge and no hessian floor: rounding once gave a split with an
+    # empty child a finite gain, and its leaf divided 0 by 0
+    out = tmp_path / "m.json"
+    assert run(["train", "--events", world["events"], "--rounds", 5,
+                "--reg-lambda", 0, "--min-child-weight", 0, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_calibrate_writes_pools_and_params(world, tmp_path):
     cal = tmp_path / "cal.json"
     params = tmp_path / "params.json"

@@ -86,7 +86,6 @@ def test_height_normalization_from_peak_counts():
         alphas=[0.626, 0.231, 0.775, 0.556, 0.679],
     )
     assert np.allclose(np.round(s.gamma, 3), [0.183, 0.335, 0.140, 0.087, 1.0])
-    assert s.anchor == 4
 
 
 def test_json_round_trip(tmp_path):
