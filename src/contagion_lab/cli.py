@@ -9,6 +9,7 @@ first output, so identical invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import os
@@ -542,6 +543,9 @@ def cmd_match(args, sp):
         "propensity_iterations": model.iterations,
         "n_pairs": len(run.pairs),
         "n_days_skipped": len(run.skipped),
+        "n_days_skipped_by_reason": dict(
+            collections.Counter(r.skip_reason for r in run.skipped)
+        ),
         "rr": table.rr,
         "ci": [table.ci_low, table.ci_high],
         "naive_rr": naive_risk_table(panel, level=level).rr,
@@ -632,7 +636,12 @@ def build_parser():
     sp.add_argument("--nodes", type=int)
     sp.add_argument("--mean-degree", type=float, default=5.0)
     sp.add_argument("--exponent", type=float, default=2.5)
-    sp.add_argument("--homophily", type=float, default=0.0)
+    sp.add_argument(
+        "--homophily",
+        type=float,
+        default=0.0,
+        help="h in [0, 1]: cross-trait followees get weight 1-h; sampled in O(edges)",
+    )
     sp.add_argument("--trait-balance", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="graph cache (.npz)")

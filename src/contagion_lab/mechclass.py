@@ -178,7 +178,8 @@ def _fit_tree(
         gains = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - base)
     valid = (HL >= min_child_weight) & (HR >= min_child_weight) & ~beyond
     gains[~valid] = -np.inf
-    gains[np.isnan(gains).any(axis=1)] = -np.inf  # a NaN gain rules out its feature
+    # with no regularization an empty side's gain is 0/0; only that bin goes
+    gains[np.isnan(gains)] = -np.inf
     while True:
         # first max: lowest feature wins ties, then lowest threshold
         best_f, best_b = divmod(int(np.argmax(gains)), width)

@@ -54,8 +54,10 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
 
     Each node's followee count is drawn from a Pareto tail with index
     `exponent`, rescaled to hit mean_degree, and clipped to [1, n-1].
-    With homophily h and a trait vector, cross-trait candidates get weight
-    1-h during followee selection.
+    With homophily h and a trait vector, each node draws its followees by
+    successive weighted sampling without replacement, with weight 1 for a
+    same-trait candidate and 1-h for a cross-trait one (`_homophily_edges`:
+    O(m) draws in a few batched rounds).
     """
     rng = stream(cfg.seed, GRAPH_GEN, 0)
     n = cfg.n_nodes
@@ -71,24 +73,88 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
         np.int64
     )
 
+    if trait is not None and cfg.homophily > 0:
+        edges = _homophily_edges(k, np.asarray(trait), cfg.homophily, rng)
+        return DirectedGraph.from_edges(edges, n_nodes=n)
     dst = []
     for i in range(n):
-        if trait is None or cfg.homophily == 0:
-            # same draws as choosing from all ids but i: skip past i
-            idx = rng.choice(n - 1, size=k[i], replace=False)
-            chosen = idx + (idx >= i)
-        else:
-            w = np.where(trait == trait[i], 1.0, 1.0 - cfg.homophily)
-            w[i] = 0.0
-            total = w.sum()
-            if total == 0:
-                raise DataError("node has no eligible followees under homophily 1")
-            ki = min(k[i], int(np.count_nonzero(w)))
-            chosen = rng.choice(n, size=ki, replace=False, p=w / total)
-        dst.append(chosen.astype(np.int64))
-    src = np.repeat(np.arange(n, dtype=np.int64), [len(c) for c in dst])
+        # same draws as choosing from all ids but i: skip past i
+        idx = rng.choice(n - 1, size=k[i], replace=False)
+        dst.append((idx + (idx >= i)).astype(np.int64))
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
     edges = np.column_stack([src, np.concatenate(dst)])
     return DirectedGraph.from_edges(edges, n_nodes=n)
+
+
+# a node whose followee count exceeds this share of its weighted pool takes
+# exact per-node keys, which keeps the batched sampler's redraws rare
+HUB_SHARE = 1 / 50
+
+
+def _homophily_edges(
+    k: np.ndarray, trait: np.ndarray, homophily: float, rng: np.random.Generator
+) -> np.ndarray:
+    """(m, 2) edges: node i draws min(k[i], eligible) distinct followees by
+    successive sampling, weight 1 for same-trait ids and 1-h for the rest.
+
+    Successive sampling keeps the first k distinct values of an i.i.d.
+    sequence of weighted draws, so all edges are drawn i.i.d. at once, one
+    copy of each (src, dst) key is kept, and only the shortfall is redrawn
+    until none is left. Hubs take exact Efraimidis-Spirakis keys instead.
+    """
+    n = len(k)
+    # a node's same pool is its block of the trait-sorted ids minus itself,
+    # its cross pool everything outside the block, so any labels work
+    order = np.argsort(trait, kind="stable")
+    ranked = trait[order]
+    first = np.r_[True, ranked[1:] != ranked[:-1]]
+    starts = np.flatnonzero(first)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    block = (np.cumsum(first) - 1)[rank]
+    lo, hi = starts[block], np.r_[starts[1:], n][block]
+    same, cross = hi - lo - 1, n - (hi - lo)
+
+    c = 1.0 - homophily
+    total = same + c * cross
+    if np.any(total == 0):
+        raise DataError("node has no eligible followees under homophily 1")
+    k = np.minimum(k, same + (cross if c > 0 else 0))
+    pool = total / np.where(same > 0, 1.0, c)  # sum(w) / max(w)
+    hub = k > HUB_SHARE * pool
+    p_same = same / total  # exactly 1 when the cross pool weighs nothing
+
+    keys = np.empty(0, dtype=np.int64)
+    need = np.where(hub, 0, k)
+    while need.any():
+        src = np.repeat(np.arange(n, dtype=np.int64), need)
+        in_same = rng.random(len(src)) < p_same[src]
+        j = rng.integers(np.where(in_same, same[src], cross[src]))
+        s_lo, s_hi = lo[src], hi[src]
+        pos = np.where(
+            in_same,
+            s_lo + j + (s_lo + j >= rank[src]),  # skip src itself
+            j + np.where(j >= s_lo, s_hi - s_lo, 0),  # skip src's block
+        )
+        # one copy of each key, as in DirectedGraph.from_edges; after the
+        # first round the kept keys are one sorted run, which timsort merges
+        keys = np.sort(np.concatenate([keys, src * n + order[pos]]), kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        need = np.where(hub, 0, k - np.bincount(keys // n, minlength=n))
+    edges = [np.column_stack([keys // n, keys % n])]
+    for i in np.flatnonzero(hub):
+        w = np.where(trait == trait[i], 1.0, c)
+        w[i] = 0.0
+        dst = _es_top_k(np.flatnonzero(w), w, k[i], rng)
+        edges.append(np.column_stack([np.full(len(dst), i), dst]))
+    return np.concatenate(edges)
+
+
+def _es_top_k(cand: np.ndarray, w: np.ndarray, k: int, rng: np.random.Generator):
+    """k of `cand` by successive sampling with weights w[cand]: the top k
+    Efraimidis-Spirakis keys log(u)/w (Inf. Process. Lett. 97(5), 2006)."""
+    key = np.log(rng.random(len(cand))) / w[cand]
+    return cand[np.argpartition(key, len(cand) - k)[len(cand) - k :]]
 
 
 def gen_homophily_adoptions(

@@ -372,6 +372,23 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     assert set(dg) >= {"n_pairs", "auc_median", "overlap_median"}
     m = manifest(pairs)
     assert str(risk) in m["outputs"]
+    assert m["summary"]["n_days_skipped_by_reason"] == {}
+    assert m["summary"]["n_days_skipped"] == 0
+
+
+def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):
+    # the log ends on day 49, so the days after it have no treated egos
+    pairs = tmp_path / "pairs.csv"
+    rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--kind", "timing", "--d", 3, "--min-level-rows", 5, "--last-day", 70,
+              "--out-pairs", pairs, "--out-risk", tmp_path / "risk.json"])
+    assert rc == 0
+    capsys.readouterr()
+    summary = manifest(pairs)["summary"]
+    assert summary["n_days_skipped"] > 0
+    assert summary["n_days_skipped_by_reason"] == {
+        "insufficient treated or control counts": summary["n_days_skipped"]
+    }
 
 
 def test_match_dose_converges(hworld, tmp_path, capsys):

@@ -272,8 +272,9 @@ def fit_tree_per_feature(B, edges, g, h, idx, depth, max_depth, mcw, lam, lr, de
             gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - base)
         gains[~valid] = -np.inf
         nans[0] += int(np.isnan(gains).any())
+        gains[np.isnan(gains)] = -np.inf  # an empty side's 0/0 rules out that bin only
         b = int(np.argmax(gains))
-        if gains[b] > best_gain:  # a NaN first max never wins: the feature is skipped
+        if gains[b] > best_gain:
             best_gain, best_f, best_b = float(gains[b]), f, b
     if best_f < 0:
         return close_leaf()
@@ -286,6 +287,17 @@ def fit_tree_per_feature(B, edges, g, h, idx, depth, max_depth, mcw, lam, lr, de
         "left": fit_tree_per_feature(B, edges, g, h, idx[go_left], *rest),
         "right": fit_tree_per_feature(B, edges, g, h, idx[~go_left], *rest),
     }
+
+
+def split_grid(X, max_bins=16):
+    """Bin edges, bins, offset codes and past-the-edges mask, as `train` builds them."""
+    edges = [_bin_edges(X[:, f], max_bins) for f in range(X.shape[1])]
+    B = _binize(X, edges)
+    n_edges = np.array([len(e) for e in edges])
+    width = int(n_edges.max()) + 1
+    codes = B + np.arange(X.shape[1], dtype=np.int64) * width
+    beyond = np.arange(width) >= n_edges[:, None]
+    return edges, B, codes, beyond
 
 
 @pytest.mark.parametrize("case", ["float", "dyadic-unregularized", "tied-columns"])
@@ -305,12 +317,7 @@ def test_single_pass_split_search_matches_per_feature_loop(case):
     else:
         g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
         mcw, lam = 1.0, 1.0
-    edges = [_bin_edges(X[:, f], 16) for f in range(d)]
-    B = _binize(X, edges)
-    n_edges = np.array([len(e) for e in edges])
-    width = int(n_edges.max()) + 1
-    codes = B + np.arange(d, dtype=np.int64) * width
-    beyond = np.arange(width) >= n_edges[:, None]
+    edges, B, codes, beyond = split_grid(X)
     idx = np.arange(n)
     want, got = np.zeros(n), np.zeros(n)
     nans = [0]
@@ -321,6 +328,24 @@ def test_single_pass_split_search_matches_per_feature_loop(case):
     assert "feature" in tree
     if case == "dyadic-unregularized":
         assert nans[0] > 0
+
+
+def test_unregularized_node_splits_on_a_feature_with_empty_low_bins():
+    # the node holds only rows with x0 >= 5, so x0's bins 0..4 are empty on
+    # the left: with reg_lambda 0 their gains are 0/0, and x0 must still win
+    rng = np.random.default_rng(8)
+    X = np.column_stack([np.arange(200) % 10, rng.integers(0, 3, 200)]).astype(float)
+    g = np.where(X[:, 0] >= 7, -1.0, 1.0)
+    h = np.full(200, 0.5)
+    edges, B, codes, beyond = split_grid(X)
+    idx = np.flatnonzero(X[:, 0] >= 5)
+    got, want = np.zeros(200), np.zeros(200)
+    nans = [0]
+    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 1, 0.0, 0.0, 0.1, got)
+    ref = fit_tree_per_feature(B, edges, g, h, idx, 0, 1, 0.0, 0.0, 0.1, want, nans)
+    assert nans[0] > 0
+    assert (tree["feature"], tree["threshold"]) == (0, 6.0)
+    assert tree == ref and np.array_equal(got, want)
 
 
 def test_model_json_bytes_pinned(tmp_path):

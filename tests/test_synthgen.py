@@ -1,10 +1,13 @@
 """Synthetic graph, homophily-world, and pure-cascade generators."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from contagion_lab import synthgen
 from contagion_lab.calibrate import NEVER, MechanismParams
 from contagion_lab.errors import DataError
 from contagion_lab.netgraph import DirectedGraph
@@ -227,16 +230,22 @@ def csr_digest(g):
     return h.hexdigest()
 
 
+def draw_counts(rng, cfg):
+    """Each node's Pareto followee count: the first draws of the graph stream."""
+    n = cfg.n_nodes
+    u = rng.random(n)
+    raw = np.power(1.0 - u, -1.0 / (cfg.exponent - 1.0))
+    return np.clip(np.rint(raw * (cfg.mean_degree / raw.mean())), 1, n - 1).astype(
+        np.int64
+    )
+
+
 def reference_trait_blind_edges(cfg):
     """Reference trait-blind selection: choose from an explicit candidate
     array of every id but i, one array per node."""
     rng = stream(cfg.seed, GRAPH_GEN, 0)
     n = cfg.n_nodes
-    u = rng.random(n)
-    raw = np.power(1.0 - u, -1.0 / (cfg.exponent - 1.0))
-    k = np.clip(np.rint(raw * (cfg.mean_degree / raw.mean())), 1, n - 1).astype(
-        np.int64
-    )
+    k = draw_counts(rng, cfg)
     all_ids = np.arange(n)
     src, dst = [], []
     for i in range(n):
@@ -283,5 +292,178 @@ def test_graph_bytes_pinned():
     )
     cfg = SynthConfig(n_nodes=200, mean_degree=6.0, homophily=0.7, seed=4)
     assert csr_digest(gen_graph(cfg)) == (
-        "9516d91e3450c99efa02c1e16e520b17cadf7710997ef5b03f14592dfc26e4ea"
+        "5a5f72734fea8f58f156802120e26a089ec31b649cf007cb010acf30a60665aa"
     )
+
+
+# -- homophily sampling: the law of successive weighted sampling ------------------
+
+
+def reference_homophily_graph(cfg, trait):
+    """The first homophily sampler: an n-length weight vector and one
+    Generator.choice(replace=False, p=w) call per node, O(n) each."""
+    rng = stream(cfg.seed, GRAPH_GEN, 0)
+    n = cfg.n_nodes
+    k = draw_counts(rng, cfg)
+    dst = []
+    for i in range(n):
+        w = np.where(trait == trait[i], 1.0, 1.0 - cfg.homophily)
+        w[i] = 0.0
+        total = w.sum()
+        if total == 0:
+            raise DataError("node has no eligible followees under homophily 1")
+        ki = min(k[i], int(np.count_nonzero(w)))
+        dst.append(rng.choice(n, size=ki, replace=False, p=w / total).astype(np.int64))
+    src = np.repeat(np.arange(n, dtype=np.int64), [len(d) for d in dst])
+    return DirectedGraph.from_edges(np.column_stack([src, np.concatenate(dst)]), n_nodes=n)
+
+
+HOMOPHILY_SAMPLERS = pytest.mark.parametrize(
+    "make", [gen_graph, reference_homophily_graph], ids=["batched", "v1-reference"]
+)
+
+
+def eligible_counts(trait, h):
+    same = (trait[:, None] == trait[None, :]).sum(axis=1) - 1
+    return same + (len(trait) - 1 - same if h < 1 else 0)
+
+
+def three_label_trait(n, seed):
+    # arbitrary labels, one of them rare enough that h = 1 clips its counts
+    labels = np.array([7, -2, 40])
+    return labels[np.random.default_rng(seed).choice(3, size=n, p=[0.6, 0.39, 0.01])]
+
+
+@HOMOPHILY_SAMPLERS
+@pytest.mark.parametrize(
+    "cfg, three_labels",
+    [
+        (SynthConfig(n_nodes=300, mean_degree=8.0, exponent=2.2, homophily=0.8, seed=2), False),
+        (SynthConfig(n_nodes=400, mean_degree=6.0, homophily=1.0, trait_balance=0.3, seed=3), False),
+        (SynthConfig(n_nodes=500, mean_degree=10.0, exponent=1.8, homophily=0.5, seed=4), True),
+        (SynthConfig(n_nodes=500, mean_degree=10.0, exponent=1.8, homophily=1.0, seed=5), True),
+    ],
+)
+def test_homophily_followee_counts_exact(make, cfg, three_labels):
+    trait = three_label_trait(cfg.n_nodes, cfg.seed) if three_labels else gen_traits(cfg)
+    g = make(cfg, trait)
+    k = draw_counts(stream(cfg.seed, GRAPH_GEN, 0), cfg)
+    eligible = eligible_counts(trait, cfg.homophily)
+    assert np.array_equal(g.in_degree, np.minimum(k, eligible))
+    if three_labels and cfg.homophily == 1:
+        assert np.any(k > eligible)  # the clip is exercised
+    # every drawn edge survives: no self-loop or duplicate was collapsed
+    assert g.load_report.self_loops == 0 and g.load_report.duplicates == 0
+    assert g.load_report.records == g.edge_count
+    edges = g.edges()
+    assert np.all(edges[:, 0] != edges[:, 1])
+    same = trait[edges[:, 0]] == trait[edges[:, 1]]
+    if cfg.homophily == 1:
+        assert same.all()
+    else:
+        assert 0 < same.mean() < 1
+
+
+@HOMOPHILY_SAMPLERS
+def test_homophily_one_with_a_lone_trait_raises(make):
+    cfg = SynthConfig(n_nodes=30, mean_degree=3.0, homophily=1.0, seed=1)
+    trait = np.zeros(30, dtype=np.int64)
+    trait[17] = 1
+    with pytest.raises(DataError, match="no eligible followees"):
+        make(cfg, trait)
+    # below h = 1 the lone node follows only cross-trait ids
+    g = make(SynthConfig(n_nodes=30, mean_degree=3.0, homophily=0.9, seed=1), trait)
+    assert np.all(trait[g.followees(17)] == 0)
+
+
+def test_large_world_takes_the_hub_path(monkeypatch):
+    hubs = []
+    es_top_k = synthgen._es_top_k
+
+    def spy(cand, w, k, rng):
+        hubs.append(k)
+        return es_top_k(cand, w, k, rng)
+
+    monkeypatch.setattr(synthgen, "_es_top_k", spy)
+    cfg = SynthConfig(n_nodes=20_000, mean_degree=12.0, exponent=2.3, homophily=0.8, seed=31)
+    trait = gen_traits(cfg)
+    g = gen_graph(cfg, trait)
+    k = draw_counts(stream(cfg.seed, GRAPH_GEN, 0), cfg)
+    assert np.array_equal(g.in_degree, k)
+    assert g.load_report.duplicates == 0 and g.load_report.self_loops == 0
+    same = np.where(trait == 1, np.sum(trait == 1), np.sum(trait == 0)) - 1
+    pool = same + 0.2 * (cfg.n_nodes - 1 - same)  # sum(w) / max(w)
+    assert sorted(hubs) == sorted(k[k > synthgen.HUB_SHARE * pool])
+    assert len(hubs) > 0
+
+
+def successive_sampling_probs(w, k):
+    """Exact P(followee set) when k ids are drawn one at a time, each with
+    probability proportional to w among the ids not yet drawn."""
+    probs = {}
+    for seq in itertools.permutations(np.flatnonzero(w), k):
+        p, left = 1.0, w.sum()
+        for j in seq:
+            p *= w[j] / left
+            left -= w[j]
+        key = tuple(sorted(seq))
+        probs[key] = probs.get(key, 0.0) + p
+    return probs
+
+
+def sample_sets_batched(cfg, trait, monkeypatch):
+    monkeypatch.setattr(synthgen, "HUB_SHARE", np.inf)  # no node is a hub
+    rng = stream(cfg.seed, GRAPH_GEN, 0)
+    k = draw_counts(rng, cfg)
+    return DirectedGraph.from_edges(
+        synthgen._homophily_edges(k, trait, cfg.homophily, rng), n_nodes=cfg.n_nodes
+    )
+
+
+def sample_sets_hub_keys(cfg, trait, monkeypatch):
+    monkeypatch.setattr(synthgen, "HUB_SHARE", 0.0)  # every node is a hub
+    return gen_graph(cfg, trait)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda cfg, trait, mp: reference_homophily_graph(cfg, trait),
+        sample_sets_batched,
+        sample_sets_hub_keys,
+    ],
+    ids=["v1-reference", "batched", "hub-keys"],
+)
+def test_followee_sets_follow_successive_sampling(sample, monkeypatch):
+    # bound fixed before the run: the 1 - 1e-4 quantile of the pooled
+    # chi-square, over every (node, k) group whose cells all expect >= 5
+    n, h, n_seeds, alpha = 6, 0.6, 3000, 1e-4
+    trait = np.array([0, 0, 0, 1, 1, 2])
+    counts = {}
+    for seed in range(n_seeds):
+        cfg = SynthConfig(n_nodes=n, mean_degree=2.0, exponent=2.5, homophily=h, seed=seed)
+        g = sample(cfg, trait, monkeypatch)
+        for i in range(n):
+            key = (i, len(g.followees(i)), tuple(int(j) for j in g.followees(i)))
+            counts[key] = counts.get(key, 0) + 1
+    stat = uniform_stat = 0.0
+    df = 0
+    for i in range(n):
+        w = np.where(trait == trait[i], 1.0, 1.0 - h)
+        w[i] = 0.0
+        for k in range(1, n - 1):
+            probs = successive_sampling_probs(w, k)
+            total = sum(counts.get((i, k, s), 0) for s in probs)
+            if total * min(probs.values()) < 5:
+                continue
+            observed = np.array([counts.get((i, k, s), 0) for s in probs])
+            expected = total * np.array(list(probs.values()))
+            stat += float(np.sum((observed - expected) ** 2 / expected))
+            uniform = total / len(probs)
+            uniform_stat += float(np.sum((observed - uniform) ** 2 / uniform))
+            df += len(probs) - 1
+    bound = stats.chi2.ppf(1 - alpha, df)
+    assert df >= 20
+    assert stat <= bound, (stat, bound, df)
+    # the test has power: the trait-blind law is rejected by a wide margin
+    assert uniform_stat > 3 * bound
