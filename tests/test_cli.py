@@ -188,6 +188,14 @@ def test_rerun_is_byte_identical(tmp_path):
         assert sha(p) == h, p
 
 
+def test_simulate_outputs_pinned(world):
+    # rerun identity compares the code with itself; these digests pin the bytes
+    assert sha(world["events"]) == (
+        "145273f3907d025b247b340012d3e154be38eefc23e940c9408727e935dfb4c5")
+    assert sha(world["log"]) == (
+        "eef299ede4f5cdef1fc79f8d7a1db0be9bb885573deccea835bcb7de72c87c87")
+
+
 def test_thread_count_does_not_change_results(world, tmp_path, monkeypatch):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
