@@ -26,8 +26,8 @@ from .calibrate import (
     calibrate_transmission,
 )
 from .cascade import (
+    EVENT_DTYPE,
     MECHANISMS,
-    CascadeEvent,
     dedup_events,
     events_to_log,
     run_ensemble,
@@ -72,11 +72,11 @@ __all__ = [
     "__version__",
     "NEVER",
     "MECHANISMS",
+    "EVENT_DTYPE",
     "FEATURE_NAMES",
     "AdoptionLog",
     "AdoptionSeries",
     "BoostedForest",
-    "CascadeEvent",
     "ContagionLabError",
     "ConvergenceError",
     "CovariateTable",

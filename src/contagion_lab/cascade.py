@@ -14,10 +14,15 @@ is drawn uniformly among the rules that fired, and the full fired set is
 kept for audit.  Updates are synchronous: today's adoptions raise exposures
 only from tomorrow.
 
+Events live in one table, a numpy record array of EVENT_DTYPE with a row
+per adoption: node, day, mechanism (an index into MECHANISMS), fired (a
+bitmask, bit i set when MECHANISMS[i] fired; FIRED_NAMES[mask] names them),
+the seven eve-of-adoption features, and the realization index.
+
 Determinism: every realization draws from its own generator, derived from
 (seed, realization index) by the documented splitting rule, and each day
 consumes a fixed block of draws (five arrays of length n) regardless of
-state, so identical seeds give identical event lists no matter how
+state, so identical seeds give identical event tables no matter how
 realizations are scheduled.
 """
 
@@ -31,11 +36,35 @@ import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
 from .errors import DataError, ParseError
-from .features import eve_features
+from .features import FEATURE_NAMES, eve_features
 from .netgraph import DirectedGraph
 from .rngstream import REALIZATION, stream
 
 MECHANISMS = ("Simple", "Complex", "Spontaneous", "Shock")
+N_FEATURES = len(FEATURE_NAMES)
+
+# the field names and order are also the keys of an events.jsonl record
+EVENT_DTYPE = np.dtype(
+    [
+        ("node", np.int64),
+        ("day", np.int64),
+        ("mechanism", np.int8),
+        ("fired", np.uint8),
+        ("features", np.float64, (N_FEATURES,)),
+        ("realization", np.int64),
+    ]
+)
+# packed, so a row's bytes are the mechanism code then the feature floats
+_DEDUP_KEY = np.dtype([("mechanism", np.int8), ("features", np.float64, (N_FEATURES,))])
+
+# indexed by a fired bitmask: the rule positions set in it, ascending
+_FIRED_BITS = [
+    tuple(i for i in range(len(MECHANISMS)) if mask >> i & 1)
+    for mask in range(1 << len(MECHANISMS))
+]
+FIRED_NAMES = tuple(tuple(MECHANISMS[i] for i in bits) for bits in _FIRED_BITS)
+_N_FIRED = np.array([len(bits) for bits in _FIRED_BITS])
+_NTH_FIRED = np.array([bits + (0,) * (len(MECHANISMS) - len(bits)) for bits in _FIRED_BITS])
 
 DEFAULT_STOP_FRACTION = 0.18
 DEFAULT_HORIZON_DAYS = 730
@@ -55,18 +84,6 @@ def complex_fires(m, k, phi):
     return (k > 0) & (frac >= phi)
 
 
-@dataclass(frozen=True)
-class CascadeEvent:
-    """One adoption: who, when, why, and the eve-of-adoption features."""
-
-    node: int
-    day: int
-    mechanism: str
-    fired: tuple[str, ...]
-    features: np.ndarray  # length 7, order matches features.FEATURE_NAMES
-    realization: int = 0
-
-
 def _shock_prob(params: MechanismParams, day: int) -> float:
     from .shocks import shock_intensity
 
@@ -78,6 +95,19 @@ def _shock_prob(params: MechanismParams, day: int) -> float:
     return min(1.0, params.shock_prob_at_peak * lam / peak)
 
 
+def _seed_ids(seeds, n: int, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(seeds, (int, np.integer)):
+        if not 0 <= seeds <= n:
+            raise DataError(f"seed count {seeds} outside [0, {n}]")
+        return np.sort(rng.choice(n, size=int(seeds), replace=False))
+    ids = np.sort(np.asarray([] if seeds is None else list(seeds), dtype=np.int64))
+    if len(ids) and (ids[0] < 0 or ids[-1] >= n):
+        raise DataError(f"seed ids must lie in [0, {n})")
+    if np.any(ids[1:] == ids[:-1]):
+        raise DataError("seed ids repeat")
+    return ids
+
+
 def run_realization(
     g: DirectedGraph,
     params: MechanismParams,
@@ -86,12 +116,12 @@ def run_realization(
     horizon_days: int = DEFAULT_HORIZON_DAYS,
     seeds=None,
     realization_id: int = 0,
-) -> list[CascadeEvent]:
-    """Run one cascade; returns events ordered by (day, node).
+) -> np.recarray:
+    """Run one cascade; returns its event table (seeds first, then by day, node).
 
-    `seeds` is an iterable of node ids, or an int count drawn uniformly
-    without replacement; seed nodes adopt on day 0 as spontaneous events.
-    Stops after the first day on which the adopted fraction reaches
+    `seeds` is an iterable of distinct node ids, or an int count drawn
+    uniformly without replacement; seed nodes adopt on day 0 as spontaneous
+    events.  Stops after the first day on which the adopted fraction reaches
     stop_fraction, or after horizon_days days.
     """
     n = g.node_count
@@ -102,116 +132,91 @@ def run_realization(
     rng = stream(seed, REALIZATION, realization_id)
     adopted_day = np.full(n, NEVER, dtype=np.int64)
     exposure = np.zeros(n, dtype=np.int64)  # lags adoption by one day
-    adoptions: list[tuple[int, int, str, tuple[str, ...]]] = []
-
-    if seeds is None:
-        seed_ids = np.array([], dtype=np.int64)
-    elif isinstance(seeds, (int, np.integer)):
-        seed_ids = np.sort(rng.choice(n, size=int(seeds), replace=False))
-    else:
-        seed_ids = np.sort(np.asarray(list(seeds), dtype=np.int64))
-
     k = g.in_degree
     fo_ptr, fo = g.follower_csr()
 
+    seed_ids = _seed_ids(seeds, n, rng)
+    adopted_day[seed_ids] = 0
+    spont = MECHANISMS.index("Spontaneous")
+    nodes, picks = [seed_ids], [np.full(len(seed_ids), spont)]
+    fired = [np.full(len(seed_ids), 1 << spont)]
+    n_adopted = len(seed_ids)
+
     for day in range(horizon_days):
-        if day == 0 and len(seed_ids):
-            adopted_day[seed_ids] = 0
-            for u in seed_ids:
-                adoptions.append((int(u), 0, "Spontaneous", ("Spontaneous",)))
-
         # fixed per-day draw block: consumed regardless of state
-        u_active = rng.random(n)
-        u_simple = rng.random(n)
-        u_spont = rng.random(n)
-        u_shock = rng.random(n)
-        u_tie = rng.random(n)
+        u_active, u_simple, u_spont, u_shock, u_tie = (rng.random(n) for _ in range(5))
 
-        susceptible = adopted_day == NEVER
-        active = susceptible & (u_active < params.activity)
+        # rules run only on active susceptibles; bit i marks MECHANISMS[i]
+        cand = np.flatnonzero(u_active < params.activity)
+        cand = cand[adopted_day[cand] == NEVER]
+        m = exposure[cand]
+        bits = (u_simple[cand] < simple_probability(params.beta[cand], m)).astype(np.int64)
+        bits |= complex_fires(m, k[cand], params.phi[cand]) << 1
+        bits |= (u_spont[cand] < params.r) << 2
+        bits |= (u_shock[cand] < _shock_prob(params, day)) << 3
+        hit = bits > 0
+        adopters, bits = cand[hit], bits[hit]
+        tie = (u_tie[adopters] * _N_FIRED[bits]).astype(np.int64)
+        adopted_day[adopters] = day
+        nodes.append(adopters)
+        picks.append(_NTH_FIRED[bits, tie])
+        fired.append(bits)
 
-        m = exposure
-        fired_simple = active & (u_simple < simple_probability(params.beta, m))
-        fired_complex = active & complex_fires(m, k, params.phi)
+        # synchronous update: today's adopters raise exposure from tomorrow;
+        # one bincount over their concatenated follower lists
+        new = np.flatnonzero(adopted_day == day)
+        starts = fo_ptr[new]
+        lens = fo_ptr[new + 1] - starts
+        at = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        exposure += np.bincount(fo[at], minlength=n)
 
-        fired_spont = active & (u_spont < params.r)
-
-        p_shock = _shock_prob(params, day)
-        fired_shock = active & (u_shock < p_shock)
-
-        fired = np.column_stack(
-            [fired_simple, fired_complex, fired_spont, fired_shock]
-        )
-        n_fired = fired.sum(axis=1)
-        adopters = np.flatnonzero(n_fired > 0)
-
-        for u in adopters:
-            rules = np.flatnonzero(fired[u])
-            pick = rules[int(u_tie[u] * len(rules))]
-            adopted_day[u] = day
-            adoptions.append(
-                (int(u), day, MECHANISMS[pick], tuple(MECHANISMS[i] for i in rules))
-            )
-
-        # synchronous update: today's adopters raise exposure from tomorrow
-        for v in np.flatnonzero(adopted_day == day):
-            exposure[fo[fo_ptr[v] : fo_ptr[v + 1]]] += 1
-
-        if (adopted_day != NEVER).sum() >= stop_fraction * n:
+        n_adopted += len(adopters)
+        if n_adopted >= stop_fraction * n:
             break
 
+    events = np.recarray(n_adopted, dtype=EVENT_DTYPE)
+    events.node = np.concatenate(nodes)
+    events.day = adopted_day[events.node]
+    events.mechanism = np.concatenate(picks)
+    events.fired = np.concatenate(fired)
+    events.realization = realization_id
     # eve features read only adoptions before each event's day, so the final
     # adoption days give what the state held on that day
-    nodes = np.array([a[0] for a in adoptions], dtype=np.int64)
-    days = np.array([a[1] for a in adoptions], dtype=np.int64)
-    X = eve_features(g, adopted_day, params.shock_schedule, nodes, days)
-    X.setflags(write=False)
-    return [
-        CascadeEvent(
-            node=u,
-            day=d,
-            mechanism=mechanism,
-            fired=rules,
-            features=x,
-            realization=realization_id,
-        )
-        for (u, d, mechanism, rules), x in zip(adoptions, X)
-    ]
+    events.features = eve_features(
+        g, adopted_day, params.shock_schedule, events.node, events.day
+    )
+    return events
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Deduplicated event set plus per-mechanism counts around dedup."""
+    """Deduplicated event table, per-mechanism counts around dedup, and
+    realization 0's table as it was before dedup."""
 
-    events: list[CascadeEvent]
+    events: np.recarray
     counts_before: dict[str, int]
     counts_after: dict[str, int]
-    n_realizations: int
+    first_realization: np.recarray
 
 
-def dedup_events(events: list[CascadeEvent]) -> list[CascadeEvent]:
-    """Drop events with an identical (feature vector, mechanism) pair.
+def dedup_events(events: np.recarray) -> np.recarray:
+    """Drop events with an identical (mechanism, feature vector) pair.
 
-    First occurrence wins, in (realization, day, node) order.
+    First occurrence wins, in table order, which is (realization, day, node).
     """
-    seen: set[tuple[str, bytes]] = set()
-    out = []
-    for e in events:
-        key = (e.mechanism, e.features.tobytes())
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
+    key = np.empty(len(events), dtype=_DEDUP_KEY)
+    key["mechanism"] = events.mechanism
+    key["features"] = events.features
+    _, first = np.unique(key.view(f"V{key.itemsize}"), return_index=True)
+    return events[np.sort(first)]
 
 
-def mechanism_counts(events: list[CascadeEvent]) -> dict[str, int]:
-    counts = {mech: 0 for mech in MECHANISMS}
-    for e in events:
-        counts[e.mechanism] += 1
-    return counts
+def mechanism_counts(events: np.recarray) -> dict[str, int]:
+    counts = np.bincount(events.mechanism, minlength=len(MECHANISMS))
+    return {mech: int(c) for mech, c in zip(MECHANISMS, counts)}
 
 
-def _run_one(args) -> list[CascadeEvent]:
+def _run_one(args) -> np.recarray:
     g, params, seed, stop, horizon, seeds, i = args
     return run_realization(
         g,
@@ -234,7 +239,7 @@ def run_ensemble(
     seeds=None,
     n_jobs: int = 1,
 ) -> EnsembleResult:
-    """Run independent realizations and deduplicate the merged event set.
+    """Run independent realizations and deduplicate the merged event table.
 
     Realization i draws from the (seed0, i) stream, so results do not
     depend on n_jobs or scheduling order.
@@ -250,77 +255,81 @@ def run_ensemble(
             per_run = pool.map(_run_one, jobs)
     else:
         per_run = [_run_one(j) for j in jobs]
-    merged: list[CascadeEvent] = []
-    for run in per_run:
-        merged.extend(run)
-    before = mechanism_counts(merged)
+    merged = np.concatenate(per_run).view(np.recarray)
     deduped = dedup_events(merged)
     return EnsembleResult(
         events=deduped,
-        counts_before=before,
+        counts_before=mechanism_counts(merged),
         counts_after=mechanism_counts(deduped),
-        n_realizations=n_realizations,
+        first_realization=per_run[0],
     )
 
 
 def events_to_log(
-    events: list[CascadeEvent],
+    events: np.recarray,
     n_nodes: int,
     first_day: int = 0,
     last_day: int | None = None,
 ) -> AdoptionLog:
-    """Adoption log for a single realization's event list."""
+    """Adoption log for a single realization's event table."""
+    twice = np.flatnonzero(np.bincount(events.node, minlength=n_nodes) > 1)
+    if len(twice):
+        raise DataError(f"node {twice[0]} adopts twice in one realization")
     days = np.full(n_nodes, NEVER, dtype=np.int64)
-    for e in events:
-        if days[e.node] != NEVER:
-            raise DataError(f"node {e.node} adopts twice in one realization")
-        days[e.node] = e.day
+    days[events.node] = events.day
     if last_day is None:
-        last_day = int(days.max()) if np.any(days != NEVER) else first_day
+        last_day = int(events.day.max()) if len(events) else first_day
     return AdoptionLog(days, first_day=first_day, last_day=last_day)
 
 
-def write_events(events: list[CascadeEvent], path) -> None:
+def write_events(events: np.recarray, path) -> None:
     """JSON-lines event stream, one event per line."""
+    columns = {name: events[name].tolist() for name in EVENT_DTYPE.names}
+    columns["mechanism"] = [MECHANISMS[i] for i in columns["mechanism"]]
+    columns["fired"] = [FIRED_NAMES[mask] for mask in columns["fired"]]
     with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "node": e.node,
-                        "day": e.day,
-                        "mechanism": e.mechanism,
-                        "fired": list(e.fired),
-                        "features": [float(x) for x in e.features],
-                        "realization": e.realization,
-                    }
-                )
-            )
-            fh.write("\n")
+        for row in zip(*columns.values()):
+            fh.write(json.dumps(dict(zip(columns, row))) + "\n")
 
 
-def read_events(path) -> list[CascadeEvent]:
-    events = []
+def _int64(value) -> int:
+    v = int(value)
+    if not -(2**63) <= v < 2**63:
+        raise ValueError(f"{v} outside the int64 range")
+    return v
+
+
+def _mechanism_code(name) -> int:
+    if name not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {name!r}")
+    return MECHANISMS.index(name)
+
+
+def read_events(path) -> np.recarray:
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 d = json.loads(line)
-                feats = np.array(d["features"], dtype=float)
-                feats.setflags(write=False)
-                events.append(
-                    CascadeEvent(
-                        node=int(d["node"]),
-                        day=int(d["day"]),
-                        mechanism=str(d["mechanism"]),
-                        fired=tuple(d["fired"]),
-                        features=feats,
-                        realization=int(d["realization"]),
+                features = [float(x) for x in d["features"]]
+                if len(features) != N_FEATURES:
+                    raise ValueError(
+                        f"{len(features)} features, expected {N_FEATURES}"
+                    )
+                rows.append(
+                    (
+                        _int64(d["node"]),
+                        _int64(d["day"]),
+                        _mechanism_code(d["mechanism"]),
+                        sum({1 << _mechanism_code(name) for name in d["fired"]}),
+                        features,
+                        _int64(d["realization"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ParseError(
                     f"bad event record: {e}", path=str(path), line=lineno
                 ) from e
-    return events
+    return np.array(rows, dtype=EVENT_DTYPE).view(np.recarray)

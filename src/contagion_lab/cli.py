@@ -31,14 +31,18 @@ from .calibrate import (
 from .cascade import (
     dedup_events,
     events_to_log,
-    mechanism_counts,
     read_events,
     run_ensemble,
-    run_realization,
+    run_realization,  # unused: bench/tracing.py wraps cli.run_realization (span cascade.replay)
     write_events,
 )
 from .errors import ConvergenceError, DataError, ParseError
-from .features import extract_features_log, read_feature_csv, write_feature_csv
+from .features import (
+    events_feature_matrix,
+    extract_features_log,
+    read_feature_csv,
+    write_feature_csv,
+)
 from .matchlab import (
     CovariateTable,
     Dose,
@@ -254,29 +258,18 @@ def cmd_simulate(args, sp):
         seeds=args.seed_nodes,
         n_jobs=n_jobs,
     )
-    events = result.events
-    write_events(events, args.out)
+    write_events(result.events, args.out)
     outputs = [args.out]
     inputs = [args.graph] + ([args.params] if args.params else [])
     if args.log_out:
-        # dedup may drop realization-0 events, so replay that run in full
-        first = run_realization(
-            g,
-            params,
-            args.seed,
-            stop_fraction=args.stop_fraction,
-            horizon_days=args.horizon,
-            seeds=args.seed_nodes,
-            realization_id=0,
-        )
-        events_to_log(first, g.node_count, last_day=args.horizon - 1).to_csv(
-            args.log_out, g
-        )
+        log = events_to_log(result.first_realization, g.node_count, last_day=args.horizon - 1)
+        log.to_csv(args.log_out, g)
         outputs.append(args.log_out)
     summary = {
         "realizations": args.realizations,
-        "events": len(events),
-        "mechanisms": mechanism_counts(events),
+        "events": len(result.events),
+        "mechanisms": result.counts_after,
+        "mechanisms_before_dedup": result.counts_before,
     }
     return inputs, outputs, summary
 
@@ -374,8 +367,6 @@ def cmd_train(args, sp):
         events = read_events(args.events)
         if not args.no_dedup:
             events = dedup_events(events)
-        from .features import events_feature_matrix
-
         X, y = events_feature_matrix(events)
         inputs = [args.events]
     else:

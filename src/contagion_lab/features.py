@@ -92,12 +92,12 @@ def extract_features_log(
 
 
 def events_feature_matrix(events) -> tuple[np.ndarray, np.ndarray]:
-    """Stack logged event features into (X, labels)."""
-    if not events:
+    """An event table's features and mechanism names as (X, labels)."""
+    from .cascade import MECHANISMS
+
+    if len(events) == 0:
         raise DataError("no events")
-    X = np.stack([e.features for e in events])
-    y = np.array([e.mechanism for e in events])
-    return X, y
+    return np.array(events.features), np.array(MECHANISMS)[events.mechanism]
 
 
 def write_feature_csv(X: np.ndarray, path, labels=None) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
-from .cascade import CascadeEvent, run_realization
+from .cascade import MECHANISMS, events_to_log, run_realization
 from .errors import DataError
 from .netgraph import DirectedGraph
 from .rngstream import ADOPTION_GEN, GRAPH_GEN, stream
@@ -235,11 +235,11 @@ def gen_pure_cascade(
     seeds=None,
     stop_fraction: float = 1.0,
     horizon_days: int = 120,
-) -> tuple[AdoptionLog, list[CascadeEvent]]:
+) -> tuple[AdoptionLog, np.recarray]:
     """Cascade with a single rule enabled; every event bears that label.
 
     Seed adopters (spontaneous by construction) are excluded from the
-    returned event list's label guarantee but present in the log.
+    returned event table's label guarantee but present in the log.
     """
     masked = mask_params(params, mechanism)
     events = run_realization(
@@ -250,13 +250,9 @@ def gen_pure_cascade(
         horizon_days=horizon_days,
         seeds=seeds,
     )
-    days = np.full(g.node_count, NEVER, dtype=np.int64)
-    for e in events:
-        days[e.node] = e.day
-    log = AdoptionLog(days, first_day=0, last_day=horizon_days - 1)
-    non_seed = [e for e in events if not (e.day == 0 and e.fired == ("Spontaneous",))]
+    log = events_to_log(events, g.node_count, last_day=horizon_days - 1)
     if mechanism != "Spontaneous":
-        bad = [e for e in non_seed if e.mechanism != mechanism]
-        if bad:
+        seed = (events.day == 0) & (events.fired == 1 << MECHANISMS.index("Spontaneous"))
+        if np.any(events.mechanism[~seed] != MECHANISMS.index(mechanism)):
             raise DataError("masking failed: foreign mechanism fired")
     return log, events

@@ -31,6 +31,7 @@ from contagion_lab.calibrate import (
     calibrate_transmission,
 )
 from contagion_lab.cascade import (
+    MECHANISMS,
     complex_fires,
     events_to_log,
     run_ensemble,
@@ -282,20 +283,20 @@ def test_classifier_mixed_and_pure(mixed_world, announce):
     def pure_events(mech, seed, seeds):
         _, ev = gen_pure_cascade(w.g, mech, w.params, seed=seed, seeds=seeds,
                                  stop_fraction=1.0, horizon_days=120)
-        return [e for e in ev if e.mechanism == mech]
+        return ev[ev.mechanism == MECHANISMS.index(mech)]
 
     # label-recovery oracle: fit on its own pure-cascade corpus, score on
     # held-out pure cascades with fresh seeds
     corpus = []
     for s in (30, 31, 32, 33, 34, 35):
-        corpus.extend(pure_events("Simple", s, 5))
+        corpus.append(pure_events("Simple", s, 5))
     for s in (40, 41):
-        corpus.extend(pure_events("Complex", s, 60))
+        corpus.append(pure_events("Complex", s, 60))
     for s in (60, 61, 62):
-        corpus.extend(pure_events("Shock", s, None))
+        corpus.append(pure_events("Shock", s, None))
     for s in range(50, 60):
-        corpus.extend(pure_events("Spontaneous", s, None))
-    Xc, yc = events_feature_matrix(corpus)
+        corpus.append(pure_events("Spontaneous", s, None))
+    Xc, yc = events_feature_matrix(np.concatenate(corpus).view(np.recarray))
     oracle = train(Xc, yc, n_rounds=100, max_depth=6, seed=0)
 
     recalls = {}
@@ -466,7 +467,7 @@ def test_decomposition_share_recovery(mixed_world, announce):
     w = mixed_world
     ev = run_realization(w.g, w.params, seed=11, stop_fraction=0.18,
                          horizon_days=150, seeds=5, realization_id=199)
-    gen = Counter(e.mechanism for e in ev)
+    gen = Counter(MECHANISMS[e.mechanism] for e in ev)
     total = sum(gen.values())
     log = events_to_log(ev, w.n, last_day=149)
     rep = decompose(w.res.model, log, w.g, w.sched)

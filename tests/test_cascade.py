@@ -7,6 +7,8 @@ import pytest
 
 from contagion_lab.calibrate import NEVER, MechanismParams
 from contagion_lab.cascade import (
+    FIRED_NAMES,
+    MECHANISMS,
     complex_fires,
     dedup_events,
     events_to_log,
@@ -79,7 +81,7 @@ def test_complex_trigger_decisions():
 def test_inert_world_zero_events():
     g = graph_from([(0, 1), (1, 2), (2, 0)], 3)
     events = run_realization(g, params_for(3), seed=1, horizon_days=50)
-    assert events == []
+    assert len(events) == 0
 
 
 def test_saturating_rate_all_adopt_day_zero():
@@ -87,8 +89,8 @@ def test_saturating_rate_all_adopt_day_zero():
     events = run_realization(g, params_for(3, r=1.0), seed=1, horizon_days=50)
     assert len(events) == 3
     assert all(e.day == 0 for e in events)
-    assert all(e.mechanism == "Spontaneous" for e in events)
-    assert all(e.fired == ("Spontaneous",) for e in events)
+    assert all(MECHANISMS[e.mechanism] == "Spontaneous" for e in events)
+    assert all(FIRED_NAMES[e.fired] == ("Spontaneous",) for e in events)
 
 
 def test_complex_fires_deterministically():
@@ -100,8 +102,8 @@ def test_complex_fires_deterministically():
     )
     by_node = {e.node: e for e in events}
     assert by_node[0].day == 1
-    assert by_node[0].mechanism == "Complex"
-    assert by_node[0].fired == ("Complex",)
+    assert MECHANISMS[by_node[0].mechanism] == "Complex"
+    assert FIRED_NAMES[by_node[0].fired] == ("Complex",)
     # eve state: m=2, k=10, saturation 0.2
     assert by_node[0].features[0] == 2
     assert by_node[0].features[1] == 10
@@ -113,7 +115,7 @@ def test_seed_events_logged_as_spontaneous():
     events = run_realization(g, params_for(2), seed=0, seeds=[1], horizon_days=3)
     assert len(events) == 1
     e = events[0]
-    assert (e.node, e.day, e.mechanism) == (1, 0, "Spontaneous")
+    assert (e.node, e.day, MECHANISMS[e.mechanism]) == (1, 0, "Spontaneous")
     assert e.features[0] == 0 and e.features[3] == -1.0
 
 
@@ -125,7 +127,7 @@ def test_shock_day_sweeps_everyone():
     assert len(events) == 3
     for e in events:
         assert e.day == 2
-        assert e.mechanism == "Shock"
+        assert MECHANISMS[e.mechanism] == "Shock"
         assert e.features[5] == 1.0  # peak intensity
         assert e.features[6] == 0.0  # peak day itself
 
@@ -189,6 +191,18 @@ def test_params_graph_size_mismatch():
         run_realization(g, params_for(3), seed=0)
 
 
+@pytest.mark.parametrize("seeds", [-1, 4, [-1], [3], [1, 1]])
+def test_bad_seeds_are_data_errors(seeds):
+    # numpy would wrap id -1 to node n-1, and a repeated id would adopt twice
+    g = graph_from([(0, 1), (1, 2)], 3)
+    from contagion_lab.errors import DataError
+
+    with pytest.raises(DataError):
+        run_realization(g, params_for(3), seed=0, seeds=seeds)
+    for ok in (0, 3, [0, 2]):
+        run_realization(g, params_for(3), seed=0, seeds=ok)
+
+
 # -- full replay oracle ---------------------------------------------------------
 
 
@@ -196,6 +210,8 @@ def replay_oracle(g, p, seed, seeds, horizon):
     """Plain-python reimplementation consuming the same draw stream."""
     n = g.node_count
     rng = stream(seed, REALIZATION, 0)
+    if isinstance(seeds, int):
+        seeds = rng.choice(n, size=seeds, replace=False).tolist()
     adopted = {}
     for s in seeds:
         adopted[s] = 0
@@ -232,24 +248,52 @@ def replay_oracle(g, p, seed, seeds, horizon):
     return out
 
 
-def test_engine_matches_replay_oracle():
+# seeds: explicit ids or a count; hot: every rule's rate high, so ties of
+# two, three and four rules reach the vectorized pick
+ORACLE_CASES = {
+    "explicit-seeds": dict(seed=77, seeds=[3, 8], stop=1.0, hot=False),
+    "int-seeds": dict(seed=5, seeds=4, stop=1.0, hot=False),
+    "early-stop": dict(seed=19, seeds=[0, 1], stop=0.5, hot=False),
+    "every-rule-hot": dict(seed=42, seeds=[5], stop=1.0, hot=True),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_engine_matches_replay_oracle(case):
+    c = ORACLE_CASES[case]
     rng = np.random.default_rng(33)
     g = graph_from(rng.integers(0, 30, (150, 2)), 30)
     sched = ShockSchedule(np.array([4, 11]), np.array([0.5, 1.0]), np.array([0.8, 1.2]))
-    p = MechanismParams(
-        beta=rng.uniform(0.05, 0.9, 30),
-        phi=rng.uniform(0.1, 0.6, 30),
-        r=0.03,
-        activity=rng.uniform(0.3, 1.0, 30),
-        shock_schedule=sched,
-        shock_prob_at_peak=0.4,
-    )
+    if c["hot"]:
+        p = MechanismParams(
+            beta=rng.uniform(0.6, 0.95, 30),
+            phi=rng.uniform(0.02, 0.1, 30),
+            r=0.5,
+            activity=rng.uniform(0.1, 0.3, 30),
+            shock_schedule=sched,
+            shock_prob_at_peak=1.0,
+        )
+    else:
+        p = MechanismParams(
+            beta=rng.uniform(0.05, 0.9, 30),
+            phi=rng.uniform(0.1, 0.6, 30),
+            r=0.03,
+            activity=rng.uniform(0.3, 1.0, 30),
+            shock_schedule=sched,
+            shock_prob_at_peak=0.4,
+        )
     events = run_realization(
-        g, p, seed=77, seeds=[3, 8], horizon_days=15, stop_fraction=1.0
+        g, p, seed=c["seed"], seeds=c["seeds"], horizon_days=15, stop_fraction=c["stop"]
     )
-    got = [(e.node, e.day, e.mechanism, e.fired) for e in events]
-    want = replay_oracle(g, p, seed=77, seeds=[3, 8], horizon=15)
+    got = [(e.node, e.day, MECHANISMS[e.mechanism], FIRED_NAMES[e.fired]) for e in events]
+    want = replay_oracle(g, p, seed=c["seed"], seeds=c["seeds"], horizon=15)
+    # the oracle runs the whole horizon; the engine stops after the first
+    # day on which the adopted count reaches stop * n
+    crossing = next((w[1] for i, w in enumerate(want) if i + 1 >= c["stop"] * 30), 15)
+    want = [w for w in want if w[1] <= crossing]
     assert got == want
+    if c["hot"]:
+        assert {2, 3, 4} <= {len(fired) for *_, fired in got}
 
 
 # -- ensembles -------------------------------------------------------------------
@@ -296,7 +340,7 @@ def test_ensemble_parallel_equals_serial():
 def test_identical_realizations_collapse():
     g, p = make_world(2)
     single = run_realization(g, p, seed=6, seeds=[0], horizon_days=30)
-    doubled = dedup_events(single + single)
+    doubled = dedup_events(np.concatenate([single, single]).view(np.recarray))
     assert len(doubled) == len(dedup_events(single))
 
 

@@ -263,6 +263,38 @@ def test_train_requires_exactly_one_source(world, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("count", [601, -1])
+def test_simulate_bad_seed_count_is_data_error(world, tmp_path, capsys, count):
+    assert run(["simulate", "--graph", world["graph"], "--seed-nodes", count,
+                "--realizations", 1, "--horizon", 5, "--threads", 1,
+                "--out", tmp_path / "e.jsonl"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: d.update(features=d["features"][:5]),
+        lambda d: d.update(mechanism="Viral"),
+        lambda d: d.update(fired=["Simple", "Viral"]),
+        lambda d: d.update(node=10**23),
+        lambda d: d.update(features=[10**400] + d["features"][1:]),
+    ],
+    ids=["five features", "unknown mechanism", "unknown fired", "node past int64",
+         "feature past float"],
+)
+def test_train_malformed_events_is_parse_error(world, tmp_path, capsys, change):
+    lines = open(world["events"]).read().splitlines()
+    bad = json.loads(lines[1])
+    change(bad)
+    lines[1] = json.dumps(bad)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    assert run(["train", "--events", events, "--rounds", 2,
+                "--out", tmp_path / "m.json"]) == 2
+    assert f"{events}:2:" in capsys.readouterr().err
+
+
 def test_classify_output_shape(world, tmp_path, capsys):
     model = tmp_path / "m.json"
     feats = tmp_path / "f.csv"

@@ -9,6 +9,7 @@ from scipy import stats
 
 from contagion_lab import synthgen
 from contagion_lab.calibrate import NEVER, MechanismParams
+from contagion_lab.cascade import MECHANISMS
 from contagion_lab.errors import DataError
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.rngstream import GRAPH_GEN, stream
@@ -169,7 +170,7 @@ def test_simple_beta_one_is_bfs_wave():
     for u in range(60):
         expect = dist.get(u, NEVER)
         assert log.adoption_day[u] == expect
-    assert all(e.mechanism == "Simple" for e in events if e.day > 0)
+    assert all(MECHANISMS[e.mechanism] == "Simple" for e in events if e.day > 0)
 
 
 def test_complex_unreachable_threshold():
@@ -189,7 +190,7 @@ def test_complex_cascade_labels():
     log, events = gen_pure_cascade(g, "Complex", p, seed=4, seeds=seeds)
     non_seed = [e for e in events if e.day > 0]
     assert len(non_seed) > 0
-    assert all(e.mechanism == "Complex" for e in non_seed)
+    assert all(MECHANISMS[e.mechanism] == "Complex" for e in non_seed)
 
 
 def test_shock_cascade_labels():
@@ -199,7 +200,7 @@ def test_shock_cascade_labels():
     p = base_params(80, shock_schedule=sched, shock_prob_at_peak=0.8)
     log, events = gen_pure_cascade(g, "Shock", p, seed=6)
     assert len(events) > 0
-    assert all(e.mechanism == "Shock" for e in events)
+    assert all(MECHANISMS[e.mechanism] == "Shock" for e in events)
     assert all(e.day >= 3 for e in events)
 
 

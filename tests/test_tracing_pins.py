@@ -1,0 +1,43 @@
+"""The benchmark's tracer wraps package functions by name; a rename breaks it.
+
+bench/tests (not part of this suite) runs the whole benchmark; this is the
+fast check that the names and row shapes bench/tracing.py relies on still hold.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from contagion_lab import cascade
+from contagion_lab.calibrate import MechanismParams
+from contagion_lab.netgraph import DirectedGraph
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_each_realization(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    rng = np.random.default_rng(0)
+    n = 80
+    g = DirectedGraph.from_edges(rng.integers(0, n, (n * 5, 2)), n_nodes=n)
+    p = MechanismParams(
+        beta=np.full(n, 0.3), phi=np.full(n, 0.3), r=0.01, activity=np.full(n, 0.7)
+    )
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        cascade.run_ensemble(g, p, n_realizations=2, seed0=1, horizon_days=30, seeds=[0])
+    finally:
+        tracer.restore()
+    assert [s.name for s in tracer.spans].count("cascade.realization") == 2
+    assert tracer.counts["cascade.adoptions"] > 0
