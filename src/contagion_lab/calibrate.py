@@ -209,10 +209,12 @@ class PoolResult:
         }
 
 
-def _non_shock_exposure(
-    g: DirectedGraph, log: AdoptionLog
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adopters outside shock periods, ascending node id, with their eve m."""
+def eve_counts(g: DirectedGraph, log: AdoptionLog) -> tuple[np.ndarray, np.ndarray]:
+    """Adopters outside shock periods, ascending node id, with their eve m.
+
+    Each calibrator takes this pair as `eve`, so a caller that runs all
+    three builds the followee exposure index once.
+    """
     nodes = log.adopters()
     days = log.adoption_day[nodes]
     if log.shock_mask is not None:
@@ -222,26 +224,27 @@ def _non_shock_exposure(
     return nodes, index.count(nodes, days)
 
 
-def calibrate_transmission(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
+def calibrate_transmission(g: DirectedGraph, log: AdoptionLog, eve=None) -> PoolResult:
     """Per-adopter transmission rates: reciprocal of adoption-eve exposure.
 
     Adopters with zero exposure (or inside shock periods) are excluded.
+    `eve` is `eve_counts(g, log)`, computed here when None.
     """
-    nodes, m = _non_shock_exposure(g, log)
+    nodes, m = eve_counts(g, log) if eve is None else eve
     exposed = m > 0
     if not exposed.any():
         raise DataError("no adopter with positive adoption-eve exposure")
     return PoolResult(1.0 / m[exposed], nodes[exposed])
 
 
-def calibrate_thresholds(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
+def calibrate_thresholds(g: DirectedGraph, log: AdoptionLog, eve=None) -> PoolResult:
     """Per-adopter thresholds: exposed-followee fraction at adoption eve.
 
     Restricted to adopters with positive degree and positive exposure (the
     same exposed subset the transmission pool draws from), so every value
-    lands in (0, 1].
+    lands in (0, 1]. `eve` is `eve_counts(g, log)`, computed here when None.
     """
-    nodes, m = _non_shock_exposure(g, log)
+    nodes, m = eve_counts(g, log) if eve is None else eve
     exposed = m > 0  # m > 0 implies positive degree
     if not exposed.any():
         raise DataError("no adopter with positive degree and exposure")
@@ -249,19 +252,20 @@ def calibrate_thresholds(g: DirectedGraph, log: AdoptionLog) -> PoolResult:
     return PoolResult(m[exposed] / g.in_degree[nodes], nodes)
 
 
-def calibrate_background(g: DirectedGraph, log: AdoptionLog) -> float:
+def calibrate_background(g: DirectedGraph, log: AdoptionLog, eve=None) -> float:
     """Spontaneous daily rate: zero-exposure adopters per susceptible-day.
 
     Susceptible-days of a node count the horizon days strictly before its
     adoption (never-adopters contribute the full horizon).  The numerator
-    honors the shock mask; the denominator is raw person-time.
+    honors the shock mask; the denominator is raw person-time. `eve` is
+    `eve_counts(g, log)`, computed here when None.
     """
     days = log.adoption_day
     sus = np.where(days == NEVER, log.horizon_days, days - log.first_day)
     total = int(sus.sum())
     if total <= 0:
         raise DataError("zero susceptible-days in horizon")
-    _, m = _non_shock_exposure(g, log)
+    _, m = eve_counts(g, log) if eve is None else eve
     return int(np.count_nonzero(m == 0)) / total
 
 

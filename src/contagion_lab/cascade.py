@@ -292,10 +292,11 @@ def write_events(events: np.recarray, path) -> None:
             fh.write(json.dumps(dict(zip(columns, row))) + "\n")
 
 
-def _int64(value) -> int:
+def _count(value, key) -> int:
+    """A node id, day or realization index: an int in [0, 2**63)."""
     v = int(value)
-    if not -(2**63) <= v < 2**63:
-        raise ValueError(f"{v} outside the int64 range")
+    if not 0 <= v < 2**63:
+        raise ValueError(f"{key} {v} outside [0, 2**63)")
     return v
 
 
@@ -318,14 +319,18 @@ def read_events(path) -> np.recarray:
                     raise ValueError(
                         f"{len(features)} features, expected {N_FEATURES}"
                     )
+                code = _mechanism_code(d["mechanism"])
+                fired = sum({1 << _mechanism_code(name) for name in d["fired"]})
+                if not fired >> code & 1:
+                    raise ValueError(f"mechanism {d['mechanism']!r} is not in its fired set")
                 rows.append(
                     (
-                        _int64(d["node"]),
-                        _int64(d["day"]),
-                        _mechanism_code(d["mechanism"]),
-                        sum({1 << _mechanism_code(name) for name in d["fired"]}),
+                        _count(d["node"], "node"),
+                        _count(d["day"], "day"),
+                        code,
+                        fired,
                         features,
-                        _int64(d["realization"]),
+                        _count(d["realization"], "realization"),
                     )
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as e:

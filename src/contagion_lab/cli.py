@@ -27,6 +27,7 @@ from .calibrate import (
     calibrate_background,
     calibrate_thresholds,
     calibrate_transmission,
+    eve_counts,
 )
 from .cascade import (
     dedup_events,
@@ -291,9 +292,10 @@ def cmd_calibrate(args, sp):
         mask = shock_day_mask(log.horizon_days, ranges)
         log = AdoptionLog(log.adoption_day, log.first_day, log.last_day, shock_mask=mask)
         inputs.append(args.shock_ranges)
-    beta = calibrate_transmission(g, log)
-    phi = calibrate_thresholds(g, log)
-    r = calibrate_background(g, log)
+    eve = eve_counts(g, log)
+    beta = calibrate_transmission(g, log, eve)
+    phi = calibrate_thresholds(g, log, eve)
+    r = calibrate_background(g, log, eve)
     if args.activity_posts:
         counts = np.zeros(g.node_count)
         with open(args.activity_posts, newline="") as fh:
@@ -532,6 +534,7 @@ def cmd_match(args, sp):
         "level": args.level,
         "panel_rows": panel.n_rows,
         "propensity_iterations": model.iterations,
+        "propensity_step_halvings": model.step_halvings,
         "n_pairs": len(run.pairs),
         "n_days_skipped": len(run.skipped),
         "n_days_skipped_by_reason": dict(

@@ -110,6 +110,37 @@ class PlaceboPermuted:
         return f"placebo_permuted(base={self.base.label},seed={self.seed})"
 
 
+def _int_dtype(lo: int, hi: int):
+    """The narrowest signed int dtype that holds every value in [lo, hi]."""
+    for dt in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return dt
+    return np.int64
+
+
+def _covariate_rows(counts, node_X, ego, out=None) -> np.ndarray:
+    """Float covariate rows `[counts, counts / degree, node_X[ego]]`.
+
+    `counts` holds k adopted-neighbor counts per row, and the first k columns
+    of `node_X` are the degrees they are fractions of (a fraction is 0 where
+    its degree is 0). Every covariate row, a panel's or a table's, is built
+    here, one column at a time into `out` (column-major; allocated when
+    None), which is returned.
+    """
+    k, q = counts.shape[1], node_X.shape[1]
+    if out is None:
+        out = np.empty((len(ego), 2 * k + q), order="F")
+    for j in range(q):
+        np.take(node_X[:, j], ego, out=out[:, 2 * k + j])
+    for j in range(k):
+        cnt, frac, deg = out[:, j], out[:, k + j], out[:, 2 * k + j]
+        cnt[:] = counts[:, j]
+        frac[:] = 0.0
+        np.divide(cnt, deg, out=frac, where=deg > 0)
+    return out
+
+
 class CovariateTable:
     """Per-ego covariates measured `lag` days before each panel day.
 
@@ -118,7 +149,9 @@ class CovariateTable:
     degree: it is in + out degree, which would make the block singular,
     while its log is not linear in the others). Optional
     static per-node columns are appended after the core block.  Holds one
-    exposure index per direction, so memory is O(edges), not O(n·horizon).
+    exposure index per direction and one float row per node (`node_X`: the
+    three degrees, the log total degree and the static columns), so memory
+    is O(edges), not O(n·horizon).
     """
 
     def __init__(self, g: DirectedGraph, log: AdoptionLog, lag: int = 7, static=None):
@@ -131,8 +164,10 @@ class CovariateTable:
         # DIRECTIONS name the graph's followee_csr, follower_csr and mutual_csr
         csrs = [getattr(g, f"{d}_csr")() for d in DIRECTIONS]
         self._index = [ExposureIndex(csr, log.adoption_day) for csr in csrs]
-        self._deg = np.column_stack([g.in_degree, g.out_degree, g.mutual_degree]).astype(float)
-        self._net = np.column_stack([self._deg, np.log1p(self._deg[:, 0] + self._deg[:, 1])])
+        deg = np.column_stack([g.in_degree, g.out_degree, g.mutual_degree]).astype(float)
+        # a count never exceeds its degree
+        self._count_dtype = _int_dtype(0, int(deg.max()) if deg.size else 0)
+        cols = [deg, np.log1p(deg[:, 0] + deg[:, 1])]
         if static is not None:
             extra_names, extra = static
             extra = np.atleast_2d(np.asarray(extra, dtype=float))
@@ -141,35 +176,41 @@ class CovariateTable:
             if extra.shape[0] != self._n or extra.shape[1] != len(extra_names):
                 raise DataError("static covariate block does not match node count")
             names.extend(extra_names)
-            self._static = extra
-        else:
-            self._static = None
+            cols.append(extra)
+        self.node_X = np.column_stack(cols)
         self.names = tuple(names)
         self.core_idx = tuple(range(len(CORE_COVARIATES)))
+
+    def counts(self, day: int, nodes: np.ndarray) -> np.ndarray:
+        """Each node's neighbors adopted on or before day - lag, per direction."""
+        cnt = [ix.count(nodes, day - self.lag + 1) for ix in self._index]
+        return np.column_stack(cnt).astype(self._count_dtype)
 
     def values(self, day: int) -> np.ndarray:
         if not self._first <= day <= self._last:
             raise DataError(f"covariates requested for day {day} outside the log horizon")
-        # neighbors adopted on or before the cutoff day - lag
         nodes = np.arange(self._n)
-        cnt = np.column_stack([ix.count(nodes, day - self.lag + 1) for ix in self._index])
-        cnt = cnt.astype(float)
-        frac = np.divide(cnt, self._deg, out=np.zeros_like(cnt), where=self._deg > 0)
-        cols = [cnt, frac, self._net]
-        if self._static is not None:
-            cols.append(self._static)
-        return np.column_stack(cols)
+        return _covariate_rows(self.counts(day, nodes), self.node_X, nodes)
 
 
 @dataclass(frozen=True)
 class TreatmentPanel:
-    """Daily risk-set rows: (ego, day, treatment level code, outcome, covariates)."""
+    """Daily risk-set rows in narrow ints, plus one float block per node.
+
+    A row is (ego, day, treatment level code, outcome, `X`), where `X` holds
+    the row's k lagged adopted-neighbor counts. `node_X` holds one float row
+    per node, whose first k columns are the degrees behind the count
+    fractions. `covariates(rows)` builds the float covariates that `names`
+    lists, `[counts, fractions, node_X[ego]]`, for any row set, so no
+    (rows x covariates) float block is ever stored.
+    """
 
     ego: np.ndarray
     day: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
     X: np.ndarray
+    node_X: np.ndarray
     names: tuple
     core_idx: tuple
     levels: tuple
@@ -180,22 +221,38 @@ class TreatmentPanel:
         for arr in (self.day, self.treatment, self.outcome):
             if len(arr) != n:
                 raise DataError("panel columns have mismatched lengths")
-        if self.X.shape != (n, len(self.names)):
-            raise DataError("covariate matrix does not match the schema")
+        if (
+            self.X.ndim != 2
+            or len(self.X) != n
+            or self.node_X.ndim != 2
+            or self.X.shape[1] > self.node_X.shape[1]  # a degree for each count
+            or 2 * self.X.shape[1] + self.node_X.shape[1] != len(self.names)
+        ):
+            raise DataError("covariate blocks do not match the schema")
         if n:
             if self.outcome.min() < 0 or self.outcome.max() > 1:
                 raise DataError("outcomes must be 0/1")
             if self.treatment.min() < 0 or self.treatment.max() >= len(self.levels):
                 raise DataError("treatment codes outside the level set")
-            keys = np.sort(self.ego.astype(np.int64) * (self.day.max() + 1) + self.day)
-            if np.any(keys[1:] == keys[:-1]):
+            if self.ego.min() < 0 or self.ego.max() >= len(self.node_X):
+                raise DataError("panel egos outside the node block")
+            order = np.lexsort((self.ego, self.day))
+            e, d = self.ego[order], self.day[order]
+            if np.any((e[1:] == e[:-1]) & (d[1:] == d[:-1])):
                 raise DataError("duplicate (ego, day) rows in panel")
-        for arr in (self.ego, self.day, self.treatment, self.outcome, self.X):
+        for arr in (self.ego, self.day, self.treatment, self.outcome, self.X, self.node_X):
             arr.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
         return len(self.ego)
+
+    def covariates(self, rows, out=None) -> np.ndarray:
+        """Float covariate rows (columns as `names`) for the given row indices,
+        written into `out` when given."""
+        return _covariate_rows(
+            np.take(self.X, rows, axis=0), self.node_X, np.take(self.ego, rows), out
+        )
 
     def days(self) -> np.ndarray:
         """Distinct days, ascending (sort plus mask: 1-D np.unique hashes)."""
@@ -208,11 +265,12 @@ class TreatmentPanel:
         """(day, ascending row indices) for each distinct day, ascending.
 
         One stable argsort of the day column, so grouping costs O(n log n)
-        once instead of a full-column scan per day.
+        once instead of a full-column scan per day; the indices are kept in
+        the narrowest int dtype that holds them.
         """
         if self.n_rows == 0:
             return []
-        order = np.argsort(self.day, kind="stable")
+        order = np.argsort(self.day, kind="stable").astype(_int_dtype(0, self.n_rows))
         d = self.day[order]
         bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1], True])
         return [(int(d[a]), order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -230,27 +288,30 @@ def build_panel(
 ) -> TreatmentPanel:
     """Assemble the daily risk-set panel for one treatment design.
 
-    Egos leave the risk set the day after adopting; covariates come from
-    `covariates.values(day)` (measured `lag` days earlier) and must predate
-    the treatment window.
+    Egos leave the risk set the day after adopting; each row's counts come
+    from `covariates.counts(day, risk set)` (measured `lag` days earlier) and
+    must predate the treatment window. Rows are stored in the narrowest int
+    dtypes that hold the node ids, days and degrees.
     """
     if isinstance(kind, PlaceboPermuted):
         base = build_panel(g, log, covariates, kind.base, days=days)
         return permute_within_day(base, kind.seed, label=kind.label)
 
-    lag = getattr(covariates, "lag", None)
-    if isinstance(kind, Timing) and lag is not None and lag <= kind.d:
+    lag = covariates.lag
+    if isinstance(kind, Timing) and lag <= kind.d:
         raise DataError(
             f"covariate lag {lag} does not predate the {kind.d}-day treatment window"
         )
-    if isinstance(kind, Dose) and lag is not None and lag < DOSE_WINDOW:
+    if isinstance(kind, Dose) and lag < DOSE_WINDOW:
         raise DataError(
             f"covariate lag {lag} does not predate the {DOSE_WINDOW}-day dose window"
         )
+    if len(covariates.node_X) != g.node_count:
+        raise DataError("covariate table does not cover every node")
 
     first, last = log.first_day, log.last_day
     if days is None:
-        start = first + (lag if lag is not None else DOSE_WINDOW)
+        start = first + lag
         if start > last:
             raise DataError("log horizon too short for the covariate lag")
         days = range(start, last + 1)
@@ -268,6 +329,8 @@ def build_panel(
     else:
         raise DataError(f"unknown treatment kind {kind!r}")
     index = ExposureIndex(getattr(g, f"{kind.direction}_csr")(), log.adoption_day)
+    ego_t = _int_dtype(0, g.node_count)
+    day_t = _int_dtype(first, last)
 
     egos, day_col, treat, out, xs = [], [], [], [], []
     for D in days:
@@ -281,32 +344,23 @@ def build_panel(
         if isinstance(kind, Dose):
             codes = np.minimum(cnt, len(DOSE_LEVELS) - 1)
         else:
-            codes = (cnt > 0).astype(np.int64)
-        Xd = covariates.values(D)
-        if Xd.shape[0] != g.node_count:
-            raise DataError("covariate matrix does not cover every node")
-        egos.append(risk)
-        day_col.append(np.full(risk.size, D, dtype=np.int64))
-        treat.append(codes)
-        out.append((ad[risk] == D).astype(np.int64))
-        xs.append(Xd[risk])
+            codes = cnt > 0
+        egos.append(risk.astype(ego_t))
+        day_col.append(np.full(risk.size, D, dtype=day_t))
+        treat.append(codes.astype(np.int8))
+        out.append((ad[risk] == D).astype(np.int8))
+        xs.append(covariates.counts(D, risk))
     if not egos:
         raise DataError("empty panel: no risk-set rows on the requested days")
-    names = getattr(covariates, "names", None)
-    core = getattr(covariates, "core_idx", None)
-    X = np.concatenate(xs)
-    if names is None:
-        names = tuple(f"cov_{i + 1}" for i in range(X.shape[1]))
-    if core is None:
-        core = tuple(range(min(len(CORE_COVARIATES), X.shape[1])))
     return TreatmentPanel(
         ego=np.concatenate(egos),
         day=np.concatenate(day_col),
         treatment=np.concatenate(treat),
         outcome=np.concatenate(out),
-        X=X,
-        names=tuple(names),
-        core_idx=tuple(core),
+        X=np.concatenate(xs),
+        node_X=covariates.node_X,
+        names=covariates.names,
+        core_idx=covariates.core_idx,
         levels=levels,
         kind_label=kind.label,
     )
@@ -319,19 +373,14 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
     for _, idx in panel.rows_by_day():
         treat[idx] = treat[idx][rng.permutation(idx.size)]
     return replace(
-        panel,
-        ego=np.array(panel.ego),
-        day=np.array(panel.day),
-        treatment=treat,
-        outcome=np.array(panel.outcome),
-        X=np.array(panel.X),
-        kind_label=label if label is not None else panel.kind_label,
+        panel, treatment=treat, kind_label=label if label is not None else panel.kind_label
     )
 
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Fitted treatment model: per-row probabilities and realized-level logits."""
+    """Fitted treatment model: per-row level probabilities (`level_logits`
+    turns one level's into logits)."""
 
     kind: str  # "binary" | "multinomial"
     levels: tuple
@@ -340,13 +389,15 @@ class PropensityModel:
     mean: np.ndarray
     scale: np.ndarray
     probs: np.ndarray  # (n_rows, n_levels); absent levels get zero columns
-    logits: np.ndarray  # logit of each row's realized-level probability
     auc: float | None
     iterations: int
+    step_halvings: int = 0  # line-search halvings over all Newton iterations
 
     def level_logits(self, level: int) -> np.ndarray:
         p = np.clip(self.probs[:, level], 1e-12, 1 - 1e-12)
-        return np.log(p) - np.log1p(-p)
+        logits = np.log(p)
+        logits -= np.log1p(np.negative(p, out=p), out=p)  # p is not read again
+        return logits
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
@@ -358,9 +409,39 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
     return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
-def _penalized_nll_binary(D, y, theta, pen):
-    eta = D @ theta
-    return float(np.logaddexp(0.0, eta).sum() - y @ eta + 0.5 * (pen * theta * theta).sum())
+def _moments(panel: TreatmentPanel, groups, cols):
+    """Mean, SD (1 where it is 0) and centered cross-product sums of the
+    covariate columns `cols`.
+
+    All three are summed over `groups` (row-index blocks, one per day), so
+    only one block of float rows exists at a time.
+    """
+    total = np.zeros(len(cols))
+    for rows in groups:
+        total += panel.covariates(rows)[:, cols].sum(axis=0)
+    n = max(panel.n_rows, 1)
+    mean = total / n
+    cross = np.zeros((len(cols), len(cols)))
+    for rows in groups:
+        C = panel.covariates(rows)[:, cols] - mean
+        cross += C.T @ C
+    sd = np.sqrt(np.diag(cross) / n)
+    return mean, np.where(sd == 0, 1.0, sd), cross
+
+
+def _line_search(objective, nll):
+    """Halve t from 1 until `objective(t)` does not exceed `nll` (30 tries).
+
+    Returns (t, objective(t), halvings); when every try fails, the last,
+    smallest step is taken anyway.
+    """
+    t = 1.0
+    for halvings in range(30):
+        new = objective(t)
+        if new <= nll + 1e-12:
+            return t, new, halvings
+        t *= 0.5
+    return t, objective(t), 30
 
 
 def fit_propensity(
@@ -379,6 +460,12 @@ def fit_propensity(
     most `tol` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a direction the
     covariates leave unidentified cannot hold it open. Requires at least
     two levels meeting the row floor.
+
+    The standardization, gradient, Hessian and step direction are summed
+    over one day's design block `D = [1, Z]` at a time; only per-row
+    vectors (linear predictors, probabilities) span the panel. A line-search
+    candidate's predictors are `eta + t * (D @ step)`, so trying a step
+    builds no block.
     """
     from scipy.special import expit  # deferred: costs ~0.3 s to import
 
@@ -389,53 +476,68 @@ def fit_propensity(
             f"level counts {counts.tolist()}"
         )
     classes = tuple(int(c) for c in np.flatnonzero(counts > 0))
-    mean = panel.X.mean(axis=0)
-    scale = panel.X.std(axis=0)
-    scale = np.where(scale == 0, 1.0, scale)
-    Z = (panel.X - mean) / scale
-    n, p = Z.shape
-    D = np.column_stack([np.ones(n), Z])
-    pen = np.full(p + 1, ridge)
+    groups = [rows for _, rows in panel.rows_by_day()]
+    n, p = panel.n_rows, len(panel.names)
+    mean, scale, _ = _moments(panel, groups, list(range(p)))
+
+    def design(rows):
+        D = np.empty((len(rows), p + 1), order="F")
+        D[:, 0] = 1.0
+        Z = panel.covariates(rows, out=D[:, 1:])
+        Z -= mean
+        Z /= scale
+        return D
+
+    def along(steps):
+        """`D @ s` for each row s of `steps`, for every row of the panel."""
+        out = np.empty((len(steps), n))
+        for rows in groups:
+            out[:, rows] = steps @ design(rows).T
+        return out
+
+    q = p + 1
+    pen = np.full(q, ridge)
     pen[0] = 0.0  # intercept unpenalized
-    y = np.searchsorted(np.asarray(classes), panel.treatment)
     K = len(classes)
+    halvings = 0
 
     if K == 2:
-        yb = (y == 1).astype(float)
-        theta = np.zeros(p + 1)
-        nll = _penalized_nll_binary(D, yb, theta, pen)
+        yb = panel.treatment == classes[1]
+        nll_of = lambda eta, th: float(
+            np.logaddexp(0.0, eta).sum() - eta[yb].sum() + 0.5 * (pen * th * th).sum()
+        )
+
+        def newton_system(eta, theta):
+            prob = expit(eta)
+            resid, w = yb - prob, prob * (1.0 - prob)
+            grad, H = -pen * theta, np.diag(pen)
+            for rows in groups:
+                D = design(rows)
+                grad += D.T @ resid[rows]
+                H += D.T @ (D * w[rows, None])
+            return grad, H
+
+        theta = np.zeros(q)
+        eta = np.zeros(n)
+        nll = nll_of(eta, theta)
         it = 0
         for it in range(1, max_iter + 1):
-            eta = D @ theta
-            prob = expit(eta)
-            grad = D.T @ (yb - prob) - pen * theta
-            w = prob * (1.0 - prob)
-            H = D.T @ (D * w[:, None]) + np.diag(pen)
+            grad, H = newton_system(eta, theta)
             step = np.linalg.solve(H, grad)
             if 0.5 * (grad @ step) <= tol:
                 break
-            t = 1.0
-            for _ in range(30):
-                cand = theta + t * step
-                new = _penalized_nll_binary(D, yb, cand, pen)
-                if new <= nll + 1e-12:
-                    theta, nll = cand, new
-                    break
-                t *= 0.5
-            else:  # every halving failed: take the last, smaller step anyway
-                theta = theta + t * step
-                nll = _penalized_nll_binary(D, yb, theta, pen)
+            delta = along(step[None])[0]
+            t, nll, h = _line_search(lambda t: nll_of(eta + t * delta, theta + t * step), nll)
+            theta, eta = theta + t * step, eta + t * delta
+            halvings += h
+            del delta  # one per-row vector fewer through the next block pass
         else:
             raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
-        eta = D @ theta
-        p1 = expit(eta)
+        auc = _rank_auc(eta, yb)
         probs = np.zeros((n, len(panel.levels)))
+        p1 = expit(eta, out=eta)  # eta is not read again
         probs[:, classes[0]] = 1.0 - p1
         probs[:, classes[1]] = p1
-        realized = np.where(yb == 1, p1, 1.0 - p1)
-        realized = np.clip(realized, 1e-12, 1 - 1e-12)
-        logits = np.log(realized) - np.log1p(-realized)
-        auc = _rank_auc(eta, yb == 1)
         return PropensityModel(
             kind="binary",
             levels=panel.levels,
@@ -444,70 +546,66 @@ def fit_propensity(
             mean=mean,
             scale=scale,
             probs=probs,
-            logits=logits,
             auc=auc,
             iterations=it,
+            step_halvings=halvings,
         )
 
-    # multinomial: reference class = classes[0], parameters for the rest
-    q = p + 1
-    theta = np.zeros((K - 1) * q)
+    # multinomial: reference class = classes[0], parameters for the rest;
+    # E holds the K-1 non-reference linear predictors, class-major, so every
+    # reduction over classes runs along the first axis
+    y = np.searchsorted(np.asarray(classes), panel.treatment)
     pen_full = np.tile(pen, K - 1)
-    Y = np.zeros((n, K))
-    Y[np.arange(n), y] = 1.0
+    others = np.arange(1, K)[:, None]
 
-    def probs_of(th):
-        T = th.reshape(K - 1, q)
-        eta = np.column_stack([np.zeros(n), D @ T.T])
-        eta -= eta.max(axis=1, keepdims=True)
+    def probs_of(E):
+        eta = np.vstack([np.zeros(n), E])
+        eta -= eta.max(axis=0)
         e = np.exp(eta)
-        return e / e.sum(axis=1, keepdims=True)
+        return e / e.sum(axis=0)
 
-    def pnll(th):
-        P = probs_of(th)
-        ll = np.log(np.clip(P[np.arange(n), y], 1e-300, None)).sum()
+    def pnll(E, th):
+        P = probs_of(E)
+        ll = np.log(np.clip(P[y, np.arange(n)], 1e-300, None)).sum()
         return float(-ll + 0.5 * (pen_full * th * th).sum())
 
-    nll = pnll(theta)
+    def newton_system(E, theta):
+        P = probs_of(E)[1:]
+        grad, H = -pen_full * theta, np.diag(pen_full)
+        for rows in groups:
+            D = design(rows)
+            Pd = P[:, rows]
+            # gradient block k is D' r_k; Hessian block (k, l) is
+            # D' diag(p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'S_l,
+            # where S_k = D * p_k; so two products cover every block
+            grad += (((y[rows] == others) - Pd) @ D).ravel()
+            S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(rows), -1)
+            H -= S.T @ S
+            DS = D.T @ S
+            for k in range(K - 1):
+                H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
+        return grad, H
+
+    theta = np.zeros((K - 1) * q)
+    E = np.zeros((K - 1, n))
+    nll = pnll(E, theta)
     it = 0
     for it in range(1, max_iter + 1):
-        P = probs_of(theta)
-        grad = np.empty((K - 1) * q)
-        for k in range(1, K):
-            gk = D.T @ (Y[:, k] - P[:, k])
-            grad[(k - 1) * q : k * q] = gk
-        grad -= pen_full * theta
-        H = np.zeros(((K - 1) * q, (K - 1) * q))
-        for k in range(1, K):
-            for l in range(k, K):
-                w = P[:, k] * ((1.0 if k == l else 0.0) - P[:, l])
-                blk = D.T @ (D * w[:, None])
-                H[(k - 1) * q : k * q, (l - 1) * q : l * q] = blk
-                if l != k:
-                    H[(l - 1) * q : l * q, (k - 1) * q : k * q] = blk
-        H += np.diag(pen_full)
+        grad, H = newton_system(E, theta)
         step = np.linalg.solve(H, grad)
         if 0.5 * (grad @ step) <= tol:
             break
-        t = 1.0
-        for _ in range(30):
-            cand = theta + t * step
-            new = pnll(cand)
-            if new <= nll + 1e-12:
-                theta, nll = cand, new
-                break
-            t *= 0.5
-        else:  # every halving failed: take the last, smaller step anyway
-            theta = theta + t * step
-            nll = pnll(theta)
+        delta = along(step.reshape(K - 1, q))
+        t, nll, h = _line_search(lambda t: pnll(E + t * delta, theta + t * step), nll)
+        theta, E = theta + t * step, E + t * delta
+        halvings += h
+        del delta
     else:
         raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
-    P = probs_of(theta)
+    P = probs_of(E)
     probs = np.zeros((n, len(panel.levels)))
     for j, c in enumerate(classes):
-        probs[:, c] = P[:, j]
-    realized = np.clip(P[np.arange(n), y], 1e-12, 1 - 1e-12)
-    logits = np.log(realized) - np.log1p(-realized)
+        probs[:, c] = P[j]
     return PropensityModel(
         kind="multinomial",
         levels=panel.levels,
@@ -516,9 +614,9 @@ def fit_propensity(
         mean=mean,
         scale=scale,
         probs=probs,
-        logits=logits,
         auc=None,
         iterations=it,
+        step_halvings=halvings,
     )
 
 
@@ -564,29 +662,33 @@ class MatchRun:
 class _MatchContext:
     """Panel-wide quantities shared by every day's matching pass.
 
-    `Z` is the standardized core block. `W = Z @ L`, where `L Lᵀ` is the
-    Cholesky factorization of the inverse covariance `VI`, so the
-    Mahalanobis distance `diffᵀ·VI·diff` of two rows is the squared
-    Euclidean distance of their `W` rows (`_sq_dist`).
+    The core block is standardized with its panel mean and SD, and `L` is
+    the Cholesky factor of the inverse covariance `VI` of the standardized
+    block (`L Lᵀ = VI`), so the Mahalanobis distance `diffᵀ·VI·diff` of two
+    rows is the squared Euclidean distance of their `Z·L` rows (`_sq_dist`).
+    All three come from per-day sums; `block(rows)` builds one day's `Z` and
+    `W = Z·L` when that day is matched.
     """
 
     def __init__(self, panel, model, level, core):
         self.panel = panel
         self.scores = model.level_logits(level)
-        C = np.asarray(panel.X[:, list(core)], dtype=float)
-        mu = C.mean(axis=0) if len(C) else np.zeros(C.shape[1])
-        sd = C.std(axis=0) if len(C) else np.ones(C.shape[1])
-        C -= mu  # in place: indexing already made a copy
-        C /= np.where(sd == 0, 1.0, sd)
-        self.Z = C
-        if len(self.Z) >= 2:
-            S = np.cov(self.Z, rowvar=False, ddof=1)
-            S = np.atleast_2d(S) + 1e-9 * np.eye(self.Z.shape[1])
-            VI = np.linalg.inv(S)
+        self.core = list(core)
+        self.groups = panel.rows_by_day()
+        n = panel.n_rows
+        self.mu, self.sd, cross = _moments(panel, [rows for _, rows in self.groups], self.core)
+        if n >= 2:
+            S = cross / (n - 1) / np.outer(self.sd, self.sd)
+            VI = np.linalg.inv(S + 1e-9 * np.eye(len(self.core)))
         else:
-            VI = np.eye(self.Z.shape[1])
+            VI = np.eye(len(self.core))
+        self.L = np.linalg.cholesky(VI)
+
+    def block(self, rows):
+        """(Z, W) for the given rows: the standardized core block and `Z·L`."""
+        Z = (self.panel.covariates(rows)[:, self.core] - self.mu) / self.sd
         # (Lᵀ Zᵀ)ᵀ is column-major, so `_sq_dist` reads each column contiguously
-        self.W = (np.linalg.cholesky(VI).T @ self.Z.T).T
+        return Z, (self.L.T @ Z.T).T
 
 
 def _sq_dist(W, a, b):
@@ -621,10 +723,12 @@ def _caliper_windows(sc, st, caliper):
 _WINDOW_CHUNK = 1 << 20
 
 
-def _window_picks(ctx, t_rows, c_rows, caliper):
-    """Greedy picks over caliper windows: (treated rows, control rows, distances).
+def _window_picks(W, s, ego, t, c, caliper):
+    """Greedy picks over caliper windows: (treated, control, distances).
 
-    A distance does not depend on which controls are still free, so every
+    `W`, `s` and `ego` are one day's whitened rows, logits and egos; `t`
+    (ascending ego) and `c` index them, and so do the returned picks. A
+    distance does not depend on which controls are still free, so every
     (treated, control) pair in the windows is scored once. Each treated
     ego's first choice, its least (distance, control ego), comes from two
     `minimum.reduceat` passes; only an ego whose first choice is taken
@@ -633,9 +737,9 @@ def _window_picks(ctx, t_rows, c_rows, caliper):
     # controls in ascending logit order, so each caliper is one slice;
     # (distance, control ego) fully orders candidates, so their order does
     # not change the pick
-    c_rows = c_rows[np.argsort(ctx.scores[c_rows], kind="stable")]
-    st, sc = ctx.scores[t_rows], ctx.scores[c_rows]
-    c_ego = ctx.panel.ego[c_rows]
+    c = c[np.argsort(s[c], kind="stable")]
+    st, sc = s[t], s[c]
+    c_ego = ego[c]
     lo, hi = _caliper_windows(sc, st, caliper)
     lens = hi - lo
     by_ego = np.argsort(c_ego, kind="stable")
@@ -649,25 +753,25 @@ def _window_picks(ctx, t_rows, c_rows, caliper):
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, st.size]):
         n = lens[a:b]
         seg = np.repeat(np.arange(a, b), n)  # treated index of each entry
-        c = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
-        ok = np.abs(sc[c] - st[seg]) <= caliper  # the exact caliper test
-        seg, c = seg[ok], c[ok]
+        k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
+        ok = np.abs(sc[k] - st[seg]) <= caliper  # the exact caliper test
+        seg, k = seg[ok], k[ok]
         if seg.size == 0:
             continue
-        md = np.sqrt(_sq_dist(ctx.W, c_rows[c], t_rows[seg]))
+        md = np.sqrt(_sq_dist(W, c[k], t[seg]))
         starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         ends = np.r_[starts[1:], seg.size]
         best = np.minimum.reduceat(md, starts)
-        tied = np.where(md == np.repeat(best, ends - starts), ego_rank[c], c_ego.size)
+        tied = np.where(md == np.repeat(best, ends - starts), ego_rank[k], c_ego.size)
         first = by_ego[np.minimum.reduceat(tied, starts)]
         for i, j, d, s0, s1 in zip(
             seg[starts].tolist(), first.tolist(), best.tolist(), starts.tolist(), ends.tolist()
         ):
             if used[j]:
-                cand = c[s0:s1]
-                for k in np.lexsort((c_ego[cand], md[s0:s1])).tolist():
-                    if not used[cand[k]]:
-                        j, d = int(cand[k]), float(md[s0 + k])
+                cand = k[s0:s1]
+                for m in np.lexsort((c_ego[cand], md[s0:s1])).tolist():
+                    if not used[cand[m]]:
+                        j, d = int(cand[m]), float(md[s0 + m])
                         break
                 else:
                     continue
@@ -677,20 +781,21 @@ def _window_picks(ctx, t_rows, c_rows, caliper):
             dist.append(d)
             n_free -= 1
             if n_free == 0:
-                return t_rows[ti], c_rows[cj], dist
-    return t_rows[ti], c_rows[cj], dist
+                return t[ti], c[cj], dist
+    return t[ti], c[cj], dist
 
 
-def _shortlist_picks(ctx, t_rows, c_rows, caliper, shortlist):
+def _shortlist_picks(Z, W, s, ego, t, c, caliper, shortlist):
     """Greedy picks among each treated ego's `shortlist` Euclidean-nearest
-    free controls (on `Z`), scanned one ego at a time."""
-    st, sc = ctx.scores[t_rows], ctx.scores[c_rows]
-    c_ego = ctx.panel.ego[c_rows]
-    Zt = ctx.Z[t_rows]
-    Zc = ctx.Z[c_rows]
-    available = np.ones(c_rows.size, dtype=bool)
+    free controls (on `Z`), scanned one ego at a time; indices as in
+    `_window_picks`."""
+    st, sc = s[t], s[c]
+    c_ego = ego[c]
+    Zt = Z[t]
+    Zc = Z[c]
+    available = np.ones(c.size, dtype=bool)
     ti, cj, dist = [], [], []
-    for i in range(t_rows.size):
+    for i in range(t.size):
         avail = np.flatnonzero(available)
         if avail.size == 0:
             break
@@ -703,13 +808,13 @@ def _shortlist_picks(ctx, t_rows, c_rows, caliper, shortlist):
         cand = cand[np.abs(sc[cand] - st[i]) <= caliper]
         if cand.size == 0:
             continue
-        md = np.sqrt(_sq_dist(ctx.W, c_rows[cand], t_rows[i]))
+        md = np.sqrt(_sq_dist(W, c[cand], t[i]))
         k = np.lexsort((c_ego[cand], md))[0]
         available[cand[k]] = False
         ti.append(i)
         cj.append(int(cand[k]))
         dist.append(float(md[k]))
-    return t_rows[ti], c_rows[cj], dist
+    return t[ti], c[cj], dist
 
 
 def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
@@ -719,30 +824,32 @@ def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
     s = ctx.scores[rows]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
-    t_rows = rows[panel.treatment[rows] == level]
-    c_rows = rows[panel.treatment[rows] == control_level]
-    if t_rows.size == 0 or c_rows.size == 0:
-        return DayMatchResult(
-            day, (), int(t_rows.size), 0, "insufficient treated or control counts"
-        )
-    t_rows = t_rows[np.argsort(panel.ego[t_rows], kind="stable")]
+    treat = panel.treatment[rows]
+    t = np.flatnonzero(treat == level)
+    c = np.flatnonzero(treat == control_level)
+    if t.size == 0 or c.size == 0:
+        return DayMatchResult(day, (), int(t.size), 0, "insufficient treated or control counts")
+    ego = panel.ego[rows]
+    t = t[np.argsort(ego[t], kind="stable")]
+    Z, W = ctx.block(rows)
     if shortlist is None:
-        tr, cr, dist = _window_picks(ctx, t_rows, c_rows, caliper)
+        ti, cj, dist = _window_picks(W, s, ego, t, c, caliper)
     else:
-        tr, cr, dist = _shortlist_picks(ctx, t_rows, c_rows, caliper, shortlist)
+        ti, cj, dist = _shortlist_picks(Z, W, s, ego, t, c, caliper, shortlist)
+    tr, cr = rows[ti], rows[cj]
     pairs = tuple(
         map(
             MatchedPair,
             [int(day)] * tr.size,
             panel.ego[tr].tolist(),
             panel.ego[cr].tolist(),
-            (ctx.scores[tr] - ctx.scores[cr]).tolist(),
+            (s[ti] - s[cj]).tolist(),
             dist,
             panel.outcome[tr].tolist(),
             panel.outcome[cr].tolist(),
         )
     )
-    return DayMatchResult(day, pairs, int(t_rows.size), len(pairs), None)
+    return DayMatchResult(day, pairs, int(t.size), len(pairs), None)
 
 
 def match_day(
@@ -780,7 +887,7 @@ def match_all_days(
     ctx = _MatchContext(panel, model, level, core)
     results = [
         _match_day(ctx, D, rows, caliper_mult, level, control_level, shortlist)
-        for D, rows in panel.rows_by_day()
+        for D, rows in ctx.groups
     ]
     return MatchRun(tuple(results))
 

@@ -348,14 +348,11 @@ def test_degree_order_direction(announce):
 def _stub_model(panel, logits_by_row):
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
-    realized = np.clip(np.where(panel.treatment == 1, p1, 1 - p1),
-                       1e-12, 1 - 1e-12)
     return PropensityModel(
         kind="binary", levels=panel.levels, classes=(0, 1),
-        coef=np.zeros((1, panel.X.shape[1] + 1)),
-        mean=np.zeros(panel.X.shape[1]), scale=np.ones(panel.X.shape[1]),
-        probs=probs, logits=np.log(realized / (1 - realized)),
-        auc=None, iterations=1,
+        coef=np.zeros((1, len(panel.names) + 1)),
+        mean=np.zeros(len(panel.names)), scale=np.ones(len(panel.names)),
+        probs=probs, auc=None, iterations=1,
     )
 
 
@@ -367,7 +364,8 @@ def _micro_panel(seed, n_treated=3, n_control=5, p=3):
         day=np.full(n, 4, dtype=np.int64),
         treatment=np.array([1] * n_treated + [0] * n_control, dtype=np.int64),
         outcome=rng.integers(0, 2, n),
-        X=rng.normal(size=(n, p)),
+        X=np.zeros((n, 0), dtype=np.int8),  # no count columns: all in node_X
+        node_X=rng.normal(size=(n, p)),
         names=tuple(f"c{i}" for i in range(p)),
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
@@ -378,7 +376,7 @@ def _micro_panel(seed, n_treated=3, n_control=5, p=3):
 def _oracle_greedy(panel, model, caliper_mult=0.1):
     scores = model.level_logits(1)
     caliper = caliper_mult * float(np.std(scores, ddof=1))
-    C = panel.X[:, list(panel.core_idx)]
+    C = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
     Z = (C - C.mean(axis=0)) / np.where(C.std(axis=0) == 0, 1.0,
                                         C.std(axis=0))
     S = np.cov(Z, rowvar=False, ddof=1) + 1e-9 * np.eye(Z.shape[1])

@@ -1,5 +1,6 @@
 """Cascade engine: rule arithmetic, determinism, stop rule, dedup."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from contagion_lab.cascade import (
     simple_probability,
     write_events,
 )
+from contagion_lab.errors import ParseError
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.rngstream import REALIZATION, stream
 from contagion_lab.shocks import ShockSchedule, shock_intensity
@@ -371,6 +373,28 @@ def test_events_jsonl_round_trip(tmp_path):
             y.realization,
         )
         assert np.array_equal(x.features, y.features)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(mechanism="Shock", fired=["Simple"], day=-5, node=-3), "not in its fired set"),
+        (dict(node=-3), "node -3"),
+        (dict(day=-5), "day -5"),
+        (dict(realization=-1), "realization -1"),
+    ],
+    ids=["edited record", "negative node", "negative day", "negative realization"],
+)
+def test_read_events_rejects_records_the_engine_never_writes(tmp_path, change, message):
+    g, p = make_world(3)
+    path = tmp_path / "events.jsonl"
+    write_events(run_realization(g, p, seed=10, seeds=[0], horizon_days=25), path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **change})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        read_events(path)
+    assert (err.value.path, err.value.line) == (str(path), 2)
 
 
 def test_events_to_log():

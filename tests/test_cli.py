@@ -279,9 +279,12 @@ def test_simulate_bad_seed_count_is_data_error(world, tmp_path, capsys, count):
         lambda d: d.update(fired=["Simple", "Viral"]),
         lambda d: d.update(node=10**23),
         lambda d: d.update(features=[10**400] + d["features"][1:]),
+        lambda d: d.update(mechanism="Shock", fired=["Simple"], day=-5, node=-3),
+        lambda d: d.update(node=-3),
+        lambda d: d.update(day=-5),
     ],
     ids=["five features", "unknown mechanism", "unknown fired", "node past int64",
-         "feature past float"],
+         "feature past float", "edited record", "negative node", "negative day"],
 )
 def test_train_malformed_events_is_parse_error(world, tmp_path, capsys, change):
     lines = open(world["events"]).read().splitlines()
@@ -414,6 +417,7 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     assert str(risk) in m["outputs"]
     assert m["summary"]["n_days_skipped_by_reason"] == {}
     assert m["summary"]["n_days_skipped"] == 0
+    assert type(m["summary"]["propensity_step_halvings"]) is int
 
 
 def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):
@@ -463,6 +467,31 @@ def test_calibrate_writes_pools_and_params(world, tmp_path):
 
     mp = MechanismParams.from_json(params)
     assert mp.n_nodes == DirectedGraph.load(world["graph"]).node_count
+
+
+def test_calibrate_builds_the_eve_counts_once(world, tmp_path, monkeypatch):
+    from contagion_lab import calibrate
+
+    builds = []
+
+    class CountedIndex(calibrate.ExposureIndex):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(calibrate, "ExposureIndex", CountedIndex)
+    counted = tmp_path / "counted.json"
+    assert run(["calibrate", "--graph", world["graph"], "--log", world["log"],
+                "--out", counted]) == 0
+    assert len(builds) == 1
+    # each calibrator on its own (building its own index) gives the same pools
+    g = DirectedGraph.load(world["graph"])
+    log = calibrate.AdoptionLog.from_csv(world["log"], g)
+    payload = json.load(open(counted))
+    assert payload["beta"]["values"] == calibrate.calibrate_transmission(g, log).values.tolist()
+    assert payload["phi"]["values"] == calibrate.calibrate_thresholds(g, log).values.tolist()
+    assert payload["r"] == calibrate.calibrate_background(g, log)
+    assert len(builds) == 4
 
 
 def test_report_flags_missing_outputs(tmp_path, capsys):

@@ -40,6 +40,12 @@ from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.synthgen import SynthConfig, gen_graph, gen_homophily_adoptions, gen_traits
 
 
+def no_counts(n):
+    """The count block of a panel whose covariates all sit in its node block:
+    each fixture below with one row per ego passes its float rows as `node_X`."""
+    return np.zeros((n, 0), dtype=np.int8)
+
+
 # ---------------------------------------------------------------- risk tables
 
 def test_risk_table_zero_cell_correction():
@@ -279,7 +285,8 @@ def random_panel(n, p, seed, treat_rule):
         day=np.zeros(n, dtype=np.int64),
         treatment=t,
         outcome=rng.integers(0, 2, n),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=tuple(f"c{i}" for i in range(p)),
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
@@ -294,7 +301,8 @@ def test_panel_duplicate_rows_and_days():
             day=np.array(day, dtype=np.int64),
             treatment=np.zeros(n, dtype=np.int64),
             outcome=np.zeros(n, dtype=np.int64),
-            X=np.zeros((n, 1)),
+            X=no_counts(n),
+            node_X=np.zeros((4, 1)),
             names=("a",),
             core_idx=(0,),
             levels=BINARY_LEVELS,
@@ -332,7 +340,8 @@ def test_propensity_recovers_coefficients():
         day=np.zeros(n, dtype=np.int64),
         treatment=t,
         outcome=np.zeros(n, dtype=np.int64),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=("a", "b", "c"),
         core_idx=(0, 1, 2),
         levels=BINARY_LEVELS,
@@ -360,7 +369,8 @@ def test_propensity_multinomial_probabilities():
         day=np.zeros(n, dtype=np.int64),
         treatment=t,
         outcome=np.zeros(n, dtype=np.int64),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=("a", "b", "c"),
         core_idx=(0, 1, 2),
         levels=("0", "1", "2", "3", "3+"),
@@ -370,7 +380,8 @@ def test_propensity_multinomial_probabilities():
     present = model.probs[:, list(model.classes)]
     assert np.all(np.abs(present.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(present > 0) and np.all(present < 1)
-    assert np.all(np.isfinite(model.logits))
+    for level in model.classes:
+        assert np.all(np.isfinite(model.level_logits(level)))
 
 
 @pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
@@ -392,7 +403,8 @@ def test_propensity_converges_with_a_collinear_column(levels):
             day=np.zeros(n, dtype=np.int64),
             treatment=np.digitize(s, cuts).astype(np.int64),
             outcome=np.zeros(n, dtype=np.int64),
-            X=X,
+            X=no_counts(len(X)),
+            node_X=X,
             names=("a", "b", "c", "a_plus_b"),
             core_idx=(0, 1, 2),
             levels=levels,
@@ -402,10 +414,130 @@ def test_propensity_converges_with_a_collinear_column(levels):
         assert model.iterations <= 10, seed
 
 
+def reference_fit_dense(X, treatment, ridge=1e-6, tol=1e-8, max_iter=100):
+    """The dense Newton fit that the per-day blocks replaced, kept as a
+    reference: it standardizes and holds the whole (rows x (p+1)) design and
+    its weighted copies. Returns (coef, mean, scale, iterations, halvings)."""
+    classes = np.flatnonzero(np.bincount(treatment))
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale == 0, 1.0, scale)
+    n, p = X.shape
+    D = np.column_stack([np.ones(n), (X - mean) / scale])
+    q = p + 1
+    K = len(classes)
+    pen = np.tile(np.r_[0.0, np.full(p, ridge)], K - 1)
+    Y = np.zeros((n, K))
+    Y[np.arange(n), np.searchsorted(classes, treatment)] = 1.0
+
+    def probs_of(th):
+        eta = np.column_stack([np.zeros(n), D @ th.reshape(K - 1, q).T])
+        e = np.exp(eta - eta.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def pnll(th):
+        ll = np.log(np.clip((probs_of(th) * Y).sum(axis=1), 1e-300, None)).sum()
+        return float(-ll + 0.5 * (pen * th * th).sum())
+
+    theta = np.zeros((K - 1) * q)
+    nll, halvings = pnll(theta), 0
+    for it in range(1, max_iter + 1):
+        P = probs_of(theta)
+        grad = np.concatenate([D.T @ (Y[:, k] - P[:, k]) for k in range(1, K)]) - pen * theta
+        H = np.diag(pen)
+        for k in range(1, K):
+            for l in range(1, K):
+                w = P[:, k] * ((k == l) - P[:, l])
+                H[(k - 1) * q : k * q, (l - 1) * q : l * q] += D.T @ (D * w[:, None])
+        step = np.linalg.solve(H, grad)
+        if 0.5 * (grad @ step) <= tol:
+            return theta.reshape(K - 1, q), mean, scale, it, halvings
+        t = 1.0
+        for _ in range(30):
+            new = pnll(theta + t * step)
+            if new <= nll + 1e-12:
+                break
+            t *= 0.5
+            halvings += 1
+        else:
+            new = pnll(theta + t * step)
+        theta, nll = theta + t * step, new
+    raise AssertionError("reference fit did not converge")
+
+
+def agreement_panels():
+    g, log, trait = homophily_world(2)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    yield build_panel(g, log, cov, Timing(d=3))
+    g, log, _ = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
+    yield build_panel(g, log, CovariateTable(g, log, lag=7), Dose())
+
+
+def test_per_day_fit_matches_the_dense_reference():
+    kinds = []
+    for panel in agreement_panels():
+        model = fit_propensity(panel, min_level_rows=5)
+        X = panel.covariates(np.arange(panel.n_rows))
+        coef, mean, scale, iterations, halvings = reference_fit_dense(X, panel.treatment)
+        assert np.abs(model.coef - coef).max() <= 1e-9 * np.abs(coef).max()
+        assert np.allclose(model.mean, mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(model.scale, scale, rtol=1e-12, atol=0)
+        assert (model.iterations, model.step_halvings) == (iterations, halvings)
+        kinds.append((model.kind, halvings))
+    # the dose design's fit halves one step, so the counter is compared too
+    assert kinds == [("binary", 0), ("multinomial", 1)]
+
+
+def test_line_search_counts_halvings():
+    t, value, halvings = matchlab._line_search(lambda t: (t - 0.1) ** 2, 0.01)
+    assert (t, halvings) == (0.125, 3) and value == (0.125 - 0.1) ** 2
+    t, value, halvings = matchlab._line_search(lambda t: 1.0 + t, 0.5)
+    assert (t, value, halvings) == (2.0**-30, 1.0 + 2.0**-30, 30)
+
+
+def test_fit_and_match_hold_no_panel_wide_design_block():
+    # about 2k nodes x 60 days: the dense fit held the standardized design,
+    # D = [1, Z] and D * w, each rows x (p + 1) floats, at every iteration
+    import tracemalloc
+
+    import scipy.special  # noqa: F401  (the fit's deferred import is not panel memory)
+
+    g, log, trait = homophily_world(1, n=2000, horizon=60)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Timing(d=3))
+    block = panel.n_rows * (len(panel.names) + 1) * 8
+    tracemalloc.start()
+    try:
+        model = fit_propensity(panel)
+        run = match_all_days(panel, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.n_rows > 50_000 and len(run.pairs) > 1000
+    assert peak < block, (peak, block)
+
+
+def test_panel_covariates_equal_table_values():
+    g, log, trait = homophily_world(3)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Timing(d=3))
+    for D, rows in panel.rows_by_day():
+        # the same helper builds both, so the rows are bit-identical
+        want = np.ascontiguousarray(cov.values(D)[panel.ego[rows]])
+        assert np.ascontiguousarray(panel.covariates(rows)).tobytes() == want.tobytes(), D
+    # ints only per row: 2-byte ego, 1-byte day, treatment and outcome,
+    # three 1- or 2-byte counts
+    row_bytes = sum(
+        a.itemsize * (a.shape[1] if a.ndim == 2 else 1)
+        for a in (panel.ego, panel.day, panel.treatment, panel.outcome, panel.X)
+    )
+    assert row_bytes <= 11
+
+
 def test_core_covariates_are_full_rank():
     g, log, _ = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
     panel = build_panel(g, log, CovariateTable(g, log, lag=7), Timing(d=3))
-    core = panel.X[:, list(panel.core_idx)]
+    core = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
     assert np.linalg.matrix_rank(core) == len(CORE_COVARIATES) == core.shape[1]
 
 
@@ -432,16 +564,14 @@ def stub_model(panel, logits_by_row):
     """Propensity stub with prescribed treated-probability logits."""
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
-    realized = np.clip(np.where(panel.treatment == 1, p1, 1 - p1), 1e-12, 1 - 1e-12)
     return PropensityModel(
         kind="binary",
         levels=panel.levels,
         classes=(0, 1),
-        coef=np.zeros((1, panel.X.shape[1] + 1)),
-        mean=np.zeros(panel.X.shape[1]),
-        scale=np.ones(panel.X.shape[1]),
+        coef=np.zeros((1, len(panel.names) + 1)),
+        mean=np.zeros(len(panel.names)),
+        scale=np.ones(len(panel.names)),
         probs=probs,
-        logits=np.log(realized / (1 - realized)),
         auc=None,
         iterations=1,
     )
@@ -457,7 +587,8 @@ def micro_panel(seed, n_treated=3, n_control=5, p=3):
         day=np.full(n, 4, dtype=np.int64),
         treatment=treatment,
         outcome=rng.integers(0, 2, n),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=tuple(f"c{i}" for i in range(p)),
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
@@ -471,7 +602,7 @@ def oracle_greedy(panel, model, caliper_mult=0.1):
     scores = model.level_logits(1)
     sd = float(np.std(scores, ddof=1))
     caliper = caliper_mult * sd
-    C = panel.X[:, list(panel.core_idx)]
+    C = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
     Z = (C - C.mean(axis=0)) / np.where(C.std(axis=0) == 0, 1.0, C.std(axis=0))
     S = np.cov(Z, rowvar=False, ddof=1) + 1e-9 * np.eye(Z.shape[1])
     VI = np.linalg.inv(S)
@@ -512,7 +643,8 @@ def test_identical_control_matches_at_zero():
         day=np.zeros(3, dtype=np.int64),
         treatment=np.array([1, 0, 0], dtype=np.int64),
         outcome=np.array([1, 0, 1], dtype=np.int64),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=("a", "b"),
         core_idx=(0, 1),
         levels=BINARY_LEVELS,
@@ -532,7 +664,8 @@ def test_caliper_excludes_distant_controls():
         day=np.zeros(4, dtype=np.int64),
         treatment=np.array([1, 1, 0, 0], dtype=np.int64),
         outcome=np.zeros(4, dtype=np.int64),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=("a", "b"),
         core_idx=(0, 1),
         levels=BINARY_LEVELS,
@@ -566,6 +699,7 @@ def test_day_without_controls_skipped():
         treatment=np.ones(panel.n_rows, dtype=np.int64),
         outcome=panel.outcome,
         X=panel.X,
+        node_X=panel.node_X,
         names=panel.names,
         core_idx=panel.core_idx,
         levels=panel.levels,
@@ -597,21 +731,23 @@ def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortl
     s = ctx.scores[rows]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
-    t_rows = rows[panel.treatment[rows] == level]
-    c_rows = rows[panel.treatment[rows] == control_level]
-    if t_rows.size == 0 or c_rows.size == 0:
+    t = np.flatnonzero(panel.treatment[rows] == level)
+    c = np.flatnonzero(panel.treatment[rows] == control_level)
+    if t.size == 0 or c.size == 0:
         return DayMatchResult(
-            day, (), int(t_rows.size), 0, "insufficient treated or control counts"
+            day, (), int(t.size), 0, "insufficient treated or control counts"
         )
-    t_rows = t_rows[np.argsort(panel.ego[t_rows], kind="stable")]
-    st = ctx.scores[t_rows]
-    sc = ctx.scores[c_rows]
-    Zt = ctx.Z[t_rows]
-    Zc = ctx.Z[c_rows]
-    c_ego = panel.ego[c_rows]
-    available = np.ones(c_rows.size, dtype=bool)
+    ego = panel.ego[rows]
+    t = t[np.argsort(ego[t], kind="stable")]
+    Z, W = ctx.block(rows)
+    st = s[t]
+    sc = s[c]
+    Zt = Z[t]
+    Zc = Z[c]
+    c_ego = ego[c]
+    available = np.ones(c.size, dtype=bool)
     pairs = []
-    for i in range(t_rows.size):
+    for i in range(t.size):
         avail = np.flatnonzero(available)
         if avail.size == 0:
             break
@@ -628,22 +764,22 @@ def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortl
             continue
         cand = cand[ok]
         diff = diff[ok]
-        md = np.sqrt(_sq_dist(ctx.W, c_rows[cand], t_rows[i]))
+        md = np.sqrt(_sq_dist(W, c[cand], t[i]))
         j = np.lexsort((c_ego[cand], md))[0]
         pick = cand[j]
         available[pick] = False
         pairs.append(
             MatchedPair(
                 day=int(day),
-                treated=int(panel.ego[t_rows[i]]),
+                treated=int(ego[t[i]]),
                 control=int(c_ego[pick]),
                 logit_gap=float(st[i] - sc[pick]),
                 mahalanobis=float(md[j]),
-                treated_outcome=int(panel.outcome[t_rows[i]]),
-                control_outcome=int(panel.outcome[c_rows[pick]]),
+                treated_outcome=int(panel.outcome[rows[t[i]]]),
+                control_outcome=int(panel.outcome[rows[c[pick]]]),
             )
         )
-    return DayMatchResult(day, tuple(pairs), int(t_rows.size), len(pairs), None)
+    return DayMatchResult(day, tuple(pairs), int(t.size), len(pairs), None)
 
 
 class FixedLogits:
@@ -733,12 +869,19 @@ def window_panel(seed, n_days=12, p=3, logits="grid"):
         x.append(X)
         lg.append(s)
     X = np.concatenate(x)
+    # the same ego recurs on several days with other covariates, so each
+    # (day, ego) row gets its own node, day * 500 + ego: within a day this
+    # keeps the egos' order, which is all that ties and pick order read
+    ego = np.concatenate([D * 500 + e for D, e in enumerate(ego)])
+    node_X = np.zeros((n_days * 500, p))
+    node_X[ego] = X
     panel = TreatmentPanel(
-        ego=np.concatenate(ego).astype(np.int64),
+        ego=ego,
         day=np.concatenate(day),
         treatment=np.concatenate(treat),
         outcome=rng.integers(0, 2, X.shape[0]),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=node_X,
         names=tuple(f"c{i}" for i in range(p)),
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
@@ -827,6 +970,7 @@ def test_rows_by_day_groups_unsorted_panels():
         treatment=panel.treatment[order],
         outcome=panel.outcome[order],
         X=panel.X[order],
+        node_X=panel.node_X,
         names=panel.names,
         core_idx=panel.core_idx,
         levels=panel.levels,
@@ -887,7 +1031,8 @@ def test_diagnostics_perfect_and_disjoint():
         day=np.zeros(8, dtype=np.int64),
         treatment=np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.int64),
         outcome=np.zeros(8, dtype=np.int64),
-        X=X,
+        X=no_counts(len(X)),
+        node_X=X,
         names=("a", "b", "c"),
         core_idx=(0, 1, 2),
         levels=BINARY_LEVELS,

@@ -41,3 +41,37 @@ def test_tracer_sees_each_realization(monkeypatch):
         tracer.restore()
     assert [s.name for s in tracer.spans].count("cascade.realization") == 2
     assert tracer.counts["cascade.adoptions"] > 0
+
+
+def test_tracer_sees_the_match_stages(monkeypatch):
+    from contagion_lab import matchlab
+    from contagion_lab.synthgen import (
+        SynthConfig,
+        gen_graph,
+        gen_homophily_adoptions,
+        gen_traits,
+    )
+
+    tracing = load_tracing(monkeypatch)
+    cfg = SynthConfig(n_nodes=300, mean_degree=8.0, exponent=2.5, homophily=0.9, seed=5)
+    trait = gen_traits(cfg)
+    g = gen_graph(cfg, trait)
+    log = gen_homophily_adoptions(g, trait, np.array([0.03, 0.003]), 40, seed=5)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        # called through the module, where install put the wrappers
+        cov = matchlab.CovariateTable(g, log, lag=7)
+        panel = matchlab.build_panel(g, log, cov, matchlab.Timing(d=3))
+        model = matchlab.fit_propensity(panel, min_level_rows=5)
+        run = matchlab.match_all_days(panel, model)
+        matchlab.diagnostics(panel, model, run)
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans]
+    for stage in ("covariates", "panel", "propensity", "match_days", "diagnostics"):
+        assert names.count(f"matchlab.{stage}") == 1, stage
+    assert tracer.counts["matchlab.panel_rows"] == panel.n_rows > 0
+    assert tracer.counts["matchlab.panel_bytes"] > 0
+    assert tracer.counts["matchlab.pairs"] == len(run.pairs) > 0
+    assert tracer.counts["matchlab.newton_iterations"] == model.iterations
