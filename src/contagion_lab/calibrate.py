@@ -131,14 +131,6 @@ class AdoptionLog:
         return cls(days, first_day=first_day, last_day=last_day)
 
 
-def daily_counts(log: AdoptionLog) -> np.ndarray:
-    """Adoptions per day over the horizon (index 0 = first_day)."""
-    counts = np.zeros(log.horizon_days, dtype=np.int64)
-    days = log.adoption_day[log.adoption_day != NEVER]
-    np.add.at(counts, days - log.first_day, 1)
-    return counts
-
-
 class ExposureIndex:
     """Each node's adopted neighbors in a CSR, sorted by adoption day.
 

@@ -132,7 +132,7 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(args, inputs, outputs, summary) -> str:
+def _write_manifest(args, inputs, outputs, summary) -> None:
     config = {
         k: _jsonable(v)
         for k, v in sorted(vars(args).items())
@@ -151,11 +151,7 @@ def _write_manifest(args, inputs, outputs, summary) -> str:
             "scipy": scipy.__version__,
         },
     }
-    path = f"{outputs[0]}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(manifest, f"{outputs[0]}.manifest.json")
 
 
 def _require(sp, args, *names):
@@ -515,13 +511,7 @@ def cmd_match(args, sp):
     if level == 0:
         sp.error("--level 0 is the control group")
     model = fit_propensity(panel, min_level_rows=args.min_level_rows)
-    run = match_all_days(
-        panel,
-        model,
-        caliper_mult=args.caliper,
-        level=level,
-        shortlist=args.shortlist,
-    )
+    run = match_all_days(panel, model, caliper_mult=args.caliper, level=level)
     write_pairs(run.pairs, args.out_pairs)
     table = pool_risk_ratio(run.pairs)
     table.to_json(args.out_risk)
@@ -756,8 +746,6 @@ def build_parser():
     sp.add_argument("--caliper", type=float, default=0.1)
     sp.add_argument("--level", default="1", help="treatment level to estimate")
     sp.add_argument("--min-level-rows", type=int, default=20)
-    sp.add_argument("--shortlist", type=int, default=None,
-                    help="nearest-neighbor candidate cap (default: exact search)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-pairs", help="matched pairs CSV")
     sp.add_argument("--out-risk", help="pooled risk table JSON")

@@ -26,6 +26,9 @@ DOSE_LEVELS = ("0", "1", "2", "3", "3+")
 BINARY_LEVELS = ("0", "1")
 DOSE_WINDOW = 7
 Z_95 = 1.96
+RIDGE = 1e-6  # L2 penalty on the propensity slopes
+NEWTON_TOL = 1e-8  # stop once half the squared Newton decrement is at most this
+NEWTON_MAX_ITER = 100
 
 CORE_COVARIATES = (
     "followee_adopted_count",
@@ -254,13 +257,6 @@ class TreatmentPanel:
             np.take(self.X, rows, axis=0), self.node_X, np.take(self.ego, rows), out
         )
 
-    def days(self) -> np.ndarray:
-        """Distinct days, ascending (sort plus mask: 1-D np.unique hashes)."""
-        d = np.sort(self.day)
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = d[1:] != d[:-1]
-        return d[keep]
-
     def rows_by_day(self) -> list:
         """(day, ascending row indices) for each distinct day, ascending.
 
@@ -444,22 +440,41 @@ def _line_search(objective, nll):
     return t, objective(t), 30
 
 
-def fit_propensity(
-    panel: TreatmentPanel,
-    ridge: float = 1e-6,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    min_level_rows: int = 20,
-) -> PropensityModel:
+def _newton(system, objective, along, theta, eta):
+    """Damped Newton iteration from coefficients `theta` and predictors `eta`.
+
+    `system(eta, theta)` gives the penalized gradient and Hessian,
+    `objective(eta, theta)` the penalized negative log-likelihood, and
+    `along(step)` the predictors' change per unit of a coefficient step.
+    Stops once half the squared Newton decrement is at most `NEWTON_TOL`;
+    returns (theta, eta, iterations, line-search halvings).
+    """
+    nll = objective(eta, theta)
+    halvings = 0
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        grad, H = system(eta, theta)
+        step = np.linalg.solve(H, grad)
+        if 0.5 * (grad @ step) <= NEWTON_TOL:
+            return theta, eta, it, halvings
+        delta = along(step)
+        t, nll, h = _line_search(lambda t: objective(eta + t * delta, theta + t * step), nll)
+        theta, eta = theta + t * step, eta + t * delta
+        halvings += h
+        del delta  # one per-row block fewer through the next system pass
+    raise ConvergenceError("propensity fit did not converge", iterations=NEWTON_MAX_ITER)
+
+
+def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> PropensityModel:
     """Maximum-likelihood (multinomial) logistic fit of treatment on covariates.
 
-    Newton iteration with an L2 ridge on the slopes (intercept unpenalized)
-    so perfectly separable panels stay finite; step halving guards the
-    penalized likelihood. The fit stops once half the squared Newton
-    decrement, grad' H^-1 grad / 2 (the decrease the step predicts), is at
-    most `tol` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a direction the
-    covariates leave unidentified cannot hold it open. Requires at least
-    two levels meeting the row floor.
+    Newton iteration with an L2 ridge (`RIDGE`) on the slopes (intercept
+    unpenalized) so perfectly separable panels stay finite; step halving
+    guards the penalized likelihood. The fit stops once half the squared
+    Newton decrement, grad' H^-1 grad / 2 (the decrease the step predicts),
+    is at most `NEWTON_TOL` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a
+    direction the covariates leave unidentified cannot hold it open; after
+    `NEWTON_MAX_ITER` iterations it raises `ConvergenceError`. Requires at
+    least two levels meeting the row floor.
 
     The standardization, gradient, Hessian and step direction are summed
     over one day's design block `D = [1, Z]` at a time; only per-row
@@ -496,10 +511,9 @@ def fit_propensity(
         return out
 
     q = p + 1
-    pen = np.full(q, ridge)
+    pen = np.full(q, RIDGE)
     pen[0] = 0.0  # intercept unpenalized
     K = len(classes)
-    halvings = 0
 
     if K == 2:
         yb = panel.treatment == classes[1]
@@ -517,104 +531,71 @@ def fit_propensity(
                 H += D.T @ (D * w[rows, None])
             return grad, H
 
-        theta = np.zeros(q)
-        eta = np.zeros(n)
-        nll = nll_of(eta, theta)
-        it = 0
-        for it in range(1, max_iter + 1):
-            grad, H = newton_system(eta, theta)
-            step = np.linalg.solve(H, grad)
-            if 0.5 * (grad @ step) <= tol:
-                break
-            delta = along(step[None])[0]
-            t, nll, h = _line_search(lambda t: nll_of(eta + t * delta, theta + t * step), nll)
-            theta, eta = theta + t * step, eta + t * delta
-            halvings += h
-            del delta  # one per-row vector fewer through the next block pass
-        else:
-            raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
-        auc = _rank_auc(eta, yb)
-        probs = np.zeros((n, len(panel.levels)))
+        theta, eta, it, halvings = _newton(
+            newton_system, nll_of, lambda step: along(step[None])[0], np.zeros(q), np.zeros(n)
+        )
+        kind, coef, auc = "binary", theta[None, :], _rank_auc(eta, yb)
+        probs = np.zeros((n, len(panel.levels)))  # after the fit: not held through it
         p1 = expit(eta, out=eta)  # eta is not read again
         probs[:, classes[0]] = 1.0 - p1
         probs[:, classes[1]] = p1
-        return PropensityModel(
-            kind="binary",
-            levels=panel.levels,
-            classes=classes,
-            coef=theta[None, :],
-            mean=mean,
-            scale=scale,
-            probs=probs,
-            auc=auc,
-            iterations=it,
-            step_halvings=halvings,
-        )
-
-    # multinomial: reference class = classes[0], parameters for the rest;
-    # E holds the K-1 non-reference linear predictors, class-major, so every
-    # reduction over classes runs along the first axis
-    y = np.searchsorted(np.asarray(classes), panel.treatment)
-    pen_full = np.tile(pen, K - 1)
-    others = np.arange(1, K)[:, None]
-
-    def probs_of(E):
-        eta = np.vstack([np.zeros(n), E])
-        eta -= eta.max(axis=0)
-        e = np.exp(eta)
-        return e / e.sum(axis=0)
-
-    def pnll(E, th):
-        P = probs_of(E)
-        ll = np.log(np.clip(P[y, np.arange(n)], 1e-300, None)).sum()
-        return float(-ll + 0.5 * (pen_full * th * th).sum())
-
-    def newton_system(E, theta):
-        P = probs_of(E)[1:]
-        grad, H = -pen_full * theta, np.diag(pen_full)
-        for rows in groups:
-            D = design(rows)
-            Pd = P[:, rows]
-            # gradient block k is D' r_k; Hessian block (k, l) is
-            # D' diag(p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'S_l,
-            # where S_k = D * p_k; so two products cover every block
-            grad += (((y[rows] == others) - Pd) @ D).ravel()
-            S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(rows), -1)
-            H -= S.T @ S
-            DS = D.T @ S
-            for k in range(K - 1):
-                H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
-        return grad, H
-
-    theta = np.zeros((K - 1) * q)
-    E = np.zeros((K - 1, n))
-    nll = pnll(E, theta)
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad, H = newton_system(E, theta)
-        step = np.linalg.solve(H, grad)
-        if 0.5 * (grad @ step) <= tol:
-            break
-        delta = along(step.reshape(K - 1, q))
-        t, nll, h = _line_search(lambda t: pnll(E + t * delta, theta + t * step), nll)
-        theta, E = theta + t * step, E + t * delta
-        halvings += h
-        del delta
     else:
-        raise ConvergenceError("propensity fit did not converge", iterations=max_iter)
-    P = probs_of(E)
-    probs = np.zeros((n, len(panel.levels)))
-    for j, c in enumerate(classes):
-        probs[:, c] = P[j]
+        # multinomial: reference class = classes[0], parameters for the rest;
+        # E holds the K-1 non-reference linear predictors, class-major, so
+        # every reduction over classes runs along the first axis
+        y = np.searchsorted(np.asarray(classes), panel.treatment)
+        pen_full = np.tile(pen, K - 1)
+        others = np.arange(1, K)[:, None]
+
+        def probs_of(E):
+            eta = np.vstack([np.zeros(n), E])
+            eta -= eta.max(axis=0)
+            e = np.exp(eta)
+            return e / e.sum(axis=0)
+
+        def pnll(E, th):
+            P = probs_of(E)
+            ll = np.log(np.clip(P[y, np.arange(n)], 1e-300, None)).sum()
+            return float(-ll + 0.5 * (pen_full * th * th).sum())
+
+        def newton_system(E, theta):
+            P = probs_of(E)[1:]
+            grad, H = -pen_full * theta, np.diag(pen_full)
+            for rows in groups:
+                D = design(rows)
+                Pd = P[:, rows]
+                # gradient block k is D' r_k; Hessian block (k, l) is
+                # D' diag(p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'S_l,
+                # where S_k = D * p_k; so two products cover every block
+                grad += (((y[rows] == others) - Pd) @ D).ravel()
+                S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(rows), -1)
+                H -= S.T @ S
+                DS = D.T @ S
+                for k in range(K - 1):
+                    H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
+            return grad, H
+
+        theta, E, it, halvings = _newton(
+            newton_system,
+            pnll,
+            lambda step: along(step.reshape(K - 1, q)),
+            np.zeros((K - 1) * q),
+            np.zeros((K - 1, n)),
+        )
+        kind, coef, auc = "multinomial", theta.reshape(K - 1, q), None
+        P = probs_of(E)
+        probs = np.zeros((n, len(panel.levels)))
+        for j, c in enumerate(classes):
+            probs[:, c] = P[j]
     return PropensityModel(
-        kind="multinomial",
+        kind=kind,
         levels=panel.levels,
         classes=classes,
-        coef=theta.reshape(K - 1, q),
+        coef=coef,
         mean=mean,
         scale=scale,
         probs=probs,
-        auc=None,
+        auc=auc,
         iterations=it,
         step_halvings=halvings,
     )
@@ -666,14 +647,14 @@ class _MatchContext:
     the Cholesky factor of the inverse covariance `VI` of the standardized
     block (`L Lᵀ = VI`), so the Mahalanobis distance `diffᵀ·VI·diff` of two
     rows is the squared Euclidean distance of their `Z·L` rows (`_sq_dist`).
-    All three come from per-day sums; `block(rows)` builds one day's `Z` and
-    `W = Z·L` when that day is matched.
+    All three come from per-day sums; `block(rows)` builds one day's `W`
+    when that day is matched.
     """
 
-    def __init__(self, panel, model, level, core):
+    def __init__(self, panel, model, level):
         self.panel = panel
         self.scores = model.level_logits(level)
-        self.core = list(core)
+        self.core = list(panel.core_idx)
         self.groups = panel.rows_by_day()
         n = panel.n_rows
         self.mu, self.sd, cross = _moments(panel, [rows for _, rows in self.groups], self.core)
@@ -685,10 +666,10 @@ class _MatchContext:
         self.L = np.linalg.cholesky(VI)
 
     def block(self, rows):
-        """(Z, W) for the given rows: the standardized core block and `Z·L`."""
+        """`W = Z·L` for the given rows, `Z` their standardized core block."""
         Z = (self.panel.covariates(rows)[:, self.core] - self.mu) / self.sd
         # (Lᵀ Zᵀ)ᵀ is column-major, so `_sq_dist` reads each column contiguously
-        return Z, (self.L.T @ Z.T).T
+        return (self.L.T @ Z.T).T
 
 
 def _sq_dist(W, a, b):
@@ -785,39 +766,7 @@ def _window_picks(W, s, ego, t, c, caliper):
     return t[ti], c[cj], dist
 
 
-def _shortlist_picks(Z, W, s, ego, t, c, caliper, shortlist):
-    """Greedy picks among each treated ego's `shortlist` Euclidean-nearest
-    free controls (on `Z`), scanned one ego at a time; indices as in
-    `_window_picks`."""
-    st, sc = s[t], s[c]
-    c_ego = ego[c]
-    Zt = Z[t]
-    Zc = Z[c]
-    available = np.ones(c.size, dtype=bool)
-    ti, cj, dist = [], [], []
-    for i in range(t.size):
-        avail = np.flatnonzero(available)
-        if avail.size == 0:
-            break
-        if avail.size > shortlist:
-            diff = Zc[avail] - Zt[i]
-            eu = np.einsum("ij,ij->i", diff, diff)
-            cand = avail[np.lexsort((c_ego[avail], eu))[:shortlist]]
-        else:
-            cand = avail
-        cand = cand[np.abs(sc[cand] - st[i]) <= caliper]
-        if cand.size == 0:
-            continue
-        md = np.sqrt(_sq_dist(W, c[cand], t[i]))
-        k = np.lexsort((c_ego[cand], md))[0]
-        available[cand[k]] = False
-        ti.append(i)
-        cj.append(int(cand[k]))
-        dist.append(float(md[k]))
-    return t[ti], c[cj], dist
-
-
-def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
+def _match_day(ctx, day, rows, caliper_mult, level):
     panel = ctx.panel
     if rows.size == 0:
         return DayMatchResult(day, (), 0, 0, "no risk-set rows")
@@ -826,16 +775,12 @@ def _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist):
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
     t = np.flatnonzero(treat == level)
-    c = np.flatnonzero(treat == control_level)
+    c = np.flatnonzero(treat == 0)
     if t.size == 0 or c.size == 0:
         return DayMatchResult(day, (), int(t.size), 0, "insufficient treated or control counts")
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
-    Z, W = ctx.block(rows)
-    if shortlist is None:
-        ti, cj, dist = _window_picks(W, s, ego, t, c, caliper)
-    else:
-        ti, cj, dist = _shortlist_picks(Z, W, s, ego, t, c, caliper, shortlist)
+    ti, cj, dist = _window_picks(ctx.block(rows), s, ego, t, c, caliper)
     tr, cr = rows[ti], rows[cj]
     pairs = tuple(
         map(
@@ -857,39 +802,30 @@ def match_day(
     model: PropensityModel,
     day: int,
     caliper_mult: float = 0.1,
-    core_features=None,
     level: int = 1,
-    control_level: int = 0,
-    shortlist: int | None = None,
 ) -> DayMatchResult:
-    """Greedily match treated egos (ascending id) to same-day controls.
+    """Greedily match treated egos (ascending id) at `level` to same-day
+    controls (level 0).
 
     Candidates must sit within `caliper_mult` x SD of the day's logits; the
-    closest by standardized Mahalanobis distance wins, ties to the lowest
-    control id, each control used at most once.
+    closest by standardized Mahalanobis distance over the core covariates
+    wins, ties to the lowest control id, each control used at most once.
     """
-    core = tuple(core_features) if core_features is not None else panel.core_idx
-    ctx = _MatchContext(panel, model, level, core)
+    ctx = _MatchContext(panel, model, level)
     rows = np.flatnonzero(panel.day == day)
-    return _match_day(ctx, day, rows, caliper_mult, level, control_level, shortlist)
+    return _match_day(ctx, day, rows, caliper_mult, level)
 
 
 def match_all_days(
     panel: TreatmentPanel,
     model: PropensityModel,
     caliper_mult: float = 0.1,
-    core_features=None,
     level: int = 1,
-    control_level: int = 0,
-    shortlist: int | None = None,
 ) -> MatchRun:
-    core = tuple(core_features) if core_features is not None else panel.core_idx
-    ctx = _MatchContext(panel, model, level, core)
-    results = [
-        _match_day(ctx, D, rows, caliper_mult, level, control_level, shortlist)
-        for D, rows in ctx.groups
-    ]
-    return MatchRun(tuple(results))
+    ctx = _MatchContext(panel, model, level)
+    return MatchRun(
+        tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
+    )
 
 
 @dataclass(frozen=True)
@@ -956,10 +892,11 @@ def pool_risk_ratio(pairs) -> RiskTable:
     return RiskTable.from_counts(a, n - a, c, n - c)
 
 
-def naive_risk_table(panel: TreatmentPanel, level: int = 1, control_level: int = 0) -> RiskTable:
-    """Unmatched risk ratio over the whole panel (benchmark, not an estimate)."""
+def naive_risk_table(panel: TreatmentPanel, level: int = 1) -> RiskTable:
+    """Unmatched risk ratio of `level` against level 0 over the whole panel
+    (benchmark, not an estimate)."""
     t = panel.treatment == level
-    c = panel.treatment == control_level
+    c = panel.treatment == 0
     if not t.any() or not c.any():
         raise DataError("panel lacks treated or control rows at the requested levels")
     a = int(panel.outcome[t].sum())
@@ -974,14 +911,13 @@ def diagnostics(
     model: PropensityModel,
     run: MatchRun,
     level: int = 1,
-    control_level: int = 0,
 ) -> dict:
     """Balance and overlap summary: per-day AUC, logit gaps, match distances."""
     scores = model.level_logits(level)
     aucs = []
     for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
-        use = (grp == level) | (grp == control_level)
+        use = (grp == level) | (grp == 0)
         if use.any():
             auc = _rank_auc(scores[rows[use]], grp[use] == level)
             if auc is not None:

@@ -13,7 +13,6 @@ from contagion_lab.calibrate import (
     calibrate_background,
     calibrate_thresholds,
     calibrate_transmission,
-    daily_counts,
 )
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import DirectedGraph
@@ -269,11 +268,6 @@ def test_log_duplicate_node_raises(tmp_path):
 def test_log_day_outside_horizon_raises():
     with pytest.raises(DataError):
         log_from([5], first_day=0, last_day=3)
-
-
-def test_daily_counts():
-    log = log_from([0, 2, 2, NEVER, 1], last_day=3)
-    assert list(daily_counts(log)) == [1, 1, 2, 0]
 
 
 def test_exposure_strictly_before_day():

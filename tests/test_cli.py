@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import contagion_lab
-from contagion_lab import cli
+from contagion_lab import cli, matchlab
 from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.netgraph import DirectedGraph
 
@@ -394,7 +394,18 @@ def test_match_flag_validation(hworld, tmp_path, capsys):
     assert run(common + ["--kind", "timing"]) == 1        # missing --d
     assert run(common + ["--kind", "dose", "--placebo", "future"]) == 1
     assert run(common + ["--kind", "timing", "--d", 3, "--level", "0"]) == 1
+    assert run(common + ["--kind", "timing", "--d", 3, "--shortlist", 5]) == 1
     capsys.readouterr()
+
+
+def test_match_newton_cap_exits_three(hworld, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(matchlab, "NEWTON_MAX_ITER", 1)
+    rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--kind", "timing", "--d", 3, "--min-level-rows", 5,
+              "--out-pairs", tmp_path / "p.csv", "--out-risk", tmp_path / "r.json"])
+    assert rc == 3
+    assert "propensity fit did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_match_smoke_outputs(hworld, tmp_path, capsys):

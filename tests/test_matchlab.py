@@ -8,7 +8,7 @@ import pytest
 
 from contagion_lab import matchlab
 from contagion_lab.calibrate import NEVER, AdoptionLog
-from contagion_lab.errors import DataError
+from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.matchlab import (
     BINARY_LEVELS,
     CORE_COVARIATES,
@@ -156,7 +156,7 @@ def test_placebo_permuted_preserves_daily_multisets():
     perm = build_panel(g, log, cov, PlaceboPermuted(Dose(), seed=11))
     assert perm.n_rows == base.n_rows
     changed = 0
-    for D in base.days():
+    for D, _ in base.rows_by_day():
         idx = np.flatnonzero(base.day == D)
         a = np.sort(base.treatment[idx])
         b = np.sort(perm.treatment[idx])
@@ -308,8 +308,8 @@ def test_panel_duplicate_rows_and_days():
             levels=BINARY_LEVELS,
         )
 
-    assert list(panel([3, 1, 3, 2], [5, 2, 2, 5]).days()) == [2, 5]
-    assert len(panel([], []).days()) == 0
+    assert [D for D, _ in panel([3, 1, 3, 2], [5, 2, 2, 5]).rows_by_day()] == [2, 5]
+    assert panel([], []).rows_by_day() == []
     with pytest.raises(DataError):
         panel([3, 1, 3], [5, 2, 5])
 
@@ -488,6 +488,32 @@ def test_per_day_fit_matches_the_dense_reference():
     assert kinds == [("binary", 0), ("multinomial", 1)]
 
 
+@pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
+def test_newton_cap_raises_convergence_error(levels, monkeypatch):
+    # one iteration cannot bring the decrement of a fit from zero
+    # coefficients under the tolerance, so the cap is reached
+    rng = np.random.default_rng(6)
+    n = 600
+    X = rng.normal(size=(n, 3))
+    cuts = [0.0] if levels == BINARY_LEVELS else [-1.0, 0.0, 1.0, 1.8]
+    panel = TreatmentPanel(
+        ego=np.arange(n, dtype=np.int64),
+        day=np.zeros(n, dtype=np.int64),
+        treatment=np.digitize(X[:, 0] + rng.normal(size=n), cuts).astype(np.int64),
+        outcome=np.zeros(n, dtype=np.int64),
+        X=no_counts(n),
+        node_X=X,
+        names=("a", "b", "c"),
+        core_idx=(0, 1, 2),
+        levels=levels,
+    )
+    assert fit_propensity(panel, min_level_rows=10).iterations > 1
+    monkeypatch.setattr(matchlab, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="did not converge") as err:
+        fit_propensity(panel, min_level_rows=10)
+    assert err.value.iterations == 1
+
+
 def test_line_search_counts_halvings():
     t, value, halvings = matchlab._line_search(lambda t: (t - 0.1) ** 2, 0.01)
     assert (t, halvings) == (0.125, 3) and value == (0.125 - 0.1) ** 2
@@ -556,7 +582,7 @@ def test_sq_dist_bits_do_not_depend_on_the_batch():
         for m in (1, 7):
             part = _sq_dist(W, a[start : start + m], b[start : start + m])
             assert part.tobytes() == full[start : start + m].tobytes(), (start, m)
-        # one treated row against many controls, as the shortlist path calls it
+        # one treated row against many controls, as reference_match_day calls it
         one = _sq_dist(W, a[start : start + 7], b[start])
         assert one[0].tobytes() == full[start].tobytes()
 
@@ -691,8 +717,6 @@ def test_without_replacement_within_day():
 
 def test_day_without_controls_skipped():
     panel, model = micro_panel(0, n_treated=3, n_control=5)
-    res = match_day(panel, model, 4, level=0, control_level=1)  # swap roles: fine
-    assert res.skip_reason is None
     all_treated = TreatmentPanel(
         ego=panel.ego,
         day=panel.day,
@@ -709,19 +733,7 @@ def test_day_without_controls_skipped():
     assert res2.n_matched == 0
 
 
-def test_shortlist_limits_candidates():
-    # shortlist=1 forces the euclidean-nearest control even if a farther one
-    # has smaller mahalanobis under the pooled covariance
-    for seed in range(30):
-        panel, model = micro_panel(seed, n_treated=2, n_control=8)
-        full = match_day(panel, model, 4, caliper_mult=100.0)
-        top1 = match_day(panel, model, 4, caliper_mult=100.0, shortlist=1)
-        assert top1.n_matched <= full.n_matched or len(top1.pairs) == len(full.pairs)
-        for p in top1.pairs:
-            assert p.control in {int(e) for e in panel.ego[panel.treatment == 0]}
-
-
-def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortlist=None):
+def reference_match_day(ctx, day, caliper_mult, level=1):
     """The full-scan matcher: every available control is differenced and
     caliper-tested for every treated ego."""
     panel = ctx.panel
@@ -732,18 +744,16 @@ def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortl
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
     t = np.flatnonzero(panel.treatment[rows] == level)
-    c = np.flatnonzero(panel.treatment[rows] == control_level)
+    c = np.flatnonzero(panel.treatment[rows] == 0)
     if t.size == 0 or c.size == 0:
         return DayMatchResult(
             day, (), int(t.size), 0, "insufficient treated or control counts"
         )
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
-    Z, W = ctx.block(rows)
+    W = ctx.block(rows)
     st = s[t]
     sc = s[c]
-    Zt = Z[t]
-    Zc = Z[c]
     c_ego = ego[c]
     available = np.ones(c.size, dtype=bool)
     pairs = []
@@ -751,19 +761,9 @@ def reference_match_day(ctx, day, caliper_mult, level=1, control_level=0, shortl
         avail = np.flatnonzero(available)
         if avail.size == 0:
             break
-        diff = Zc[avail] - Zt[i]
-        if shortlist is not None and avail.size > shortlist:
-            eu = np.einsum("ij,ij->i", diff, diff)
-            keep = np.lexsort((c_ego[avail], eu))[:shortlist]
-            cand = avail[keep]
-            diff = diff[keep]
-        else:
-            cand = avail
-        ok = np.abs(sc[cand] - st[i]) <= caliper
-        if not ok.any():
+        cand = avail[np.abs(sc[avail] - st[i]) <= caliper]
+        if cand.size == 0:
             continue
-        cand = cand[ok]
-        diff = diff[ok]
         md = np.sqrt(_sq_dist(W, c[cand], t[i]))
         j = np.lexsort((c_ego[cand], md))[0]
         pick = cand[j]
@@ -914,19 +914,18 @@ def test_window_matcher_equals_full_scan():
                         mults += [m, np.nextafter(m, 0.0), np.nextafter(m, 1.0)]
                         on_grid += 1
             for mult in mults:
-                for shortlist in (None, 3):
-                    ctx = _MatchContext(panel, model, 1, panel.core_idx)
-                    ref = [
-                        result_bits(reference_match_day(ctx, int(D), mult, shortlist=shortlist))
-                        for D in panel.days()
-                    ]
-                    got = match_all_days(panel, model, caliper_mult=mult, shortlist=shortlist)
-                    assert [result_bits(r) for r in got.results] == ref, (seed, logits, mult)
-                    one_day = match_day(panel, model, 0, caliper_mult=mult, shortlist=shortlist)
-                    assert result_bits(one_day) == ref[0]
-                    cases += 1
+                ctx = _MatchContext(panel, model, 1)
+                ref = [
+                    result_bits(reference_match_day(ctx, D, mult))
+                    for D, _ in panel.rows_by_day()
+                ]
+                got = match_all_days(panel, model, caliper_mult=mult)
+                assert [result_bits(r) for r in got.results] == ref, (seed, logits, mult)
+                one_day = match_day(panel, model, 0, caliper_mult=mult)
+                assert result_bits(one_day) == ref[0]
+                cases += 1
     assert on_grid >= 12  # calipers that land exactly on a grid step
-    assert cases >= 6 * 3 * 4 * 2
+    assert cases >= 6 * 3 * 4
 
 
 def test_window_chunks_do_not_change_picks(monkeypatch):
@@ -976,7 +975,7 @@ def test_rows_by_day_groups_unsorted_panels():
         levels=panel.levels,
     )
     groups = shuffled.rows_by_day()
-    assert [D for D, _ in groups] == list(shuffled.days())
+    assert [D for D, _ in groups] == sorted(set(shuffled.day.tolist()))
     for D, rows in groups:
         assert np.array_equal(rows, np.flatnonzero(shuffled.day == D))
 
