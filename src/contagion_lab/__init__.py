@@ -36,6 +36,7 @@ from .cascade import (
 from .errors import ContagionLabError, ConvergenceError, DataError, ParseError
 from .features import FEATURE_NAMES, extract_features, extract_features_log
 from .matchlab import (
+    PAIR_DTYPE,
     CovariateTable,
     Dose,
     PlaceboFuture,
@@ -73,6 +74,7 @@ __all__ = [
     "NEVER",
     "MECHANISMS",
     "EVENT_DTYPE",
+    "PAIR_DTYPE",
     "FEATURE_NAMES",
     "AdoptionLog",
     "AdoptionSeries",

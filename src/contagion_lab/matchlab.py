@@ -287,7 +287,8 @@ def build_panel(
     Egos leave the risk set the day after adopting; each row's counts come
     from `covariates.counts(day, risk set)` (measured `lag` days earlier) and
     must predate the treatment window. Rows are stored in the narrowest int
-    dtypes that hold the node ids, days and degrees.
+    dtypes that hold the node ids, days and degrees, in columns sized once
+    from the adoption days and filled one day's slice at a time.
     """
     if isinstance(kind, PlaceboPermuted):
         base = build_panel(g, log, covariates, kind.base, days=days)
@@ -311,6 +312,10 @@ def build_panel(
         if start > last:
             raise DataError("log horizon too short for the covariate lag")
         days = range(start, last + 1)
+    days = list(days)
+    for D in days:
+        if not first <= D <= last:
+            raise DataError(f"panel day {D} outside the log horizon")
     ad = log.adoption_day
 
     if isinstance(kind, Timing):
@@ -325,35 +330,40 @@ def build_panel(
     else:
         raise DataError(f"unknown treatment kind {kind!r}")
     index = ExposureIndex(getattr(g, f"{kind.direction}_csr")(), log.adoption_day)
-    ego_t = _int_dtype(0, g.node_count)
-    day_t = _int_dtype(first, last)
 
-    egos, day_col, treat, out, xs = [], [], [], [], []
-    for D in days:
-        if not first <= D <= last:
-            raise DataError(f"panel day {D} outside the log horizon")
-        risk = np.flatnonzero((ad == NEVER) | (ad >= D))
-        if risk.size == 0:
+    # a day's risk set is every node that has not adopted before it, so one
+    # sorted copy of the adoption days sizes every day's slice of the columns
+    adopted = np.sort(ad[ad != NEVER])
+    bounds = np.zeros(len(days) + 1, dtype=np.int64)
+    np.cumsum(g.node_count - np.searchsorted(adopted, days), out=bounds[1:])
+    n_rows = int(bounds[-1])
+    if n_rows == 0:
+        raise DataError("empty panel: no risk-set rows on the requested days")
+    ego = np.empty(n_rows, dtype=_int_dtype(0, g.node_count))
+    day_col = np.empty(n_rows, dtype=_int_dtype(first, last))
+    treat = np.empty(n_rows, dtype=np.int8)
+    out = np.empty(n_rows, dtype=np.int8)
+    X = np.empty((n_rows, len(DIRECTIONS)), dtype=covariates._count_dtype)
+    for D, a, b in zip(days, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a == b:
             continue
+        risk = np.flatnonzero((ad == NEVER) | (ad >= D))
         lo, hi = window(D)
         cnt = index.count(risk, hi + 1) - index.count(risk, lo)
         if isinstance(kind, Dose):
-            codes = np.minimum(cnt, len(DOSE_LEVELS) - 1)
+            treat[a:b] = np.minimum(cnt, len(DOSE_LEVELS) - 1)
         else:
-            codes = cnt > 0
-        egos.append(risk.astype(ego_t))
-        day_col.append(np.full(risk.size, D, dtype=day_t))
-        treat.append(codes.astype(np.int8))
-        out.append((ad[risk] == D).astype(np.int8))
-        xs.append(covariates.counts(D, risk))
-    if not egos:
-        raise DataError("empty panel: no risk-set rows on the requested days")
+            treat[a:b] = cnt > 0
+        ego[a:b] = risk
+        day_col[a:b] = D
+        out[a:b] = ad[risk] == D
+        X[a:b] = covariates.counts(D, risk)
     return TreatmentPanel(
-        ego=np.concatenate(egos),
-        day=np.concatenate(day_col),
-        treatment=np.concatenate(treat),
-        outcome=np.concatenate(out),
-        X=np.concatenate(xs),
+        ego=ego,
+        day=day_col,
+        treatment=treat,
+        outcome=out,
+        X=X,
         node_X=covariates.node_X,
         names=covariates.names,
         core_idx=covariates.core_idx,
@@ -385,7 +395,6 @@ class PropensityModel:
     mean: np.ndarray
     scale: np.ndarray
     probs: np.ndarray  # (n_rows, n_levels); absent levels get zero columns
-    auc: float | None
     iterations: int
     step_halvings: int = 0  # line-search halvings over all Newton iterations
 
@@ -403,6 +412,20 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
         return None
     r = average_ranks(scores)
     return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+def _expit(x, out=None) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), computed in place in `out`
+    (a new array when None).
+
+    Below about x = -709, exp(-x) overflows to inf and the result is its
+    exact limit 0, so that overflow is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 def _moments(panel: TreatmentPanel, groups, cols):
@@ -480,10 +503,9 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     over one day's design block `D = [1, Z]` at a time; only per-row
     vectors (linear predictors, probabilities) span the panel. A line-search
     candidate's predictors are `eta + t * (D @ step)`, so trying a step
-    builds no block.
+    builds no block. Probabilities come from `_expit` and `np.exp`, so the
+    fit imports no scipy.
     """
-    from scipy.special import expit  # deferred: costs ~0.3 s to import
-
     counts = panel.level_counts()
     if np.count_nonzero(counts >= min_level_rows) < 2:
         raise DataError(
@@ -522,7 +544,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         )
 
         def newton_system(eta, theta):
-            prob = expit(eta)
+            prob = _expit(eta)
             resid, w = yb - prob, prob * (1.0 - prob)
             grad, H = -pen * theta, np.diag(pen)
             for rows in groups:
@@ -534,9 +556,9 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         theta, eta, it, halvings = _newton(
             newton_system, nll_of, lambda step: along(step[None])[0], np.zeros(q), np.zeros(n)
         )
-        kind, coef, auc = "binary", theta[None, :], _rank_auc(eta, yb)
+        kind, coef = "binary", theta[None, :]
         probs = np.zeros((n, len(panel.levels)))  # after the fit: not held through it
-        p1 = expit(eta, out=eta)  # eta is not read again
+        p1 = _expit(eta, out=eta)  # eta is not read again
         probs[:, classes[0]] = 1.0 - p1
         probs[:, classes[1]] = p1
     else:
@@ -582,7 +604,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
             np.zeros((K - 1) * q),
             np.zeros((K - 1, n)),
         )
-        kind, coef, auc = "multinomial", theta.reshape(K - 1, q), None
+        kind, coef = "multinomial", theta.reshape(K - 1, q)
         P = probs_of(E)
         probs = np.zeros((n, len(panel.levels)))
         for j, c in enumerate(classes):
@@ -595,27 +617,35 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         mean=mean,
         scale=scale,
         probs=probs,
-        auc=auc,
         iterations=it,
         step_halvings=halvings,
     )
 
 
-@dataclass(frozen=True)
-class MatchedPair:
-    day: int
-    treated: int
-    control: int
-    logit_gap: float  # treated minus control, signed
-    mahalanobis: float
-    treated_outcome: int | None = None
-    control_outcome: int | None = None
+# one row per matched pair; the first five fields are the columns of a pairs
+# CSV, and an outcome reads -1 where it is unknown
+PAIR_DTYPE = np.dtype(
+    [
+        ("day", np.int64),
+        ("treated", np.int64),  # ego ids
+        ("control", np.int64),
+        ("logit_gap", np.float64),  # treated minus control, signed
+        ("mahalanobis", np.float64),
+        ("treated_outcome", np.int8),
+        ("control_outcome", np.int8),
+    ]
+)
+_PAIR_CSV_COLUMNS = PAIR_DTYPE.names[:5]
+
+
+def _pair_table(n: int) -> np.recarray:
+    return np.recarray(n, dtype=PAIR_DTYPE)
 
 
 @dataclass(frozen=True)
 class DayMatchResult:
     day: int
-    pairs: tuple
+    pairs: np.recarray  # PAIR_DTYPE, in ascending treated ego order
     n_treated: int
     n_matched: int
     skip_reason: str | None = None
@@ -629,11 +659,11 @@ class DayMatchResult:
 
 @dataclass(frozen=True)
 class MatchRun:
-    results: tuple
+    """Every day's result in day order, and the run's pairs as one
+    `PAIR_DTYPE` table: the days' tables, concatenated in that order."""
 
-    @property
-    def pairs(self) -> tuple:
-        return tuple(p for r in self.results for p in r.pairs)
+    results: tuple
+    pairs: np.recarray
 
     @property
     def skipped(self) -> tuple:
@@ -700,8 +730,10 @@ def _caliper_windows(sc, st, caliper):
     return np.searchsorted(sc, st - width, "left"), np.searchsorted(sc, st + width, "right")
 
 
-# window entries scored at once; bounds a day's temporaries when calipers are wide
-_WINDOW_CHUNK = 1 << 20
+# caliper-window entries scored at once (a treated ego's whole window stays in
+# one chunk). Scoring holds about a dozen int64 and float64 temporaries per
+# entry, so a chunk's are a few MB however many entries a day has.
+_WINDOW_CHUNK = 1 << 16
 
 
 def _window_picks(W, s, ego, t, c, caliper):
@@ -769,7 +801,7 @@ def _window_picks(W, s, ego, t, c, caliper):
 def _match_day(ctx, day, rows, caliper_mult, level):
     panel = ctx.panel
     if rows.size == 0:
-        return DayMatchResult(day, (), 0, 0, "no risk-set rows")
+        return DayMatchResult(day, _pair_table(0), 0, 0, "no risk-set rows")
     s = ctx.scores[rows]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
@@ -777,24 +809,22 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     t = np.flatnonzero(treat == level)
     c = np.flatnonzero(treat == 0)
     if t.size == 0 or c.size == 0:
-        return DayMatchResult(day, (), int(t.size), 0, "insufficient treated or control counts")
+        return DayMatchResult(
+            day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
+        )
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
     ti, cj, dist = _window_picks(ctx.block(rows), s, ego, t, c, caliper)
     tr, cr = rows[ti], rows[cj]
-    pairs = tuple(
-        map(
-            MatchedPair,
-            [int(day)] * tr.size,
-            panel.ego[tr].tolist(),
-            panel.ego[cr].tolist(),
-            (s[ti] - s[cj]).tolist(),
-            dist,
-            panel.outcome[tr].tolist(),
-            panel.outcome[cr].tolist(),
-        )
-    )
-    return DayMatchResult(day, pairs, int(t.size), len(pairs), None)
+    pairs = _pair_table(tr.size)
+    pairs.day = day
+    pairs.treated = panel.ego[tr]
+    pairs.control = panel.ego[cr]
+    pairs.logit_gap = s[ti] - s[cj]
+    pairs.mahalanobis = dist
+    pairs.treated_outcome = panel.outcome[tr]
+    pairs.control_outcome = panel.outcome[cr]
+    return DayMatchResult(day, pairs, int(t.size), tr.size, None)
 
 
 def match_day(
@@ -823,9 +853,9 @@ def match_all_days(
     level: int = 1,
 ) -> MatchRun:
     ctx = _MatchContext(panel, model, level)
-    return MatchRun(
-        tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
-    )
+    results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
+    pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results])
+    return MatchRun(results, pairs.view(np.recarray))
 
 
 @dataclass(frozen=True)
@@ -880,15 +910,14 @@ class RiskTable:
 
 
 def pool_risk_ratio(pairs) -> RiskTable:
-    """Sum matched-pair outcomes across days into one corrected 2x2 table."""
-    pairs = list(pairs)
-    if not pairs:
-        raise DataError("no matched pairs to pool")
-    if any(p.treated_outcome is None or p.control_outcome is None for p in pairs):
-        raise DataError("pairs lack outcomes; re-derive them from the panel")
-    a = sum(p.treated_outcome for p in pairs)
-    c = sum(p.control_outcome for p in pairs)
+    """Sum a pairs table's outcomes across days into one corrected 2x2 table."""
     n = len(pairs)
+    if n == 0:
+        raise DataError("no matched pairs to pool")
+    treated, control = pairs.treated_outcome, pairs.control_outcome
+    if (treated < 0).any() or (control < 0).any():
+        raise DataError("pairs lack outcomes; re-derive them from the panel")
+    a, c = int(treated.sum()), int(control.sum())
     return RiskTable.from_counts(a, n - a, c, n - c)
 
 
@@ -922,8 +951,8 @@ def diagnostics(
             auc = _rank_auc(scores[rows[use]], grp[use] == level)
             if auc is not None:
                 aucs.append(auc)
-    gaps = np.array([abs(p.logit_gap) for p in run.pairs])
-    dists = np.array([p.mahalanobis for p in run.pairs])
+    gaps = np.abs(run.pairs.logit_gap)
+    dists = run.pairs.mahalanobis
     overlaps = [r.overlap for r in run.results if r.skip_reason is None]
     q = lambda arr, frac: float(np.quantile(arr, frac)) if arr.size else None
     return {
@@ -942,26 +971,54 @@ def diagnostics(
 
 
 def write_pairs(pairs, path) -> None:
+    """Write a pairs table as CSV: a header, then one row per pair holding
+    its first five fields, floats as their shortest round-trip repr."""
+    day, treated, control, gap, md = (pairs[name].tolist() for name in _PAIR_CSV_COLUMNS)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["day", "treated", "control", "logit_gap", "mahalanobis"])
-        for p in pairs:
-            w.writerow([p.day, p.treated, p.control, repr(p.logit_gap), repr(p.mahalanobis)])
+        w.writerow(_PAIR_CSV_COLUMNS)
+        w.writerows(zip(day, treated, control, map(repr, gap), map(repr, md)))
 
 
-def read_pairs(path, panel: TreatmentPanel | None = None):
-    """Read a pairs CSV; outcomes are restored when the source panel is given."""
-    lookup = None
-    if panel is not None:
-        lookup = {
-            (int(panel.ego[i]), int(panel.day[i])): int(panel.outcome[i])
-            for i in range(panel.n_rows)
-        }
-    out = []
+def _int64(text: str) -> int:
+    v = int(text)
+    if not -(2**63) <= v < 2**63:
+        raise ValueError(f"{v} does not fit in int64")
+    return v
+
+
+def _panel_outcomes(panel: TreatmentPanel, ego: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The outcome of each (ego, day)'s panel row, -1 where the panel has none.
+
+    Rows are keyed by the day's rank among the panel's days times the node
+    count plus the ego, so one sorted key array answers every query with
+    `searchsorted`.
+    """
+    n = len(panel.node_X)
+    days = np.unique(panel.day).astype(np.int64)
+    keys = np.searchsorted(days, panel.day) * n + panel.ego
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rank = np.searchsorted(days, day)
+    known = (rank < len(days)) & (0 <= ego) & (ego < n)
+    known &= days[np.minimum(rank, len(days) - 1)] == day
+    q = rank * n + np.where(known, ego, 0)
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    known &= keys[pos] == q
+    return np.where(known, panel.outcome[order[pos]], -1)
+
+
+def read_pairs(path, panel: TreatmentPanel | None = None) -> np.recarray:
+    """Read a pairs CSV into a `PAIR_DTYPE` table.
+
+    Outcomes are restored from the source panel when it is given; they read
+    -1 without it, and for a pair whose (ego, day) row the panel lacks.
+    """
+    rows = []
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
-        if header != ["day", "treated", "control", "logit_gap", "mahalanobis"]:
+        if header != list(_PAIR_CSV_COLUMNS):
             raise ParseError(
                 "expected header day,treated,control,logit_gap,mahalanobis", path=str(path)
             )
@@ -971,11 +1028,13 @@ def read_pairs(path, panel: TreatmentPanel | None = None):
             if len(rec) != 5:
                 raise ParseError("wrong field count", path=str(path), line=ln)
             try:
-                day, t, c = int(rec[0]), int(rec[1]), int(rec[2])
+                day, t, c = _int64(rec[0]), _int64(rec[1]), _int64(rec[2])
                 gap, md = float(rec[3]), float(rec[4])
             except ValueError as e:
                 raise ParseError(str(e), path=str(path), line=ln) from None
-            to = lookup.get((t, day)) if lookup else None
-            co = lookup.get((c, day)) if lookup else None
-            out.append(MatchedPair(day, t, c, gap, md, to, co))
-    return out
+            rows.append((day, t, c, gap, md, -1, -1))
+    pairs = np.array(rows, dtype=PAIR_DTYPE).view(np.recarray)
+    if panel is not None and panel.n_rows and len(pairs):
+        pairs.treated_outcome = _panel_outcomes(panel, pairs.treated, pairs.day)
+        pairs.control_outcome = _panel_outcomes(panel, pairs.control, pairs.day)
+    return pairs

@@ -446,6 +446,23 @@ def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):
     }
 
 
+def test_binary_match_never_loads_scipy_special(hworld, tmp_path):
+    # the propensity fit's logistic is numpy's, not scipy.special.expit
+    env = dict(os.environ)
+    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    argv = ["match", "--graph", str(hworld["graph"]), "--log", str(hworld["log"]),
+            "--kind", "timing", "--d", "3", "--min-level-rows", "5",
+            "--out-pairs", str(tmp_path / "p.csv"), "--out-risk", str(tmp_path / "r.json"),
+            "--out-diagnostics", str(tmp_path / "d.json")]
+    code = ("import sys, contagion_lab.cli as cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(rc, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+
+
 def test_match_dose_converges(hworld, tmp_path, capsys):
     # the multinomial fit stops on its Newton decrement
     pairs = tmp_path / "pairs.csv"

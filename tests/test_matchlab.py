@@ -1,22 +1,22 @@
 """Matched-sample estimator: panel semantics, propensity fits, greedy matching."""
 
 import math
-import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from contagion_lab import matchlab
 from contagion_lab.calibrate import NEVER, AdoptionLog
-from contagion_lab.errors import ConvergenceError, DataError
+from contagion_lab.errors import ConvergenceError, DataError, ParseError
 from contagion_lab.matchlab import (
     BINARY_LEVELS,
     CORE_COVARIATES,
     DOSE_LEVELS,
+    PAIR_DTYPE,
     CovariateTable,
     DayMatchResult,
     Dose,
-    MatchedPair,
     PlaceboFuture,
     PlaceboPermuted,
     PropensityModel,
@@ -34,6 +34,8 @@ from contagion_lab.matchlab import (
     read_pairs,
     write_pairs,
     _MatchContext,
+    _expit,
+    _rank_auc,
     _sq_dist,
 )
 from contagion_lab.netgraph import DirectedGraph
@@ -314,17 +316,35 @@ def test_panel_duplicate_rows_and_days():
         panel([3, 1, 3], [5, 2, 5])
 
 
+def test_expit_agrees_with_scipy():
+    from scipy.special import expit  # the C library's exp under the same formula
+
+    x = np.linspace(-800.0, 800.0, 1_600_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(-x) overflows below about -709
+        got = _expit(x)
+    ulps = np.abs(got.view(np.int64) - expit(x).view(np.int64))
+    # numpy's exp and the C library's differ by at most one ulp. Rounding
+    # 1 + exp(-x) can turn that into two ulps of the sum (ties to even once
+    # exp(-x) passes 2**53, near x = -37), and a reciprocal can double a
+    # relative difference in ulps, so the results may be up to 4 ulps apart
+    assert ulps.max() <= 4
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 40.0, 800.0, -746.0, -800.0])
+    assert _expit(edges).tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+    assert _expit(edges, out=edges) is edges and edges[0] == 0.5
+
+
 def test_propensity_no_signal_auc():
     panel = random_panel(1000, 5, 0, lambda rng, X: rng.integers(0, 2, len(X)))
     model = fit_propensity(panel)
-    assert abs(model.auc - 0.5) < 0.05
+    assert abs(_rank_auc(model.level_logits(1), panel.treatment == 1) - 0.5) < 0.05
     assert model.kind == "binary"
 
 
 def test_propensity_separable_auc():
     panel = random_panel(500, 4, 1, lambda rng, X: (X[:, 0] > 0).astype(int))
     model = fit_propensity(panel)
-    assert model.auc >= 0.99
+    assert _rank_auc(model.level_logits(1), panel.treatment == 1) >= 0.99
     assert np.all(np.isfinite(model.coef))
 
 
@@ -526,8 +546,6 @@ def test_fit_and_match_hold_no_panel_wide_design_block():
     # D = [1, Z] and D * w, each rows x (p + 1) floats, at every iteration
     import tracemalloc
 
-    import scipy.special  # noqa: F401  (the fit's deferred import is not panel memory)
-
     g, log, trait = homophily_world(1, n=2000, horizon=60)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
     panel = build_panel(g, log, cov, Timing(d=3))
@@ -598,7 +616,6 @@ def stub_model(panel, logits_by_row):
         mean=np.zeros(len(panel.names)),
         scale=np.ones(len(panel.names)),
         probs=probs,
-        auc=None,
         iterations=1,
     )
 
@@ -738,8 +755,9 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
     caliper-tested for every treated ego."""
     panel = ctx.panel
     rows = np.flatnonzero(panel.day == day)
+    no_pairs = np.recarray(0, dtype=PAIR_DTYPE)
     if rows.size == 0:
-        return DayMatchResult(day, (), 0, 0, "no risk-set rows")
+        return DayMatchResult(day, no_pairs, 0, 0, "no risk-set rows")
     s = ctx.scores[rows]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
@@ -747,7 +765,7 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
     c = np.flatnonzero(panel.treatment[rows] == 0)
     if t.size == 0 or c.size == 0:
         return DayMatchResult(
-            day, (), int(t.size), 0, "insufficient treated or control counts"
+            day, no_pairs, int(t.size), 0, "insufficient treated or control counts"
         )
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
@@ -769,17 +787,18 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
         pick = cand[j]
         available[pick] = False
         pairs.append(
-            MatchedPair(
-                day=int(day),
-                treated=int(ego[t[i]]),
-                control=int(c_ego[pick]),
-                logit_gap=float(st[i] - sc[pick]),
-                mahalanobis=float(md[j]),
-                treated_outcome=int(panel.outcome[rows[t[i]]]),
-                control_outcome=int(panel.outcome[rows[c[pick]]]),
+            (
+                day,
+                ego[t[i]],
+                c_ego[pick],
+                st[i] - sc[pick],
+                md[j],
+                panel.outcome[rows[t[i]]],
+                panel.outcome[rows[c[pick]]],
             )
         )
-    return DayMatchResult(day, tuple(pairs), int(t.size), len(pairs), None)
+    pairs = np.array(pairs, dtype=PAIR_DTYPE).view(np.recarray)
+    return DayMatchResult(day, pairs, int(t.size), len(pairs), None)
 
 
 class FixedLogits:
@@ -793,13 +812,9 @@ class FixedLogits:
 
 
 def result_bits(res):
-    """A DayMatchResult as plain values, floats as their exact bit patterns."""
-    bits = lambda x: struct.pack("<d", x)
-    pairs = tuple(
-        (p.day, p.treated, p.control, bits(p.logit_gap), bits(p.mahalanobis),
-         p.treated_outcome, p.control_outcome)
-        for p in res.pairs
-    )
+    """A DayMatchResult as plain values, each pair record as its exact bytes."""
+    assert res.pairs.dtype == PAIR_DTYPE
+    pairs = tuple(p.tobytes() for p in res.pairs)
     return (res.day, pairs, res.n_treated, res.n_matched, res.skip_reason)
 
 
@@ -1065,18 +1080,47 @@ def test_diagnostics_recomputation_oracle():
 def test_pairs_csv_round_trip(tmp_path):
     g, log, trait = homophily_world(4)
     panel, model, run = run_timing_rr(g, log, trait)
-    assert len(run.pairs) > 0
+    pairs = run.pairs
+    assert isinstance(pairs, np.recarray) and pairs.dtype == PAIR_DTYPE
+    # one row per pick, the days' tables in day order
+    assert len(pairs) == sum(r.n_matched for r in run.results) > 0
+    assert pairs.tobytes() == b"".join(r.pairs.tobytes() for r in run.results)
+    assert np.all(np.diff(pairs.day) >= 0)
+    row = {(int(e), int(d)): i for i, (e, d) in enumerate(zip(panel.ego, panel.day))}
+    for p in pairs[:50]:
+        assert panel.treatment[row[p.treated, p.day]] == 1
+        assert panel.treatment[row[p.control, p.day]] == 0
+        assert p.treated_outcome == panel.outcome[row[p.treated, p.day]]
+        assert p.control_outcome == panel.outcome[row[p.control, p.day]]
+
     path = tmp_path / "pairs.csv"
-    write_pairs(run.pairs, path)
+    write_pairs(pairs, path)
     back = read_pairs(path, panel=panel)
-    assert len(back) == len(run.pairs)
-    for p, q in zip(run.pairs, back):
-        assert (p.day, p.treated, p.control) == (q.day, q.treated, q.control)
-        assert p.logit_gap == q.logit_gap
-        assert p.mahalanobis == q.mahalanobis
-        assert p.treated_outcome == q.treated_outcome
-        assert p.control_outcome == q.control_outcome
-    assert pool_risk_ratio(back).rr == pool_risk_ratio(run.pairs).rr
+    assert back.dtype == PAIR_DTYPE
+    assert back.tobytes() == pairs.tobytes()
+    assert pool_risk_ratio(back) == pool_risk_ratio(pairs)
+
+    # without the panel, or for a row the panel lacks, an outcome reads -1
+    bare = read_pairs(path)
+    assert np.all(bare.treated_outcome == -1) and np.all(bare.control_outcome == -1)
+    with pytest.raises(DataError, match="pairs lack outcomes"):
+        pool_risk_ratio(bare)
+    lines = path.read_text().splitlines()
+    day, t, c, gap, md = lines[1].split(",")
+    stray = tmp_path / "stray.csv"
+    stray.write_text("\n".join([lines[0], f"{int(day) + 10**6},{t},{c},{gap},{md}",
+                                f"{day},{len(panel.node_X)},{c},{gap},{md}", lines[1]]) + "\n")
+    got = read_pairs(stray, panel=panel)
+    assert got.treated_outcome[:2].tolist() == [-1, -1]
+    assert got[2].tobytes() == pairs[0].tobytes()
+
+    for bad, line in ((f"{day},{t},{c},{gap}", 3), (f"{day},x,{c},{gap},{md}", 3),
+                      (f"{2**63},{t},{c},{gap},{md}", 3)):
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join([lines[0], lines[1], bad]) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs(broken, panel=panel)
+        assert err.value.path == str(broken) and err.value.line == line, bad
 
 
 def test_dose_pipeline_end_to_end():
@@ -1088,6 +1132,6 @@ def test_dose_pipeline_end_to_end():
     levels_present = [lv for lv in model.classes if lv != 0]
     assert levels_present, "dose panel produced no exposed rows"
     run = match_all_days(panel, model, level=levels_present[0])
-    if run.pairs:
+    if len(run.pairs):
         table = pool_risk_ratio(run.pairs)
         assert table.ci_low <= table.rr <= table.ci_high
