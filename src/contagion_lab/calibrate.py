@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, read_csv, read_json
 from .netgraph import DirectedGraph
 from .rngstream import PARAM_ASSIGNMENT, stream
 from .shocks import ShockSchedule
@@ -94,40 +94,22 @@ class AdoptionLog:
         last_day: int | None = None,
     ) -> "AdoptionLog":
         days = np.full(g.node_count, NEVER, dtype=np.int64)
-        seen: set[int] = set()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["node", "day"]:
-                raise ParseError("expected header 'node,day'", path=str(path), line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    node = g.index_of(row[0].strip())
-                    day = int(row[1])
-                except (KeyError, ValueError, IndexError) as e:
-                    raise ParseError(
-                        f"malformed record {row!r}", path=str(path), line=lineno
-                    ) from e
-                # A day of NEVER would read as "never adopted", and one past
-                # int64 would overflow the day array.
-                if not 0 <= day <= _MAX_DAY:
-                    raise ParseError(
-                        f"adoption day {day} outside [0, {_MAX_DAY}]",
-                        path=str(path),
-                        line=lineno,
-                    )
-                if node in seen:
-                    raise ParseError(
-                        f"duplicate record for node {row[0]!r}",
-                        path=str(path),
-                        line=lineno,
-                    )
-                seen.add(node)
-                days[node] = day
-        if not seen:
-            raise ParseError("no adoption records", path=str(path))
+        # a day of NEVER would read as "never adopted", and one past int64
+        # would overflow the day array
+        lo, hi = max(first_day, 0), _MAX_DAY if last_day is None else min(last_day, _MAX_DAY)
+        if lo > hi:
+            raise DataError(f"empty horizon [{first_day}, {last_day}]")
+
+        def record(fields):
+            node = g.index_of(fields[0].strip())
+            day = int(fields[1])
+            if not lo <= day <= hi:
+                raise ValueError(f"adoption day {day} outside [{lo}, {hi}]")
+            if days[node] != NEVER:
+                raise ValueError(f"duplicate record for node {fields[0]!r}")
+            days[node] = day
+
+        read_csv(path, ("node", "day"), lambda header: record)
         return cls(days, first_day=first_day, last_day=last_day)
 
 
@@ -271,8 +253,8 @@ def calibrate_activity(
     activity 0).
     """
     counts = np.asarray(post_counts, dtype=float)
-    if np.any(counts < 0):
-        raise DataError("posting volumes must be non-negative")
+    if not np.all((0 <= counts) & (counts < np.inf)):
+        raise DataError("posting volumes must be finite and non-negative")
     raw = np.log1p(counts)
     if raw.sum() == 0:
         raise DataError("all posting volumes are zero")
@@ -301,11 +283,12 @@ class MechanismParams:
         object.__setattr__(self, "activity", act)
         if not (len(beta) == len(phi) == len(act)):
             raise DataError("per-node parameter arrays differ in length")
-        if np.any(beta < 0) or np.any(beta > 1):
+        # written so that NaN fails every check
+        if not np.all((0 <= beta) & (beta <= 1)):
             raise DataError("transmission rates must lie in [0, 1]")
-        if np.any(phi <= 0):
+        if not np.all(phi > 0):
             raise DataError("thresholds must be positive")
-        if np.any(act < 0) or np.any(act > 1):
+        if not np.all((0 <= act) & (act <= 1)):
             raise DataError("activity must lie in [0, 1]")
         if not 0 <= self.r <= 1:
             raise DataError("spontaneous rate must lie in [0, 1]")
@@ -338,28 +321,17 @@ class MechanismParams:
 
     @classmethod
     def from_json(cls, path) -> "MechanismParams":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", path=str(path)) from e
-        try:
-            sched = d["shock_schedule"]
-            schedule = ShockSchedule(
-                np.array([s["tau"] for s in sched], dtype=np.int64),
-                np.array([s["gamma"] for s in sched], dtype=float),
-                np.array([s["alpha"] for s in sched], dtype=float),
-            )
+        def parse(d):
             return cls(
                 beta=np.array(d["beta"], dtype=float),
                 phi=np.array(d["phi"], dtype=float),
                 r=float(d["r"]),
                 activity=np.array(d["activity"], dtype=float),
-                shock_schedule=schedule,
+                shock_schedule=ShockSchedule.from_records(d["shock_schedule"]),
                 shock_prob_at_peak=float(d["shock_prob_at_peak"]),
             )
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"params file missing field: {e}", path=str(path)) from e
+
+        return read_json(path, parse)
 
 
 def assign_from_pools(

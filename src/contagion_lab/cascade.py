@@ -35,7 +35,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
-from .errors import DataError, ParseError
+from .errors import DataError, read_jsonl
 from .features import FEATURE_NAMES, eve_features
 from .netgraph import DirectedGraph
 from .rngstream import REALIZATION, stream
@@ -306,35 +306,23 @@ def _mechanism_code(name) -> int:
     return MECHANISMS.index(name)
 
 
+def _event_record(d) -> tuple:
+    features = [float(x) for x in d["features"]]
+    if len(features) != N_FEATURES:
+        raise ValueError(f"{len(features)} features, expected {N_FEATURES}")
+    code = _mechanism_code(d["mechanism"])
+    fired = sum({1 << _mechanism_code(name) for name in d["fired"]})
+    if not fired >> code & 1:
+        raise ValueError(f"mechanism {d['mechanism']!r} is not in its fired set")
+    return (
+        _count(d["node"], "node"),
+        _count(d["day"], "day"),
+        code,
+        fired,
+        features,
+        _count(d["realization"], "realization"),
+    )
+
+
 def read_events(path) -> np.recarray:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-                features = [float(x) for x in d["features"]]
-                if len(features) != N_FEATURES:
-                    raise ValueError(
-                        f"{len(features)} features, expected {N_FEATURES}"
-                    )
-                code = _mechanism_code(d["mechanism"])
-                fired = sum({1 << _mechanism_code(name) for name in d["fired"]})
-                if not fired >> code & 1:
-                    raise ValueError(f"mechanism {d['mechanism']!r} is not in its fired set")
-                rows.append(
-                    (
-                        _count(d["node"], "node"),
-                        _count(d["day"], "day"),
-                        code,
-                        fired,
-                        features,
-                        _count(d["realization"], "realization"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise ParseError(
-                    f"bad event record: {e}", path=str(path), line=lineno
-                ) from e
-    return np.array(rows, dtype=EVENT_DTYPE).view(np.recarray)
+    return np.array(read_jsonl(path, _event_record), dtype=EVENT_DTYPE).view(np.recarray)

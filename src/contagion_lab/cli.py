@@ -37,7 +37,7 @@ from .cascade import (
     run_realization,  # unused: bench/tracing.py wraps cli.run_realization (span cascade.replay)
     write_events,
 )
-from .errors import ConvergenceError, DataError, ParseError
+from .errors import ConvergenceError, DataError, ParseError, read_csv, read_json
 from .features import (
     events_feature_matrix,
     extract_features_log,
@@ -271,20 +271,21 @@ def cmd_simulate(args, sp):
     return inputs, outputs, summary
 
 
+def _shock_ranges(d) -> list:
+    """The (first, last) day pairs of a detect-shocks ranges JSON."""
+    ranges = [tuple(r) for r in d["ranges"]]
+    if not all(len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
+        raise ValueError("ranges must be [first, last] integer pairs")
+    return ranges
+
+
 def cmd_calibrate(args, sp):
     _require(sp, args, "graph", "log", "out")
     g = DirectedGraph.load(args.graph)
     log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
     inputs = [args.graph, args.log]
     if args.shock_ranges:
-        path = args.shock_ranges
-        with open(path, encoding="utf-8") as fh:
-            try:
-                ranges = [tuple(r) for r in json.load(fh)["ranges"]]
-            except (ValueError, KeyError, TypeError) as e:
-                raise ParseError(f'expected {{"ranges": [[first, last], ...]}}: {e}', path=path)
-        if not all(len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
-            raise ParseError("ranges must be [first, last] integer pairs", path=path)
+        ranges = read_json(args.shock_ranges, _shock_ranges)
         mask = shock_day_mask(log.horizon_days, ranges)
         log = AdoptionLog(log.adoption_day, log.first_day, log.last_day, shock_mask=mask)
         inputs.append(args.shock_ranges)
@@ -294,20 +295,14 @@ def cmd_calibrate(args, sp):
     r = calibrate_background(g, log, eve)
     if args.activity_posts:
         counts = np.zeros(g.node_count)
-        with open(args.activity_posts, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["node", "count"]:
-                raise ParseError("expected header 'node,count'", path=args.activity_posts)
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    counts[g.index_of(row[0].strip())] = float(row[1])
-                except (KeyError, ValueError, IndexError):
-                    raise ParseError(
-                        f"bad posting record {row!r}", path=args.activity_posts, line=ln
-                    ) from None
+
+        def posting(fields):
+            count = float(fields[1])
+            if not 0 <= count < np.inf:
+                raise ValueError(f"posting count {fields[1]!r} is not finite and >= 0")
+            counts[g.index_of(fields[0].strip())] = count
+
+        read_csv(args.activity_posts, ("node", "count"), lambda header: posting)
         activity = calibrate_activity(counts, args.activity_mean)
         inputs.append(args.activity_posts)
     else:
@@ -537,6 +532,13 @@ def cmd_match(args, sp):
     return [args.graph, args.log], outputs, summary
 
 
+def _manifest(d) -> tuple[dict, list]:
+    """A manifest and its output paths."""
+    if not isinstance(d, dict):
+        raise TypeError("a manifest is a JSON object")
+    return d, [os.fspath(out) for out in d.get("outputs", [])]
+
+
 def cmd_report(args, sp):
     _require(sp, args, "dir", "out")
     if not os.path.isdir(args.dir):
@@ -546,13 +548,7 @@ def cmd_report(args, sp):
     for name in sorted(os.listdir(args.dir)):
         if not name.endswith(".manifest.json"):
             continue
-        mpath = os.path.join(args.dir, name)
-        with open(mpath, encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-                outputs = [os.fspath(out) for out in manifest.get("outputs", [])]
-            except (ValueError, AttributeError, TypeError) as e:
-                raise ParseError(f"not a manifest: {e}", path=mpath) from e
+        manifest, outputs = read_json(os.path.join(args.dir, name), _manifest)
         checked = []
         for out in outputs:
             cand = out if os.path.isabs(out) else os.path.join(args.dir, os.path.basename(out))
@@ -761,14 +757,14 @@ def build_parser():
     return parser, registry
 
 
-def _apply_config(sp, path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad config file: {e}", path=str(path))
+def _flat_object(cfg) -> dict:
     if not isinstance(cfg, dict):
-        raise ParseError("config file must hold a flat JSON object", path=str(path))
+        raise TypeError("config file must hold a flat JSON object")
+    return cfg
+
+
+def _apply_config(sp, path):
+    cfg = read_json(path, _flat_object)
     actions = {a.dest: a for a in sp._actions}
     defaults = {}
     for key, value in cfg.items():

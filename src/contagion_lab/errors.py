@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the readers of text inputs.
 
 The CLI maps these onto exit codes: usage errors -> 1, data errors -> 2,
 numeric-convergence errors -> 3.
+
+Every text input is read by `read_csv`, `read_json` or `read_jsonl`: UTF-8
+text, and a `ParseError` naming the file (and line) for any bad record.
 """
+
+import csv
+import json
 
 
 class ContagionLabError(Exception):
@@ -19,12 +25,8 @@ class ParseError(DataError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}: "
-        super().__init__(f"{loc}{message}")
+        loc = "".join(f"{x}:" for x in (path, line) if x is not None)
+        super().__init__(f"{loc} {message}" if loc else message)
 
 
 class ConvergenceError(ContagionLabError):
@@ -35,3 +37,90 @@ class ConvergenceError(ContagionLabError):
         if iterations is not None:
             message = f"{message} (after {iterations} iterations)"
         super().__init__(message)
+
+
+# what a `parse` callback raises on a bad record; a DataError is a range check
+# failed by a constructor it called, and json raises RecursionError on deep nesting
+_RECORD_ERRORS = (
+    ValueError, KeyError, IndexError, TypeError, OverflowError, RecursionError, DataError
+)
+
+
+def _why(e: Exception) -> str:
+    # a KeyError's text is only the key: a missing field or an unknown id
+    return f"{e} not found" if isinstance(e, KeyError) else str(e)
+
+
+def _not_utf8(path: str) -> ParseError:
+    """The error for a file that does not decode, at the line of its first bad
+    byte (a text file decodes in chunks, so a reader's own count runs early)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        return ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}", path, line)
+    return ParseError("not UTF-8 text", path)
+
+
+def read_csv(path, names, parse) -> list:
+    """Parse a UTF-8 CSV file whose header's first fields, stripped, are `names`.
+
+    `parse(header)` is called once with the stripped header and returns the
+    record parser, which is called as `f(fields)` on every record; its
+    results are returned in file order. A record with no fields, or with one
+    blank field, is skipped, and a file with no records is an error.
+    """
+    path = str(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader, [])]
+            if header[: len(names)] != list(names):
+                raise ParseError(f"expected header '{','.join(names)}'", path, 1)
+            record = parse(header)
+            rows = [record(f) for f in reader if len(f) > 1 or f and f[0].strip()]
+        except ParseError:
+            raise
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except (csv.Error, *_RECORD_ERRORS) as e:
+            raise ParseError(f"bad record: {_why(e)}", path, reader.line_num) from e
+    if not rows:
+        raise ParseError("no records", path)
+    return rows
+
+
+def read_json(path, parse):
+    """`parse(value)` of the one JSON value in a UTF-8 file."""
+    path = str(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e.msg}", path, e.lineno) from None
+        except RecursionError as e:
+            raise ParseError(f"invalid JSON: {e}", path) from None
+    try:
+        return parse(value)
+    except _RECORD_ERRORS as e:
+        raise ParseError(f"bad value: {_why(e)}", path) from e
+
+
+def read_jsonl(path, parse) -> list:
+    """`parse(value)` of every non-blank line of a UTF-8 JSON-lines file."""
+    path = str(path)
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    rows.append(parse(json.loads(line)))
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except _RECORD_ERRORS as e:
+            raise ParseError(f"bad record: {_why(e)}", path, lineno) from e
+    return rows

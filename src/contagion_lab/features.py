@@ -19,7 +19,7 @@ import csv
 import numpy as np
 
 from .calibrate import AdoptionLog, ExposureIndex
-from .errors import DataError, ParseError
+from .errors import DataError, read_csv
 from .netgraph import DirectedGraph
 from .shocks import ShockSchedule, shock_intensity, shock_recency
 
@@ -119,30 +119,21 @@ def write_feature_csv(X: np.ndarray, path, labels=None) -> None:
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", path=str(path))
-        header = [h.strip() for h in header]
-        if tuple(header[: len(FEATURE_NAMES)]) != FEATURE_NAMES:
-            raise ParseError(
-                f"expected columns {','.join(FEATURE_NAMES)}", path=str(path), line=1
-            )
-        has_label = len(header) > len(FEATURE_NAMES) and header[len(FEATURE_NAMES)] == "label"
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                rows.append([float(x) for x in row[: len(FEATURE_NAMES)]])
-                if has_label:
-                    labels.append(row[len(FEATURE_NAMES)])
-            except (ValueError, IndexError) as e:
-                raise ParseError(
-                    f"malformed record {row!r}", path=str(path), line=lineno
-                ) from e
-    if not rows:
-        raise ParseError("no feature rows", path=str(path))
-    X = np.array(rows, dtype=float)
-    return X, (np.array(labels) if has_label else None)
+    """The feature matrix, and the labels when the header has a `label`
+    column right after the features (other extra columns are ignored)."""
+    n = len(FEATURE_NAMES)
+    labels = []
+
+    def parser(header):
+        width = n + (header[n : n + 1] == ["label"])
+
+        def record(fields):
+            if len(fields) < width:
+                raise ValueError(f"{len(fields)} fields, expected {width}")
+            labels.extend(fields[n:width])
+            return [float(x) for x in fields[:n]]
+
+        return record
+
+    X = np.array(read_csv(path, FEATURE_NAMES, parser), dtype=float)
+    return X, (np.array(labels) if labels else None)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, ExposureIndex
-from .errors import ConvergenceError, DataError, ParseError
+from .errors import ConvergenceError, DataError, read_csv, read_json
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
 from .structtest import average_ranks
@@ -659,11 +659,13 @@ class DayMatchResult:
 
 @dataclass(frozen=True)
 class MatchRun:
-    """Every day's result in day order, and the run's pairs as one
-    `PAIR_DTYPE` table: the days' tables, concatenated in that order."""
+    """Every day's result in day order, the run's pairs as one `PAIR_DTYPE`
+    table (the days' tables, concatenated in that order), and the matched
+    level's propensity logits over every panel row."""
 
     results: tuple
     pairs: np.recarray
+    scores: np.ndarray
 
     @property
     def skipped(self) -> tuple:
@@ -855,7 +857,7 @@ def match_all_days(
     ctx = _MatchContext(panel, model, level)
     results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
     pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results])
-    return MatchRun(results, pairs.view(np.recarray))
+    return MatchRun(results, pairs.view(np.recarray), ctx.scores)
 
 
 @dataclass(frozen=True)
@@ -904,9 +906,7 @@ class RiskTable:
 
     @classmethod
     def from_json(cls, path) -> "RiskTable":
-        with open(path) as f:
-            d = json.load(f)
-        return cls(**d)
+        return read_json(path, lambda d: cls(**d))
 
 
 def pool_risk_ratio(pairs) -> RiskTable:
@@ -941,8 +941,9 @@ def diagnostics(
     run: MatchRun,
     level: int = 1,
 ) -> dict:
-    """Balance and overlap summary: per-day AUC, logit gaps, match distances."""
-    scores = model.level_logits(level)
+    """Balance and overlap summary: per-day AUC, logit gaps, match distances.
+    The AUCs read the logits that `run` matched on."""
+    scores = run.scores
     aucs = []
     for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
@@ -1014,25 +1015,14 @@ def read_pairs(path, panel: TreatmentPanel | None = None) -> np.recarray:
     Outcomes are restored from the source panel when it is given; they read
     -1 without it, and for a pair whose (ego, day) row the panel lacks.
     """
-    rows = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != list(_PAIR_CSV_COLUMNS):
-            raise ParseError(
-                "expected header day,treated,control,logit_gap,mahalanobis", path=str(path)
-            )
-        for ln, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise ParseError("wrong field count", path=str(path), line=ln)
-            try:
-                day, t, c = _int64(rec[0]), _int64(rec[1]), _int64(rec[2])
-                gap, md = float(rec[3]), float(rec[4])
-            except ValueError as e:
-                raise ParseError(str(e), path=str(path), line=ln) from None
-            rows.append((day, t, c, gap, md, -1, -1))
+
+    def record(fields):
+        if len(fields) != 5:
+            raise ValueError(f"{len(fields)} fields, expected 5")
+        day, t, c = (_int64(x) for x in fields[:3])
+        return day, t, c, float(fields[3]), float(fields[4]), -1, -1
+
+    rows = read_csv(path, _PAIR_CSV_COLUMNS, lambda header: record)
     pairs = np.array(rows, dtype=PAIR_DTYPE).view(np.recarray)
     if panel is not None and panel.n_rows and len(pairs):
         pairs.treated_outcome = _panel_outcomes(panel, pairs.treated, pairs.day)

@@ -17,13 +17,14 @@ the lowest threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibrate import AdoptionLog
 from .cascade import MECHANISMS
-from .errors import DataError, ParseError
+from .errors import DataError, read_json
 from .features import FEATURE_NAMES, extract_features_log
 from .netgraph import DirectedGraph
 from .rngstream import TRAIN_SPLIT, stream
@@ -78,17 +79,12 @@ class BoostedForest:
 
     @classmethod
     def load(cls, path) -> "BoostedForest":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", path=str(path)) from e
-        if not isinstance(d, dict):
-            raise ParseError("expected a JSON object", path=str(path))
-        if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
-            raise ParseError("unrecognized model format", path=str(path))
-        try:
-            return cls(
+        def parse(d):
+            if not isinstance(d, dict):
+                raise TypeError("expected a JSON object")
+            if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
+                raise ValueError("unrecognized model format")
+            model = cls(
                 classes=tuple(d["classes"]),
                 feature_names=tuple(d["feature_names"]),
                 trees=d["trees"],
@@ -99,8 +95,33 @@ class BoostedForest:
                 seed=int(d["seed"]),
                 loss_curve=tuple(d.get("loss_curve", ())),
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad model field: {e!r}", path=str(path)) from e
+            _check_trees(model.trees, len(model.classes), len(model.feature_names))
+            return model
+
+        return read_json(path, parse)
+
+
+def _check_trees(trees, n_classes: int, n_features: int) -> None:
+    """Raise unless every round holds one tree per class and every node is a
+    finite leaf or a split on a feature in range at a finite threshold."""
+    if not all(isinstance(r, list) and len(r) == n_classes for r in trees):
+        raise ValueError(f"every round must hold one tree per class ({n_classes})")
+    stack = [tree for r in trees for tree in r]
+    while stack:
+        node = stack.pop()
+        if "leaf" in node:
+            _check_finite(node["leaf"], "leaf value")
+            continue
+        f = node["feature"]
+        if type(f) is not int or not 0 <= f < n_features:
+            raise ValueError(f"split feature {f!r} outside [0, {n_features})")
+        _check_finite(node["threshold"], "split threshold")
+        stack += node["left"], node["right"]
+
+
+def _check_finite(x, what: str) -> None:
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{what} {x!r} is not a finite number")
 
 
 # -- binning ---------------------------------------------------------------------

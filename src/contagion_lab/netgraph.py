@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, read_csv
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ class DirectedGraph:
         if node_ids is None:
             # zero-pad so lexical order equals numeric order across reloads
             w = len(str(max(n_nodes - 1, 0)))
-            node_ids = tuple(f"{i:0{w}d}" for i in range(n_nodes))
+            node_ids = tuple(map(f"%0{w}d".__mod__, range(n_nodes)))
         if len(node_ids) != n_nodes:
             raise DataError(f"expected {n_nodes} node ids, got {len(node_ids)}")
         # before the keying below, where an out-of-range pair would alias
@@ -308,23 +308,14 @@ def load_edge_list(path) -> DirectedGraph:
     external-id order.  Duplicates collapse, self-loops drop (both counted in
     the attached load report).
     """
-    pairs: list[tuple[str, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", path=str(path))
-        if [h.strip() for h in header[:2]] != ["source", "target"]:
-            raise ParseError("expected header 'source,target'", path=str(path), line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise ParseError(f"malformed record {row!r}", path=str(path), line=lineno)
-            pairs.append((row[0].strip(), row[1].strip()))
-    if not pairs:
-        raise ParseError("no edge records", path=str(path))
 
+    def record(fields):
+        pair = tuple(x.strip() for x in fields)
+        if len(pair) != 2 or not all(pair):
+            raise ValueError(f"expected two non-blank ids, got {fields!r}")
+        return pair
+
+    pairs = read_csv(path, ("source", "target"), lambda header: record)
     node_ids = tuple(sorted({x for pair in pairs for x in pair}))
     id_map = {x: i for i, x in enumerate(node_ids)}
     edges = np.array([(id_map[s], id_map[t]) for s, t in pairs], dtype=np.int64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, ParseError
+from .errors import ConvergenceError, DataError, read_csv, read_json
 
 HUBER_C = 1.345  # 95% Gaussian efficiency
 MAD_TO_SD = 0.6745
@@ -42,11 +42,12 @@ class ShockSchedule:
         if len(self.tau):
             if np.any(np.diff(self.tau) <= 0):
                 raise DataError("shock peak days must be strictly increasing")
-            if np.any(self.gamma <= 0) or np.any(self.gamma > 1):
+            # written so that NaN fails every check
+            if not np.all((0 < self.gamma) & (self.gamma <= 1)):
                 raise DataError("shock heights must lie in (0, 1]")
             if abs(self.gamma.max() - 1.0) > 1e-9:
                 raise DataError("largest shock height must be 1 (relative scale)")
-            if np.any(self.alpha <= 0):
+            if not np.all(self.alpha > 0):
                 raise DataError("decay exponents must be positive")
 
     def __len__(self) -> int:
@@ -81,21 +82,19 @@ class ShockSchedule:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, path) -> "ShockSchedule":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                rows = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", path=str(path)) from e
+    def from_records(cls, rows) -> "ShockSchedule":
+        """A schedule from its JSON form, a list of {tau, gamma, alpha} records."""
         if not isinstance(rows, list):
-            raise ParseError("expected a JSON list of shocks", path=str(path))
-        try:
-            tau = np.array([r["tau"] for r in rows], dtype=np.int64)
-            gamma = np.array([r["gamma"] for r in rows], dtype=float)
-            alpha = np.array([r["alpha"] for r in rows], dtype=float)
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"shock record missing field: {e}", path=str(path)) from e
-        return cls(tau, gamma, alpha)
+            raise TypeError("expected a JSON list of shocks")
+        return cls(
+            np.array([int(r["tau"]) for r in rows], dtype=np.int64),
+            np.array([float(r["gamma"]) for r in rows]),
+            np.array([float(r["alpha"]) for r in rows]),
+        )
+
+    @classmethod
+    def from_json(cls, path) -> "ShockSchedule":
+        return read_json(path, cls.from_records)
 
 
 def shock_intensity(s: ShockSchedule, t) -> np.ndarray | float:
@@ -151,29 +150,16 @@ class AdoptionSeries:
     @classmethod
     def from_csv(cls, path) -> "AdoptionSeries":
         counts = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["day", "count"]:
-                raise ParseError("expected header 'day,count'", path=str(path), line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    day, count = int(row[0]), int(row[1])
-                except (ValueError, IndexError) as e:
-                    raise ParseError(
-                        f"malformed record {row!r}", path=str(path), line=lineno
-                    ) from e
-                if day != len(counts):
-                    raise ParseError(
-                        f"days must run 0..n-1 without gaps, got {day}",
-                        path=str(path),
-                        line=lineno,
-                    )
-                counts.append(count)
-        if not counts:
-            raise ParseError("no count records", path=str(path))
+
+        def record(fields):
+            day, count = int(fields[0]), int(fields[1])
+            if day != len(counts):
+                raise ValueError(f"days must run 0..n-1 without gaps, got {day}")
+            if not 0 <= count < 2**63:
+                raise ValueError(f"count {count} outside [0, 2**63)")
+            counts.append(count)
+
+        read_csv(path, ("day", "count"), lambda header: record)
         return cls(np.array(counts, dtype=np.int64))
 
 

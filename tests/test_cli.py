@@ -319,6 +319,21 @@ def test_classify_output_shape(world, tmp_path, capsys):
         assert row[1] == classes[int(np.argmax(p))]
 
 
+FEATURE_HEADER = ("m,k,saturation,exposure_duration,influence_recency,"
+                  "shock_intensity,shock_recency")
+
+
+def _model(*trees):
+    return {"format": "contagion-lab-gbdt", "version": 1, "classes": ["a", "b"],
+            "feature_names": FEATURE_HEADER.split(","), "trees": list(trees),
+            "learning_rate": 0.1, "max_depth": 3, "min_child_weight": 1.0,
+            "reg_lambda": 1.0, "seed": 0}
+
+
+SPLIT = {"feature": 0, "threshold": 0.5, "gain": 1.0,
+         "left": {"leaf": 0.1}, "right": {"leaf": -0.1}}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -327,17 +342,31 @@ def test_classify_output_shape(world, tmp_path, capsys):
         {"format": "contagion-lab-gbdt", "version": 1, "classes": ["a"],
          "feature_names": [], "trees": [], "learning_rate": "fast",
          "max_depth": 3, "min_child_weight": 1.0, "reg_lambda": 1.0, "seed": 0},
+        _model([{k: v for k, v in SPLIT.items() if k != "threshold"}, {"leaf": 0.0}]),
+        _model([{**SPLIT, "feature": 99}, {"leaf": 0.0}]),
+        _model([{"leaf": 0.0}]),  # one tree for two classes
     ],
 )
 def test_classify_malformed_model_is_data_error(tmp_path, capsys, payload):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(payload))
     feats = tmp_path / "f.csv"
-    feats.write_text("m,k,saturation,exposure_duration,influence_recency,"
-                     "shock_intensity,shock_recency\n1,2,0.5,1,1,0,-1\n")
+    feats.write_text(f"{FEATURE_HEADER}\n1,2,0.5,1,1,0,-1\n")
     assert run(["classify", "--model", model, "--features", feats,
                 "--out", tmp_path / "lab.csv"]) == 2
     assert str(model) in capsys.readouterr().err
+
+
+def test_classify_accepts_a_well_formed_hand_model(tmp_path, capsys):
+    # the hand-made malformed models above differ from this one only by their defect
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_model([SPLIT, {"leaf": 0.0}])))
+    feats = tmp_path / "f.csv"
+    feats.write_text(f"{FEATURE_HEADER}\n0,2,0.5,1,1,0,-1\n1,2,0.5,1,1,0,-1\n")
+    out = tmp_path / "lab.csv"
+    assert run(["classify", "--model", model, "--features", feats, "--out", out]) == 0
+    capsys.readouterr()
+    assert [row[1] for row in csv.reader(open(out))][1:] == ["a", "b"]
 
 
 def test_detect_then_fit_shock(tmp_path):
@@ -652,3 +681,123 @@ def test_pickle_probe_is_live(tmp_path):
     # the payload above does run when unpickled, so its absence means something
     pickle.loads(pickle.dumps(_OpenOnUnpickle(tmp_path / "armed"))).close()
     assert (tmp_path / "armed").exists()
+
+
+# ------------------------------------------------ malformed text inputs
+
+def _write(d, name, data):
+    path = d / name
+    (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+    return path
+
+
+def _node(world):
+    return DirectedGraph.load(world["graph"]).node_ids[0]
+
+
+def _params(world, d, **change):
+    # beta, phi and activity hold one value for every node
+    n = DirectedGraph.load(world["graph"]).node_count
+    params = {"beta": 0.1, "phi": 0.2, "r": 1e-4, "activity": 0.5,
+              "shock_schedule": [], "shock_prob_at_peak": 0.0, **change}
+    for key in ("beta", "phi", "activity"):
+        params[key] = [params[key]] * n
+    return _write(d, "params.json", json.dumps(params))
+
+
+def _shocks(d, **change):
+    return _write(d, "shocks.json", json.dumps([{"tau": 3, "gamma": 1.0, "alpha": 0.5, **change}]))
+
+
+def _simulate(world, d, flag, path):
+    return ["simulate", "--graph", world["graph"], "--realizations", 1, "--horizon", 5,
+            "--threads", 1, "--out", d / "out.jsonl", flag, path]
+
+
+def _calibrate(world, d, log=None, posts=None):
+    argv = ["calibrate", "--graph", world["graph"], "--log", log or world["log"],
+            "--out", d / "cal.json", "--params-out", d / "params_out.json"]
+    return argv + (["--activity-posts", posts] if posts else [])
+
+
+def _train(d, features=None, events=None):
+    flag, path = ("--features", features) if features else ("--events", events)
+    return ["train", flag, path, "--rounds", 2, "--out", d / "m.json"]
+
+
+# each case: (world, dir) -> (argv, the file to name, its line or None, a message part)
+MALFORMED_INPUTS = {
+    "params r not a number": lambda w, d: (
+        _simulate(w, d, "--params", p := _params(w, d, r="abc")), p, None, "abc"),
+    "params beta not numbers": lambda w, d: (
+        _simulate(w, d, "--params", p := _params(w, d, beta="x")), p, None, "'x'"),
+    "shock tau not a number": lambda w, d: (
+        _simulate(w, d, "--shocks", p := _shocks(d, tau="x")), p, None, "'x'"),
+    "shock tau a list": lambda w, d: (
+        _simulate(w, d, "--shocks", p := _shocks(d, tau=[1])), p, None, "list"),
+    "feature row of three fields": lambda w, d: (
+        _train(d, features=(p := _write(d, "f.csv", f"{FEATURE_HEADER}\n1,2,3,4,5,6,7\n1,2,3\n"))),
+        p, 3, "3 fields"),
+    "log not UTF-8": lambda w, d: (
+        _calibrate(w, d, log=(p := _write(d, "log.csv", f"node,day\n{_node(w)},".encode() + b"\xff\n"))),
+        p, 2, "not UTF-8"),
+    "edges not UTF-8": lambda w, d: (
+        ["ingest", "--edges", p := _write(d, "e.csv", b"source,target\na,b\nc,\xffd\n"),
+         "--out", d / "g.npz"], p, 3, "not UTF-8"),
+    "series not UTF-8": lambda w, d: (
+        ["detect-shocks", "--series", p := _write(d, "s.csv", b"day,count\n0,\xff1\n"),
+         "--out", d / "r.json"], p, 2, "not UTF-8"),
+    "events not UTF-8": lambda w, d: (
+        _train(d, events=(p := _write(d, "e.jsonl", b'\n{"\xff": 1}\n'))), p, 2, "not UTF-8"),
+    "config not UTF-8": lambda w, d: (
+        ["synth", "--config", p := _write(d, "cfg.json", b'{"nodes": "\xff"}'),
+         "--out", d / "g.npz"], p, 1, "not UTF-8"),
+    "config nested too deeply": lambda w, d: (
+        ["synth", "--config", p := _write(d, "cfg.json", "[" * 100_000), "--out", d / "g.npz"],
+        p, None, "recursion"),
+    "events nested too deeply": lambda w, d: (
+        _train(d, events=(p := _write(d, "e.jsonl", "[" * 100_000 + "\n"))), p, 1, "recursion"),
+    "posting counts not UTF-8": lambda w, d: (
+        _calibrate(w, d, posts=(p := _write(d, "posts.csv", f"node,count\n{_node(w)},".encode()
+                                                             + b"\xff\n"))), p, 2, "not UTF-8"),
+    "posting count NaN": lambda w, d: (
+        _calibrate(w, d, posts=(p := _write(d, "posts.csv", f"node,count\n{_node(w)},nan\n"))),
+        p, 2, "not finite"),
+    "params beta NaN": lambda w, d: (
+        _simulate(w, d, "--params", p := _params(w, d, beta=float("nan"))), p, None,
+        "transmission rates"),
+    "params phi NaN": lambda w, d: (
+        _simulate(w, d, "--params", p := _params(w, d, phi=float("nan"))), p, None,
+        "thresholds"),
+    "shock gamma NaN": lambda w, d: (
+        _simulate(w, d, "--shocks", p := _shocks(d, gamma=float("nan"))), p, None, "heights"),
+    "shock alpha NaN": lambda w, d: (
+        _simulate(w, d, "--shocks", p := _shocks(d, alpha=float("nan"))), p, None, "exponents"),
+    "log day past --last-day": lambda w, d: (
+        _calibrate(w, d, log=(p := _write(d, "log.csv", f"node,day\n{_node(w)},9\n")))
+        + ["--last-day", 5], p, 2, "outside [0, 5]"),
+    "log header only": lambda w, d: (
+        _calibrate(w, d, log=(p := _write(d, "log.csv", "node,day\n"))), p, None, "no records"),
+    "edges header only": lambda w, d: (
+        ["ingest", "--edges", p := _write(d, "e.csv", "source,target\n\n"), "--out", d / "g.npz"],
+        p, None, "no records"),
+    "series header only": lambda w, d: (
+        ["detect-shocks", "--series", p := _write(d, "s.csv", "day,count\n"),
+         "--out", d / "r.json"], p, None, "no records"),
+    "features header only": lambda w, d: (
+        _train(d, features=(p := _write(d, "f.csv", f"{FEATURE_HEADER},label\n"))), p, None,
+        "no records"),
+    "posting counts header only": lambda w, d: (
+        _calibrate(w, d, posts=(p := _write(d, "posts.csv", "node,count\n"))), p, None,
+        "no records"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_two_naming_file_and_line(world, tmp_path, capsys, case):
+    argv, path, line, message = MALFORMED_INPUTS[case](world, tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"{path}: " if line is None else f"{path}:{line}: ") in err
+    assert message in err
