@@ -63,7 +63,6 @@ from .mechclass import (
     BoostedForest,
     decompose,
     macro_f1_score,
-    predict_label,
     predict_proba,
     train,
 )
@@ -211,7 +210,7 @@ def cmd_synth(args, sp):
     g.save(args.out)
     outputs = [args.out]
     if args.traits:
-        with open(args.traits, "w", newline="") as fh:
+        with open(args.traits, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["node", "trait"])
             for i in range(g.node_count):
@@ -401,8 +400,8 @@ def cmd_classify(args, sp):
     model = BoostedForest.load(args.model)
     X, labels = read_feature_csv(args.features)
     probs = predict_proba(model, X)
-    pred = predict_label(model, X)
-    with open(args.out, "w", newline="") as fh:
+    pred = np.asarray(model.classes)[probs.argmax(axis=1)]
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["row", "label"] + [f"p_{c}" for c in model.classes])
         for i in range(len(pred)):
@@ -738,7 +737,9 @@ def build_parser():
     sp.add_argument("--direction", choices=("followee", "follower", "mutual"),
                     default="followee")
     sp.add_argument("--placebo", choices=("none", "future", "permute"), default="none")
-    sp.add_argument("--lag", type=int, default=7, help="covariate measurement lag")
+    sp.add_argument("--lag", type=int, default=7,
+                    help="covariate measurement lag in days; the covariates must predate the "
+                         "treatment window, so timing needs lag > d and dose lag >= 8")
     sp.add_argument("--caliper", type=float, default=0.1)
     sp.add_argument("--level", default="1", help="treatment level to estimate")
     sp.add_argument("--min-level-rows", type=int, default=20)

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,16 @@ class Timing:
 
     d: int
     direction: str = "followee"
+    levels = BINARY_LEVELS
 
     def __post_init__(self):
         if not 1 <= self.d <= 6:
             raise DataError(f"timing window d must be in 1..6, got {self.d}")
         _check_direction(self.direction)
+
+    @property
+    def window(self):
+        return -self.d, -1
 
     @property
     def label(self):
@@ -71,6 +77,8 @@ class Dose:
     """Neighbor adoptions over the trailing week, binned 0/1/2/3/3+."""
 
     direction: str = "followee"
+    levels = DOSE_LEVELS
+    window = (-DOSE_WINDOW, -1)
 
     def __post_init__(self):
         _check_direction(self.direction)
@@ -86,11 +94,16 @@ class PlaceboFuture:
 
     d: int
     direction: str = "followee"
+    levels = BINARY_LEVELS
 
     def __post_init__(self):
         if not 1 <= self.d <= 6:
             raise DataError(f"placebo window d must be in 1..6, got {self.d}")
         _check_direction(self.direction)
+
+    @property
+    def window(self):
+        return 1, self.d
 
     @property
     def label(self):
@@ -103,10 +116,6 @@ class PlaceboPermuted:
 
     base: object
     seed: int = 0
-
-    @property
-    def direction(self):
-        return self.base.direction
 
     @property
     def label(self):
@@ -152,9 +161,10 @@ class CovariateTable:
     degree: it is in + out degree, which would make the block singular,
     while its log is not linear in the others). Optional
     static per-node columns are appended after the core block.  Holds one
-    exposure index per direction and one float row per node (`node_X`: the
-    three degrees, the log total degree and the static columns), so memory
-    is O(edges), not O(n·horizon).
+    exposure index per direction (`exposure`, which `build_panel` also
+    reads each row's treatment from) and one float row per node (`node_X`:
+    the three degrees, the log total degree and the static columns), so
+    memory is O(edges), not O(n·horizon).
     """
 
     def __init__(self, g: DirectedGraph, log: AdoptionLog, lag: int = 7, static=None):
@@ -165,9 +175,9 @@ class CovariateTable:
         self._first, self._last = log.first_day, log.last_day
         names = list(CORE_COVARIATES)
         # DIRECTIONS name the graph's followee_csr, follower_csr and mutual_csr
-        csrs = [getattr(g, f"{d}_csr")() for d in DIRECTIONS]
-        self._index = [ExposureIndex(csr, log.adoption_day) for csr in csrs]
-        deg = np.column_stack([g.in_degree, g.out_degree, g.mutual_degree]).astype(float)
+        csrs = {d: getattr(g, f"{d}_csr")() for d in DIRECTIONS}
+        self.exposure = {d: ExposureIndex(csr, log.adoption_day) for d, csr in csrs.items()}
+        deg = np.column_stack([g.in_degree, g.out_degree, np.diff(csrs["mutual"][0])]).astype(float)
         # a count never exceeds its degree
         self._count_dtype = _int_dtype(0, int(deg.max()) if deg.size else 0)
         cols = [deg, np.log1p(deg[:, 0] + deg[:, 1])]
@@ -186,7 +196,7 @@ class CovariateTable:
 
     def counts(self, day: int, nodes: np.ndarray) -> np.ndarray:
         """Each node's neighbors adopted on or before day - lag, per direction."""
-        cnt = [ix.count(nodes, day - self.lag + 1) for ix in self._index]
+        cnt = [ix.count(nodes, day - self.lag + 1) for ix in self.exposure.values()]
         return np.column_stack(cnt).astype(self._count_dtype)
 
     def values(self, day: int) -> np.ndarray:
@@ -201,11 +211,13 @@ class TreatmentPanel:
     """Daily risk-set rows in narrow ints, plus one float block per node.
 
     A row is (ego, day, treatment level code, outcome, `X`), where `X` holds
-    the row's k lagged adopted-neighbor counts. `node_X` holds one float row
-    per node, whose first k columns are the degrees behind the count
-    fractions. `covariates(rows)` builds the float covariates that `names`
-    lists, `[counts, fractions, node_X[ego]]`, for any row set, so no
-    (rows x covariates) float block is ever stored.
+    the row's k lagged adopted-neighbor counts. Rows are in ascending (day,
+    ego) order, each (day, ego) once, so a day's rows are one slice
+    (`rows_by_day`). `node_X` holds one float row per node, whose first k
+    columns are the degrees behind the count fractions. `covariates(rows)`
+    builds the float covariates that `names` lists, `[counts, fractions,
+    node_X[ego]]`, for any row set, so no (rows x covariates) float block is
+    ever stored.
     """
 
     ego: np.ndarray
@@ -239,10 +251,9 @@ class TreatmentPanel:
                 raise DataError("treatment codes outside the level set")
             if self.ego.min() < 0 or self.ego.max() >= len(self.node_X):
                 raise DataError("panel egos outside the node block")
-            order = np.lexsort((self.ego, self.day))
-            e, d = self.ego[order], self.day[order]
-            if np.any((e[1:] == e[:-1]) & (d[1:] == d[:-1])):
-                raise DataError("duplicate (ego, day) rows in panel")
+            d, e = self.day, self.ego
+            if not np.all((d[1:] > d[:-1]) | ((d[1:] == d[:-1]) & (e[1:] > e[:-1]))):
+                raise DataError("panel rows are not in ascending (day, ego) order, each once")
         for arr in (self.ego, self.day, self.treatment, self.outcome, self.X, self.node_X):
             arr.setflags(write=False)
 
@@ -251,25 +262,40 @@ class TreatmentPanel:
         return len(self.ego)
 
     def covariates(self, rows, out=None) -> np.ndarray:
-        """Float covariate rows (columns as `names`) for the given row indices,
-        written into `out` when given."""
-        return _covariate_rows(
-            np.take(self.X, rows, axis=0), self.node_X, np.take(self.ego, rows), out
-        )
+        """Float covariate rows (columns as `names`) for the given rows (a
+        slice or indices), written into `out` when given."""
+        return _covariate_rows(self.X[rows], self.node_X, self.ego[rows], out)
 
     def rows_by_day(self) -> list:
-        """(day, ascending row indices) for each distinct day, ascending.
-
-        One stable argsort of the day column, so grouping costs O(n log n)
-        once instead of a full-column scan per day; the indices are kept in
-        the narrowest int dtype that holds them.
-        """
+        """(day, slice of its rows) for each distinct day, ascending, from one
+        scan for the day boundaries."""
         if self.n_rows == 0:
             return []
-        order = np.argsort(self.day, kind="stable").astype(_int_dtype(0, self.n_rows))
-        d = self.day[order]
-        bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1], True])
-        return [(int(d[a]), order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        d = self.day
+        bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1], True]).tolist()
+        return [(int(d[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    @cached_property
+    def moments(self):
+        """Mean, SD (1 where it is 0) and centered cross-product sums of every
+        covariate column: the propensity fit standardizes with the first two
+        and the matcher whitens its core block with all three.
+
+        All three are summed over one day's rows at a time, so only one block
+        of float rows exists at a time.
+        """
+        groups = [rows for _, rows in self.rows_by_day()]
+        total = np.zeros(len(self.names))
+        for rows in groups:
+            total += self.covariates(rows).sum(axis=0)
+        n = max(self.n_rows, 1)
+        mean = total / n
+        cross = np.zeros((len(self.names), len(self.names)))
+        for rows in groups:
+            C = self.covariates(rows) - mean
+            cross += C.T @ C
+        sd = np.sqrt(np.diag(cross) / n)
+        return mean, np.where(sd == 0, 1.0, sd), cross
 
     def level_counts(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.levels))
@@ -284,24 +310,27 @@ def build_panel(
 ) -> TreatmentPanel:
     """Assemble the daily risk-set panel for one treatment design.
 
-    Egos leave the risk set the day after adopting; each row's counts come
-    from `covariates.counts(day, risk set)` (measured `lag` days earlier) and
-    must predate the treatment window. Rows are stored in the narrowest int
-    dtypes that hold the node ids, days and degrees, in columns sized once
-    from the adoption days and filled one day's slice at a time.
+    A design gives its treatment `window`, inclusive day offsets from the
+    panel day, and its `levels`; a row's level is its neighbors' adoptions in
+    the window, counted by the table's exposure index for the design's
+    direction and capped at the last level. Egos leave the risk set the day
+    after adopting; each row's counts come from `covariates` (built from `g`
+    and `log`), which counts adoptions on or before day - lag, so the lag
+    must predate the window's first day. Rows are stored in (day, ego) order
+    (`days` is sorted) in the narrowest int dtypes that hold the node ids,
+    days and degrees, in columns sized once from the adoption days and
+    filled one day's slice at a time.
     """
     if isinstance(kind, PlaceboPermuted):
         base = build_panel(g, log, covariates, kind.base, days=days)
         return permute_within_day(base, kind.seed, label=kind.label)
 
     lag = covariates.lag
-    if isinstance(kind, Timing) and lag <= kind.d:
+    lo, hi = kind.window
+    if lag <= -lo:
         raise DataError(
-            f"covariate lag {lag} does not predate the {kind.d}-day treatment window"
-        )
-    if isinstance(kind, Dose) and lag < DOSE_WINDOW:
-        raise DataError(
-            f"covariate lag {lag} does not predate the {DOSE_WINDOW}-day dose window"
+            f"covariate lag {lag} does not predate the {kind.label} treatment window, "
+            f"which opens {-lo} days before the panel day; the lag must be at least {1 - lo}"
         )
     if len(covariates.node_X) != g.node_count:
         raise DataError("covariate table does not cover every node")
@@ -312,24 +341,12 @@ def build_panel(
         if start > last:
             raise DataError("log horizon too short for the covariate lag")
         days = range(start, last + 1)
-    days = list(days)
+    days = sorted(days)
     for D in days:
         if not first <= D <= last:
             raise DataError(f"panel day {D} outside the log horizon")
     ad = log.adoption_day
-
-    if isinstance(kind, Timing):
-        window = lambda D: (D - kind.d, D - 1)
-        levels = BINARY_LEVELS
-    elif isinstance(kind, Dose):
-        window = lambda D: (D - DOSE_WINDOW, D - 1)
-        levels = DOSE_LEVELS
-    elif isinstance(kind, PlaceboFuture):
-        window = lambda D: (D + 1, D + kind.d)
-        levels = BINARY_LEVELS
-    else:
-        raise DataError(f"unknown treatment kind {kind!r}")
-    index = ExposureIndex(getattr(g, f"{kind.direction}_csr")(), log.adoption_day)
+    index = covariates.exposure[kind.direction]
 
     # a day's risk set is every node that has not adopted before it, so one
     # sorted copy of the adoption days sizes every day's slice of the columns
@@ -348,12 +365,8 @@ def build_panel(
         if a == b:
             continue
         risk = np.flatnonzero((ad == NEVER) | (ad >= D))
-        lo, hi = window(D)
-        cnt = index.count(risk, hi + 1) - index.count(risk, lo)
-        if isinstance(kind, Dose):
-            treat[a:b] = np.minimum(cnt, len(DOSE_LEVELS) - 1)
-        else:
-            treat[a:b] = cnt > 0
+        cnt = index.count(risk, D + hi + 1) - index.count(risk, D + lo)
+        treat[a:b] = np.minimum(cnt, len(kind.levels) - 1)
         ego[a:b] = risk
         day_col[a:b] = D
         out[a:b] = ad[risk] == D
@@ -367,7 +380,7 @@ def build_panel(
         node_X=covariates.node_X,
         names=covariates.names,
         core_idx=covariates.core_idx,
-        levels=levels,
+        levels=kind.levels,
         kind_label=kind.label,
     )
 
@@ -376,8 +389,8 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
     """Shuffle treatment labels within each day, preserving daily level counts."""
     rng = stream(seed, PLACEBO)
     treat = np.array(panel.treatment)
-    for _, idx in panel.rows_by_day():
-        treat[idx] = treat[idx][rng.permutation(idx.size)]
+    for _, rows in panel.rows_by_day():
+        treat[rows] = treat[rows][rng.permutation(rows.stop - rows.start)]
     return replace(
         panel, treatment=treat, kind_label=label if label is not None else panel.kind_label
     )
@@ -426,26 +439,6 @@ def _expit(x, out=None) -> np.ndarray:
         np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
-
-
-def _moments(panel: TreatmentPanel, groups, cols):
-    """Mean, SD (1 where it is 0) and centered cross-product sums of the
-    covariate columns `cols`.
-
-    All three are summed over `groups` (row-index blocks, one per day), so
-    only one block of float rows exists at a time.
-    """
-    total = np.zeros(len(cols))
-    for rows in groups:
-        total += panel.covariates(rows)[:, cols].sum(axis=0)
-    n = max(panel.n_rows, 1)
-    mean = total / n
-    cross = np.zeros((len(cols), len(cols)))
-    for rows in groups:
-        C = panel.covariates(rows)[:, cols] - mean
-        cross += C.T @ C
-    sd = np.sqrt(np.diag(cross) / n)
-    return mean, np.where(sd == 0, 1.0, sd), cross
 
 
 def _line_search(objective, nll):
@@ -499,12 +492,12 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     `NEWTON_MAX_ITER` iterations it raises `ConvergenceError`. Requires at
     least two levels meeting the row floor.
 
-    The standardization, gradient, Hessian and step direction are summed
-    over one day's design block `D = [1, Z]` at a time; only per-row
-    vectors (linear predictors, probabilities) span the panel. A line-search
-    candidate's predictors are `eta + t * (D @ step)`, so trying a step
-    builds no block. Probabilities come from `_expit` and `np.exp`, so the
-    fit imports no scipy.
+    The gradient, Hessian and step direction are summed over one day's
+    design block `D = [1, Z]` at a time, `Z` standardized by the panel's
+    `moments`; only per-row vectors (linear predictors, probabilities) span
+    the panel. A line-search candidate's predictors are
+    `eta + t * (D @ step)`, so trying a step builds no block. Probabilities
+    come from `_expit` and `np.exp`, so the fit imports no scipy.
     """
     counts = panel.level_counts()
     if np.count_nonzero(counts >= min_level_rows) < 2:
@@ -515,10 +508,10 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     classes = tuple(int(c) for c in np.flatnonzero(counts > 0))
     groups = [rows for _, rows in panel.rows_by_day()]
     n, p = panel.n_rows, len(panel.names)
-    mean, scale, _ = _moments(panel, groups, list(range(p)))
+    mean, scale, _ = panel.moments
 
     def design(rows):
-        D = np.empty((len(rows), p + 1), order="F")
+        D = np.empty((rows.stop - rows.start, p + 1), order="F")
         D[:, 0] = 1.0
         Z = panel.covariates(rows, out=D[:, 1:])
         Z -= mean
@@ -590,7 +583,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
                 # D' diag(p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'S_l,
                 # where S_k = D * p_k; so two products cover every block
                 grad += (((y[rows] == others) - Pd) @ D).ravel()
-                S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(rows), -1)
+                S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(D), -1)
                 H -= S.T @ S
                 DS = D.T @ S
                 for k in range(K - 1):
@@ -679,8 +672,8 @@ class _MatchContext:
     the Cholesky factor of the inverse covariance `VI` of the standardized
     block (`L Lᵀ = VI`), so the Mahalanobis distance `diffᵀ·VI·diff` of two
     rows is the squared Euclidean distance of their `Z·L` rows (`_sq_dist`).
-    All three come from per-day sums; `block(rows)` builds one day's `W`
-    when that day is matched.
+    All three come from the panel's `moments`; `block(rows)` builds one
+    day's `W` when that day is matched.
     """
 
     def __init__(self, panel, model, level):
@@ -689,9 +682,10 @@ class _MatchContext:
         self.core = list(panel.core_idx)
         self.groups = panel.rows_by_day()
         n = panel.n_rows
-        self.mu, self.sd, cross = _moments(panel, [rows for _, rows in self.groups], self.core)
+        mean, sd, cross = panel.moments
+        self.mu, self.sd = mean[self.core], sd[self.core]
         if n >= 2:
-            S = cross / (n - 1) / np.outer(self.sd, self.sd)
+            S = cross[np.ix_(self.core, self.core)] / (n - 1) / np.outer(self.sd, self.sd)
             VI = np.linalg.inv(S + 1e-9 * np.eye(len(self.core)))
         else:
             VI = np.eye(len(self.core))
@@ -801,11 +795,13 @@ def _window_picks(W, s, ego, t, c, caliper):
 
 
 def _match_day(ctx, day, rows, caliper_mult, level):
+    """Match one day, whose panel rows are the slice `rows`."""
     panel = ctx.panel
-    if rows.size == 0:
+    n = rows.stop - rows.start
+    if n == 0:
         return DayMatchResult(day, _pair_table(0), 0, 0, "no risk-set rows")
     s = ctx.scores[rows]
-    sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
+    sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
     t = np.flatnonzero(treat == level)
@@ -814,19 +810,17 @@ def _match_day(ctx, day, rows, caliper_mult, level):
         return DayMatchResult(
             day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
-    ego = panel.ego[rows]
-    t = t[np.argsort(ego[t], kind="stable")]
+    ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
     ti, cj, dist = _window_picks(ctx.block(rows), s, ego, t, c, caliper)
-    tr, cr = rows[ti], rows[cj]
-    pairs = _pair_table(tr.size)
+    pairs = _pair_table(ti.size)
     pairs.day = day
-    pairs.treated = panel.ego[tr]
-    pairs.control = panel.ego[cr]
+    pairs.treated = ego[ti]
+    pairs.control = ego[cj]
     pairs.logit_gap = s[ti] - s[cj]
     pairs.mahalanobis = dist
-    pairs.treated_outcome = panel.outcome[tr]
-    pairs.control_outcome = panel.outcome[cr]
-    return DayMatchResult(day, pairs, int(t.size), tr.size, None)
+    pairs.treated_outcome = outcome[ti]
+    pairs.control_outcome = outcome[cj]
+    return DayMatchResult(day, pairs, int(t.size), ti.size, None)
 
 
 def match_day(
@@ -844,8 +838,7 @@ def match_day(
     wins, ties to the lowest control id, each control used at most once.
     """
     ctx = _MatchContext(panel, model, level)
-    rows = np.flatnonzero(panel.day == day)
-    return _match_day(ctx, day, rows, caliper_mult, level)
+    return _match_day(ctx, day, dict(ctx.groups).get(day, slice(0, 0)), caliper_mult, level)
 
 
 def match_all_days(
@@ -900,7 +893,7 @@ class RiskTable:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, indent=2)
             f.write("\n")
 
@@ -948,10 +941,9 @@ def diagnostics(
     for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
         use = (grp == level) | (grp == 0)
-        if use.any():
-            auc = _rank_auc(scores[rows[use]], grp[use] == level)
-            if auc is not None:
-                aucs.append(auc)
+        auc = _rank_auc(scores[rows][use], grp[use] == level)  # None without both groups
+        if auc is not None:
+            aucs.append(auc)
     gaps = np.abs(run.pairs.logit_gap)
     dists = run.pairs.mahalanobis
     overlaps = [r.overlap for r in run.results if r.skip_reason is None]
@@ -975,7 +967,7 @@ def write_pairs(pairs, path) -> None:
     """Write a pairs table as CSV: a header, then one row per pair holding
     its first five fields, floats as their shortest round-trip repr."""
     day, treated, control, gap, md = (pairs[name].tolist() for name in _PAIR_CSV_COLUMNS)
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(_PAIR_CSV_COLUMNS)
         w.writerows(zip(day, treated, control, map(repr, gap), map(repr, md)))
@@ -992,21 +984,19 @@ def _panel_outcomes(panel: TreatmentPanel, ego: np.ndarray, day: np.ndarray) -> 
     """The outcome of each (ego, day)'s panel row, -1 where the panel has none.
 
     Rows are keyed by the day's rank among the panel's days times the node
-    count plus the ego, so one sorted key array answers every query with
-    `searchsorted`.
+    count plus the ego; in (day, ego) row order the keys ascend, so one
+    `searchsorted` answers every query.
     """
     n = len(panel.node_X)
-    days = np.unique(panel.day).astype(np.int64)
+    days = np.array([D for D, _ in panel.rows_by_day()], dtype=np.int64)
     keys = np.searchsorted(days, panel.day) * n + panel.ego
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
     rank = np.searchsorted(days, day)
     known = (rank < len(days)) & (0 <= ego) & (ego < n)
     known &= days[np.minimum(rank, len(days) - 1)] == day
     q = rank * n + np.where(known, ego, 0)
     pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
     known &= keys[pos] == q
-    return np.where(known, panel.outcome[order[pos]], -1)
+    return np.where(known, panel.outcome[pos], -1)
 
 
 def read_pairs(path, panel: TreatmentPanel | None = None) -> np.recarray:

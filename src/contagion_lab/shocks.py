@@ -199,10 +199,13 @@ def detect_shocks(
 
 
 def shock_day_mask(n_days: int, ranges: list[tuple[int, int]]) -> np.ndarray:
-    """Boolean day mask from inclusive (first, last) ranges."""
+    """Boolean day mask from inclusive (first, last) ranges; the days of a
+    range outside [0, n_days) are left out."""
     mask = np.zeros(n_days, dtype=bool)
     for a, b in ranges:
-        mask[max(a, 0) : min(b, n_days - 1) + 1] = True
+        a, b = max(a, 0), min(b, n_days - 1)
+        if a <= b:
+            mask[a : b + 1] = True
     return mask
 
 

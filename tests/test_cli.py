@@ -369,6 +369,28 @@ def test_classify_accepts_a_well_formed_hand_model(tmp_path, capsys):
     assert [row[1] for row in csv.reader(open(out))][1:] == ["a", "b"]
 
 
+def test_classify_writes_utf8_under_an_ascii_locale(tmp_path):
+    # the label file is UTF-8 whatever the locale's encoding
+    model = tmp_path / "m.json"
+    payload = _model([SPLIT, {"leaf": 0.0}])
+    payload["classes"] = ["\u00e9veil", "b"]
+    model.write_text(json.dumps(payload))
+    feats = tmp_path / "f.csv"
+    feats.write_text(f"{FEATURE_HEADER}\n0,2,0.5,1,1,0,-1\n1,2,0.5,1,1,0,-1\n")
+    out = tmp_path / "lab.csv"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "contagion_lab", "classify", "--model",
+                           str(model), "--features", str(feats), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(open(out, encoding="utf-8")))
+    assert rows[0][2:] == ["p_\u00e9veil", "p_b"]
+    assert [row[1] for row in rows[1:]] == ["\u00e9veil", "b"]
+
+
 def test_detect_then_fit_shock(tmp_path):
     # noiseless piecewise decay: each burst owns the days up to the next peak
     n_days, taus, bursts = 160, (40, 110), ((700.0, 0.55), (400.0, 0.8))
@@ -496,11 +518,23 @@ def test_match_dose_converges(hworld, tmp_path, capsys):
     # the multinomial fit stops on its Newton decrement
     pairs = tmp_path / "pairs.csv"
     rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
-              "--kind", "dose", "--min-level-rows", 5,
+              "--kind", "dose", "--lag", 8, "--min-level-rows", 5,
               "--out-pairs", pairs, "--out-risk", tmp_path / "risk.json"])
     assert rc == 0
     capsys.readouterr()
     assert 1 <= manifest(pairs)["summary"]["propensity_iterations"] < 30
+
+
+def test_match_dose_rejects_a_lag_inside_its_window(hworld, tmp_path, capsys):
+    # the default lag of 7 would count a day - 7 adoption in both the
+    # covariates and the dose
+    rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--kind", "dose", "--min-level-rows", 5,
+              "--out-pairs", tmp_path / "p.csv", "--out-risk", tmp_path / "r.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "lag must be at least 8" in err and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_train_without_regularization_ends_cleanly(world, tmp_path, capsys):

@@ -113,6 +113,12 @@ def test_timing_window_boundaries():
     for day, expect in [(10, 0), (11, 1), (12, 1), (13, 1), (14, 0)]:
         row = np.flatnonzero((panel.ego == 0) & (panel.day == day))[0]
         assert panel.treatment[row] == expect, day
+    # days are sorted, so rows come out in (day, ego) order; a repeated day is rejected
+    back = build_panel(g, log, cov, Timing(d=3), days=range(14, 9, -1))
+    assert np.array_equal(back.day, panel.day) and np.array_equal(back.ego, panel.ego)
+    assert np.array_equal(back.treatment, panel.treatment)
+    with pytest.raises(DataError):
+        build_panel(g, log, cov, Timing(d=3), days=[12, 10, 12])
 
 
 def test_risk_set_drops_adopters():
@@ -131,7 +137,7 @@ def test_dose_binning_three_plus():
     g = DirectedGraph.from_edges(edges, n_nodes=6)
     ad = np.array([NEVER, 3, 3, 4, 5, 5])
     log = AdoptionLog(ad, last_day=15)
-    cov = CovariateTable(g, log, lag=7)
+    cov = CovariateTable(g, log, lag=8)
     panel = build_panel(g, log, cov, Dose(), days=[8])
     row = np.flatnonzero(panel.ego == 0)[0]
     assert panel.levels[panel.treatment[row]] == "3+"
@@ -153,7 +159,7 @@ def test_placebo_future_window():
 
 def test_placebo_permuted_preserves_daily_multisets():
     g, log, trait = homophily_world(seed=3)
-    cov = CovariateTable(g, log, lag=7)
+    cov = CovariateTable(g, log, lag=8)
     base = build_panel(g, log, cov, Dose())
     perm = build_panel(g, log, cov, PlaceboPermuted(Dose(), seed=11))
     assert perm.n_rows == base.n_rows
@@ -173,8 +179,22 @@ def test_covariate_misalignment_errors():
     g, log = line_world()
     with pytest.raises(DataError):
         build_panel(g, log, CovariateTable(g, log, lag=3), Timing(d=5))
-    with pytest.raises(DataError):
-        build_panel(g, log, CovariateTable(g, log, lag=5), Dose())
+    # counts at day - lag must predate the window's first day, day - 7
+    for lag in (5, 7):
+        with pytest.raises(DataError, match="at least 8"):
+            build_panel(g, log, CovariateTable(g, log, lag=lag), Dose())
+
+
+def test_dose_lag_seven_would_count_a_neighbor_twice():
+    # node 1 adopts on day 3 = 10 - 7: a lag-7 covariate counts it, and so
+    # does the dose window [3, 9]; at lag 8 only the dose does
+    g, _ = line_world()
+    log = AdoptionLog(np.array([NEVER, 3, NEVER]), last_day=20)
+    i_cnt = CovariateTable(g, log, lag=7).names.index("followee_adopted_count")
+    assert CovariateTable(g, log, lag=7).values(10)[0, i_cnt] == 1
+    panel = build_panel(g, log, CovariateTable(g, log, lag=8), Dose(), days=[10])
+    assert panel.covariates(np.arange(panel.n_rows))[0, i_cnt] == 0
+    assert panel.levels[panel.treatment[0]] == "1"
 
 
 def test_covariate_values_hand_case():
@@ -256,7 +276,7 @@ def test_panel_treatment_matches_reference():
         (lambda dr: PlaceboFuture(d=4, direction=dr), (1, 4), lambda c: c > 0),
     ]
     for g, log in reference_worlds():
-        cov = CovariateTable(g, log, lag=7)
+        cov = CovariateTable(g, log, lag=8)
         ad = log.adoption_day
         # every horizon day: the first windows start before first_day and
         # the last placebo windows end after last_day
@@ -310,10 +330,11 @@ def test_panel_duplicate_rows_and_days():
             levels=BINARY_LEVELS,
         )
 
-    assert [D for D, _ in panel([3, 1, 3, 2], [5, 2, 2, 5]).rows_by_day()] == [2, 5]
+    groups = panel([1, 3, 2, 3], [2, 2, 5, 5]).rows_by_day()
+    assert groups == [(2, slice(0, 2)), (5, slice(2, 4))]
     assert panel([], []).rows_by_day() == []
     with pytest.raises(DataError):
-        panel([3, 1, 3], [5, 2, 5])
+        panel([1, 3, 3], [2, 5, 5])
 
 
 def test_expit_agrees_with_scipy():
@@ -490,7 +511,7 @@ def agreement_panels():
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
     yield build_panel(g, log, cov, Timing(d=3))
     g, log, _ = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
-    yield build_panel(g, log, CovariateTable(g, log, lag=7), Dose())
+    yield build_panel(g, log, CovariateTable(g, log, lag=8), Dose())
 
 
 def test_per_day_fit_matches_the_dense_reference():
@@ -864,7 +885,7 @@ def window_panel(seed, n_days=12, p=3, logits="grid"):
         else:
             size = int(rng.integers(20, 90))
         e = np.sort(rng.choice(500, size, replace=False))
-        rng.shuffle(e)  # treated egos arrive in no particular order
+        rng.shuffle(e)  # so ego order is not logit order
         t = (rng.random(size) < 0.4).astype(np.int64)
         X = rng.integers(-2, 3, (size, p)).astype(float)
         if logits == "grid" and size == shared.size:
@@ -890,18 +911,21 @@ def window_panel(seed, n_days=12, p=3, logits="grid"):
     ego = np.concatenate([D * 500 + e for D, e in enumerate(ego)])
     node_X = np.zeros((n_days * 500, p))
     node_X[ego] = X
+    outcome = rng.integers(0, 2, X.shape[0])
+    # a panel's rows are in (day, ego) order: every per-row column moves alike
+    order = np.argsort(ego, kind="stable")
     panel = TreatmentPanel(
-        ego=ego,
-        day=np.concatenate(day),
-        treatment=np.concatenate(treat),
-        outcome=rng.integers(0, 2, X.shape[0]),
+        ego=ego[order],
+        day=np.concatenate(day)[order],
+        treatment=np.concatenate(treat)[order],
+        outcome=outcome[order],
         X=no_counts(len(X)),
         node_X=node_X,
         names=tuple(f"c{i}" for i in range(p)),
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
     )
-    return panel, FixedLogits(np.concatenate(lg))
+    return panel, FixedLogits(np.concatenate(lg)[order])
 
 
 def multiplier_for(panel, model, day, caliper):
@@ -975,24 +999,40 @@ def test_window_panel_hits_the_edge_cases():
     assert sum(r.skip_reason is None for r in days) == 10
 
 
-def test_rows_by_day_groups_unsorted_panels():
+def test_panel_rows_must_be_in_day_ego_order():
     panel, _ = window_panel(3)
-    order = np.random.default_rng(0).permutation(panel.n_rows)
-    shuffled = TreatmentPanel(
-        ego=panel.ego[order],
-        day=panel.day[order],
-        treatment=panel.treatment[order],
-        outcome=panel.outcome[order],
-        X=panel.X[order],
-        node_X=panel.node_X,
-        names=panel.names,
-        core_idx=panel.core_idx,
-        levels=panel.levels,
-    )
-    groups = shuffled.rows_by_day()
-    assert [D for D, _ in groups] == sorted(set(shuffled.day.tolist()))
+    groups = panel.rows_by_day()
+    assert [D for D, _ in groups] == sorted(set(panel.day.tolist()))
     for D, rows in groups:
-        assert np.array_equal(rows, np.flatnonzero(shuffled.day == D))
+        assert np.array_equal(np.arange(panel.n_rows)[rows], np.flatnonzero(panel.day == D))
+
+    def reordered(order):
+        return TreatmentPanel(
+            ego=panel.ego[order],
+            day=panel.day[order],
+            treatment=panel.treatment[order],
+            outcome=panel.outcome[order],
+            X=panel.X[order],
+            node_X=panel.node_X,
+            names=panel.names,
+            core_idx=panel.core_idx,
+            levels=panel.levels,
+        )
+
+    n = panel.n_rows
+    reordered(np.arange(n))
+    swap = np.arange(n)
+    swap[[5, 6]] = [6, 5]  # two egos of day 0
+    last_day = groups[-1][1]
+    for order in (
+        np.random.default_rng(0).permutation(n),
+        swap,
+        np.r_[last_day.start : n, 0 : last_day.start],  # days out of order
+        np.r_[0:n, n - 1],  # a (day, ego) row twice
+        np.r_[0:6, 5:n],
+    ):
+        with pytest.raises(DataError, match=r"ascending \(day, ego\) order"):
+            reordered(order)
 
 
 # ------------------------------------------------------------------ pipelines
@@ -1125,7 +1165,7 @@ def test_pairs_csv_round_trip(tmp_path):
 
 def test_dose_pipeline_end_to_end():
     g, log, trait = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
-    cov = CovariateTable(g, log, lag=7)
+    cov = CovariateTable(g, log, lag=8)
     panel = build_panel(g, log, cov, Dose())
     assert panel.levels == ("0", "1", "2", "3", "3+")
     model = fit_propensity(panel, min_level_rows=5)

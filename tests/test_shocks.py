@@ -181,6 +181,15 @@ def test_short_series_raises():
 def test_shock_day_mask():
     mask = shock_day_mask(10, [(2, 4), (8, 9)])
     assert list(np.flatnonzero(mask)) == [2, 3, 4, 8, 9]
+    # ranges before the horizon, after it, reversed, and straddling its ends
+    for ranges, days in [
+        ([(-5, -3)], []),
+        ([(-5, -1)], []),
+        ([(10, 12)], []),
+        ([(6, 3)], []),
+        ([(-2, 1), (9, 14)], [0, 1, 9]),
+    ]:
+        assert list(np.flatnonzero(shock_day_mask(10, ranges))) == days, ranges
 
 
 def test_series_csv_round_trip(tmp_path):

@@ -25,6 +25,25 @@ def load_tracing(monkeypatch):
     return module
 
 
+def test_install_then_restore_round_trips(monkeypatch):
+    # install looks each wrapped name up on its module (a dropped import such
+    # as cli.run_realization raises KeyError), and restore puts every
+    # original back on the modules and classes it replaced them on
+    from contagion_lab import cli, matchlab, mechclass
+
+    tracing = load_tracing(monkeypatch)
+    modules = (cli, cascade, matchlab, mechclass, DirectedGraph)
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.predict_proba is not mechclass.predict_proba
+    finally:
+        tracer.restore()
+    for m, names in zip(modules, before):
+        assert all(vars(m)[k] is v for k, v in names.items()), m
+
+
 def test_tracer_sees_each_realization(monkeypatch):
     tracing = load_tracing(monkeypatch)
     rng = np.random.default_rng(0)
