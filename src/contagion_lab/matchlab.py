@@ -266,6 +266,35 @@ class TreatmentPanel:
         slice or indices), written into `out` when given."""
         return _covariate_rows(self.X[rows], self.node_X, self.ego[rows], out)
 
+    @cached_property
+    def _key_radices(self):
+        """Each node's class (one per distinct `node_X` row, by its bits) and,
+        per count column, its least value and radix: the mixed-radix digits
+        that `row_keys` packs."""
+        bits = np.ascontiguousarray(self.node_X, dtype=np.float64).view(np.int64)
+        order = np.lexsort(bits.T)
+        ranked = bits[order]
+        cls = np.empty(len(bits), dtype=np.int64)
+        cls[order] = np.cumsum(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]) - 1
+        lo = self.X.min(axis=0, initial=0).astype(np.int64)
+        radix = self.X.max(axis=0, initial=0).astype(np.int64) - lo + 1
+        span = (int(cls.max(initial=0)) + 1) * math.prod(radix.tolist())
+        if span > 2**63:
+            raise DataError(f"{span} possible covariate rows do not fit an int64 row key")
+        return cls, lo, radix
+
+    def row_keys(self, rows) -> np.ndarray:
+        """One int64 per row (a slice or indices): rows with equal keys have
+        bit-identical covariate rows. The key packs the ego's `node_X` class
+        and the row's counts in mixed radix."""
+        cls, lo, radix = self._key_radices
+        key = cls[self.ego[rows]]
+        for j, (a, r) in enumerate(zip(lo.tolist(), radix.tolist())):
+            key *= r
+            key += self.X[rows, j]
+            key -= a
+        return key
+
     def rows_by_day(self) -> list:
         """(day, slice of its rows) for each distinct day, ascending, from one
         scan for the day boundaries."""
@@ -732,30 +761,53 @@ def _caliper_windows(sc, st, caliper):
 _WINDOW_CHUNK = 1 << 16
 
 
-def _window_picks(W, s, ego, t, c, caliper):
+def _control_groups(W, s, key, c):
+    """The controls `c` in ascending (logit, key) order, and the start of
+    each group in that order.
+
+    A group is a run of controls with the same logit bits, key and whitened
+    row, so every treated row is equally far from all of its members. The
+    sort is stable and `c` ascends by ego, so a group's egos ascend.
+    Comparing the whitened rows, not only the keys, keeps a group exact
+    even where a matrix product rounds two equal rows apart.
+    """
+    c = c[np.lexsort((key[c], s[c]))]
+    bits, k, Wc = s[c].view(np.int64), key[c], W[c]
+    new = (bits[1:] != bits[:-1]) | (k[1:] != k[:-1]) | (Wc[1:] != Wc[:-1]).any(axis=1)
+    return c, np.flatnonzero(np.r_[True, new])
+
+
+def _window_picks(W, s, key, ego, t, c, caliper):
     """Greedy picks over caliper windows: (treated, control, distances).
 
-    `W`, `s` and `ego` are one day's whitened rows, logits and egos; `t`
-    (ascending ego) and `c` index them, and so do the returned picks. A
-    distance does not depend on which controls are still free, so every
-    (treated, control) pair in the windows is scored once. Each treated
-    ego's first choice, its least (distance, control ego), comes from two
-    `minimum.reduceat` passes; only an ego whose first choice is taken
-    sorts its own candidates and walks them.
+    `W`, `s`, `key` and `ego` are one day's whitened rows, logits, row keys
+    and egos; `t` (ascending ego) and `c` index them, and so do the returned
+    picks. The controls collapse into groups (`_control_groups`) whose
+    members are interchangeable but for their egos, so windows and
+    distances run over one representative row per group. A group always
+    gives up its lowest free ego, so its free egos are a suffix of its run
+    and one head pointer per group tracks them. A distance does not depend
+    on which controls are still free, so every (treated, group) pair in the
+    windows is scored once. Each treated ego takes the least (distance,
+    head ego) among the live groups in its window: its first choice comes
+    from two `minimum.reduceat` passes over the initial heads, and only an
+    ego whose first-choice group has since given up its head sorts its own
+    candidates by their current heads and takes the first live one.
     """
-    # controls in ascending logit order, so each caliper is one slice;
-    # (distance, control ego) fully orders candidates, so their order does
-    # not change the pick
-    c = c[np.argsort(s[c], kind="stable")]
-    st, sc = s[t], s[c]
+    c, start = _control_groups(W, s, key, c)
+    rep = c[start]  # each group's first member, its representative row
+    end = np.r_[start[1:], c.size]
+    head = start.copy()  # each group's lowest free member, in sorted order
+    st, sg = s[t], s[rep]  # sg ascends, so each caliper is one slice
     c_ego = ego[c]
-    lo, hi = _caliper_windows(sc, st, caliper)
+    n_groups = rep.size
+    lo, hi = _caliper_windows(sg, st, caliper)
     lens = hi - lo
-    by_ego = np.argsort(c_ego, kind="stable")
-    ego_rank = np.empty(c_ego.size, dtype=np.int64)
-    ego_rank[by_ego] = np.arange(c_ego.size)
-    used = bytearray(c_ego.size)
-    n_free = c_ego.size
+    # groups' initial head egos are distinct, so their rank names the group
+    by_ego = np.argsort(c_ego[start], kind="stable")
+    ego_rank = np.empty(n_groups, dtype=np.int64)
+    ego_rank[by_ego] = np.arange(n_groups)
+    n_free = c.size
     ti, cj, dist = [], [], []
     chunk = (np.cumsum(lens) - lens) // _WINDOW_CHUNK
     cuts = np.flatnonzero(np.diff(chunk)) + 1
@@ -763,31 +815,31 @@ def _window_picks(W, s, ego, t, c, caliper):
         n = lens[a:b]
         seg = np.repeat(np.arange(a, b), n)  # treated index of each entry
         k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
-        ok = np.abs(sc[k] - st[seg]) <= caliper  # the exact caliper test
+        ok = np.abs(sg[k] - st[seg]) <= caliper  # the exact caliper test
         seg, k = seg[ok], k[ok]
         if seg.size == 0:
             continue
-        md = np.sqrt(_sq_dist(W, c[k], t[seg]))
+        md = np.sqrt(_sq_dist(W, rep[k], t[seg]))
         starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         ends = np.r_[starts[1:], seg.size]
         best = np.minimum.reduceat(md, starts)
-        tied = np.where(md == np.repeat(best, ends - starts), ego_rank[k], c_ego.size)
+        tied = np.where(md == np.repeat(best, ends - starts), ego_rank[k], n_groups)
         first = by_ego[np.minimum.reduceat(tied, starts)]
-        for i, j, d, s0, s1 in zip(
+        for i, g, d, s0, s1 in zip(
             seg[starts].tolist(), first.tolist(), best.tolist(), starts.tolist(), ends.tolist()
         ):
-            if used[j]:
+            if head[g] != start[g]:  # the first choice gave up its initial head
                 cand = k[s0:s1]
-                for m in np.lexsort((c_ego[cand], md[s0:s1])).tolist():
-                    if not used[cand[m]]:
-                        j, d = int(cand[m]), float(md[s0 + m])
-                        break
-                else:
+                live = head[cand] < end[cand]
+                if not live.any():
                     continue
-            used[j] = 1
+                cand, cmd = cand[live], md[s0:s1][live]
+                m = np.lexsort((c_ego[head[cand]], cmd))[0]
+                g, d = int(cand[m]), float(cmd[m])
             ti.append(i)
-            cj.append(j)
+            cj.append(int(head[g]))
             dist.append(d)
+            head[g] += 1
             n_free -= 1
             if n_free == 0:
                 return t[ti], c[cj], dist
@@ -811,7 +863,7 @@ def _match_day(ctx, day, rows, caliper_mult, level):
             day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
     ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
-    ti, cj, dist = _window_picks(ctx.block(rows), s, ego, t, c, caliper)
+    ti, cj, dist = _window_picks(ctx.block(rows), s, panel.row_keys(rows), ego, t, c, caliper)
     pairs = _pair_table(ti.size)
     pairs.day = day
     pairs.treated = ego[ti]

@@ -876,7 +876,7 @@ def window_panel(seed, n_days=12, p=3, logits="grid"):
             break
     else:
         raise AssertionError("edge logits did not settle")
-    ego, day, treat, x, lg = [], [], [], [], []
+    ego, treat, x, lg = [], [], [], []
     for D in range(n_days):
         if D == 2:
             size = 1
@@ -900,23 +900,31 @@ def window_panel(seed, n_days=12, p=3, logits="grid"):
         if D == 1:
             t[:] = 1
         ego.append(e)
-        day.append(np.full(size, D, dtype=np.int64))
         treat.append(t)
         x.append(X)
         lg.append(s)
+    return stacked_panel(rng, ego, treat, x, lg)
+
+
+def stacked_panel(rng, ego, treat, x, lg):
+    """A panel and its logits from per-day lists (day D is the D-th entry)
+    of egos below 500, treatment codes, covariate rows and logits; outcomes
+    are drawn from `rng`."""
     X = np.concatenate(x)
+    p = X.shape[1]
     # the same ego recurs on several days with other covariates, so each
     # (day, ego) row gets its own node, day * 500 + ego: within a day this
     # keeps the egos' order, which is all that ties and pick order read
+    day = np.concatenate([np.full(len(e), D, dtype=np.int64) for D, e in enumerate(ego)])
     ego = np.concatenate([D * 500 + e for D, e in enumerate(ego)])
-    node_X = np.zeros((n_days * 500, p))
+    node_X = np.zeros((len(x) * 500, p))
     node_X[ego] = X
     outcome = rng.integers(0, 2, X.shape[0])
     # a panel's rows are in (day, ego) order: every per-row column moves alike
     order = np.argsort(ego, kind="stable")
     panel = TreatmentPanel(
         ego=ego[order],
-        day=np.concatenate(day)[order],
+        day=day[order],
         treatment=np.concatenate(treat)[order],
         outcome=outcome[order],
         X=no_counts(len(X)),
@@ -997,6 +1005,74 @@ def test_window_panel_hits_the_edge_cases():
     assert days[1].skip_reason is not None and days[1].n_treated > 0
     assert days[2].skip_reason is not None
     assert sum(r.skip_reason is None for r in days) == 10
+
+
+# core rows A, B and C of the hand-built day of `duplicate_panel`
+CORE_A, CORE_B, CORE_C = [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, -1.0, 1.0]
+
+
+def duplicate_panel(seed, n_days=8):
+    """A panel whose controls share a few core rows a day, each core row
+    with its own logit, so the controls collapse into groups.
+
+    Day 0 is built by hand. Treated egos 10, 20 and 30 and controls 11 and
+    21 share core row A: ego 10 takes 11, ego 20 finds its first-choice
+    group's head taken and takes 21, which empties the group, and ego 30
+    finds it empty. Controls 12, 22 and 32 share core row B. Controls 14
+    and 24 share core row C, but their logits are one ulp apart. The other
+    days draw six core rows from {-1, 0, 1}^3 with logits on a 1/8 grid,
+    and give about a third of the rows to the treated.
+    """
+    rng = np.random.default_rng(seed)
+    c_lo = 0.25
+    hand = [  # (ego, treated, core row, logit)
+        (10, 1, CORE_A, 0.0), (20, 1, CORE_A, 0.0), (30, 1, CORE_A, 0.0),
+        (11, 0, CORE_A, 0.0), (21, 0, CORE_A, 0.0),
+        (12, 0, CORE_B, 0.5), (22, 0, CORE_B, 0.5), (32, 0, CORE_B, 0.5),
+        (14, 0, CORE_C, c_lo), (24, 0, CORE_C, np.nextafter(c_lo, 1.0)),
+    ]
+    e, t, X, s = (np.array(col) for col in zip(*hand))
+    ego, treat, x, lg = [e], [t.astype(np.int64)], [X], [s]
+    for _ in range(1, n_days):
+        size = int(rng.integers(40, 160))
+        cores = rng.integers(-1, 2, (6, 3)).astype(float)
+        core_logit = rng.integers(-8, 9, 6) / 8.0
+        which = rng.integers(0, 6, size)
+        ego.append(rng.choice(500, size, replace=False))
+        treat.append((rng.random(size) < 0.35).astype(np.int64))
+        x.append(cores[which])
+        lg.append(core_logit[which])
+    return stacked_panel(rng, ego, treat, x, lg)
+
+
+def test_grouped_matcher_equals_full_scan_on_duplicate_rows(monkeypatch):
+    panel, model = duplicate_panel(0)
+    ctx = _MatchContext(panel, model, 1)
+    n_groups = n_controls = 0
+    for D, rows in panel.rows_by_day():
+        c = np.flatnonzero(panel.treatment[rows] == 0)
+        s = model.level_logits(1)[rows]
+        order, start = matchlab._control_groups(ctx.block(rows), s, panel.row_keys(rows), c)
+        gid = np.repeat(np.arange(start.size), np.diff(np.r_[start, order.size]))
+        group_of = dict(zip(panel.ego[rows][order].tolist(), gid.tolist()))
+        if D == 0:
+            assert group_of[11] == group_of[21] and group_of[12] == group_of[32]
+            assert group_of[14] != group_of[24]  # one core row, logits one ulp apart
+        n_groups += start.size
+        n_controls += c.size
+    assert n_controls >= 4 * n_groups  # most controls share a group
+
+    for chunk in (matchlab._WINDOW_CHUNK, 5):
+        monkeypatch.setattr(matchlab, "_WINDOW_CHUNK", chunk)
+        for mult in (0.0, 0.1, 0.7, 2.0, np.inf):
+            ref = [result_bits(reference_match_day(ctx, D, mult)) for D, _ in panel.rows_by_day()]
+            got = match_all_days(panel, model, caliper_mult=mult)
+            assert [result_bits(r) for r in got.results] == ref, (chunk, mult)
+            if mult == np.inf:
+                day0 = got.results[0].pairs
+                picks = dict(zip(day0.treated.tolist(), day0.control.tolist()))
+                assert (picks[10], picks[20]) == (11, 21)
+                assert picks[30] not in (11, 21)
 
 
 def test_panel_rows_must_be_in_day_ego_order():
