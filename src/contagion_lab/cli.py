@@ -519,6 +519,7 @@ def cmd_match(args, sp):
         "panel_rows": panel.n_rows,
         "propensity_iterations": model.iterations,
         "propensity_step_halvings": model.step_halvings,
+        "propensity_groups": len(model.probs),
         "n_pairs": len(run.pairs),
         "n_days_skipped": len(run.skipped),
         "n_days_skipped_by_reason": dict(

@@ -427,8 +427,9 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Fitted treatment model: per-row level probabilities (`level_logits`
-    turns one level's into logits)."""
+    """Fitted treatment model over the panel's distinct covariate rows: each
+    row's group (`group`) and each group's level probabilities (`probs`).
+    `level_logits` turns one level's into logits, one per panel row."""
 
     kind: str  # "binary" | "multinomial"
     levels: tuple
@@ -436,7 +437,8 @@ class PropensityModel:
     coef: np.ndarray  # (n_classes-1, p+1) rows vs the reference class
     mean: np.ndarray
     scale: np.ndarray
-    probs: np.ndarray  # (n_rows, n_levels); absent levels get zero columns
+    group: np.ndarray  # (n_rows,) each panel row's group
+    probs: np.ndarray  # (n_groups, n_levels); absent levels get zero columns
     iterations: int
     step_halvings: int = 0  # line-search halvings over all Newton iterations
 
@@ -444,7 +446,7 @@ class PropensityModel:
         p = np.clip(self.probs[:, level], 1e-12, 1 - 1e-12)
         logits = np.log(p)
         logits -= np.log1p(np.negative(p, out=p), out=p)  # p is not read again
-        return logits
+        return logits[self.group]
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
@@ -505,8 +507,34 @@ def _newton(system, objective, along, theta, eta):
         t, nll, h = _line_search(lambda t: objective(eta + t * delta, theta + t * step), nll)
         theta, eta = theta + t * step, eta + t * delta
         halvings += h
-        del delta  # one per-row block fewer through the next system pass
+        del delta  # one predictor block fewer through the next system pass
     raise ConvergenceError("propensity fit did not converge", iterations=NEWTON_MAX_ITER)
+
+
+def _distinct_rows(panel: TreatmentPanel):
+    """The panel's distinct covariate rows: each row's group, the first row
+    of each group, and each group's row count per treatment level.
+
+    Rows are grouped by `row_keys`, one day at a time and then across the
+    days' distinct keys, so no key array spans the panel.
+    """
+    days = panel.rows_by_day()
+    group = np.empty(panel.n_rows, dtype=_int_dtype(0, panel.n_rows))
+    keys, first = [], []
+    for _, rows in days:
+        k, f, inv = np.unique(panel.row_keys(rows), return_index=True, return_inverse=True)
+        group[rows] = inv
+        keys.append(k)
+        first.append(f + rows.start)
+    lens = [len(k) for k in keys]
+    _, f, where = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    n_groups, n_levels = len(f), len(panel.levels)
+    counts = np.zeros(n_groups * n_levels, dtype=np.int64)
+    for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):  # int64 offsets
+        g = where[a + group[rows]]
+        group[rows] = g
+        counts += np.bincount(g * n_levels + panel.treatment[rows], minlength=counts.size)
+    return group, np.concatenate(first)[f], counts.reshape(n_groups, n_levels)
 
 
 def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> PropensityModel:
@@ -521,12 +549,14 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     `NEWTON_MAX_ITER` iterations it raises `ConvergenceError`. Requires at
     least two levels meeting the row floor.
 
-    The gradient, Hessian and step direction are summed over one day's
-    design block `D = [1, Z]` at a time, `Z` standardized by the panel's
-    `moments`; only per-row vectors (linear predictors, probabilities) span
-    the panel. A line-search candidate's predictors are
-    `eta + t * (D @ step)`, so trying a step builds no block. Probabilities
-    come from `_expit` and `np.exp`, so the fit imports no scipy.
+    The likelihood reads a row only through its covariates and its
+    treatment, so the fit runs over the panel's distinct covariate rows
+    (`_distinct_rows`) with their per-level row counts as weights: one
+    design block `D = [1, Z]` holds a row per group, `Z` standardized by the
+    panel's `moments`, and every Newton system, objective and line-search
+    step reads it. The model keeps one probability per group and level.
+    Probabilities come from `_expit` and `np.exp`, so the fit imports no
+    scipy.
     """
     counts = panel.level_counts()
     if np.count_nonzero(counts >= min_level_rows) < 2:
@@ -535,24 +565,16 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
             f"level counts {counts.tolist()}"
         )
     classes = tuple(int(c) for c in np.flatnonzero(counts > 0))
-    groups = [rows for _, rows in panel.rows_by_day()]
-    n, p = panel.n_rows, len(panel.names)
+    group, first, by_level = _distinct_rows(panel)
+    Y = by_level[:, classes].T.astype(float)  # (classes, groups) row counts
+    n = Y.sum(axis=0)  # rows per group
+    G, p = len(first), len(panel.names)
     mean, scale, _ = panel.moments
-
-    def design(rows):
-        D = np.empty((rows.stop - rows.start, p + 1), order="F")
-        D[:, 0] = 1.0
-        Z = panel.covariates(rows, out=D[:, 1:])
-        Z -= mean
-        Z /= scale
-        return D
-
-    def along(steps):
-        """`D @ s` for each row s of `steps`, for every row of the panel."""
-        out = np.empty((len(steps), n))
-        for rows in groups:
-            out[:, rows] = steps @ design(rows).T
-        return out
+    D = np.empty((G, p + 1), order="F")
+    D[:, 0] = 1.0
+    Z = panel.covariates(first, out=D[:, 1:])
+    Z -= mean
+    Z /= scale
 
     q = p + 1
     pen = np.full(q, RIDGE)
@@ -560,26 +582,22 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     K = len(classes)
 
     if K == 2:
-        yb = panel.treatment == classes[1]
+        n1 = Y[1]
         nll_of = lambda eta, th: float(
-            np.logaddexp(0.0, eta).sum() - eta[yb].sum() + 0.5 * (pen * th * th).sum()
+            (n * np.logaddexp(0.0, eta)).sum() - (n1 * eta).sum() + 0.5 * (pen * th * th).sum()
         )
 
         def newton_system(eta, theta):
             prob = _expit(eta)
-            resid, w = yb - prob, prob * (1.0 - prob)
-            grad, H = -pen * theta, np.diag(pen)
-            for rows in groups:
-                D = design(rows)
-                grad += D.T @ resid[rows]
-                H += D.T @ (D * w[rows, None])
+            grad = D.T @ (n1 - n * prob) - pen * theta
+            H = D.T @ (D * (n * prob * (1.0 - prob))[:, None]) + np.diag(pen)
             return grad, H
 
         theta, eta, it, halvings = _newton(
-            newton_system, nll_of, lambda step: along(step[None])[0], np.zeros(q), np.zeros(n)
+            newton_system, nll_of, lambda step: D @ step, np.zeros(q), np.zeros(G)
         )
         kind, coef = "binary", theta[None, :]
-        probs = np.zeros((n, len(panel.levels)))  # after the fit: not held through it
+        probs = np.zeros((G, len(panel.levels)))
         p1 = _expit(eta, out=eta)  # eta is not read again
         probs[:, classes[0]] = 1.0 - p1
         probs[:, classes[1]] = p1
@@ -587,48 +605,42 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         # multinomial: reference class = classes[0], parameters for the rest;
         # E holds the K-1 non-reference linear predictors, class-major, so
         # every reduction over classes runs along the first axis
-        y = np.searchsorted(np.asarray(classes), panel.treatment)
         pen_full = np.tile(pen, K - 1)
-        others = np.arange(1, K)[:, None]
 
         def probs_of(E):
-            eta = np.vstack([np.zeros(n), E])
+            eta = np.vstack([np.zeros(G), E])
             eta -= eta.max(axis=0)
             e = np.exp(eta)
             return e / e.sum(axis=0)
 
         def pnll(E, th):
-            P = probs_of(E)
-            ll = np.log(np.clip(P[y, np.arange(n)], 1e-300, None)).sum()
+            ll = (Y * np.log(np.clip(probs_of(E), 1e-300, None))).sum()
             return float(-ll + 0.5 * (pen_full * th * th).sum())
 
         def newton_system(E, theta):
             P = probs_of(E)[1:]
-            grad, H = -pen_full * theta, np.diag(pen_full)
-            for rows in groups:
-                D = design(rows)
-                Pd = P[:, rows]
-                # gradient block k is D' r_k; Hessian block (k, l) is
-                # D' diag(p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'S_l,
-                # where S_k = D * p_k; so two products cover every block
-                grad += (((y[rows] == others) - Pd) @ D).ravel()
-                S = (D[:, None, :] * Pd.T[:, :, None]).reshape(len(D), -1)
-                H -= S.T @ S
-                DS = D.T @ S
-                for k in range(K - 1):
-                    H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
+            # gradient block k is D' r_k; Hessian block (k, l) is
+            # D' diag(n p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'(n S_l),
+            # where S_k = D * p_k; so two products cover every block
+            grad = ((Y[1:] - n * P) @ D).ravel() - pen_full * theta
+            S = (D[:, None, :] * P.T[:, :, None]).reshape(G, -1)
+            nS = S * n[:, None]
+            H = np.diag(pen_full) - S.T @ nS
+            DS = D.T @ nS
+            for k in range(K - 1):
+                H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
             return grad, H
 
         theta, E, it, halvings = _newton(
             newton_system,
             pnll,
-            lambda step: along(step.reshape(K - 1, q)),
+            lambda step: step.reshape(K - 1, q) @ D.T,
             np.zeros((K - 1) * q),
-            np.zeros((K - 1, n)),
+            np.zeros((K - 1, G)),
         )
         kind, coef = "multinomial", theta.reshape(K - 1, q)
         P = probs_of(E)
-        probs = np.zeros((n, len(panel.levels)))
+        probs = np.zeros((G, len(panel.levels)))
         for j, c in enumerate(classes):
             probs[:, c] = P[j]
     return PropensityModel(
@@ -638,6 +650,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         coef=coef,
         mean=mean,
         scale=scale,
+        group=group,
         probs=probs,
         iterations=it,
         step_halvings=halvings,

@@ -352,7 +352,7 @@ def _stub_model(panel, logits_by_row):
         kind="binary", levels=panel.levels, classes=(0, 1),
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)), scale=np.ones(len(panel.names)),
-        probs=probs, iterations=1,
+        group=np.arange(len(probs)), probs=probs, iterations=1,
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import contagion_lab
 from contagion_lab import cli, matchlab
+from contagion_lab.calibrate import AdoptionLog
 from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.netgraph import DirectedGraph
 
@@ -480,6 +481,13 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     assert m["summary"]["n_days_skipped_by_reason"] == {}
     assert m["summary"]["n_days_skipped"] == 0
     assert type(m["summary"]["propensity_step_halvings"]) is int
+    # the fit runs over the panel's distinct covariate rows: count them apart
+    g = DirectedGraph.load(hworld["graph"])
+    log = AdoptionLog.from_csv(hworld["log"], g)
+    cov = matchlab.CovariateTable(g, log, lag=7)
+    panel = matchlab.build_panel(g, log, cov, matchlab.Timing(d=3))
+    distinct = np.unique(panel.covariates(np.arange(panel.n_rows)), axis=0)
+    assert m["summary"]["propensity_groups"] == len(distinct) < panel.n_rows
 
 
 def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):

@@ -529,6 +529,31 @@ def test_per_day_fit_matches_the_dense_reference():
     assert kinds == [("binary", 0), ("multinomial", 1)]
 
 
+def test_grouped_fit_is_one_fit_per_distinct_covariate_row():
+    g, log, trait = homophily_world(5)
+    static = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
+    panels = [
+        build_panel(g, log, CovariateTable(g, log, lag=7), PlaceboPermuted(Timing(d=3), seed=2)),
+        build_panel(g, log, static, Dose()),
+    ]
+    for panel in panels:
+        model = fit_propensity(panel, min_level_rows=5)
+        X = panel.covariates(np.arange(panel.n_rows))
+        rows, row_of = np.unique(X, axis=0, return_inverse=True)
+        # a group is one covariate row, and each covariate row one group
+        assert len(model.probs) == len(rows) == len(np.unique(np.c_[row_of, model.group], axis=0))
+        for level in model.classes:
+            bits = model.level_logits(level).view(np.int64)
+            assert len(np.unique(np.c_[row_of, bits], axis=0)) == len(rows), level
+        # within the tolerances of the per-day fit's comparison above
+        coef, mean, scale, iterations, halvings = reference_fit_dense(X, panel.treatment)
+        assert np.abs(model.coef - coef).max() <= 1e-9 * np.abs(coef).max()
+        assert np.allclose(model.mean, mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(model.scale, scale, rtol=1e-12, atol=0)
+        assert (model.iterations, model.step_halvings) == (iterations, halvings)
+    assert [len(panels[0].names), len(panels[1].names)] == [10, 11]
+
+
 @pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
 def test_newton_cap_raises_convergence_error(levels, monkeypatch):
     # one iteration cannot bring the decrement of a fit from zero
@@ -626,7 +651,8 @@ def test_sq_dist_bits_do_not_depend_on_the_batch():
         assert one[0].tobytes() == full[start].tobytes()
 
 def stub_model(panel, logits_by_row):
-    """Propensity stub with prescribed treated-probability logits."""
+    """Propensity stub with prescribed treated-probability logits, each row
+    its own group."""
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
     return PropensityModel(
@@ -636,6 +662,7 @@ def stub_model(panel, logits_by_row):
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)),
         scale=np.ones(len(panel.names)),
+        group=np.arange(len(probs)),
         probs=probs,
         iterations=1,
     )
