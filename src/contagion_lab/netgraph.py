@@ -322,15 +322,6 @@ def load_edge_list(path) -> DirectedGraph:
     return DirectedGraph.from_edges(edges, node_ids=node_ids, n_nodes=len(node_ids))
 
 
-def save_edge_list(g: DirectedGraph, path) -> None:
-    """Write the canonical edge-list CSV (sorted, external ids)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["source", "target"])
-        for s, t in g.edges():
-            w.writerow([g.node_ids[s], g.node_ids[t]])
-
-
 def save_id_map(g: DirectedGraph, path) -> None:
     """Persist the dense-id dictionary as CSV (``id,external``)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

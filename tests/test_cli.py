@@ -654,7 +654,7 @@ def test_calibrate_log_day_out_of_range_is_parse_error(world, tmp_path, capsys, 
 
 def test_ingest_round_trip(world, tmp_path):
     edges = tmp_path / "edges.csv"
-    from contagion_lab.netgraph import save_edge_list
+    from tests.test_netgraph import save_edge_list
 
     g = DirectedGraph.load(world["graph"])
     save_edge_list(g, edges)

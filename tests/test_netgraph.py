@@ -1,5 +1,6 @@
 """Graph loading, adjacency, degrees, round-trips."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -10,11 +11,19 @@ from contagion_lab.netgraph import (
     DirectedGraph,
     LoadReport,
     load_edge_list,
-    save_edge_list,
     save_id_map,
 )
 
 SYNTH_CACHE_SHA256 = "c21aae8d0386e35e89fdda3a52e551566b72f3d2cea9b3a60f0128860a8d0435"
+
+
+def save_edge_list(g, path):
+    """Write the canonical edge-list CSV (sorted, external ids)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["source", "target"])
+        for s, t in g.edges():
+            w.writerow([g.node_ids[s], g.node_ids[t]])
 
 
 def write_csv(path, text):
