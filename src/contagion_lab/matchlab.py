@@ -4,6 +4,9 @@ Builds daily risk-set panels from an adoption log, fits (generalized)
 propensity scores by Newton iteration, matches treated egos to same-day
 controls under a propensity-logit caliper with Mahalanobis tie-breaking,
 and pools daily 2x2 tables into a risk ratio with a small-cell correction.
+Most panel rows repeat another row's covariates, so the fit runs over the
+panel's distinct covariate rows and the matcher over each day's groups of
+interchangeable controls; both give what a pass over every row would.
 """
 
 from __future__ import annotations
@@ -217,7 +220,9 @@ class TreatmentPanel:
     columns are the degrees behind the count fractions. `covariates(rows)`
     builds the float covariates that `names` lists, `[counts, fractions,
     node_X[ego]]`, for any row set, so no (rows x covariates) float block is
-    ever stored.
+    ever stored. A row's covariates are a function of its ego's `node_X`
+    row and its counts, so `row_keys(rows)` names them with one int64 each:
+    the propensity fit and the matcher group rows by it.
     """
 
     ego: np.ndarray
@@ -512,29 +517,30 @@ def _newton(system, objective, along, theta, eta):
 
 
 def _distinct_rows(panel: TreatmentPanel):
-    """The panel's distinct covariate rows: each row's group, the first row
-    of each group, and each group's row count per treatment level.
+    """The panel's distinct covariate rows: each row's group, one row of
+    each group (its members' covariate rows are bit-identical, so which one
+    does not matter), and each group's row count per treatment level.
 
     Rows are grouped by `row_keys`, one day at a time and then across the
     days' distinct keys, so no key array spans the panel.
     """
     days = panel.rows_by_day()
     group = np.empty(panel.n_rows, dtype=_int_dtype(0, panel.n_rows))
-    keys, first = [], []
+    keys = []
     for _, rows in days:
-        k, f, inv = np.unique(panel.row_keys(rows), return_index=True, return_inverse=True)
-        group[rows] = inv
+        k, group[rows] = np.unique(panel.row_keys(rows), return_inverse=True)
         keys.append(k)
-        first.append(f + rows.start)
     lens = [len(k) for k in keys]
-    _, f, where = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    n_groups, n_levels = len(f), len(panel.levels)
+    distinct, where = np.unique(np.concatenate(keys), return_inverse=True)
+    n_groups, n_levels = len(distinct), len(panel.levels)
+    rep = np.empty(n_groups, dtype=np.int64)
     counts = np.zeros(n_groups * n_levels, dtype=np.int64)
     for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):  # int64 offsets
         g = where[a + group[rows]]
         group[rows] = g
+        rep[g] = np.arange(rows.start, rows.stop)
         counts += np.bincount(g * n_levels + panel.treatment[rows], minlength=counts.size)
-    return group, np.concatenate(first)[f], counts.reshape(n_groups, n_levels)
+    return group, rep, counts.reshape(n_groups, n_levels)
 
 
 def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> PropensityModel:
@@ -565,14 +571,14 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
             f"level counts {counts.tolist()}"
         )
     classes = tuple(int(c) for c in np.flatnonzero(counts > 0))
-    group, first, by_level = _distinct_rows(panel)
+    group, rep, by_level = _distinct_rows(panel)
     Y = by_level[:, classes].T.astype(float)  # (classes, groups) row counts
     n = Y.sum(axis=0)  # rows per group
-    G, p = len(first), len(panel.names)
+    G, p = len(rep), len(panel.names)
     mean, scale, _ = panel.moments
     D = np.empty((G, p + 1), order="F")
     D[:, 0] = 1.0
-    Z = panel.covariates(first, out=D[:, 1:])
+    Z = panel.covariates(rep, out=D[:, 1:])
     Z -= mean
     Z /= scale
 

@@ -607,6 +607,35 @@ def test_fit_and_match_hold_no_panel_wide_design_block():
     assert peak < block, (peak, block)
 
 
+def test_row_keys_name_distinct_covariate_rows():
+    g, log, trait = homophily_world(3)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Timing(d=3))
+    rows = np.arange(panel.n_rows)
+    _, by_key = np.unique(panel.row_keys(rows), return_inverse=True)
+    _, by_row = np.unique(panel.covariates(rows), axis=0, return_inverse=True)
+    assert len(np.unique(np.c_[by_key, by_row], axis=0)) == by_key.max() + 1 == by_row.max() + 1
+    assert np.array_equal(panel.row_keys(slice(5, 40)), panel.row_keys(rows)[5:40])
+
+    def counts_panel(X):
+        n = len(X)
+        return TreatmentPanel(
+            ego=np.arange(n), day=np.zeros(n, dtype=np.int64),
+            treatment=np.zeros(n, dtype=np.int64), outcome=np.zeros(n, dtype=np.int64),
+            X=np.array(X, dtype=np.int64), node_X=np.ones((n, 3)),
+            names=tuple(f"c{i}" for i in range(9)), core_idx=tuple(range(9)),
+            levels=BINARY_LEVELS,
+        )
+
+    # negative counts shift to nonnegative digits, so no two rows share a key
+    keys = counts_panel([[-3, 0, 2], [0, -3, 2], [-3, 0, 1], [2, 2, 2]]).row_keys(slice(0, 4))
+    assert len(set(keys.tolist())) == 4 and keys.min() >= 0
+    big = 2**21
+    counts_panel([[0, 0, 0], [big - 1] * 3]).row_keys(slice(0, 2))  # 2**63 keys fit
+    with pytest.raises(DataError, match="int64 row key"):
+        counts_panel([[0, 0, 0], [big] * 3]).row_keys(slice(0, 2))
+
+
 def test_panel_covariates_equal_table_values():
     g, log, trait = homophily_world(3)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
