@@ -535,7 +535,8 @@ def _distinct_rows(panel: TreatmentPanel):
     n_groups, n_levels = len(distinct), len(panel.levels)
     rep = np.empty(n_groups, dtype=np.int64)
     counts = np.zeros(n_groups * n_levels, dtype=np.int64)
-    for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):  # int64 offsets
+    # numpy int64 offsets, so `a + group[rows]` cannot wrap a narrow int dtype
+    for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):
         g = where[a + group[rows]]
         group[rows] = g
         rep[g] = np.arange(rows.start, rows.stop)
