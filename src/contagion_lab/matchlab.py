@@ -1,12 +1,15 @@
 """Dynamic matched-sample estimation of peer-influence risk ratios.
 
-Builds daily risk-set panels from an adoption log, fits (generalized)
-propensity scores by Newton iteration, matches treated egos to same-day
-controls under a propensity-logit caliper with Mahalanobis tie-breaking,
-and pools daily 2x2 tables into a risk ratio with a small-cell correction.
-Most panel rows repeat another row's covariates, so the fit runs over the
-panel's distinct covariate rows and the matcher over each day's groups of
-interchangeable controls; both give what a pass over every row would.
+Builds daily risk-set panels from an adoption log, fits propensity scores
+with one multinomial logistic model for every design (two levels for the
+timing and placebo designs) by Newton iteration, matches treated egos to
+same-day controls under a propensity-logit caliper with Mahalanobis
+tie-breaking, and pools daily 2x2 tables into a risk ratio with a
+small-cell correction. Most panel rows repeat another row's covariates, so
+the fit runs over the panel's distinct covariate rows and the matcher over
+each day's groups of interchangeable controls; both give what a pass over
+every row would. The fit's sums run in a fixed order, so its bits do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, ExposureIndex
-from .errors import ConvergenceError, DataError, read_csv, read_json
+from .errors import ConvergenceError, DataError
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
 from .structtest import average_ranks
@@ -434,11 +437,15 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
 class PropensityModel:
     """Fitted treatment model over the panel's distinct covariate rows: each
     row's group (`group`) and each group's level probabilities (`probs`).
-    `level_logits` turns one level's into logits, one per panel row."""
+    `level_logits` turns one level's into logits, one per panel row.
 
-    kind: str  # "binary" | "multinomial"
+    `classes` are the levels present in the panel; the first is the
+    reference, and `coef` holds one row per other class, so a timing or
+    placebo model has two classes and one row.
+    """
+
     levels: tuple
-    classes: tuple  # level codes the model was fit over
+    classes: tuple  # level codes the model was fit over, the reference first
     coef: np.ndarray  # (n_classes-1, p+1) rows vs the reference class
     mean: np.ndarray
     scale: np.ndarray
@@ -461,20 +468,6 @@ def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
         return None
     r = average_ranks(scores)
     return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
-
-
-def _expit(x, out=None) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-x)), computed in place in `out`
-    (a new array when None).
-
-    Below about x = -709, exp(-x) overflows to inf and the result is its
-    exact limit 0, so that overflow is not warned about.
-    """
-    with np.errstate(over="ignore"):
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        return np.divide(1.0, out, out=out)
 
 
 def _line_search(objective, nll):
@@ -545,14 +538,18 @@ def _distinct_rows(panel: TreatmentPanel):
 
 
 def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> PropensityModel:
-    """Maximum-likelihood (multinomial) logistic fit of treatment on covariates.
+    """Maximum-likelihood multinomial logistic fit of treatment on covariates.
 
-    Newton iteration with an L2 ridge (`RIDGE`) on the slopes (intercept
-    unpenalized) so perfectly separable panels stay finite; step halving
-    guards the penalized likelihood. The fit stops once half the squared
-    Newton decrement, grad' H^-1 grad / 2 (the decrease the step predicts),
-    is at most `NEWTON_TOL` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a
-    direction the covariates leave unidentified cannot hold it open; after
+    One K-class system covers every design: the first fitted class is the
+    reference, and each of the other K - 1 has a row of coefficients (K = 2
+    for timing and placebo designs, so one row). Newton iteration with an L2
+    ridge (`RIDGE`) on the slopes (intercepts unpenalized) so perfectly
+    separable panels stay finite; step halving guards the penalized
+    likelihood, which is written with an exact log-sum-exp, so no
+    probability is clipped. The fit stops once half the squared Newton
+    decrement, grad' H^-1 grad / 2 (the decrease the step predicts), is at
+    most `NEWTON_TOL` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a direction
+    the covariates leave unidentified cannot hold it open; after
     `NEWTON_MAX_ITER` iterations it raises `ConvergenceError`. Requires at
     least two levels meeting the row floor.
 
@@ -561,9 +558,11 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     (`_distinct_rows`) with their per-level row counts as weights: one
     design block `D = [1, Z]` holds a row per group, `Z` standardized by the
     panel's `moments`, and every Newton system, objective and line-search
-    step reads it. The model keeps one probability per group and level.
-    Probabilities come from `_expit` and `np.exp`, so the fit imports no
-    scipy.
+    step reads it. Every product with `D` (the gradient, the Hessian's
+    products and each step's change in the predictors) goes through
+    `np.einsum`, which sums in one fixed order where a BLAS product may
+    split the work by thread, so the fit's bits do not depend on the BLAS
+    thread count. The model keeps one probability per group and level.
     """
     counts = panel.level_counts()
     if np.count_nonzero(counts >= min_level_rows) < 2:
@@ -583,78 +582,50 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     Z -= mean
     Z /= scale
 
-    q = p + 1
-    pen = np.full(q, RIDGE)
-    pen[0] = 0.0  # intercept unpenalized
-    K = len(classes)
+    q, K = p + 1, len(classes)
+    pen = np.tile(np.r_[0.0, np.full(p, RIDGE)], K - 1)  # intercepts unpenalized
+    # E holds the K-1 non-reference linear predictors, class-major, so every
+    # reduction over classes runs along the first axis; the reference
+    # class's predictor is 0
+    def probs_of(E):
+        eta = np.vstack([np.zeros(G), E])
+        eta -= eta.max(axis=0)
+        e = np.exp(eta)
+        return e / e.sum(axis=0)
 
-    if K == 2:
-        n1 = Y[1]
-        nll_of = lambda eta, th: float(
-            (n * np.logaddexp(0.0, eta)).sum() - (n1 * eta).sum() + 0.5 * (pen * th * th).sum()
-        )
+    def nll_of(E, th):
+        # -log L = sum_g n_g log(sum_k exp(eta_kg)) - sum_k Y_k . eta_k, with no
+        # probability formed, so a separable panel's likelihood stays exact
+        lse = np.logaddexp.reduce(np.vstack([np.zeros(G), E]), axis=0)
+        return float((n * lse).sum() - (Y[1:] * E).sum() + 0.5 * (pen * th * th).sum())
 
-        def newton_system(eta, theta):
-            prob = _expit(eta)
-            grad = D.T @ (n1 - n * prob) - pen * theta
-            H = D.T @ (D * (n * prob * (1.0 - prob))[:, None]) + np.diag(pen)
-            return grad, H
+    def newton_system(E, theta):
+        P = probs_of(E)[1:]
+        # gradient block k is D' r_k; Hessian block (k, l) is
+        # D' diag(n p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'(n S_l),
+        # where S_k = D * p_k; so two products cover every block
+        grad = np.einsum("kg,gi->ki", Y[1:] - n * P, D).ravel() - pen * theta
+        S = (D[:, None, :] * P.T[:, :, None]).reshape(G, -1)
+        nS = S * n[:, None]
+        H = np.diag(pen) - np.einsum("gi,gj->ij", S, nS)
+        DS = np.einsum("gi,gj->ij", D, nS)
+        for k in range(K - 1):
+            H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
+        return grad, H
 
-        theta, eta, it, halvings = _newton(
-            newton_system, nll_of, lambda step: D @ step, np.zeros(q), np.zeros(G)
-        )
-        kind, coef = "binary", theta[None, :]
-        probs = np.zeros((G, len(panel.levels)))
-        p1 = _expit(eta, out=eta)  # eta is not read again
-        probs[:, classes[0]] = 1.0 - p1
-        probs[:, classes[1]] = p1
-    else:
-        # multinomial: reference class = classes[0], parameters for the rest;
-        # E holds the K-1 non-reference linear predictors, class-major, so
-        # every reduction over classes runs along the first axis
-        pen_full = np.tile(pen, K - 1)
-
-        def probs_of(E):
-            eta = np.vstack([np.zeros(G), E])
-            eta -= eta.max(axis=0)
-            e = np.exp(eta)
-            return e / e.sum(axis=0)
-
-        def pnll(E, th):
-            ll = (Y * np.log(np.clip(probs_of(E), 1e-300, None))).sum()
-            return float(-ll + 0.5 * (pen_full * th * th).sum())
-
-        def newton_system(E, theta):
-            P = probs_of(E)[1:]
-            # gradient block k is D' r_k; Hessian block (k, l) is
-            # D' diag(n p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'(n S_l),
-            # where S_k = D * p_k; so two products cover every block
-            grad = ((Y[1:] - n * P) @ D).ravel() - pen_full * theta
-            S = (D[:, None, :] * P.T[:, :, None]).reshape(G, -1)
-            nS = S * n[:, None]
-            H = np.diag(pen_full) - S.T @ nS
-            DS = D.T @ nS
-            for k in range(K - 1):
-                H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
-            return grad, H
-
-        theta, E, it, halvings = _newton(
-            newton_system,
-            pnll,
-            lambda step: step.reshape(K - 1, q) @ D.T,
-            np.zeros((K - 1) * q),
-            np.zeros((K - 1, G)),
-        )
-        kind, coef = "multinomial", theta.reshape(K - 1, q)
-        P = probs_of(E)
-        probs = np.zeros((G, len(panel.levels)))
-        for j, c in enumerate(classes):
-            probs[:, c] = P[j]
+    theta, E, it, halvings = _newton(
+        newton_system,
+        nll_of,
+        lambda step: np.einsum("ki,gi->kg", step.reshape(K - 1, q), D),
+        np.zeros((K - 1) * q),
+        np.zeros((K - 1, G)),
+    )
+    probs = np.zeros((G, len(panel.levels)))
+    probs[:, classes] = probs_of(E).T
     return PropensityModel(
-        kind=kind,
         levels=panel.levels,
         classes=classes,
-        coef=coef,
+        coef=theta.reshape(K - 1, q),
         mean=mean,
         scale=scale,
         group=group,
@@ -664,8 +635,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     )
 
 
-# one row per matched pair; the first five fields are the columns of a pairs
-# CSV, and an outcome reads -1 where it is unknown
+# one row per matched pair; the first five fields are the columns of a pairs CSV
 PAIR_DTYPE = np.dtype(
     [
         ("day", np.int64),
@@ -969,20 +939,13 @@ class RiskTable:
             json.dump(self.to_dict(), f, indent=2)
             f.write("\n")
 
-    @classmethod
-    def from_json(cls, path) -> "RiskTable":
-        return read_json(path, lambda d: cls(**d))
-
 
 def pool_risk_ratio(pairs) -> RiskTable:
     """Sum a pairs table's outcomes across days into one corrected 2x2 table."""
     n = len(pairs)
     if n == 0:
         raise DataError("no matched pairs to pool")
-    treated, control = pairs.treated_outcome, pairs.control_outcome
-    if (treated < 0).any() or (control < 0).any():
-        raise DataError("pairs lack outcomes; re-derive them from the panel")
-    a, c = int(treated.sum()), int(control.sum())
+    a, c = int(pairs.treated_outcome.sum()), int(pairs.control_outcome.sum())
     return RiskTable.from_counts(a, n - a, c, n - c)
 
 
@@ -1043,50 +1006,3 @@ def write_pairs(pairs, path) -> None:
         w = csv.writer(f)
         w.writerow(_PAIR_CSV_COLUMNS)
         w.writerows(zip(day, treated, control, map(repr, gap), map(repr, md)))
-
-
-def _int64(text: str) -> int:
-    v = int(text)
-    if not -(2**63) <= v < 2**63:
-        raise ValueError(f"{v} does not fit in int64")
-    return v
-
-
-def _panel_outcomes(panel: TreatmentPanel, ego: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """The outcome of each (ego, day)'s panel row, -1 where the panel has none.
-
-    Rows are keyed by the day's rank among the panel's days times the node
-    count plus the ego; in (day, ego) row order the keys ascend, so one
-    `searchsorted` answers every query.
-    """
-    n = len(panel.node_X)
-    days = np.array([D for D, _ in panel.rows_by_day()], dtype=np.int64)
-    keys = np.searchsorted(days, panel.day) * n + panel.ego
-    rank = np.searchsorted(days, day)
-    known = (rank < len(days)) & (0 <= ego) & (ego < n)
-    known &= days[np.minimum(rank, len(days) - 1)] == day
-    q = rank * n + np.where(known, ego, 0)
-    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    known &= keys[pos] == q
-    return np.where(known, panel.outcome[pos], -1)
-
-
-def read_pairs(path, panel: TreatmentPanel | None = None) -> np.recarray:
-    """Read a pairs CSV into a `PAIR_DTYPE` table.
-
-    Outcomes are restored from the source panel when it is given; they read
-    -1 without it, and for a pair whose (ego, day) row the panel lacks.
-    """
-
-    def record(fields):
-        if len(fields) != 5:
-            raise ValueError(f"{len(fields)} fields, expected 5")
-        day, t, c = (_int64(x) for x in fields[:3])
-        return day, t, c, float(fields[3]), float(fields[4]), -1, -1
-
-    rows = read_csv(path, _PAIR_CSV_COLUMNS, lambda header: record)
-    pairs = np.array(rows, dtype=PAIR_DTYPE).view(np.recarray)
-    if panel is not None and panel.n_rows and len(pairs):
-        pairs.treated_outcome = _panel_outcomes(panel, pairs.treated, pairs.day)
-        pairs.control_outcome = _panel_outcomes(panel, pairs.control, pairs.day)
-    return pairs

@@ -349,7 +349,7 @@ def _stub_model(panel, logits_by_row):
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
     return PropensityModel(
-        kind="binary", levels=panel.levels, classes=(0, 1),
+        levels=panel.levels, classes=(0, 1),
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)), scale=np.ones(len(panel.names)),
         group=np.arange(len(probs)), probs=probs, iterations=1,

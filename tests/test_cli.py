@@ -506,7 +506,7 @@ def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):
 
 
 def test_binary_match_never_loads_scipy_special(hworld, tmp_path):
-    # the propensity fit's logistic is numpy's, not scipy.special.expit
+    # the propensity fit's probabilities are numpy's, not scipy.special's
     env = dict(os.environ)
     pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
