@@ -3,7 +3,8 @@
 Edges are stored twice in CSR form (followees and followers), sorted
 ascending, so degree lookups are O(1) and neighbor iteration is
 deterministic.  Nodes carry dense 0-based integer ids assigned in sorted
-external-id order; the external-id dictionary travels with the graph.
+external-id order; the external-id dictionary travels with the graph.  The
+binary cache is an npz archive of plain, uncompressed arrays.
 
 Conventions: a record (source, target) means source follows target, so
 target is one of source's followees (information sources) and source is one
@@ -28,9 +29,6 @@ log = logging.getLogger(__name__)
 
 CACHE_FORMAT = "contagion-lab-graph"
 CACHE_VERSION = 2
-# neighbor ids barely deflate: at level 1 the file is about 9% larger than at
-# zlib's default level and is written about 5x faster
-CACHE_COMPRESSLEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -76,16 +74,17 @@ class DirectedGraph:
         """Build from an (m, 2) integer array of (source, target) pairs.
 
         Self-loops are dropped and duplicates collapsed; both are counted in
-        the load report.
+        the load report.  Both CSRs come from one int64 key buffer sorted in
+        place per direction: about 3 words per edge beyond an int64 input.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n_records = len(edges)
-        keep = edges[:, 0] != edges[:, 1]
-        n_self = int(n_records - keep.sum())
-        edges = edges[keep]
-
-        if n_nodes is None:
-            n_nodes = int(edges.max()) + 1 if len(edges) else 0
+        loop = edges[:, 0] == edges[:, 1]
+        n_self = int(loop.sum())
+        # the node count and the range check skip self-loop records
+        kept = ~loop[:, None] if n_self else True
+        top = int(edges.max(where=kept, initial=-1))
+        n_nodes = top + 1 if n_nodes is None else n_nodes
         if node_ids is None:
             # zero-pad so lexical order equals numeric order across reloads
             w = len(str(max(n_nodes - 1, 0)))
@@ -93,28 +92,36 @@ class DirectedGraph:
         if len(node_ids) != n_nodes:
             raise DataError(f"expected {n_nodes} node ids, got {len(node_ids)}")
         # before the keying below, where an out-of-range pair would alias
-        if len(edges) and (edges.min() < 0 or edges.max() >= n_nodes):
+        if top >= n_nodes or edges.min(where=kept, initial=0) < 0:
             raise DataError("edge endpoint out of node range")
 
-        # sorted unique (source, target) pairs via one scalar key per edge
+        # one scalar key source * n + target per edge; self-loops are keyed -1,
+        # so they sort first and drop with the repeats of the sorted run
         span = max(n_nodes, 1)
-        key = np.sort(edges[:, 0] * span + edges[:, 1])
-        key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
-        edges = np.column_stack([key // span, key % span])
-        n_dup = int(n_records - n_self - len(edges))
+        key = edges[:, 0] * span
+        key += edges[:, 1]
+        np.putmask(key, loop, -1)
+        del loop, kept
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        n_dup = n_records - n_self - len(key)
         if n_self:
             log.warning("dropped %d self-loop record(s)", n_self)
         if n_dup:
             log.warning("collapsed %d duplicate record(s)", n_dup)
 
-        # followees of i: targets of records with source i
-        fe_ptr, fe = _csr(edges[:, 0], edges[:, 1], n_nodes)
-        # followers of i: sources of records with target i
-        fo_ptr, fo = _csr(edges[:, 1], edges[:, 0], n_nodes)
-        report = LoadReport(
-            records=n_records, edges=len(edges), duplicates=n_dup, self_loops=n_self
-        )
-        return cls(fe_ptr, fe, fo_ptr, fo, node_ids, report)
+        # followees of i: the targets of the keys in [i * n, (i + 1) * n)
+        bounds = np.arange(n_nodes + 1, dtype=np.int64) * span
+        fe_ptr = np.searchsorted(key, bounds)
+        fe = key % span
+        # followers of i: the same buffer re-keyed as target * n + source
+        fo = fe * span
+        key //= span
+        key += fo
+        key.sort()
+        fo_ptr = np.searchsorted(key, bounds)
+        np.remainder(key, span, out=fo)
+        return cls(fe_ptr, fe, fo_ptr, fo, node_ids, LoadReport(n_records, len(fe), n_dup, n_self))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -177,7 +184,7 @@ class DirectedGraph:
         n = self.node_count
         src = np.repeat(np.arange(n, dtype=np.int64), self.in_degree)
         keep = np.isin(src * n + self._fe, self._fe * n + src)
-        return _csr(src[keep], self._fe[keep], n)
+        return np.searchsorted(src[keep], np.arange(n + 1)), self._fe[keep]
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.node_count:
@@ -204,7 +211,8 @@ class DirectedGraph:
         code-point offsets, so every id comes back exactly (a fixed-width
         unicode array would drop trailing NULs).  Entries carry a fixed zip
         date so identical graphs produce byte-identical files regardless of
-        wall-clock time.
+        wall-clock time.  Members are stored uncompressed, guarded by the zip
+        CRC-32: neighbor ids barely deflate.  Deflated caches load as well.
         """
         offsets = np.zeros(len(self.node_ids) + 1, dtype=np.int64)
         np.cumsum([len(x) for x in self.node_ids], out=offsets[1:])
@@ -228,7 +236,7 @@ class DirectedGraph:
                 np.lib.format.write_array(buf, arr, allow_pickle=False)
                 info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
                 info.external_attr = 0o600 << 16
-                zf.writestr(info, buf.getvalue(), zipfile.ZIP_DEFLATED, CACHE_COMPRESSLEVEL)
+                zf.writestr(info, buf.getbuffer(), zipfile.ZIP_STORED)
 
     @classmethod
     def load(cls, path) -> "DirectedGraph":
@@ -291,14 +299,6 @@ def _check_indptr(indptr: np.ndarray, n: int, end: int, name: str, path) -> None
         raise DataError(
             f"{path}: graph cache {name} is not {n + 1} non-decreasing offsets from 0 to {end}"
         )
-
-
-def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays for `values` grouped by `keys`, both ascending."""
-    order = np.argsort(keys * n + values)  # pairs are distinct: one order
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    return indptr, values[order]
 
 
 def load_edge_list(path) -> DirectedGraph:

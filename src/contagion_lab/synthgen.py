@@ -76,13 +76,12 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
     if trait is not None and cfg.homophily > 0:
         edges = _homophily_edges(k, np.asarray(trait), cfg.homophily, rng)
         return DirectedGraph.from_edges(edges, n_nodes=n)
-    dst = []
-    for i in range(n):
+    edges = np.empty((k.sum(), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), k)
+    for i, (ki, end) in enumerate(zip(k.tolist(), np.cumsum(k).tolist())):
         # same draws as choosing from all ids but i: skip past i
-        idx = rng.choice(n - 1, size=k[i], replace=False)
-        dst.append((idx + (idx >= i)).astype(np.int64))
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    edges = np.column_stack([src, np.concatenate(dst)])
+        idx = rng.choice(n - 1, size=ki, replace=False)
+        np.add(idx, idx >= i, out=edges[end - ki : end, 1])
     return DirectedGraph.from_edges(edges, n_nodes=n)
 
 

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +694,17 @@ def _v1_cache(good, bad):
              node_ids=np.array(g.node_ids, dtype=object))
 
 
+def _flip_data_byte(good, bad):
+    # the last byte of a stored member is array data, which only its CRC-32 guards
+    data = bytearray(good.read_bytes())
+    with zipfile.ZipFile(good) as zf:
+        info = zf.getinfo("followee_ids.npy")
+    assert info.compress_type == zipfile.ZIP_STORED
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    bad.write_bytes(bytes(data))
+
+
 MALFORMED_CACHES = {
     "garbage": lambda good, bad: bad.write_bytes(bytes(range(256)) * 4),
     "truncated": lambda good, bad: bad.write_bytes(good.read_bytes()[:3000]),
@@ -703,6 +716,7 @@ MALFORMED_CACHES = {
     "wrong version": lambda good, bad: _rewrite(good, bad, lambda m: m.update(
         version=np.array(7))),
     "v1": _v1_cache,
+    "flipped data byte": _flip_data_byte,
 }
 
 
@@ -717,6 +731,8 @@ def test_malformed_graph_cache_is_data_error(world, tmp_path, capsys, kind):
     assert not (tmp_path / "sentinel").exists()
     if kind == "v1":
         assert "re-run synth or ingest" in err
+    if kind == "flipped data byte":
+        assert "Bad CRC-32 for file 'followee_ids.npy'" in err
 
 
 def test_pickle_probe_is_live(tmp_path):

@@ -2,19 +2,26 @@
 
 import csv
 import hashlib
+import io
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import (
+    CACHE_FORMAT,
+    CACHE_VERSION,
     DirectedGraph,
     LoadReport,
     load_edge_list,
     save_id_map,
 )
 
-SYNTH_CACHE_SHA256 = "c21aae8d0386e35e89fdda3a52e551566b72f3d2cea9b3a60f0128860a8d0435"
+SYNTH_CACHE_SHA256 = "a47ceabd0ed09c0287a9eeafa5367cd70e80b54f4b9804adbc39d1f607b8dc72"
 
 
 def save_edge_list(g, path):
@@ -372,3 +379,164 @@ def test_from_edges_rejects_out_of_range_endpoints(edges):
 def test_from_edges_rejects_negative_without_n_nodes():
     with pytest.raises(DataError, match="out of node range"):
         DirectedGraph.from_edges(np.array([(1, -1), (0, 4)]))
+
+
+# -- construction against the earlier two-argsort build ---------------------------
+
+
+def argsort_build(edges, node_ids=None, n_nodes=None):
+    """The earlier DirectedGraph.from_edges: self-loops masked out, a sorted
+    unique key per pair, then one argsort per direction.  Returns the four
+    CSR arrays, the node ids and the load report."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n_records = len(edges)
+    keep = edges[:, 0] != edges[:, 1]
+    n_self = int(n_records - keep.sum())
+    edges = edges[keep]
+    if n_nodes is None:
+        n_nodes = int(edges.max()) + 1 if len(edges) else 0
+    if node_ids is None:
+        w = len(str(max(n_nodes - 1, 0)))
+        node_ids = tuple(map(f"%0{w}d".__mod__, range(n_nodes)))
+    if len(node_ids) != n_nodes:
+        raise DataError(f"expected {n_nodes} node ids, got {len(node_ids)}")
+    if len(edges) and (edges.min() < 0 or edges.max() >= n_nodes):
+        raise DataError("edge endpoint out of node range")
+    span = max(n_nodes, 1)
+    key = np.sort(edges[:, 0] * span + edges[:, 1])
+    key = key[np.diff(key, prepend=-1) != 0]
+    edges = np.column_stack([key // span, key % span])
+    arrays = []
+    for keys, values in ((edges[:, 0], edges[:, 1]), (edges[:, 1], edges[:, 0])):
+        order = np.argsort(keys * n_nodes + values)
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n_nodes), out=indptr[1:])
+        arrays += [indptr, values[order]]
+    report = LoadReport(n_records, len(edges), n_records - n_self - len(edges), n_self)
+    return arrays, node_ids, report
+
+
+@st.composite
+def edge_arrays(draw, slack=0):
+    """(edges, n_nodes or None): random rows over n ids, so self-loops,
+    duplicates, unsorted rows and isolated nodes all occur; m may be 0.
+    With slack, endpoints may fall up to `slack` outside [0, n)."""
+    n = draw(st.integers(0, 12))
+    ids = st.integers(-slack, max(n - 1, 0) + slack)
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return edges, draw(st.sampled_from([n, None]))
+
+
+def from_edges_parts(edges, **kwargs):
+    """DirectedGraph.from_edges as argsort_build returns it."""
+    g = DirectedGraph.from_edges(edges, **kwargs)
+    arrays = [*g.followee_csr(), *g.follower_csr()]
+    for a in arrays:
+        assert a.dtype == np.int64 and not a.flags.writeable
+    return arrays, g.node_ids, g.load_report
+
+
+def outcome(build, edges, **kwargs):
+    """What `build` returns, or the message of the DataError it raises."""
+    try:
+        return build(edges, **kwargs)
+    except DataError as e:
+        return str(e)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[1:] == want[1:]
+    for a, b in zip(got[0], want[0]):
+        assert b.dtype == np.int64 and np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays())
+def test_from_edges_matches_argsort_build(case):
+    edges, n_nodes = case
+    got = from_edges_parts(edges, n_nodes=n_nodes)
+    assert_same_outcome(got, argsort_build(edges, n_nodes=n_nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays(slack=2), st.integers(-1, 1))
+def test_from_edges_errors_match_argsort_build(case, id_count_change):
+    # out-of-range endpoints and a wrong node-id count raise DataError alike
+    edges, n_nodes = case
+    kwargs = {"n_nodes": n_nodes}
+    if n_nodes is not None and id_count_change:
+        kwargs["node_ids"] = tuple(f"v{i}" for i in range(max(n_nodes + id_count_change, 0)))
+    got = outcome(from_edges_parts, edges, **kwargs)
+    assert_same_outcome(got, outcome(argsort_build, edges, **kwargs))
+
+
+def test_from_edges_working_memory_is_about_three_words_per_edge():
+    # tracemalloc sees every numpy buffer, so the peak is exact and repeatable;
+    # the earlier two-argsort build peaked at 7.1 words per edge on this input
+    m, n = 200_000, 10_000
+    edges = np.random.default_rng(17).integers(0, n, size=(m, 2))
+    node_ids = tuple(map(str, range(n)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = DirectedGraph.from_edges(edges, node_ids=node_ids, n_nodes=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 0.99 * m
+    assert peak <= 4 * 8 * m
+
+
+# -- cache compatibility ------------------------------------------------------------
+
+
+def save_deflated(g, path):
+    """The cache writer of earlier builds: the same members, deflated at level 1."""
+    offsets = np.zeros(len(g.node_ids) + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in g.node_ids], out=offsets[1:])
+    text = "".join(g.node_ids).encode("utf-8", "surrogatepass")
+    arrays = {
+        "format": np.array(CACHE_FORMAT),
+        "version": np.array(CACHE_VERSION, dtype=np.int64),
+        "followee_indptr": g.followee_csr()[0],
+        "followee_ids": g.followee_csr()[1],
+        "follower_indptr": g.follower_csr()[0],
+        "follower_ids": g.follower_csr()[1],
+        "node_id_utf8": np.frombuffer(text, dtype=np.uint8),
+        "node_id_offsets": offsets,
+    }
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, arr, allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, buf.getvalue(), zipfile.ZIP_DEFLATED, 1)
+
+
+@pytest.mark.parametrize("make", ["exotic", "synth"])
+def test_deflated_cache_of_earlier_builds_loads(tmp_path, make):
+    g = exotic_graph(tmp_path) if make == "exotic" else synth_graph()
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    save_deflated(g, old)
+    g.save(new)
+    assert_same_graph(g, DirectedGraph.load(old))
+    # the members hold the same bytes; only their compression differs
+    with zipfile.ZipFile(old) as a, zipfile.ZipFile(new) as b:
+        assert a.namelist() == b.namelist()
+        assert all(a.read(name) == b.read(name) for name in a.namelist())
+        assert {i.compress_type for i in a.infolist()} == {zipfile.ZIP_DEFLATED}
+
+
+def test_cache_members_are_stored(tmp_path):
+    p = tmp_path / "g.npz"
+    synth_graph().save(p)
+    with zipfile.ZipFile(p) as zf:
+        infos = zf.infolist()
+    assert len(infos) == 8
+    assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
