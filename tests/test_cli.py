@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import contagion_lab
 from contagion_lab import cli, matchlab
 from contagion_lab.calibrate import AdoptionLog
 from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.netgraph import DirectedGraph
+from contagion_lab.shocks import AdoptionSeries
 
 
 def sha(path):
@@ -197,6 +199,174 @@ def test_simulate_outputs_pinned(world):
         "145273f3907d025b247b340012d3e154be38eefc23e940c9408727e935dfb4c5")
     assert sha(world["log"]) == (
         "eef299ede4f5cdef1fc79f8d7a1db0be9bb885573deccea835bcb7de72c87c87")
+
+
+def _shock_series(path):
+    # two noiseless power-law bursts, peaks on days 40 and 110
+    counts = np.ones(160)
+    for (height, alpha), lo, hi in zip(((700.0, 0.55), (400.0, 0.8)), (40, 110), (110, 160)):
+        counts[lo:hi] = height * (np.arange(hi - lo) + 1.0) ** -alpha
+    AdoptionSeries(np.round(counts)).to_csv(path)
+
+
+# every text output of every subcommand, manifests included; the inputs are
+# copied into the working directory so that every recorded path is relative
+TEXT_OUTPUT_RUNS = {
+    "world": [
+        ["detect-shocks", "--series", "series.csv", "--out", "ranges.json"],
+        ["fit-shock", "--series", "series.csv", "--peaks", "40,110",
+         "--out", "schedule.json", "--fits-out", "fits.json"],
+        ["calibrate", "--graph", "g.npz", "--log", "log.csv", "--shock-ranges", "ranges.json",
+         "--out", "pools.json", "--params-out", "params.json", "--shocks", "schedule.json",
+         "--shock-prob", 0.3, "--seed", 2],
+        ["simulate", "--graph", "g.npz", "--params", "params.json", "--realizations", 2,
+         "--horizon", 30, "--seed", 1, "--threads", 1, "--out", "sim.jsonl",
+         "--log-out", "sim_log.csv"],
+        ["train", "--events", "events.jsonl", "--rounds", 20, "--depth", 3, "--seed", 0,
+         "--out", "model.json", "--metrics-out", "metrics.json"],
+        ["features", "--graph", "g.npz", "--log", "log.csv", "--shocks", "schedule.json",
+         "--out", "features.csv"],
+        ["classify", "--model", "model.json", "--features", "features.csv",
+         "--out", "labels.csv"],
+        ["decompose", "--model", "model.json", "--graph", "g.npz", "--log", "log.csv",
+         "--shocks", "schedule.json", "--out", "report.json"],
+        ["degree-order-test", "--graph", "g.npz", "--log", "log.csv", "--out", "order.json"],
+        ["ingest", "--edges", "edges.csv", "--out", "g2.npz", "--id-map", "ids.csv"],
+        ["synth", "--nodes", 50, "--homophily", 0.5, "--seed", 3, "--out", "s.npz",
+         "--traits", "traits.csv"],
+        ["report", "--dir", ".", "--out", "audit.json"],
+    ],
+    "hworld": [
+        ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "timing", "--d", 3,
+         "--min-level-rows", 5, "--out-pairs", "pairs.csv", "--out-risk", "risk.json",
+         "--out-diagnostics", "diagnostics.json"],
+        ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "dose", "--lag", 8,
+         "--direction", "mutual", "--min-level-rows", 5, "--out-pairs", "dose_pairs.csv",
+         "--out-risk", "dose_risk.json"],
+        ["report", "--dir", ".", "--out", "audit.json"],
+    ],
+}
+TEXT_OUTPUT_SHA256 = {
+    "world": {
+        "audit.json":
+            "ccdb536f8b1ef45ba9d2309d6491fbd9a8bedb75cc17571817ba73b7e7fd8993",
+        "audit.json.manifest.json":
+            "14735196cf3deef0a9141586da8b9539b7bb01123ea1f55724998e1a76bc63ab",
+        "edges.csv":
+            "7979d568b0029bc69359e85d36b1578d953ba6b9894258d2f654921644624257",
+        "features.csv":
+            "16cf274e25cc0679af4e5fcf65bb45442a1d98897f1d294511b14a814157e0da",
+        "features.csv.manifest.json":
+            "89762b9557c4529e593e596faa6ed8721aacbe711a1344dd90cd1a77b5f54fab",
+        "fits.json":
+            "1c01f8cc0557eccb5be91db5ad241afe063da29ee625ee97b6df7c2ff0a8497d",
+        "g2.npz.manifest.json":
+            "4a2b7955177bb4c1dd9849aa7dc9b6a4c55c48d3e3901e65bb67232278c620bf",
+        "ids.csv":
+            "c4e58133a8e5c5523ecd163fa963641aaa6fd2c4eb0757b9d1989de39630d32c",
+        "labels.csv":
+            "6032bb99e8e54d500271309e3cbabbbd3de7fdb361c5ca6b88cb2ba788fa39a8",
+        "labels.csv.manifest.json":
+            "130d4932c07abc02ffe27363f06980af6bb3739704ee8891a8dad86b9c2e86b2",
+        "metrics.json":
+            "a07df5352629d02a772aad35d03f331d418edf7101a28042aac9fc86ad841ee1",
+        "model.json":
+            "506bc6f5f303f1c4ee6d646ed072afb19516c914c2092a0acfd87778e6d3d908",
+        "model.json.manifest.json":
+            "339b115c55b5233a4a30b1983ff9a9c74d52c7c4f8b376f26564b12e33a75a77",
+        "order.json":
+            "34f6ddfaff22fd756b4051b1b1932ba2d9894cac76f3c4ba0489f32a48bbcc31",
+        "order.json.manifest.json":
+            "db5ef1ff53e5a220e1fc00e2ce36613ec191e670d558dfdc89fbfdf3bb8eeecb",
+        "params.json":
+            "2f625fca9cce269ef8ad912e71a19f1918702360a46c1613db5191aa52be251c",
+        "pools.json":
+            "96a5bb137e7bfe982feee1c036c4287aab55e5553c0424ccaf6eeb9fbffd25a5",
+        "pools.json.manifest.json":
+            "2ea10613e3eaca0d0ea57849942883133dbdedafc193d6ff537154ff6a52315f",
+        "ranges.json":
+            "bc4fbabad96fed99ea58655a36d39dcabc57c35bf6f53d9aabfd62b9b0214c0b",
+        "ranges.json.manifest.json":
+            "7544a178d65671ef3a603133347d5f6c307230e3a67adc95271dc15be313c736",
+        "report.json":
+            "02d24ea1e487408a9c297da9d165461dc183d2fef4cf55ac96276c1f76cee8fd",
+        "report.json.manifest.json":
+            "300dc54317905a3122c1310f70ab9d8a134d324ef95bee18746f6cb4fbd7d2e9",
+        "s.npz.manifest.json":
+            "91fd08f7c864400739b598d1b19708cdbc4b15b1e4affb29f32af06440a0c8d6",
+        "schedule.json":
+            "8168eb6b137e18b2251588100015afd3d9bb65dd311473c0c13fcfe2d0c6d2cd",
+        "schedule.json.manifest.json":
+            "4afcdfd13da3d1cd03e324154df2419a5c84f6893fa4c30f37c91e4d21d94748",
+        "series.csv":
+            "a40abb3f6099dd3f1302a8d173486fecb6f843669b1c842870b1872b32429cbe",
+        "sim.jsonl":
+            "9e71b9d6fd73f103492820c486504f53fdb199ccb63ce3814575fb881788ac72",
+        "sim.jsonl.manifest.json":
+            "1d2392645f7436d1fa1abbf74de739102d709fb4b16b3cf107bf9fa1614e9fd9",
+        "sim_log.csv":
+            "951ad3dbc41d408c6ced83fd66f02e1c4bb52d6a7fde25ebe05e18c9458330c1",
+        "traits.csv":
+            "d968fdf90476a356db8be8ccc55259c0d11da87a185de33797336eedcd35a5d5",
+    },
+    "hworld": {
+        "audit.json":
+            "96bb8a33b572878e7fa6989db640c4a7632025f1a9760a80ce331f148521c772",
+        "audit.json.manifest.json":
+            "fa9ca5a1dea20923145c112674ea43319a197479de739b4092b5e334208d00b0",
+        "diagnostics.json":
+            "dbe20529e142751e52a2a0789c5902790575a80fe96db4eb1580e41a1e0b2aed",
+        "dose_pairs.csv":
+            "0c46283596ffce740049ad2eed42ed7d3aa9ab38d6c993fd5531be2366dcce5c",
+        "dose_pairs.csv.manifest.json":
+            "7a1da90b107264e2fb3573bf83a4ec3dd54ef671511119bdc073c7377ea72ce1",
+        "dose_risk.json":
+            "12835d66aa2b31701017e62568212d487824a52c7177fb1e7ec97d8300fa6496",
+        "edges.csv":
+            "72a5fc033ddb92025a83c582f21bb58231a64c2171c77355058b9b6f001f8906",
+        "pairs.csv":
+            "935bf38ce72c2eb5243085689b523041ddd7290c6694b2208a7af8391746b739",
+        "pairs.csv.manifest.json":
+            "e7cc7b4ddc56b62ec2fdd4a7dccef66c34174a667540df33e64fbae68c260c8c",
+        "risk.json":
+            "f870a9b31bbab63f109be0f206d20c44a89717c86b8e780ae5262da06b4188fa",
+        "series.csv":
+            "a40abb3f6099dd3f1302a8d173486fecb6f843669b1c842870b1872b32429cbe",
+    },
+}
+
+
+def _pinned_bytes(path):
+    # a manifest echoes the running numpy, scipy and python versions; they
+    # are masked so that the pin holds across environments
+    data = Path(path).read_bytes()
+    if path.endswith(".manifest.json"):
+        for name, version in (("numpy", np.__version__), ("scipy", scipy.__version__),
+                              ("python", "%d.%d.%d" % sys.version_info[:3])):
+            data = data.replace(f'"{name}": "{version}"'.encode(), f'"{name}": "*"'.encode())
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_OUTPUT_RUNS))
+def test_text_outputs_pinned(case, request, tmp_path, monkeypatch, capsys):
+    # the bytes of every text file the CLI writes, pinned before any writer moved
+    fixture = request.getfixturevalue(case)
+    monkeypatch.chdir(tmp_path)
+    for name in ("graph", "log", "events"):
+        if name in fixture:
+            Path(fixture[name].name).write_bytes(fixture[name].read_bytes())
+    inputs = set(os.listdir("."))
+    _shock_series("series.csv")
+    from tests.test_netgraph import save_edge_list
+
+    save_edge_list(DirectedGraph.load("g.npz"), "edges.csv")
+    for argv in TEXT_OUTPUT_RUNS[case]:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    written = sorted(set(os.listdir(".")) - inputs)
+    digests = {name: hashlib.sha256(_pinned_bytes(name)).hexdigest()
+               for name in written if not name.endswith(".npz")}
+    assert digests == TEXT_OUTPUT_SHA256[case]
 
 
 def test_thread_count_does_not_change_results(world, tmp_path, monkeypatch):
