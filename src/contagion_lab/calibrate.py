@@ -9,13 +9,11 @@ counts in the background denominator).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, read_csv, read_json
+from .errors import DataError, read_csv, read_json, write_csv, write_json
 from .netgraph import DirectedGraph
 from .rngstream import PARAM_ASSIGNMENT, stream
 from .shocks import ShockSchedule
@@ -78,12 +76,9 @@ class AdoptionLog:
 
     def to_csv(self, path, g: DirectedGraph | None = None) -> None:
         """Write adopter records as ``node,day`` (external ids if g given)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node", "day"])
-            for i in self.adopters():
-                label = g.node_ids[i] if g is not None else str(i)
-                w.writerow([label, int(self.adoption_day[i])])
+        nodes = self.adopters()
+        labels = nodes if g is None else [g.node_ids[i] for i in nodes.tolist()]
+        write_csv(path, ("node", "day"), (labels, self.adoption_day[nodes]))
 
     @classmethod
     def from_csv(
@@ -305,19 +300,10 @@ class MechanismParams:
             "phi": self.phi.tolist(),
             "r": self.r,
             "activity": self.activity.tolist(),
-            "shock_schedule": [
-                {"tau": int(t), "gamma": float(g), "alpha": float(a)}
-                for t, g, a in zip(
-                    self.shock_schedule.tau,
-                    self.shock_schedule.gamma,
-                    self.shock_schedule.alpha,
-                )
-            ],
+            "shock_schedule": self.shock_schedule.to_records(),
             "shock_prob_at_peak": self.shock_prob_at_peak,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
-            fh.write("\n")
+        write_json(path, payload)
 
     @classmethod
     def from_json(cls, path) -> "MechanismParams":

@@ -28,14 +28,13 @@ realizations are scheduled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
-from .errors import DataError, read_jsonl
+from .errors import DataError, read_jsonl, write_jsonl
 from .features import FEATURE_NAMES, eve_features
 from .netgraph import DirectedGraph
 from .rngstream import REALIZATION, stream
@@ -284,12 +283,10 @@ def events_to_log(
 
 def write_events(events: np.recarray, path) -> None:
     """JSON-lines event stream, one event per line."""
-    columns = {name: events[name].tolist() for name in EVENT_DTYPE.names}
-    columns["mechanism"] = [MECHANISMS[i] for i in columns["mechanism"]]
-    columns["fired"] = [FIRED_NAMES[mask] for mask in columns["fired"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in zip(*columns.values()):
-            fh.write(json.dumps(dict(zip(columns, row))) + "\n")
+    columns = {name: events[name] for name in EVENT_DTYPE.names}
+    columns["mechanism"] = [MECHANISMS[i] for i in events.mechanism.tolist()]
+    columns["fired"] = [FIRED_NAMES[mask] for mask in events.fired.tolist()]
+    write_jsonl(path, columns)
 
 
 def _count(value, key) -> int:

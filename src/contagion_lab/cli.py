@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
-import json
 import os
 import sys
 
@@ -37,7 +35,8 @@ from .cascade import (
     run_realization,  # unused: bench/tracing.py wraps cli.run_realization (span cascade.replay)
     write_events,
 )
-from .errors import ConvergenceError, DataError, ParseError, read_csv, read_json
+from .errors import ConvergenceError, DataError, ParseError
+from .errors import read_csv, read_json, write_csv, write_json
 from .features import (
     events_feature_matrix,
     extract_features_log,
@@ -50,7 +49,6 @@ from .matchlab import (
     PlaceboFuture,
     PlaceboPermuted,
     Timing,
-    TreatmentPanel,
     build_panel,
     diagnostics,
     fit_propensity,
@@ -61,6 +59,7 @@ from .matchlab import (
 )
 from .mechclass import (
     BoostedForest,
+    class_labels,
     decompose,
     macro_f1_score,
     predict_proba,
@@ -169,9 +168,13 @@ def _load_schedule(path) -> ShockSchedule:
 
 
 def _write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, indent=2, sort_keys=True)
+
+
+def _graph_and_log(args) -> tuple[DirectedGraph, AdoptionLog]:
+    """The --graph cache and the --log adoption log over --first-day..--last-day."""
+    g = DirectedGraph.load(args.graph)
+    return g, AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
 
 
 # --------------------------------------------------------------------- stages
@@ -210,11 +213,7 @@ def cmd_synth(args, sp):
     g.save(args.out)
     outputs = [args.out]
     if args.traits:
-        with open(args.traits, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node", "trait"])
-            for i in range(g.node_count):
-                w.writerow([g.node_ids[i], int(trait[i])])
+        write_csv(args.traits, ("node", "trait"), (g.node_ids, trait))
         outputs.append(args.traits)
     return [], outputs, {"nodes": g.node_count, "edges": g.edge_count}
 
@@ -280,8 +279,7 @@ def _shock_ranges(d) -> list:
 
 def cmd_calibrate(args, sp):
     _require(sp, args, "graph", "log", "out")
-    g = DirectedGraph.load(args.graph)
-    log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
+    g, log = _graph_and_log(args)
     inputs = [args.graph, args.log]
     if args.shock_ranges:
         ranges = read_json(args.shock_ranges, _shock_ranges)
@@ -342,8 +340,7 @@ def cmd_calibrate(args, sp):
 
 def cmd_features(args, sp):
     _require(sp, args, "graph", "log", "out")
-    g = DirectedGraph.load(args.graph)
-    log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
+    g, log = _graph_and_log(args)
     schedule = _load_schedule(args.shocks)
     nodes, X = extract_features_log(g, log, schedule)
     write_feature_csv(X, args.out)
@@ -400,12 +397,9 @@ def cmd_classify(args, sp):
     model = BoostedForest.load(args.model)
     X, labels = read_feature_csv(args.features)
     probs = predict_proba(model, X)
-    pred = np.asarray(model.classes)[probs.argmax(axis=1)]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "label"] + [f"p_{c}" for c in model.classes])
-        for i in range(len(pred)):
-            w.writerow([i, pred[i]] + [repr(float(p)) for p in probs[i]])
+    pred = class_labels(model, probs)
+    header = ["row", "label"] + [f"p_{c}" for c in model.classes]
+    write_csv(args.out, header, (range(len(pred)), pred, *probs.T))
     summary = {
         "rows": int(len(pred)),
         "predicted": {c: int(np.sum(pred == c)) for c in model.classes},
@@ -418,8 +412,7 @@ def cmd_classify(args, sp):
 def cmd_decompose(args, sp):
     _require(sp, args, "model", "graph", "log", "out")
     model = BoostedForest.load(args.model)
-    g = DirectedGraph.load(args.graph)
-    log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
+    g, log = _graph_and_log(args)
     schedule = _load_schedule(args.shocks)
     report = decompose(model, log, g, schedule)
     report.to_json(args.out)
@@ -429,8 +422,7 @@ def cmd_decompose(args, sp):
 
 def cmd_degree_order_test(args, sp):
     _require(sp, args, "graph", "log", "out")
-    g = DirectedGraph.load(args.graph)
-    log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
+    g, log = _graph_and_log(args)
     result = degree_order_test(g, log, degree_kind=args.degree)
     _write_json(result.to_dict(), args.out)
     return [args.graph, args.log], [args.out], result.to_dict()
@@ -482,8 +474,7 @@ def cmd_match(args, sp):
     _require(sp, args, "graph", "log", "out_pairs", "out_risk")
     if args.kind == "timing" and args.d is None:
         sp.error("--d is required for --kind timing")
-    g = DirectedGraph.load(args.graph)
-    log = AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
+    g, log = _graph_and_log(args)
     base = (
         Timing(d=args.d, direction=args.direction)
         if args.kind == "timing"

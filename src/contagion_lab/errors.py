@@ -1,14 +1,23 @@
-"""Exception types shared across the package, and the readers of text inputs.
+"""Exception types shared across the package, and the readers and writers of
+its text files.
 
 The CLI maps these onto exit codes: usage errors -> 1, data errors -> 2,
 numeric-convergence errors -> 3.
 
 Every text input is read by `read_csv`, `read_json` or `read_jsonl`: UTF-8
 text, and a `ParseError` naming the file (and line) for any bad record.
+
+Every text output is written by `write_csv`, `write_json` or `write_jsonl`,
+so the output policy lives here: UTF-8 text; CSV rows from `csv.writer`,
+ending in ``\r\n``; JSON as one `json.dumps` text plus a newline; a numpy
+column converted once by `.tolist()`, so a float is written as its
+shortest repr.
 """
 
 import csv
 import json
+
+import numpy as np
 
 
 class ContagionLabError(Exception):
@@ -124,3 +133,35 @@ def read_jsonl(path, parse) -> list:
         except _RECORD_ERRORS as e:
             raise ParseError(f"bad record: {_why(e)}", path, lineno) from e
     return rows
+
+
+def _plain(column):
+    """A numpy column as Python scalars (one `.tolist()`); anything else as is."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a UTF-8 CSV file: the `header` row, then one row per position of
+    the equal-length `columns`."""
+    rows = zip(*map(_plain, columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path, value, indent=None, sort_keys=False) -> None:
+    """Write `value` as one JSON text and a newline to a UTF-8 file."""
+    text = json.dumps(value, indent=indent, sort_keys=sort_keys)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+def write_jsonl(path, columns) -> None:
+    """Write a UTF-8 JSON-lines file: one object per row of `columns`, a dict
+    of equal-length columns whose keys, in order, are each object's keys."""
+    names = list(columns)
+    rows = zip(*map(_plain, columns.values()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(dict(zip(names, row))) + "\n" for row in rows)

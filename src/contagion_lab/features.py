@@ -14,12 +14,10 @@ adoption day (same-day peers never count):
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .calibrate import AdoptionLog, ExposureIndex
-from .errors import DataError, read_csv
+from .errors import DataError, read_csv, write_csv
 from .netgraph import DirectedGraph
 from .shocks import ShockSchedule, shock_intensity, shock_recency
 
@@ -107,15 +105,10 @@ def write_feature_csv(X: np.ndarray, path, labels=None) -> None:
         raise DataError(f"feature matrix must have {len(FEATURE_NAMES)} columns")
     if labels is not None and len(labels) != len(X):
         raise DataError("labels length must match feature rows")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = list(FEATURE_NAMES) + (["label"] if labels is not None else [])
-        w.writerow(header)
-        for i, row in enumerate(X):
-            out = [repr(float(v)) for v in row]
-            if labels is not None:
-                out.append(str(labels[i]))
-            w.writerow(out)
+    if labels is None:
+        write_csv(path, FEATURE_NAMES, X.T)
+    else:
+        write_csv(path, FEATURE_NAMES + ("label",), (*X.T, labels))
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray | None]:

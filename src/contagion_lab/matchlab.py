@@ -14,8 +14,6 @@ depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -23,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, ExposureIndex
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, write_csv, write_json
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
 from .structtest import average_ranks
@@ -935,9 +933,7 @@ class RiskTable:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict(), indent=2)
 
 
 def pool_risk_ratio(pairs) -> RiskTable:
@@ -1001,8 +997,4 @@ def diagnostics(
 def write_pairs(pairs, path) -> None:
     """Write a pairs table as CSV: a header, then one row per pair holding
     its first five fields, floats as their shortest round-trip repr."""
-    day, treated, control, gap, md = (pairs[name].tolist() for name in _PAIR_CSV_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(_PAIR_CSV_COLUMNS)
-        w.writerows(zip(day, treated, control, map(repr, gap), map(repr, md)))
+    write_csv(path, _PAIR_CSV_COLUMNS, [pairs[name] for name in _PAIR_CSV_COLUMNS])

@@ -16,7 +16,6 @@ the lowest threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .calibrate import AdoptionLog
 from .cascade import MECHANISMS
-from .errors import DataError, read_json
+from .errors import DataError, read_json, write_json
 from .features import FEATURE_NAMES, extract_features_log
 from .netgraph import DirectedGraph
 from .rngstream import TRAIN_SPLIT, stream
@@ -73,9 +72,7 @@ class BoostedForest:
             "loss_curve": list(self.loss_curve),
             "trees": self.trees,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
-            fh.write("\n")
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "BoostedForest":
@@ -433,9 +430,13 @@ def predict_proba(model: BoostedForest, X: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(F))
 
 
+def class_labels(model: BoostedForest, proba: np.ndarray) -> np.ndarray:
+    """The most probable class of each row of `proba`."""
+    return np.asarray(model.classes)[proba.argmax(axis=1)]
+
+
 def predict_label(model: BoostedForest, X: np.ndarray) -> np.ndarray:
-    p = predict_proba(model, X)
-    return np.array([model.classes[k] for k in p.argmax(axis=1)])
+    return class_labels(model, predict_proba(model, X))
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -506,52 +507,50 @@ class DecompositionReport:
     probabilities: np.ndarray
     classes: tuple[str, ...]
 
+    def _tables(self) -> tuple[dict, dict, dict]:
+        """Per-day class counts and proportions over the days with an adoption,
+        and the overall shares, from one bincount over (day, class) codes; a
+        label outside `classes` counts nowhere."""
+        k = len(self.classes)
+        code = np.full(len(self.labels), k)
+        for i, c in enumerate(self.classes):
+            code[self.labels == c] = i
+        days, day = np.unique(self.days, return_inverse=True)
+        counts = np.bincount(day * (k + 1) + code, minlength=len(days) * (k + 1))
+        counts = counts.reshape(len(days), k + 1)[:, :k]
+
+        def by_day(table):
+            rows = (dict(zip(self.classes, row)) for row in table.tolist())
+            return dict(zip(days.tolist(), rows))
+
+        shares = counts.sum(axis=0) / len(self.labels)
+        proportions = counts / counts.sum(axis=1)[:, None]
+        return by_day(counts), by_day(proportions), dict(zip(self.classes, shares.tolist()))
+
     def daily_table(self) -> dict:
         """day -> {class: count} over days with at least one adoption."""
-        table = {}
-        for day in np.unique(self.days):
-            sel = self.days == day
-            table[int(day)] = {
-                c: int(np.sum(self.labels[sel] == c)) for c in self.classes
-            }
-        return table
+        return self._tables()[0]
 
     def daily_proportions(self) -> dict:
-        out = {}
-        for day, counts in self.daily_table().items():
-            total = sum(counts.values())
-            out[day] = {c: counts[c] / total for c in self.classes}
-        return out
+        return self._tables()[1]
 
     def overall_shares(self) -> dict:
-        n = len(self.labels)
-        return {c: float(np.sum(self.labels == c)) / n for c in self.classes}
+        return self._tables()[2]
 
     def to_json(self, path) -> None:
+        counts, proportions, shares = self._tables()
+        columns = (self.nodes, self.days, self.labels, self.probabilities)
         payload = {
             "classes": list(self.classes),
-            "overall_shares": self.overall_shares(),
-            "daily_counts": {
-                str(d): v for d, v in self.daily_table().items()
-            },
-            "daily_proportions": {
-                str(d): v for d, v in self.daily_proportions().items()
-            },
+            "overall_shares": shares,
+            "daily_counts": {str(d): v for d, v in counts.items()},
+            "daily_proportions": {str(d): v for d, v in proportions.items()},
             "events": [
-                {
-                    "node": int(u),
-                    "day": int(t),
-                    "label": str(lbl),
-                    "probabilities": [float(x) for x in p],
-                }
-                for u, t, lbl, p in zip(
-                    self.nodes, self.days, self.labels, self.probabilities
-                )
+                {"node": u, "day": t, "label": lbl, "probabilities": p}
+                for u, t, lbl, p in zip(*(c.tolist() for c in columns))
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))  # C encoder; json.dump never uses it
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def decompose(
@@ -563,11 +562,10 @@ def decompose(
     """Attribute each adoption in the log to a mechanism via the classifier."""
     nodes, X = extract_features_log(g, log, shocks)
     proba = predict_proba(model, X)
-    labels = np.array([model.classes[k] for k in proba.argmax(axis=1)])
     return DecompositionReport(
         nodes=nodes,
         days=log.adoption_day[nodes],
-        labels=labels,
+        labels=class_labels(model, proba),
         probabilities=proba,
         classes=model.classes,
     )

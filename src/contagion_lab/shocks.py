@@ -13,13 +13,11 @@ log-log regression.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, read_csv, read_json
+from .errors import ConvergenceError, DataError, read_csv, read_json, write_csv, write_json
 
 HUBER_C = 1.345  # 95% Gaussian efficiency
 MAD_TO_SD = 0.6745
@@ -72,14 +70,13 @@ class ShockSchedule:
         alphas = np.asarray(alphas, dtype=float)[order]
         return cls(taus, gammas, alphas)
 
+    def to_records(self) -> list:
+        """The schedule's JSON form, a list of {tau, gamma, alpha} records."""
+        columns = self.tau.tolist(), self.gamma.tolist(), self.alpha.tolist()
+        return [{"tau": t, "gamma": g, "alpha": a} for t, g, a in zip(*columns)]
+
     def to_json(self, path) -> None:
-        rows = [
-            {"tau": int(t), "gamma": float(g), "alpha": float(a)}
-            for t, g, a in zip(self.tau, self.gamma, self.alpha)
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_records(), indent=2)
 
     @classmethod
     def from_records(cls, rows) -> "ShockSchedule":
@@ -141,11 +138,7 @@ class AdoptionSeries:
         return len(self.counts)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["day", "count"])
-            for d, c in enumerate(self.counts):
-                w.writerow([d, int(c)])
+        write_csv(path, ("day", "count"), (np.arange(len(self.counts)), self.counts))
 
     @classmethod
     def from_csv(cls, path) -> "AdoptionSeries":

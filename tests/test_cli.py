@@ -147,6 +147,19 @@ def test_synth_writes_graph_and_manifest(tmp_path):
     assert "timestamp" not in json.dumps(m).lower()
 
 
+def test_graph_cache_is_written_to_the_path_given(tmp_path, capsys):
+    # a cache path without .npz once became g.npz while the manifest named g
+    g = tmp_path / "g"
+    assert run(["synth", "--nodes", 100, "--seed", 2, "--out", g]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["g", "g.manifest.json"]
+    assert run(["simulate", "--graph", g, "--realizations", 2, "--horizon", 10,
+                "--threads", 1, "--out", tmp_path / "ev.jsonl"]) == 0
+    assert run(["report", "--dir", tmp_path, "--out", tmp_path / "report.json"]) == 0
+    assert "missing" not in capsys.readouterr().err
+    report = json.load(open(tmp_path / "report.json"))
+    assert report["missing"] == [] and len(report["runs"]) == 2
+
+
 def test_pipeline_smoke(tmp_path, capsys):
     """synth -> simulate -> train -> decompose on a 1,000-node world."""
     g = tmp_path / "g.npz"

@@ -1,0 +1,80 @@
+"""The text writers: the package's one output policy, and that it is the only one."""
+
+import ast
+import csv
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import contagion_lab
+from contagion_lab.errors import write_csv, write_json, write_jsonl
+
+PACKAGE = Path(contagion_lab.__file__).parent
+
+
+def awkward_floats():
+    """Floats whose text is easy to get wrong: signed zeros, subnormals, the
+    edges of exact integers, long reprs, and random bit patterns."""
+    fixed = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e16 + 2,
+             2.0**53, 2.0**53 + 2, 1e22, 1e-7, 0.1 + 0.2, 1 / 3, 1.7976931348623157e308,
+             float("inf"), -float("inf"), float("nan")]
+    bits = np.random.default_rng(5).integers(0, 2**63, size=987, dtype=np.int64)
+    return fixed + [struct.unpack("<d", struct.pack("<q", int(b)))[0] for b in bits]
+
+
+def test_csv_floats_are_their_shortest_repr(tmp_path):
+    # the writers it replaced wrote repr(float(v)) for every float
+    values = np.array(awkward_floats())
+    path = tmp_path / "f.csv"
+    write_csv(path, ("i", "x"), (np.arange(len(values)), values))
+    want = "i,x\r\n" + "".join(f"{i},{repr(float(v))}\r\n" for i, v in enumerate(values))
+    assert path.read_bytes() == want.encode()
+
+
+def test_csv_is_utf8_with_crlf_rows_and_quoting(tmp_path):
+    path = tmp_path / "f.csv"
+    ids = ("éveil", "a,b", 'say "hi"')
+    write_csv(path, ("node", "n"), (ids, range(3)))
+    assert path.read_bytes() == (
+        'node,n\r\néveil,0\r\n"a,b",1\r\n"say ""hi""",2\r\n'.encode("utf-8"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == [[x, str(i)] for i, x in enumerate(ids)]
+
+
+@pytest.mark.parametrize("layout", [{}, {"indent": 2}, {"indent": 2, "sort_keys": True}])
+def test_json_layouts_match_json_dump(tmp_path, layout):
+    value = {"b": [1, 2.5, None, True], "a": {"é": -0.0, "z": []}, "c": "x\ny"}
+    path = tmp_path / "v.json"
+    write_json(path, value, **layout)
+    with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+        json.dump(value, fh, **layout)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+def test_jsonl_writes_one_object_per_row_in_key_order(tmp_path):
+    path = tmp_path / "e.jsonl"
+    write_jsonl(path, {"node": np.array([3, 1]), "x": np.array([[0.5, -0.0], [1e16, 2.0]]),
+                       "name": ["é", ("a", "b")]})
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        '{"node": 3, "x": [0.5, -0.0], "name": "\\u00e9"}',
+        '{"node": 1, "x": [1e+16, 2.0], "name": ["a", "b"]}',
+    ]
+
+
+def test_only_errors_writes_text():
+    # one module decides the output policy: no other module imports csv or
+    # json, or opens a file itself
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        imports |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not imports & {"csv", "json"}, path.name
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not any(isinstance(f, ast.Name) and f.id == "open" for f in calls), path.name

@@ -492,6 +492,36 @@ def test_from_edges_working_memory_is_about_three_words_per_edge():
     assert peak <= 4 * 8 * m
 
 
+@settings(max_examples=300, deadline=None)
+@given(edge_arrays())
+def test_mutual_csr_matches_per_node_mutual(case):
+    # includes graphs with no nodes, with no edges and with only self-loops
+    edges, n_nodes = case
+    g = DirectedGraph.from_edges(edges, n_nodes=n_nodes)
+    ptr, ids = g.mutual_csr()
+    assert ptr.dtype == ids.dtype == np.int64
+    assert len(ptr) == g.node_count + 1 and ptr[0] == 0 and ptr[-1] == len(ids)
+    for i in range(g.node_count):
+        assert np.array_equal(ids[ptr[i] : ptr[i + 1]], g.mutual(i))
+
+
+def test_mutual_csr_working_memory_is_at_most_six_words_per_edge():
+    # np.isin over the two key arrays peaked at 13.6 words per edge here; the
+    # key range is too wide for its lookup-table path, as on any large graph
+    m, n = 200_000, 5_000
+    edges = np.random.default_rng(19).integers(0, n, size=(m, 2))
+    g = DirectedGraph.from_edges(edges, n_nodes=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ptr, ids = g.mutual_csr()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(ids) > 1000
+    assert peak <= 6 * 8 * g.edge_count
+
+
 # -- cache compatibility ------------------------------------------------------------
 
 
