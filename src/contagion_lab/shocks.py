@@ -138,7 +138,7 @@ class AdoptionSeries:
         return len(self.counts)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("day", "count"), (np.arange(len(self.counts)), self.counts))
+        write_csv(path, ("day", "count"), (range(len(self.counts)), self.counts))
 
     @classmethod
     def from_csv(cls, path) -> "AdoptionSeries":
