@@ -119,15 +119,16 @@ class ExposureIndex:
     def __init__(self, csr: tuple[np.ndarray, np.ndarray], adoption_day: np.ndarray):
         ptr, nbr = csr
         n = len(ptr) - 1
-        t_v = adoption_day[nbr]
-        hit = t_v != NEVER
-        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))[hit]
+        # only the adopted neighbors' entries, each with the node it lists
+        pos = np.flatnonzero((adoption_day != NEVER)[nbr])
+        t_v = adoption_day[nbr[pos]]
+        owner = np.searchsorted(ptr, pos, "right") - 1
         # Key days by rank, not by value: log days come from outside and a
         # raw owner * (max_day + 2) + day key can overflow int64.
         d = np.sort(adoption_day[adoption_day != NEVER])
         self._days = d[np.diff(d, prepend=NEVER) != 0]
         self._span = len(self._days) + 1
-        self._key = np.sort(owner * self._span + np.searchsorted(self._days, t_v[hit]))
+        self._key = np.sort(owner * self._span + np.searchsorted(self._days, t_v))
         self._start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=n), out=self._start[1:])
 

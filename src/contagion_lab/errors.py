@@ -10,8 +10,9 @@ text, and a `ParseError` naming the file (and line) for any bad record.
 Every text output is written by `write_csv`, `write_json` or `write_jsonl`,
 so the output policy lives here: UTF-8 text; CSV rows from `csv.writer`,
 ending in ``\r\n``; JSON as one `json.dumps` text plus a newline; a numpy
-column converted once by `.tolist()`, so a float is written as its
-shortest repr.
+column converted by `.tolist()`, so a float is written as its shortest
+repr. Tables are converted and written `_CHUNK_ROWS` rows at a time, so a
+writer never holds a whole table as Python objects.
 """
 
 import csv
@@ -135,15 +136,28 @@ def read_jsonl(path, parse) -> list:
     return rows
 
 
+# table rows converted to Python objects at once by `_rows`
+_CHUNK_ROWS = 1 << 14
+
+
 def _plain(column):
     """A numpy column as Python scalars (one `.tolist()`); anything else as is."""
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
+def _rows(columns):
+    """The rows of the equal-length `columns` (each sliceable) as tuples of
+    Python scalars, converted `_CHUNK_ROWS` rows at a time."""
+    columns = list(columns)
+    n = min(map(len, columns), default=0)
+    for a in range(0, n, _CHUNK_ROWS):
+        yield from zip(*(_plain(c[a : a + _CHUNK_ROWS]) for c in columns))
+
+
 def write_csv(path, header, columns) -> None:
     """Write a UTF-8 CSV file: the `header` row, then one row per position of
     the equal-length `columns`."""
-    rows = zip(*map(_plain, columns))
+    rows = _rows(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -162,6 +176,6 @@ def write_jsonl(path, columns) -> None:
     """Write a UTF-8 JSON-lines file: one object per row of `columns`, a dict
     of equal-length columns whose keys, in order, are each object's keys."""
     names = list(columns)
-    rows = zip(*map(_plain, columns.values()))
+    rows = _rows(columns.values())
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(dict(zip(names, row))) + "\n" for row in rows)

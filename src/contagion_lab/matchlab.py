@@ -435,7 +435,8 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
 class PropensityModel:
     """Fitted treatment model over the panel's distinct covariate rows: each
     row's group (`group`) and each group's level probabilities (`probs`).
-    `level_logits` turns one level's into logits, one per panel row.
+    `group_logits` turns one level's into logits, one per group, and
+    `level_logits` gathers those by `group`, one per panel row.
 
     `classes` are the levels present in the panel; the first is the
     reference, and `coef` holds one row per other class, so a timing or
@@ -452,11 +453,14 @@ class PropensityModel:
     iterations: int
     step_halvings: int = 0  # line-search halvings over all Newton iterations
 
-    def level_logits(self, level: int) -> np.ndarray:
+    def group_logits(self, level: int) -> np.ndarray:
         p = np.clip(self.probs[:, level], 1e-12, 1 - 1e-12)
         logits = np.log(p)
         logits -= np.log1p(np.negative(p, out=p), out=p)  # p is not read again
-        return logits[self.group]
+        return logits
+
+    def level_logits(self, level: int) -> np.ndarray:
+        return self.group_logits(level)[self.group]
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
@@ -513,7 +517,9 @@ def _distinct_rows(panel: TreatmentPanel):
     does not matter), and each group's row count per treatment level.
 
     Rows are grouped by `row_keys`, one day at a time and then across the
-    days' distinct keys, so no key array spans the panel.
+    days' distinct keys, so no key array spans the panel. Each day's
+    distinct keys find their group by `searchsorted` in the panel's, so no
+    inverse spans the days' distinct keys either.
     """
     days = panel.rows_by_day()
     group = np.empty(panel.n_rows, dtype=_int_dtype(0, panel.n_rows))
@@ -521,14 +527,14 @@ def _distinct_rows(panel: TreatmentPanel):
     for _, rows in days:
         k, group[rows] = np.unique(panel.row_keys(rows), return_inverse=True)
         keys.append(k)
-    lens = [len(k) for k in keys]
-    distinct, where = np.unique(np.concatenate(keys), return_inverse=True)
+    distinct = np.concatenate(keys)
+    distinct.sort()  # in place, where np.unique would sort a copy
+    distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
     n_groups, n_levels = len(distinct), len(panel.levels)
     rep = np.empty(n_groups, dtype=np.int64)
     counts = np.zeros(n_groups * n_levels, dtype=np.int64)
-    # numpy int64 offsets, so `a + group[rows]` cannot wrap a narrow int dtype
-    for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):
-        g = where[a + group[rows]]
+    for (_, rows), k in zip(days, keys):
+        g = np.searchsorted(distinct, k)[group[rows]]
         group[rows] = g
         rep[g] = np.arange(rows.start, rows.stop)
         counts += np.bincount(g * n_levels + panel.treatment[rows], minlength=counts.size)
@@ -669,13 +675,11 @@ class DayMatchResult:
 
 @dataclass(frozen=True)
 class MatchRun:
-    """Every day's result in day order, the run's pairs as one `PAIR_DTYPE`
-    table (the days' tables, concatenated in that order), and the matched
-    level's propensity logits over every panel row."""
+    """Every day's result in day order, and the run's pairs as one
+    `PAIR_DTYPE` table (the days' tables, concatenated in that order)."""
 
     results: tuple
     pairs: np.recarray
-    scores: np.ndarray
 
     @property
     def skipped(self) -> tuple:
@@ -690,12 +694,15 @@ class _MatchContext:
     block (`L Lᵀ = VI`), so the Mahalanobis distance `diffᵀ·VI·diff` of two
     rows is the squared Euclidean distance of their `Z·L` rows (`_sq_dist`).
     All three come from the panel's `moments`; `block(rows)` builds one
-    day's `W` when that day is matched.
+    day's `W` when that day is matched. The matched level's logits are kept
+    one per fit group (`logits`), with each row's group (`group`), so a
+    day's logits are `logits[group[rows]]` and none are kept per row.
     """
 
     def __init__(self, panel, model, level):
         self.panel = panel
-        self.scores = model.level_logits(level)
+        self.logits = model.group_logits(level)
+        self.group = model.group
         self.core = list(panel.core_idx)
         self.groups = panel.rows_by_day()
         n = panel.n_rows
@@ -840,7 +847,7 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     n = rows.stop - rows.start
     if n == 0:
         return DayMatchResult(day, _pair_table(0), 0, 0, "no risk-set rows")
-    s = ctx.scores[rows]
+    s = ctx.logits[ctx.group[rows]]
     sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
@@ -890,7 +897,7 @@ def match_all_days(
     ctx = _MatchContext(panel, model, level)
     results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
     pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results])
-    return MatchRun(results, pairs.view(np.recarray), ctx.scores)
+    return MatchRun(results, pairs.view(np.recarray))
 
 
 @dataclass(frozen=True)
@@ -966,13 +973,14 @@ def diagnostics(
     level: int = 1,
 ) -> dict:
     """Balance and overlap summary: per-day AUC, logit gaps, match distances.
-    The AUCs read the logits that `run` matched on."""
-    scores = run.scores
+    The AUCs read the logits that `run` matched on, one day's at a time."""
+    logits = model.group_logits(level)
     aucs = []
     for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
         use = (grp == level) | (grp == 0)
-        auc = _rank_auc(scores[rows][use], grp[use] == level)  # None without both groups
+        s = logits[model.group[rows]]
+        auc = _rank_auc(s[use], grp[use] == level)  # None without both groups
         if auc is not None:
             aucs.append(auc)
     gaps = np.abs(run.pairs.logit_gap)

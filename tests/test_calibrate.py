@@ -311,6 +311,42 @@ def test_exposure_huge_days_match_loop():
         assert last[i] == (t_v.max() if len(t_v) else NEVER)
 
 
+def old_exposure_index(csr, adoption_day):
+    """(_days, _span, _key, _start) as the index once built them, from every
+    edge's day and an edge-length owner column."""
+    ptr, nbr = csr
+    n = len(ptr) - 1
+    t_v = adoption_day[nbr]
+    hit = t_v != NEVER
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))[hit]
+    d = np.sort(adoption_day[adoption_day != NEVER])
+    days = d[np.diff(d, prepend=NEVER) != 0]
+    span = len(days) + 1
+    key = np.sort(owner * span + np.searchsorted(days, t_v[hit]))
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return days, span, key, start
+
+
+def test_exposure_index_from_adopted_edges_equals_edge_scan():
+    # the index reads only the adopted neighbors' entries; its arrays must be
+    # the ones a scan of every edge gives
+    rng = np.random.default_rng(12)
+    for trial in range(500):
+        n = int(rng.integers(1, 40))
+        deg = rng.integers(0, 6, n) * (rng.random(n) < 0.7)  # many zero-degree nodes
+        ptr = np.r_[0, np.cumsum(deg)].astype(np.int64)
+        nbr = rng.integers(0, n, int(ptr[-1])).astype(np.int64)
+        days = rng.integers(-3, 12, n)
+        days[rng.random(n) < rng.choice([0.0, 0.5, 1.0])] = NEVER  # some logs adopt nobody
+        index = ExposureIndex((ptr, nbr), days)
+        want_days, want_span, want_key, want_start = old_exposure_index((ptr, nbr), days)
+        assert index._span == want_span, trial
+        for got, want in ((index._days, want_days), (index._key, want_key),
+                          (index._start, want_start)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+
+
 # -- params container ----------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import contagion_lab
+from contagion_lab import errors
 from contagion_lab.errors import write_csv, write_json, write_jsonl
 
 PACKAGE = Path(contagion_lab.__file__).parent
@@ -42,6 +43,24 @@ def test_csv_is_utf8_with_crlf_rows_and_quoting(tmp_path):
         'node,n\r\néveil,0\r\n"a,b",1\r\n"say ""hi""",2\r\n'.encode("utf-8"))
     with open(path, newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh))[1:] == [[x, str(i)] for i, x in enumerate(ids)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10])
+def test_csv_chunks_write_the_one_shot_bytes(tmp_path, monkeypatch, n):
+    # rows are converted and written a chunk at a time; chunk boundaries at
+    # every third row must not show in the file
+    monkeypatch.setattr(errors, "_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-10**12, 10**12, n)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    strs = [f"n{i}," * (i % 3) + "é" for i in range(n)]
+    path = tmp_path / "c.csv"
+    write_csv(path, ("i", "x", "s", "r"), (ints, floats, strs, range(n)))
+    with open(tmp_path / "one.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(("i", "x", "s", "r"))
+        w.writerows(zip(ints.tolist(), floats.tolist(), strs, range(n)))
+    assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 @pytest.mark.parametrize("layout", [{}, {"indent": 2}, {"indent": 2, "sort_keys": True}])

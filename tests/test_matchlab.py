@@ -1,5 +1,6 @@
 """Matched-sample estimator: panel semantics, propensity fits, greedy matching."""
 
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from contagion_lab.matchlab import (
     CovariateTable,
     DayMatchResult,
     Dose,
+    MatchRun,
     PlaceboFuture,
     PlaceboPermuted,
     PropensityModel,
@@ -38,6 +40,7 @@ from contagion_lab.matchlab import (
     pool_risk_ratio,
     write_pairs,
     _MatchContext,
+    _distinct_rows,
     _rank_auc,
     _sq_dist,
 )
@@ -580,6 +583,61 @@ def test_grouped_fit_is_one_fit_per_distinct_covariate_row():
     assert [len(panels[0].names), len(panels[1].names)] == [10, 11]
 
 
+def distinct_rows_with_inverse(panel):
+    """`_distinct_rows` with a `return_inverse` over all days' distinct keys,
+    as it was once written."""
+    days = panel.rows_by_day()
+    group = np.empty(panel.n_rows, dtype=matchlab._int_dtype(0, panel.n_rows))
+    keys = []
+    for _, rows in days:
+        k, group[rows] = np.unique(panel.row_keys(rows), return_inverse=True)
+        keys.append(k)
+    lens = [len(k) for k in keys]
+    distinct, where = np.unique(np.concatenate(keys), return_inverse=True)
+    n_groups, n_levels = len(distinct), len(panel.levels)
+    rep = np.empty(n_groups, dtype=np.int64)
+    counts = np.zeros(n_groups * n_levels, dtype=np.int64)
+    for (_, rows), a in zip(days, np.cumsum([0] + lens[:-1])):
+        g = where[a + group[rows]]
+        group[rows] = g
+        rep[g] = np.arange(rows.start, rows.stop)
+        counts += np.bincount(g * n_levels + panel.treatment[rows], minlength=counts.size)
+    return group, rep, counts.reshape(n_groups, n_levels)
+
+
+def test_distinct_rows_equal_the_inverse_grouping():
+    g, log, trait = homophily_world(5)
+    static = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
+    panels = [
+        build_panel(g, log, CovariateTable(g, log, lag=7), Timing(d=3)),
+        build_panel(g, log, CovariateTable(g, log, lag=8), Dose()),
+        build_panel(g, log, static, PlaceboFuture(d=2)),
+    ]
+    for panel in panels:
+        got, want = _distinct_rows(panel), distinct_rows_with_inverse(panel)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), panel.kind_label
+
+
+def test_distinct_rows_hold_no_inverse_over_the_day_keys():
+    # the grouping's transient is a few words per summed day-key (each day's
+    # distinct keys, concatenated); a panel-wide inverse took about 66 bytes
+    import tracemalloc
+
+    g, log, trait = homophily_world(1, n=2000, horizon=60)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Timing(d=3))
+    day_keys = sum(len(np.unique(panel.row_keys(rows))) for _, rows in panel.rows_by_day())
+    tracemalloc.start()
+    try:
+        _distinct_rows(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert day_keys > 20_000
+    assert peak < 32 * day_keys, (peak / day_keys, day_keys)
+
+
 @pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
 def test_newton_cap_raises_convergence_error(levels, monkeypatch):
     # one iteration cannot bring the decrement of a fit from zero
@@ -860,7 +918,7 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
     no_pairs = np.recarray(0, dtype=PAIR_DTYPE)
     if rows.size == 0:
         return DayMatchResult(day, no_pairs, 0, 0, "no risk-set rows")
-    s = ctx.scores[rows]
+    s = ctx.logits[ctx.group[rows]]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
     t = np.flatnonzero(panel.treatment[rows] == level)
@@ -904,10 +962,15 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
 
 
 class FixedLogits:
-    """Propensity stand-in whose treated-level logits are given per row."""
+    """Propensity stand-in whose treated-level logits are given per row, each
+    row its own group."""
 
     def __init__(self, logits):
         self.logits = np.asarray(logits, dtype=float)
+        self.group = np.arange(len(self.logits))
+
+    def group_logits(self, level):
+        return self.logits
 
     def level_logits(self, level):
         return self.logits
@@ -1272,6 +1335,48 @@ def test_diagnostics_recomputation_oracle():
     assert diag["distance_p90"] == pytest.approx(float(np.quantile(dists, 0.9)))
     overlaps = [r.overlap for r in run.results if r.skip_reason is None]
     assert diag["overlap_median"] == pytest.approx(float(np.median(overlaps)))
+
+
+def panel_wide_aucs(panel, model, level):
+    """The per-day AUCs read from logits gathered once over every panel
+    row, as `diagnostics` once did."""
+    scores = model.level_logits(level)
+    aucs = []
+    for _, rows in panel.rows_by_day():
+        grp = panel.treatment[rows]
+        use = (grp == level) | (grp == 0)
+        auc = _rank_auc(scores[rows][use], grp[use] == level)
+        if auc is not None:
+            aucs.append(auc)
+    return aucs
+
+
+def test_diagnostics_aucs_equal_the_panel_wide_logits():
+    # diagnostics gathers each day's logits from the per-group ones, and its
+    # AUCs must keep every bit
+    g, log, trait = homophily_world(6, n=400, h=0.5, rates=(0.03, 0.006))
+    runs = []
+    for lag, kind in ((7, Timing(d=3)), (8, Dose()), (7, PlaceboFuture(d=3))):
+        panel = build_panel(g, log, CovariateTable(g, log, lag=lag), kind)
+        model = fit_propensity(panel, min_level_rows=5)
+        runs += [(panel, model, lv) for lv in model.classes if lv != 0]
+    assert len(runs) >= 5  # timing, placebo and at least three dose levels
+    for panel, model, level in runs:
+        diag = diagnostics(panel, model, match_all_days(panel, model, level=level), level)
+        aucs = panel_wide_aucs(panel, model, level)
+        assert aucs, (panel.kind_label, level)
+        assert diag["auc_median"] == float(np.median(aucs)), (panel.kind_label, level)
+        assert diag["auc_min"] == float(np.min(aucs)), (panel.kind_label, level)
+
+
+def test_matcher_keeps_logits_per_group_only():
+    g, log, trait = homophily_world(2)
+    panel, model, _ = run_timing_rr(g, log, trait)
+    assert len(model.probs) < panel.n_rows
+    ctx = _MatchContext(panel, model, 1)
+    assert ctx.logits.size == len(model.probs)
+    assert ctx.group is model.group
+    assert "scores" not in {f.name for f in dataclasses.fields(MatchRun)}
 
 
 def test_pairs_csv_round_trip(tmp_path):
