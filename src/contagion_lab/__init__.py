@@ -34,7 +34,7 @@ from .cascade import (
     run_realization,
 )
 from .errors import ContagionLabError, ConvergenceError, DataError, ParseError
-from .features import FEATURE_NAMES, extract_features, extract_features_log
+from .features import FEATURE_NAMES, extract_features_log
 from .matchlab import (
     PAIR_DTYPE,
     CovariateTable,
@@ -47,7 +47,6 @@ from .matchlab import (
     build_panel,
     fit_propensity,
     match_all_days,
-    match_day,
     pool_risk_ratio,
 )
 from .mechclass import BoostedForest, decompose, predict_label, predict_proba, train
@@ -107,7 +106,6 @@ __all__ = [
     "degree_order_test",
     "detect_shocks",
     "events_to_log",
-    "extract_features",
     "extract_features_log",
     "fit_power_law",
     "fit_propensity",
@@ -117,7 +115,6 @@ __all__ = [
     "gen_traits",
     "load_edge_list",
     "match_all_days",
-    "match_day",
     "pool_risk_ratio",
     "predict_label",
     "predict_proba",

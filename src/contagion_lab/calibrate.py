@@ -69,11 +69,6 @@ class AdoptionLog:
         """Adopter node ids, ascending."""
         return np.flatnonzero(self.adoption_day != NEVER)
 
-    def in_shock(self, day: int) -> bool:
-        if self.shock_mask is None:
-            return False
-        return bool(self.shock_mask[day - self.first_day])
-
     def to_csv(self, path, g: DirectedGraph | None = None) -> None:
         """Write adopter records as ``node,day`` (external ids if g given)."""
         nodes = self.adopters()

@@ -59,22 +59,6 @@ def eve_features(
     return X
 
 
-def extract_features(
-    g: DirectedGraph,
-    adoption_day: np.ndarray,
-    shocks: ShockSchedule,
-    u: int,
-    t_u: int,
-) -> np.ndarray:
-    """Feature vector for node u adopting on day t_u (see eve_features)."""
-    if t_u < 0:
-        raise DataError("adoption day must be non-negative")
-    # explicit: numpy would wrap a negative index to a valid node
-    if not 0 <= u < g.node_count:
-        raise IndexError(f"node id {u} out of range [0, {g.node_count})")
-    return eve_features(g, adoption_day, shocks, np.array([u]), np.array([t_u]))[0]
-
-
 def extract_features_log(
     g: DirectedGraph, log: AdoptionLog, shocks: ShockSchedule
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,9 @@ timing and placebo designs) by Newton iteration, matches treated egos to
 same-day controls under a propensity-logit caliper with Mahalanobis
 tie-breaking, and pools daily 2x2 tables into a risk ratio with a
 small-cell correction. Most panel rows repeat another row's covariates, so
-the fit runs over the panel's distinct covariate rows and the matcher over
-each day's groups of interchangeable controls; both give what a pass over
-every row would. The fit's sums run in a fixed order, so its bits do not
+the fit runs over the panel's distinct covariate rows, and the matcher
+collapses each day's controls into the fit's groups; both give what a pass
+over every row would. The fit's sums run in a fixed order, so its bits do not
 depend on the BLAS thread count.
 """
 
@@ -223,7 +223,8 @@ class TreatmentPanel:
     node_X[ego]]`, for any row set, so no (rows x covariates) float block is
     ever stored. A row's covariates are a function of its ego's `node_X`
     row and its counts, so `row_keys(rows)` names them with one int64 each:
-    the propensity fit and the matcher group rows by it.
+    the propensity fit groups rows by it, and the matcher reads the fit's
+    groups.
     """
 
     ego: np.ndarray
@@ -434,9 +435,9 @@ def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> Treatmen
 @dataclass(frozen=True)
 class PropensityModel:
     """Fitted treatment model over the panel's distinct covariate rows: each
-    row's group (`group`) and each group's level probabilities (`probs`).
-    `group_logits` turns one level's into logits, one per group, and
-    `level_logits` gathers those by `group`, one per panel row.
+    row's group (`group`), one panel row of each group (`rep`) and each
+    group's level probabilities (`probs`). `group_logits` turns one level's
+    into logits, one per group.
 
     `classes` are the levels present in the panel; the first is the
     reference, and `coef` holds one row per other class, so a timing or
@@ -449,6 +450,7 @@ class PropensityModel:
     mean: np.ndarray
     scale: np.ndarray
     group: np.ndarray  # (n_rows,) each panel row's group
+    rep: np.ndarray  # (n_groups,) one panel row of each group
     probs: np.ndarray  # (n_groups, n_levels); absent levels get zero columns
     iterations: int
     step_halvings: int = 0  # line-search halvings over all Newton iterations
@@ -458,9 +460,6 @@ class PropensityModel:
         logits = np.log(p)
         logits -= np.log1p(np.negative(p, out=p), out=p)  # p is not read again
         return logits
-
-    def level_logits(self, level: int) -> np.ndarray:
-        return self.group_logits(level)[self.group]
 
 
 def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
@@ -633,6 +632,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         mean=mean,
         scale=scale,
         group=group,
+        rep=rep,
         probs=probs,
         iterations=it,
         step_halvings=halvings,
@@ -687,39 +687,33 @@ class MatchRun:
 
 
 class _MatchContext:
-    """Panel-wide quantities shared by every day's matching pass.
+    """Panel-wide quantities shared by every day's matching pass, one row
+    per fit group: the matched level's logits (`logits`) and whitened core
+    rows (`W`, from each group's `rep` row), so with each row's group
+    (`group`) a day's are `logits[group[rows]]` and `W[group[rows]]`.
 
-    The core block is standardized with its panel mean and SD, and `L` is
-    the Cholesky factor of the inverse covariance `VI` of the standardized
-    block (`L Lᵀ = VI`), so the Mahalanobis distance `diffᵀ·VI·diff` of two
-    rows is the squared Euclidean distance of their `Z·L` rows (`_sq_dist`).
-    All three come from the panel's `moments`; `block(rows)` builds one
-    day's `W` when that day is matched. The matched level's logits are kept
-    one per fit group (`logits`), with each row's group (`group`), so a
-    day's logits are `logits[group[rows]]` and none are kept per row.
+    `Z` is the core block standardized with its panel mean and SD, and `L`
+    the Cholesky factor of the inverse covariance `VI` of `Z` (`L Lᵀ = VI`),
+    all from the panel's `moments`; so the Mahalanobis distance
+    `diffᵀ·VI·diff` of two rows is the squared Euclidean distance of their
+    `W = Z·L` rows (`_sq_dist`).
     """
 
     def __init__(self, panel, model, level):
         self.panel = panel
         self.logits = model.group_logits(level)
         self.group = model.group
-        self.core = list(panel.core_idx)
-        self.groups = panel.rows_by_day()
+        core = list(panel.core_idx)
         n = panel.n_rows
         mean, sd, cross = panel.moments
-        self.mu, self.sd = mean[self.core], sd[self.core]
+        mu, sd = mean[core], sd[core]
         if n >= 2:
-            S = cross[np.ix_(self.core, self.core)] / (n - 1) / np.outer(self.sd, self.sd)
-            VI = np.linalg.inv(S + 1e-9 * np.eye(len(self.core)))
+            S = cross[np.ix_(core, core)] / (n - 1) / np.outer(sd, sd)
+            VI = np.linalg.inv(S + 1e-9 * np.eye(len(core)))
         else:
-            VI = np.eye(len(self.core))
-        self.L = np.linalg.cholesky(VI)
-
-    def block(self, rows):
-        """`W = Z·L` for the given rows, `Z` their standardized core block."""
-        Z = (self.panel.covariates(rows)[:, self.core] - self.mu) / self.sd
-        # (Lᵀ Zᵀ)ᵀ is column-major, so `_sq_dist` reads each column contiguously
-        return (self.L.T @ Z.T).T
+            VI = np.eye(len(core))
+        Z = (panel.covariates(model.rep)[:, core] - mu) / sd
+        self.W = (np.linalg.cholesky(VI).T @ Z.T).T
 
 
 def _sq_dist(W, a, b):
@@ -756,28 +750,25 @@ def _caliper_windows(sc, st, caliper):
 _WINDOW_CHUNK = 1 << 16
 
 
-def _control_groups(W, s, key, c):
-    """The controls `c` in ascending (logit, key) order, and the start of
-    each group in that order.
+def _control_groups(s, grp, c):
+    """The controls `c` in ascending (logit, group) order, and the start of
+    each run of one fit group `grp` in that order.
 
-    A group is a run of controls with the same logit bits, key and whitened
-    row, so every treated row is equally far from all of its members. The
-    sort is stable and `c` ascends by ego, so a group's egos ascend.
-    Comparing the whitened rows, not only the keys, keeps a group exact
-    even where a matrix product rounds two equal rows apart.
+    A group's members share their covariate row, so their logit and whitened
+    row, and every treated row is equally far from all of them. The sort is
+    stable and `c` ascends by ego, so a run's egos ascend.
     """
-    c = c[np.lexsort((key[c], s[c]))]
-    bits, k, Wc = s[c].view(np.int64), key[c], W[c]
-    new = (bits[1:] != bits[:-1]) | (k[1:] != k[:-1]) | (Wc[1:] != Wc[:-1]).any(axis=1)
-    return c, np.flatnonzero(np.r_[True, new])
+    c = c[np.lexsort((grp[c], s[c]))]
+    g = grp[c]
+    return c, np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
 
 
-def _window_picks(W, s, key, ego, t, c, caliper):
+def _window_picks(W, s, grp, ego, t, c, caliper):
     """Greedy picks over caliper windows: (treated, control, distances).
 
-    `W`, `s`, `key` and `ego` are one day's whitened rows, logits, row keys
+    `W`, `s`, `grp` and `ego` are one day's whitened rows, logits, fit groups
     and egos; `t` (ascending ego) and `c` index them, and so do the returned
-    picks. The controls collapse into groups (`_control_groups`) whose
+    picks. The controls collapse into their groups (`_control_groups`), whose
     members are interchangeable but for their egos, so windows and
     distances run over one representative row per group. A group always
     gives up its lowest free ego, so its free egos are a suffix of its run
@@ -789,7 +780,7 @@ def _window_picks(W, s, key, ego, t, c, caliper):
     ego whose first-choice group has since given up its head sorts its own
     candidates by their current heads and takes the first live one.
     """
-    c, start = _control_groups(W, s, key, c)
+    c, start = _control_groups(s, grp, c)
     rep = c[start]  # each group's first member, its representative row
     end = np.r_[start[1:], c.size]
     head = start.copy()  # each group's lowest free member, in sorted order
@@ -847,7 +838,8 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     n = rows.stop - rows.start
     if n == 0:
         return DayMatchResult(day, _pair_table(0), 0, 0, "no risk-set rows")
-    s = ctx.logits[ctx.group[rows]]
+    grp = ctx.group[rows]
+    s = ctx.logits[grp]
     sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
@@ -858,7 +850,7 @@ def _match_day(ctx, day, rows, caliper_mult, level):
             day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
     ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
-    ti, cj, dist = _window_picks(ctx.block(rows), s, panel.row_keys(rows), ego, t, c, caliper)
+    ti, cj, dist = _window_picks(ctx.W[grp], s, grp, ego, t, c, caliper)
     pairs = _pair_table(ti.size)
     pairs.day = day
     pairs.treated = ego[ti]
@@ -870,32 +862,25 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     return DayMatchResult(day, pairs, int(t.size), ti.size, None)
 
 
-def match_day(
-    panel: TreatmentPanel,
-    model: PropensityModel,
-    day: int,
-    caliper_mult: float = 0.1,
-    level: int = 1,
-) -> DayMatchResult:
-    """Greedily match treated egos (ascending id) at `level` to same-day
-    controls (level 0).
-
-    Candidates must sit within `caliper_mult` x SD of the day's logits; the
-    closest by standardized Mahalanobis distance over the core covariates
-    wins, ties to the lowest control id, each control used at most once.
-    """
-    ctx = _MatchContext(panel, model, level)
-    return _match_day(ctx, day, dict(ctx.groups).get(day, slice(0, 0)), caliper_mult, level)
-
-
 def match_all_days(
     panel: TreatmentPanel,
     model: PropensityModel,
     caliper_mult: float = 0.1,
     level: int = 1,
 ) -> MatchRun:
+    """Greedily match each day's treated egos (ascending id) at `level` to
+    same-day controls (level 0).
+
+    Candidates must sit within `caliper_mult` (>= 0; inf for no caliper) x
+    SD of the day's logits; the closest by standardized Mahalanobis distance
+    over the core covariates wins, ties to the lowest control id, each
+    control used at most once.
+    """
+    if not caliper_mult >= 0:  # NaN fails too
+        raise DataError(f"caliper multiplier must be >= 0, got {caliper_mult}")
     ctx = _MatchContext(panel, model, level)
-    results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in ctx.groups)
+    days = panel.rows_by_day()
+    results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in days)
     pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results])
     return MatchRun(results, pairs.view(np.recarray))
 

@@ -288,11 +288,16 @@ def train(
     test_fraction: float = 0.2,
     seed: int = 0,
 ) -> TrainResult:
-    """Fit the boosted forest on a stratified 80/20 split.
+    """Fit the boosted forest on a stratified split that holds out
+    `test_fraction` (in [0, 1)) of each class, at a finite `learning_rate`.
 
     Row order does not matter: rows are sorted into a canonical order
     before the seeded split, so shuffled inputs give identical models.
     """
+    if not 0 <= test_fraction < 1:
+        raise DataError(f"test fraction must be in [0, 1), got {test_fraction}")
+    if not math.isfinite(learning_rate):
+        raise DataError(f"learning rate must be finite, got {learning_rate}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -526,13 +531,6 @@ class DecompositionReport:
         shares = counts.sum(axis=0) / len(self.labels)
         proportions = counts / counts.sum(axis=1)[:, None]
         return by_day(counts), by_day(proportions), dict(zip(self.classes, shares.tolist()))
-
-    def daily_table(self) -> dict:
-        """day -> {class: count} over days with at least one adoption."""
-        return self._tables()[0]
-
-    def daily_proportions(self) -> dict:
-        return self._tables()[1]
 
     def overall_shares(self) -> dict:
         return self._tables()[2]

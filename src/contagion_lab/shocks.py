@@ -167,8 +167,11 @@ def detect_shocks(
     Day t is flagged iff counts[t] >= min_count and counts[t] exceeds the
     trailing moving average (the `window` days before t, t excluded) by more
     than z sample standard deviations.  Days with fewer than `window`
-    preceding days are never flagged.
+    preceding days are never flagged. A trailing SD needs two days, so
+    `window` must be at least 2.
     """
+    if window < 2:
+        raise DataError(f"shock window must be >= 2 days, got {window}")
     counts = series.counts.astype(float)
     n = len(counts)
     if n <= window:

@@ -49,7 +49,6 @@ from contagion_lab.matchlab import (
     build_panel,
     fit_propensity,
     match_all_days,
-    match_day,
     naive_risk_table,
     pool_risk_ratio,
 )
@@ -352,7 +351,8 @@ def _stub_model(panel, logits_by_row):
         levels=panel.levels, classes=(0, 1),
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)), scale=np.ones(len(panel.names)),
-        group=np.arange(len(probs)), probs=probs, iterations=1,
+        group=np.arange(len(probs)), rep=np.arange(len(probs)), probs=probs,
+        iterations=1,
     )
 
 
@@ -374,7 +374,7 @@ def _micro_panel(seed, n_treated=3, n_control=5, p=3):
 
 
 def _oracle_greedy(panel, model, caliper_mult=0.1):
-    scores = model.level_logits(1)
+    scores = model.group_logits(1)[model.group]
     caliper = caliper_mult * float(np.std(scores, ddof=1))
     C = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
     Z = (C - C.mean(axis=0)) / np.where(C.std(axis=0) == 0, 1.0,
@@ -446,7 +446,7 @@ def test_matching_statistics(announce):
     greedy_ok = 0
     for seed in range(1000):
         panel, model = _micro_panel(seed)
-        res = match_day(panel, model, 4)
+        res = match_all_days(panel, model).results[0]
         got = [(p.treated, p.control) for p in res.pairs]
         greedy_ok += int(got == _oracle_greedy(panel, model))
     ok_greedy = greedy_ok == 1000

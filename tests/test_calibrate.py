@@ -58,7 +58,7 @@ def brute_pools(g, log):
     betas, phis, zero_exp = {}, {}, 0
     for u in range(g.node_count):
         t = log.adoption_day[u]
-        if t == NEVER or log.in_shock(int(t)):
+        if t == NEVER or (log.shock_mask is not None and log.shock_mask[t - log.first_day]):
             continue
         m = sum(
             1

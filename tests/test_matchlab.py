@@ -34,7 +34,6 @@ from contagion_lab.matchlab import (
     diagnostics,
     fit_propensity,
     match_all_days,
-    match_day,
     naive_risk_table,
     permute_within_day,
     pool_risk_ratio,
@@ -46,6 +45,11 @@ from contagion_lab.matchlab import (
 )
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.synthgen import SynthConfig, gen_graph, gen_homophily_adoptions, gen_traits
+
+
+def row_logits(model, level=1):
+    """A model's `level` logits gathered by `group`, one per panel row."""
+    return model.group_logits(level)[model.group]
 
 
 def no_counts(n):
@@ -349,14 +353,14 @@ def test_panel_duplicate_rows_and_days():
 def test_propensity_no_signal_auc():
     panel = random_panel(1000, 5, 0, lambda rng, X: rng.integers(0, 2, len(X)))
     model = fit_propensity(panel)
-    assert abs(_rank_auc(model.level_logits(1), panel.treatment == 1) - 0.5) < 0.05
+    assert abs(_rank_auc(row_logits(model), panel.treatment == 1) - 0.5) < 0.05
     assert len(model.classes) == 2
 
 
 def test_propensity_separable_auc():
     panel = random_panel(500, 4, 1, lambda rng, X: (X[:, 0] > 0).astype(int))
     model = fit_propensity(panel)
-    assert _rank_auc(model.level_logits(1), panel.treatment == 1) >= 0.99
+    assert _rank_auc(row_logits(model), panel.treatment == 1) >= 0.99
     assert np.all(np.isfinite(model.coef))
 
 
@@ -413,7 +417,7 @@ def test_propensity_multinomial_probabilities():
     assert np.all(np.abs(present.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(present > 0) and np.all(present < 1)
     for level in model.classes:
-        assert np.all(np.isfinite(model.level_logits(level)))
+        assert np.all(np.isfinite(row_logits(model, level)))
 
 
 @pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
@@ -572,7 +576,7 @@ def test_grouped_fit_is_one_fit_per_distinct_covariate_row():
         # a group is one covariate row, and each covariate row one group
         assert len(model.probs) == len(rows) == len(np.unique(np.c_[row_of, model.group], axis=0))
         for level in model.classes:
-            bits = model.level_logits(level).view(np.int64)
+            bits = row_logits(model, level).view(np.int64)
             assert len(np.unique(np.c_[row_of, bits], axis=0)) == len(rows), level
         # within the tolerances of the per-day fit's comparison above
         coef, mean, scale, iterations, halvings = reference_fit_dense(X, panel.treatment)
@@ -775,6 +779,7 @@ def stub_model(panel, logits_by_row):
         mean=np.zeros(len(panel.names)),
         scale=np.ones(len(panel.names)),
         group=np.arange(len(probs)),
+        rep=np.arange(len(probs)),
         probs=probs,
         iterations=1,
     )
@@ -802,7 +807,7 @@ def micro_panel(seed, n_treated=3, n_control=5, p=3):
 
 def oracle_greedy(panel, model, caliper_mult=0.1):
     """Plain-python exhaustive greedy matching, ascending treated id."""
-    scores = model.level_logits(1)
+    scores = row_logits(model)
     sd = float(np.std(scores, ddof=1))
     caliper = caliper_mult * sd
     C = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
@@ -834,7 +839,7 @@ def oracle_greedy(panel, model, caliper_mult=0.1):
 def test_greedy_matches_brute_force_oracle():
     for seed in range(300):
         panel, model = micro_panel(seed)
-        res = match_day(panel, model, 4)
+        res = match_all_days(panel, model).results[0]
         got = [(p.treated, p.control) for p in res.pairs]
         assert got == oracle_greedy(panel, model), seed
 
@@ -853,7 +858,7 @@ def test_identical_control_matches_at_zero():
         levels=BINARY_LEVELS,
     )
     model = stub_model(panel, [0.3, 0.3, 2.0])
-    res = match_day(panel, model, 0)
+    res = match_all_days(panel, model).results[0]
     assert len(res.pairs) == 1
     assert res.pairs[0].control == 1
     assert res.pairs[0].mahalanobis == 0.0
@@ -875,11 +880,11 @@ def test_caliper_excludes_distant_controls():
     )
     # one treated sits on a control's logit, the other is far outside
     model = stub_model(panel, [0.0, 50.0, 0.0, 0.1])
-    res = match_day(panel, model, 0)
+    res = match_all_days(panel, model).results[0]
     assert res.n_matched == 1
     assert res.pairs[0].treated == 0
     assert res.overlap == 0.5
-    sd = float(np.std(model.level_logits(1), ddof=1))
+    sd = float(np.std(row_logits(model), ddof=1))
     for p in res.pairs:
         assert abs(p.logit_gap) <= 0.1 * sd
 
@@ -887,7 +892,7 @@ def test_caliper_excludes_distant_controls():
 def test_without_replacement_within_day():
     for seed in range(40):
         panel, model = micro_panel(seed, n_treated=5, n_control=5)
-        res = match_day(panel, model, 4, caliper_mult=100.0)
+        res = match_all_days(panel, model, caliper_mult=100.0).results[0]
         controls = [p.control for p in res.pairs]
         assert len(controls) == len(set(controls))
 
@@ -905,14 +910,42 @@ def test_day_without_controls_skipped():
         core_idx=panel.core_idx,
         levels=panel.levels,
     )
-    res2 = match_day(all_treated, stub_model(all_treated, np.zeros(panel.n_rows)), 4)
+    model = stub_model(all_treated, np.zeros(panel.n_rows))
+    res2 = match_all_days(all_treated, model).results[0]
     assert res2.skip_reason is not None
     assert res2.n_matched == 0
 
 
+def test_caliper_must_be_nonnegative():
+    panel, model = micro_panel(0)
+    for mult in (-1.0, -5e-324, -np.inf, np.nan):
+        with pytest.raises(DataError, match="caliper multiplier must be >= 0"):
+            match_all_days(panel, model, caliper_mult=mult)
+    # inf scans every control, so each of the three treated egos is matched
+    assert match_all_days(panel, model, caliper_mult=np.inf).results[0].n_matched == 3
+
+
+def day_block(panel, rows):
+    """`W = Z·L` for the given rows, `Z` their core block standardized by the
+    panel's `moments`, whitened one day at a time."""
+    core = list(panel.core_idx)
+    n = panel.n_rows
+    mean, sd, cross = panel.moments
+    mu, sd = mean[core], sd[core]
+    if n >= 2:
+        S = cross[np.ix_(core, core)] / (n - 1) / np.outer(sd, sd)
+        VI = np.linalg.inv(S + 1e-9 * np.eye(len(core)))
+    else:
+        VI = np.eye(len(core))
+    Z = (panel.covariates(rows)[:, core] - mu) / sd
+    return (np.linalg.cholesky(VI).T @ Z.T).T
+
+
 def reference_match_day(ctx, day, caliper_mult, level=1):
     """The full-scan matcher: every available control is differenced and
-    caliper-tested for every treated ego."""
+    caliper-tested for every treated ego, on the day's rows whitened on
+    their own (`day_block`), which must equal the matcher's group-level `W`
+    bit for bit."""
     panel = ctx.panel
     rows = np.flatnonzero(panel.day == day)
     no_pairs = np.recarray(0, dtype=PAIR_DTYPE)
@@ -929,7 +962,8 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
         )
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
-    W = ctx.block(rows)
+    W = day_block(panel, rows)
+    assert np.array_equal(W.view(np.int64), ctx.W[ctx.group[rows]].view(np.int64))
     st = s[t]
     sc = s[c]
     c_ego = ego[c]
@@ -962,17 +996,18 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
 
 
 class FixedLogits:
-    """Propensity stand-in whose treated-level logits are given per row, each
-    row its own group."""
+    """Propensity stand-in whose treated-level logits are given per row. Rows
+    are grouped by (row key, logit bits), as a fit groups them by row key,
+    and `rep` holds one row of each group."""
 
-    def __init__(self, logits):
-        self.logits = np.asarray(logits, dtype=float)
-        self.group = np.arange(len(self.logits))
+    def __init__(self, panel, logits):
+        logits = np.asarray(logits, dtype=float)
+        named = np.c_[panel.row_keys(np.arange(panel.n_rows)), logits.view(np.int64)]
+        _, self.rep, group = np.unique(named, axis=0, return_index=True, return_inverse=True)
+        self.group = group.ravel()
+        self.logits = logits[self.rep]
 
     def group_logits(self, level):
-        return self.logits
-
-    def level_logits(self, level):
         return self.logits
 
 
@@ -1077,13 +1112,13 @@ def stacked_panel(rng, ego, treat, x, lg):
         core_idx=tuple(range(p)),
         levels=BINARY_LEVELS,
     )
-    return panel, FixedLogits(np.concatenate(lg)[order])
+    return panel, FixedLogits(panel, np.concatenate(lg)[order])
 
 
 def multiplier_for(panel, model, day, caliper):
     """A caliper_mult whose product with the day's logit SD is exactly
     `caliper`, or None when no float multiplier lands on it."""
-    sd = float(np.std(model.level_logits(1)[panel.day == day], ddof=1))
+    sd = float(np.std(row_logits(model)[panel.day == day], ddof=1))
     m = caliper / sd
     for _ in range(8):
         if m * sd == caliper:
@@ -1112,8 +1147,6 @@ def test_window_matcher_equals_full_scan():
                 ]
                 got = match_all_days(panel, model, caliper_mult=mult)
                 assert [result_bits(r) for r in got.results] == ref, (seed, logits, mult)
-                one_day = match_day(panel, model, 0, caliper_mult=mult)
-                assert result_bits(one_day) == ref[0]
                 cases += 1
     assert on_grid >= 12  # calipers that land exactly on a grid step
     assert cases >= 6 * 3 * 4
@@ -1138,7 +1171,7 @@ def test_window_panel_hits_the_edge_cases():
     # just outside the caliper stays unmatched to its twin
     panel, model = window_panel(0)
     run = match_all_days(panel, model, caliper_mult=EDGE_MULT)
-    s = model.level_logits(1)[panel.day == 0]
+    s = row_logits(model)[panel.day == 0]
     c = EDGE_MULT * float(np.std(s, ddof=1))
     twins = [p for p in run.pairs if p.mahalanobis == 0.0]
     edge = [p for p in twins if abs(p.logit_gap) == c]
@@ -1195,8 +1228,8 @@ def test_grouped_matcher_equals_full_scan_on_duplicate_rows(monkeypatch):
     n_groups = n_controls = 0
     for D, rows in panel.rows_by_day():
         c = np.flatnonzero(panel.treatment[rows] == 0)
-        s = model.level_logits(1)[rows]
-        order, start = matchlab._control_groups(ctx.block(rows), s, panel.row_keys(rows), c)
+        s = row_logits(model)[rows]
+        order, start = matchlab._control_groups(s, model.group[rows], c)
         gid = np.repeat(np.arange(start.size), np.diff(np.r_[start, order.size]))
         group_of = dict(zip(panel.ego[rows][order].tolist(), gid.tolist()))
         if D == 0:
@@ -1340,7 +1373,7 @@ def test_diagnostics_recomputation_oracle():
 def panel_wide_aucs(panel, model, level):
     """The per-day AUCs read from logits gathered once over every panel
     row, as `diagnostics` once did."""
-    scores = model.level_logits(level)
+    scores = row_logits(model, level)
     aucs = []
     for _, rows in panel.rows_by_day():
         grp = panel.treatment[rows]
@@ -1377,6 +1410,17 @@ def test_matcher_keeps_logits_per_group_only():
     assert ctx.logits.size == len(model.probs)
     assert ctx.group is model.group
     assert "scores" not in {f.name for f in dataclasses.fields(MatchRun)}
+
+
+def test_matcher_whitens_once_per_group():
+    g, log, trait = homophily_world(2)
+    panel, model, _ = run_timing_rr(g, log, trait)
+    ctx = _MatchContext(panel, model, 1)
+    assert ctx.W.shape == (len(model.probs), len(panel.core_idx))
+    assert not hasattr(ctx, "block")
+    for _, rows in panel.rows_by_day()[::7]:
+        W = day_block(panel, rows)
+        assert np.array_equal(W.view(np.int64), ctx.W[model.group[rows]].view(np.int64))
 
 
 def test_pairs_csv_round_trip(tmp_path):

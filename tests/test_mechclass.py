@@ -205,7 +205,31 @@ def test_metrics_hand_case():
     )
 
 
-def test_decompose_report_shapes():
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"test_fraction": 1.0},
+        {"test_fraction": 1.5},
+        {"test_fraction": -0.5},
+        {"test_fraction": float("nan")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+    ],
+)
+def test_train_rejects_a_split_or_step_it_cannot_use(bad):
+    X, y = synth_rows(30, seed=5)
+    with pytest.raises(DataError, match="test fraction|learning rate"):
+        train(X, y, n_rounds=2, **bad)
+
+
+def test_train_accepts_no_held_out_fraction():
+    # a class of two or more rows still holds out one
+    X, y = synth_rows(30, seed=5)
+    res = train(X, y, n_rounds=2, test_fraction=0.0)
+    assert (res.n_train, res.n_test) == (116, 4)
+
+
+def test_decompose_report_shapes(tmp_path):
     X, y = synth_rows(60, seed=11)
     res = train(X, y, n_rounds=30, seed=2)
     g = DirectedGraph.from_edges(
@@ -216,9 +240,11 @@ def test_decompose_report_shapes():
     assert len(rep.labels) == 5
     shares = rep.overall_shares()
     assert sum(shares.values()) == pytest.approx(1.0)
-    for day, props in rep.daily_proportions().items():
+    rep.to_json(tmp_path / "report.json")
+    written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    for day, props in written["daily_proportions"].items():
         assert sum(props.values()) == pytest.approx(1.0, abs=1e-9)
-    counts = rep.daily_table()
+    counts = written["daily_counts"]
     assert sum(sum(v.values()) for v in counts.values()) == 5
 
 

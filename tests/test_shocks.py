@@ -178,6 +178,13 @@ def test_short_series_raises():
         detect_shocks(AdoptionSeries(np.full(20, 10)))
 
 
+@pytest.mark.parametrize("window", [1, 0, -5])
+def test_window_below_two_days_raises(window):
+    # a trailing SD needs two days
+    with pytest.raises(DataError, match="window must be >= 2"):
+        detect_shocks(AdoptionSeries(np.full(40, 10)), window=window)
+
+
 def test_shock_day_mask():
     mask = shock_day_mask(10, [(2, 4), (8, 9)])
     assert list(np.flatnonzero(mask)) == [2, 3, 4, 8, 9]
