@@ -72,7 +72,7 @@ class AdoptionLog:
     def to_csv(self, path, g: DirectedGraph | None = None) -> None:
         """Write adopter records as ``node,day`` (external ids if g given)."""
         nodes = self.adopters()
-        labels = nodes if g is None else [g.node_ids[i] for i in nodes.tolist()]
+        labels = nodes if g is None else g.external_ids(nodes)
         write_csv(path, ("node", "day"), (labels, self.adoption_day[nodes]))
 
     @classmethod

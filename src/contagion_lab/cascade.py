@@ -241,10 +241,15 @@ def run_ensemble(
     """Run independent realizations and deduplicate the merged event table.
 
     Realization i draws from the (seed0, i) stream, so results do not
-    depend on n_jobs or scheduling order.
+    depend on n_jobs or scheduling order.  A stop fraction above 1 runs
+    every realization to the horizon.
     """
     if n_realizations < 1:
         raise DataError("need at least one realization")
+    if not horizon_days >= 1:
+        raise DataError(f"horizon must be at least 1 day, got {horizon_days}")
+    if not stop_fraction > 0:
+        raise DataError(f"stop fraction must be > 0, got {stop_fraction}")
     jobs = [
         (g, params, seed0, stop_fraction, horizon_days, seeds, i)
         for i in range(n_realizations)

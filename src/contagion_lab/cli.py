@@ -382,7 +382,7 @@ def cmd_train(args, sp):
         "per_class": result.per_class,
         "n_train": result.n_train,
         "n_test": result.n_test,
-        "final_loss": result.model.loss_curve[-1] if result.model.loss_curve else None,
+        "final_loss": result.model.loss_curve[-1],
     }
     if args.metrics_out:
         _write_json(metrics, args.metrics_out)

@@ -289,7 +289,9 @@ def train(
     seed: int = 0,
 ) -> TrainResult:
     """Fit the boosted forest on a stratified split that holds out
-    `test_fraction` (in [0, 1)) of each class, at a finite `learning_rate`.
+    `test_fraction` (in [0, 1)) of each class, at a finite `learning_rate`,
+    for at least one round, with finite, non-negative `reg_lambda` and
+    `min_child_weight`.
 
     Row order does not matter: rows are sorted into a canonical order
     before the seeded split, so shuffled inputs give identical models.
@@ -298,6 +300,11 @@ def train(
         raise DataError(f"test fraction must be in [0, 1), got {test_fraction}")
     if not math.isfinite(learning_rate):
         raise DataError(f"learning rate must be finite, got {learning_rate}")
+    for name, value in (("reg_lambda", reg_lambda), ("min_child_weight", min_child_weight)):
+        if not 0 <= value < math.inf:
+            raise DataError(f"{name} must be finite and >= 0, got {value}")
+    if n_rounds < 1:
+        raise DataError(f"need at least one boosting round, got {n_rounds}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):

@@ -2,8 +2,10 @@
 
 Edges are stored twice in CSR form (followees and followers), sorted
 ascending, so degree lookups are O(1) and neighbor iteration is
-deterministic.  Nodes carry dense 0-based integer ids assigned in sorted
-external-id order; the external-id dictionary travels with the graph.  The
+deterministic.  Neighbor ids are int32 and offsets int64, so a graph holds
+fewer than 2**31 nodes.  Nodes carry dense 0-based integer ids assigned in
+sorted external-id order; the external ids travel with the graph as one text
+plus code-point offsets, and their tuple is built only when asked for.  The
 binary cache is an npz archive of plain, uncompressed arrays.
 
 Conventions: a record (source, target) means source follows target, so
@@ -13,7 +15,6 @@ of target's followers (audience).  in_degree(i) counts followees of i.
 
 from __future__ import annotations
 
-import io
 import logging
 import zipfile
 import zlib
@@ -26,7 +27,9 @@ from .errors import DataError, read_csv, write_csv
 log = logging.getLogger(__name__)
 
 CACHE_FORMAT = "contagion-lab-graph"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
+# the largest node count whose ids fit the int32 id arrays
+_MAX_NODES = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,19 @@ class DirectedGraph:
         followee_ids: np.ndarray,
         follower_indptr: np.ndarray,
         follower_ids: np.ndarray,
-        node_ids: tuple[str, ...],
+        id_text: str,
+        id_offsets: np.ndarray,
         load_report: LoadReport | None = None,
     ):
         self._fe_ptr = followee_indptr
         self._fe = followee_ids
         self._fo_ptr = follower_indptr
         self._fo = follower_ids
-        self.node_ids = node_ids
+        # node i's external id is id_text[id_offsets[i] : id_offsets[i + 1]]
+        self._id_text = id_text
+        self._id_offsets = id_offsets
         self.load_report = load_report
-        for a in (self._fe_ptr, self._fe, self._fo_ptr, self._fo):
+        for a in (self._fe_ptr, self._fe, self._fo_ptr, self._fo, self._id_offsets):
             a.setflags(write=False)
 
     # -- construction ------------------------------------------------------
@@ -73,9 +79,13 @@ class DirectedGraph:
 
         Self-loops are dropped and duplicates collapsed; both are counted in
         the load report.  Both CSRs come from one int64 key buffer sorted in
-        place per direction: about 3 words per edge beyond an int64 input.
+        place per direction; a signed integer input is read as it is, never
+        copied.  Beyond the input: about 2.5 words (20 bytes) per edge.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges)
+        if edges.dtype.kind != "i":
+            edges = edges.astype(np.int64)
+        edges = edges.reshape(-1, 2)
         n_records = len(edges)
         loop = edges[:, 0] == edges[:, 1]
         n_self = int(loop.sum())
@@ -83,25 +93,32 @@ class DirectedGraph:
         kept = ~loop[:, None] if n_self else True
         top = int(edges.max(where=kept, initial=-1))
         n_nodes = top + 1 if n_nodes is None else n_nodes
+        if n_nodes > _MAX_NODES:
+            raise DataError(f"{n_nodes} nodes exceed the int32 id range (at most {_MAX_NODES})")
         if node_ids is None:
-            # zero-pad so lexical order equals numeric order across reloads
-            w = len(str(max(n_nodes - 1, 0)))
-            node_ids = tuple(map(f"%0{w}d".__mod__, range(n_nodes)))
-        if len(node_ids) != n_nodes:
-            raise DataError(f"expected {n_nodes} node ids, got {len(node_ids)}")
+            text, offsets = _padded_ids(max(n_nodes, 0))
+        else:
+            text, offsets = _joined_ids(node_ids)
+        if len(offsets) - 1 != n_nodes:
+            raise DataError(f"expected {n_nodes} node ids, got {len(offsets) - 1}")
         # before the keying below, where an out-of-range pair would alias
         if top >= n_nodes or edges.min(where=kept, initial=0) < 0:
             raise DataError("edge endpoint out of node range")
 
         # one scalar key source * n + target per edge; self-loops are keyed -1,
-        # so they sort first and drop with the repeats of the sorted run
+        # so they sort first and drop with the repeats of the sorted run below
         span = max(n_nodes, 1)
-        key = edges[:, 0] * span
+        key = np.multiply(edges[:, 0], span, dtype=np.int64)
         key += edges[:, 1]
         np.putmask(key, loop, -1)
         del loop, kept
         key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
+        # the first key of each run, unless it is -1
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = key[:1] != -1
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        del first
         n_dup = n_records - n_self - len(key)
         if n_self:
             log.warning("dropped %d self-loop record(s)", n_self)
@@ -111,15 +128,17 @@ class DirectedGraph:
         # followees of i: the targets of the keys in [i * n, (i + 1) * n)
         bounds = np.arange(n_nodes + 1, dtype=np.int64) * span
         fe_ptr = np.searchsorted(key, bounds)
-        fe = key % span
+        fe = np.empty(len(key), dtype=np.int32)
+        np.remainder(key, span, out=fe, casting="unsafe")
         # followers of i: the same buffer re-keyed as target * n + source
-        fo = fe * span
         key //= span
-        key += fo
+        key += np.multiply(fe, span, dtype=np.int64)
         key.sort()
         fo_ptr = np.searchsorted(key, bounds)
-        np.remainder(key, span, out=fo)
-        return cls(fe_ptr, fe, fo_ptr, fo, node_ids, LoadReport(n_records, len(fe), n_dup, n_self))
+        fo = np.empty(len(key), dtype=np.int32)
+        np.remainder(key, span, out=fo, casting="unsafe")
+        report = LoadReport(n_records, len(fe), n_dup, n_self)
+        return cls(fe_ptr, fe, fo_ptr, fo, text, offsets, report)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -164,6 +183,22 @@ class DirectedGraph:
         src = np.repeat(np.arange(self.node_count), self.in_degree)
         return np.column_stack([src, self._fe])
 
+    @property
+    def node_ids(self) -> tuple[str, ...]:
+        """Each dense id's external id, built from the id text on first use."""
+        try:
+            return self._node_ids
+        except AttributeError:
+            self._node_ids = tuple(self.external_ids(np.arange(self.node_count)))
+            return self._node_ids
+
+    def external_ids(self, nodes) -> list[str]:
+        """The external ids of the dense ids `nodes`, in their order, without
+        building `node_ids`."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        lo, hi = self._id_offsets[nodes].tolist(), self._id_offsets[nodes + 1].tolist()
+        return list(map(self._id_text.__getitem__, map(slice, lo, hi)))
+
     def index_of(self, external_id: str) -> int:
         try:
             return self._id_map[external_id]
@@ -191,7 +226,10 @@ class DirectedGraph:
         pos = np.minimum(np.searchsorted(rev, key), len(rev) - 1)
         keep = rev[pos] == key
         del rev, pos
-        return np.searchsorted(key[keep], np.append(starts, n * n)), self._fe[keep]
+        ptr, ids = np.searchsorted(key[keep], np.append(starts, n * n)), self._fe[keep]
+        ptr.setflags(write=False)
+        ids.setflags(write=False)
+        return ptr, ids
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.node_count:
@@ -201,7 +239,8 @@ class DirectedGraph:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
         return (
-            self.node_ids == other.node_ids
+            self._id_text == other._id_text
+            and np.array_equal(self._id_offsets, other._id_offsets)
             and np.array_equal(self._fe_ptr, other._fe_ptr)
             and np.array_equal(self._fe, other._fe)
         )
@@ -220,11 +259,11 @@ class DirectedGraph:
         date so identical graphs produce byte-identical files regardless of
         wall-clock time.  Members are stored uncompressed, guarded by the zip
         CRC-32: neighbor ids barely deflate.  Deflated caches load as well.
-        The archive is written to `path` as given, whatever its suffix.
+        Each member's header and array buffer go straight into its zip entry,
+        with no copy.  The archive is written to `path` as given, whatever its
+        suffix.
         """
-        offsets = np.zeros(len(self.node_ids) + 1, dtype=np.int64)
-        np.cumsum([len(x) for x in self.node_ids], out=offsets[1:])
-        text = "".join(self.node_ids).encode("utf-8", "surrogatepass")
+        text = self._id_text.encode("utf-8", "surrogatepass")
         arrays = {
             "format": np.array(CACHE_FORMAT),
             "version": np.array(CACHE_VERSION, dtype=np.int64),
@@ -233,15 +272,16 @@ class DirectedGraph:
             "follower_indptr": self._fo_ptr,
             "follower_ids": self._fo,
             "node_id_utf8": np.frombuffer(text, dtype=np.uint8),
-            "node_id_offsets": offsets,
+            "node_id_offsets": self._id_offsets,
         }
         with zipfile.ZipFile(path, "w") as zf:
             for name, arr in arrays.items():
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, arr, allow_pickle=False)
                 info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
                 info.external_attr = 0o600 << 16
-                zf.writestr(info, buf.getbuffer(), zipfile.ZIP_STORED)
+                with zf.open(info, "w") as fh:
+                    header = np.lib.format.header_data_from_array_1_0(arr)
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    fh.write(arr.data)
 
     @classmethod
     def load(cls, path) -> "DirectedGraph":
@@ -256,7 +296,8 @@ class DirectedGraph:
                 if str(fmt) != CACHE_FORMAT or version.shape or version.dtype.kind not in "iu":
                     raise DataError(f"{path}: not a contagion-lab graph cache")
                 if int(version) != CACHE_VERSION:
-                    # v1 stored the node ids as a pickled object array
+                    # v1 stored the node ids as a pickled object array, v2
+                    # the neighbor ids as int64
                     raise DataError(
                         f"{path}: graph cache version {int(version)} cannot be read "
                         f"(this build reads version {CACHE_VERSION}); "
@@ -283,19 +324,38 @@ class DirectedGraph:
                 raise DataError(f"{path}: graph cache {name}_ids outside [0, {n})")
         if len(fe) != len(fo):
             raise DataError(f"{path}: graph cache CSRs hold {len(fe)} and {len(fo)} edges")
-        bounds = offsets.tolist()
-        node_ids = tuple(text[i:j] for i, j in zip(bounds[:-1], bounds[1:]))
-        return cls(fe_ptr, fe, fo_ptr, fo, node_ids)
+        return cls(fe_ptr, fe, fo_ptr, fo, text, offsets)
 
 
 _CACHE_ARRAYS = {
     "followee_indptr": np.int64,
-    "followee_ids": np.int64,
+    "followee_ids": np.int32,
     "follower_indptr": np.int64,
-    "follower_ids": np.int64,
+    "follower_ids": np.int32,
     "node_id_offsets": np.int64,
     "node_id_utf8": np.uint8,
 }
+
+
+def _padded_ids(n: int) -> tuple[str, np.ndarray]:
+    """The default ids of n nodes, "%0{w}d" % i with w the width of n - 1, as
+    one ASCII text and its offsets; zero-padded so that lexical order equals
+    numeric order across reloads."""
+    w = len(str(max(n - 1, 0)))
+    digits = np.empty((n, w), dtype=np.uint8)
+    rest = np.arange(n)
+    for col in range(w - 1, -1, -1):
+        digits[:, col] = rest % 10
+        rest //= 10
+    digits += ord("0")
+    return digits.tobytes().decode("ascii"), np.arange(n + 1, dtype=np.int64) * w
+
+
+def _joined_ids(node_ids) -> tuple[str, np.ndarray]:
+    """Given ids as one text and the int64 code-point offsets of each id."""
+    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, node_ids), np.int64, len(node_ids)), out=offsets[1:])
+    return "".join(node_ids), offsets
 
 
 def _check_indptr(indptr: np.ndarray, n: int, end: int, name: str, path) -> None:

@@ -33,8 +33,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_nodes < 2:
             raise DataError("need at least 2 nodes")
-        if self.exponent <= 1:
-            raise DataError("tail exponent must exceed 1")
+        if not 1 < self.exponent < np.inf:
+            raise DataError(f"tail exponent must be finite and exceed 1, got {self.exponent}")
         if not 0 <= self.homophily <= 1:
             raise DataError("homophily must lie in [0, 1]")
         if not 0 < self.trait_balance < 1:
@@ -76,12 +76,12 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
     if trait is not None and cfg.homophily > 0:
         edges = _homophily_edges(k, np.asarray(trait), cfg.homophily, rng)
         return DirectedGraph.from_edges(edges, n_nodes=n)
-    edges = np.empty((k.sum(), 2), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), k)
+    edges = np.empty((k.sum(), 2), dtype=np.int32)
+    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int32), k)
     for i, (ki, end) in enumerate(zip(k.tolist(), np.cumsum(k).tolist())):
         # same draws as choosing from all ids but i: skip past i
         idx = rng.choice(n - 1, size=ki, replace=False)
-        np.add(idx, idx >= i, out=edges[end - ki : end, 1])
+        edges[end - ki : end, 1] = idx + (idx >= i)
     return DirectedGraph.from_edges(edges, n_nodes=n)
 
 

@@ -20,7 +20,8 @@ from contagion_lab.cascade import (
     simple_probability,
     write_events,
 )
-from contagion_lab.errors import ParseError
+from contagion_lab import cascade
+from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.rngstream import REALIZATION, stream
 from contagion_lab.shocks import ShockSchedule, shock_intensity
@@ -322,6 +323,35 @@ def test_ensemble_dedup_matches_hash_oracle():
     assert len(res.events) == len(seen)
     assert sum(res.counts_before.values()) == len(merged)
     assert sum(res.counts_after.values()) == len(res.events)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"horizon_days": 0}, "horizon must be at least 1 day, got 0"),
+        ({"horizon_days": -3}, "horizon must be at least 1 day, got -3"),
+        ({"stop_fraction": float("nan")}, "stop fraction must be > 0, got nan"),
+        ({"stop_fraction": 0.0}, "stop fraction must be > 0, got 0.0"),
+        ({"stop_fraction": -0.5}, "stop fraction must be > 0, got -0.5"),
+    ],
+)
+def test_ensemble_rejects_a_horizon_or_stop_it_cannot_use(monkeypatch, bad, message):
+    g, p = make_world()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(cascade, "run_realization", never)
+    with pytest.raises(DataError, match=message):
+        run_ensemble(g, p, n_realizations=2, **{"horizon_days": 10, **bad})
+
+
+def test_ensemble_stop_fraction_above_one_runs_to_the_horizon():
+    # nobody adopts once everyone has, so a fraction above 1 gives the events of 1
+    g, p = make_world()
+    a, b = (run_ensemble(g, p, n_realizations=2, seed0=4, horizon_days=12, seeds=[0],
+                         stop_fraction=stop) for stop in (1.0, 1.5))
+    assert len(a.events) and a.events.tobytes() == b.events.tobytes()
 
 
 def test_ensemble_parallel_equals_serial():

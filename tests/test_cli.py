@@ -457,6 +457,59 @@ def test_simulate_bad_seed_count_is_data_error(world, tmp_path, capsys, count):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent", ["nan", "inf"])
+def test_synth_bad_exponent_is_data_error(tmp_path, capsys, exponent):
+    out = tmp_path / "g.npz"
+    assert run(["synth", "--nodes", 50, "--exponent", exponent, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"tail exponent must be finite and exceed 1, got {exponent}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--horizon", 0], "horizon must be at least 1 day, got 0"),
+        (["--horizon", -2], "horizon must be at least 1 day, got -2"),
+        (["--stop-fraction", "nan"], "stop fraction must be > 0, got nan"),
+        (["--stop-fraction", -0.5], "stop fraction must be > 0, got -0.5"),
+    ],
+)
+def test_simulate_bad_horizon_or_stop_is_data_error(world, tmp_path, capsys, flags, message):
+    # an empty horizon once wrote events.jsonl, then failed with no manifest
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["simulate", "--graph", world["graph"], "--seed-nodes", 2,
+                "--realizations", 1, "--threads", 1, *flags,
+                "--out", out / "e.jsonl", "--log-out", out / "log.csv"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--reg-lambda", "nan"], "reg_lambda must be finite and >= 0, got nan"),
+        (["--reg-lambda", -1], "reg_lambda must be finite and >= 0, got -1.0"),
+        (["--min-child-weight", "nan"], "min_child_weight must be finite and >= 0, got nan"),
+        (["--min-child-weight", -1], "min_child_weight must be finite and >= 0, got -1.0"),
+        (["--rounds", 0], "need at least one boosting round, got 0"),
+    ],
+)
+def test_train_bad_regularization_or_rounds_is_data_error(world, tmp_path, capsys, flags,
+                                                          message):
+    # NaN leaves once reached model.json, and "final_loss": NaN metrics.json
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["train", "--events", world["events"], "--rounds", 2, *flags,
+                "--out", out / "m.json", "--metrics-out", out / "metrics.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -911,6 +964,14 @@ def _v1_cache(good, bad):
              node_ids=np.array(g.node_ids, dtype=object))
 
 
+def _v2_cache(good, bad):
+    # version 2 stored the neighbor ids as int64
+    _rewrite(good, bad, lambda m: m.update(
+        version=np.array(2),
+        followee_ids=m["followee_ids"].astype(np.int64),
+        follower_ids=m["follower_ids"].astype(np.int64)))
+
+
 def _flip_data_byte(good, bad):
     # the last byte of a stored member is array data, which only its CRC-32 guards
     data = bytearray(good.read_bytes())
@@ -933,6 +994,7 @@ MALFORMED_CACHES = {
     "wrong version": lambda good, bad: _rewrite(good, bad, lambda m: m.update(
         version=np.array(7))),
     "v1": _v1_cache,
+    "v2": _v2_cache,
     "flipped data byte": _flip_data_byte,
 }
 
@@ -946,7 +1008,8 @@ def test_malformed_graph_cache_is_data_error(world, tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
     assert not (tmp_path / "sentinel").exists()
-    if kind == "v1":
+    if kind in ("v1", "v2"):
+        assert f"graph cache version {kind[1]} cannot be read" in err
         assert "re-run synth or ingest" in err
     if kind == "flipped data byte":
         assert "Bad CRC-32 for file 'followee_ids.npy'" in err

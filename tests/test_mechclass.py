@@ -222,6 +222,25 @@ def test_train_rejects_a_split_or_step_it_cannot_use(bad):
         train(X, y, n_rounds=2, **bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"reg_lambda": float("nan")}, "reg_lambda must be finite and >= 0, got nan"),
+        ({"reg_lambda": float("inf")}, "reg_lambda must be finite and >= 0, got inf"),
+        ({"reg_lambda": -1.0}, "reg_lambda must be finite and >= 0, got -1.0"),
+        ({"min_child_weight": float("nan")}, "min_child_weight must be finite and >= 0, got nan"),
+        ({"min_child_weight": -0.5}, "min_child_weight must be finite and >= 0, got -0.5"),
+        ({"n_rounds": 0}, "at least one boosting round, got 0"),
+        ({"n_rounds": -2}, "at least one boosting round, got -2"),
+    ],
+)
+def test_train_rejects_regularization_or_rounds_it_cannot_use(bad, message):
+    # NaN leaves and a null final loss once reached model.json and metrics.json
+    X, y = synth_rows(30, seed=5)
+    with pytest.raises(DataError, match=message):
+        train(X, y, **{"n_rounds": 2, **bad})
+
+
 def test_train_accepts_no_held_out_fraction():
     # a class of two or more rows still holds out one
     X, y = synth_rows(30, seed=5)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contagion_lab import errors
+from contagion_lab.calibrate import NEVER, AdoptionLog
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import (
     CACHE_FORMAT,
@@ -21,7 +23,9 @@ from contagion_lab.netgraph import (
     save_id_map,
 )
 
-SYNTH_CACHE_SHA256 = "a47ceabd0ed09c0287a9eeafa5367cd70e80b54f4b9804adbc39d1f607b8dc72"
+SYNTH_CACHE_SHA256 = "4d2df13c48d9d8e7e1fc76cec83ce075b15988293a8d536882e7331332639dc6"
+# followee_csr() + follower_csr(): int64 offsets, int32 neighbor ids
+CSR_DTYPES = (np.int64, np.int32, np.int64, np.int32)
 
 
 def save_edge_list(g, path):
@@ -179,9 +183,9 @@ def assert_same_graph(g, g2):
     # __eq__ ignores the follower CSR, so compare every array here
     assert g2 == g
     assert g2.node_ids == g.node_ids
-    for a, b in zip((*g.followee_csr(), *g.follower_csr()),
-                    (*g2.followee_csr(), *g2.follower_csr())):
-        assert b.dtype == np.int64 and np.array_equal(a, b)
+    for a, b, dtype in zip((*g.followee_csr(), *g.follower_csr()),
+                           (*g2.followee_csr(), *g2.follower_csr()), CSR_DTYPES):
+        assert b.dtype == dtype and np.array_equal(a, b)
         assert not b.flags.writeable
 
 
@@ -239,11 +243,11 @@ def _at(name, i, value):
     [
         ("format", lambda m: np.array("something-else"), "not a contagion-lab graph cache"),
         ("version", lambda m: np.array(2.0), "not a contagion-lab graph cache"),
-        ("version", lambda m: np.array(3), "version 3"),
+        ("version", lambda m: np.array(4), "version 4"),
         ("followee_indptr", lambda m: m["followee_indptr"].astype(np.int32),
          "followee_indptr is not 1-D int64"),
         ("follower_ids", lambda m: m["follower_ids"].reshape(1, -1),
-         "follower_ids is not 1-D int64"),
+         "follower_ids is not 1-D int32"),
         ("node_id_utf8", lambda m: m["node_id_utf8"].astype(np.int64),
          "node_id_utf8 is not 1-D uint8"),
         ("node_id_utf8", lambda m: np.frombuffer(b"\xff\xfe", dtype=np.uint8), "not UTF-8"),
@@ -359,8 +363,8 @@ def test_from_edges_matches_unique_reference(n, m, given_n):
     arrays, report = reference_csr(edges, n)
     assert g.node_count == n
     assert g.load_report == report
-    for a, b in zip((*g.followee_csr(), *g.follower_csr()), arrays):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b, dtype in zip((*g.followee_csr(), *g.follower_csr()), arrays, CSR_DTYPES):
+        assert a.dtype == dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -432,8 +436,8 @@ def from_edges_parts(edges, **kwargs):
     """DirectedGraph.from_edges as argsort_build returns it."""
     g = DirectedGraph.from_edges(edges, **kwargs)
     arrays = [*g.followee_csr(), *g.follower_csr()]
-    for a in arrays:
-        assert a.dtype == np.int64 and not a.flags.writeable
+    for a, dtype in zip(arrays, CSR_DTYPES):
+        assert a.dtype == dtype and not a.flags.writeable
     return arrays, g.node_ids, g.load_report
 
 
@@ -499,7 +503,7 @@ def test_mutual_csr_matches_per_node_mutual(case):
     edges, n_nodes = case
     g = DirectedGraph.from_edges(edges, n_nodes=n_nodes)
     ptr, ids = g.mutual_csr()
-    assert ptr.dtype == ids.dtype == np.int64
+    assert ptr.dtype == np.int64 and ids.dtype == np.int32
     assert len(ptr) == g.node_count + 1 and ptr[0] == 0 and ptr[-1] == len(ids)
     for i in range(g.node_count):
         assert np.array_equal(ids[ptr[i] : ptr[i + 1]], g.mutual(i))
@@ -525,8 +529,9 @@ def test_mutual_csr_working_memory_is_at_most_six_words_per_edge():
 # -- cache compatibility ------------------------------------------------------------
 
 
-def save_deflated(g, path):
-    """The cache writer of earlier builds: the same members, deflated at level 1."""
+def save_whole_members(g, path, compress_type=zipfile.ZIP_DEFLATED):
+    """The cache writer of earlier builds: each member copied whole into a
+    buffer, then written by `writestr`; deflated at level 1 by default."""
     offsets = np.zeros(len(g.node_ids) + 1, dtype=np.int64)
     np.cumsum([len(x) for x in g.node_ids], out=offsets[1:])
     text = "".join(g.node_ids).encode("utf-8", "surrogatepass")
@@ -546,14 +551,14 @@ def save_deflated(g, path):
             np.lib.format.write_array(buf, arr, allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             info.external_attr = 0o600 << 16
-            zf.writestr(info, buf.getvalue(), zipfile.ZIP_DEFLATED, 1)
+            zf.writestr(info, buf.getvalue(), compress_type, 1)
 
 
 @pytest.mark.parametrize("make", ["exotic", "synth"])
 def test_deflated_cache_of_earlier_builds_loads(tmp_path, make):
     g = exotic_graph(tmp_path) if make == "exotic" else synth_graph()
     old, new = tmp_path / "old.npz", tmp_path / "new.npz"
-    save_deflated(g, old)
+    save_whole_members(g, old)
     g.save(new)
     assert_same_graph(g, DirectedGraph.load(old))
     # the members hold the same bytes; only their compression differs
@@ -563,6 +568,15 @@ def test_deflated_cache_of_earlier_builds_loads(tmp_path, make):
         assert {i.compress_type for i in a.infolist()} == {zipfile.ZIP_DEFLATED}
 
 
+@pytest.mark.parametrize("make", ["exotic", "synth"])
+def test_streamed_save_writes_the_bytes_of_whole_member_writes(tmp_path, make):
+    g = exotic_graph(tmp_path) if make == "exotic" else synth_graph()
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    save_whole_members(g, old, zipfile.ZIP_STORED)
+    g.save(new)
+    assert new.read_bytes() == old.read_bytes()
+
+
 def test_cache_members_are_stored(tmp_path):
     p = tmp_path / "g.npz"
     synth_graph().save(p)
@@ -570,3 +584,102 @@ def test_cache_members_are_stored(tmp_path):
         infos = zf.infolist()
     assert len(infos) == 8
     assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+
+# -- int32 neighbor ids and the node-id text ---------------------------------------
+
+
+def test_ids_are_read_only_int32_and_offsets_int64(tmp_path):
+    p = tmp_path / "g.npz"
+    synth_graph().save(p)
+    wide = DirectedGraph.from_edges(np.array([(0, 1), (1, 0), (2, 1)], dtype=np.int64))
+    for g in (synth_graph(), wide, DirectedGraph.load(p)):
+        arrays = (*g.followee_csr(), *g.follower_csr(), *g.mutual_csr())
+        for a, dtype in zip(arrays, CSR_DTYPES + CSR_DTYPES[:2], strict=True):
+            assert a.dtype == dtype and not a.flags.writeable
+
+
+def test_from_edges_reads_int32_edges_without_a_wide_copy():
+    # an int64 copy of this input is 2 words per edge on its own: the build
+    # that made one peaked at 5.5 words per edge here, this one at 2.7
+    m, n = 200_000, 10_000
+    edges = np.random.default_rng(17).integers(0, n, size=(m, 2), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = DirectedGraph.from_edges(edges, n_nodes=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 0.99 * m
+    assert peak <= 3 * 8 * m
+
+
+@pytest.mark.parametrize(
+    "edges, n_nodes",
+    [(np.empty((0, 2), np.int64), 2**31), (np.array([(0, 2**31 - 1)]), None)],
+)
+def test_from_edges_rejects_more_nodes_than_int32_ids_hold(edges, n_nodes):
+    # raised before any node id is built: nothing near n_nodes is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="2147483648 nodes exceed the int32 id range"):
+            DirectedGraph.from_edges(edges, n_nodes=n_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 100, 101, 12_345])
+def test_default_ids_are_zero_padded_to_one_width(n):
+    g = DirectedGraph.from_edges(np.empty((0, 2), np.int64), n_nodes=n)
+    w = len(str(max(n - 1, 0)))
+    assert g.node_ids == tuple(f"%0{w}d" % i for i in range(n))
+
+
+def test_node_ids_are_built_on_first_use(tmp_path):
+    p = tmp_path / "g.npz"
+    synth_graph().save(p)
+    g = DirectedGraph.load(p)
+    assert g.external_ids([5, 0, 199]) == ["005", "000", "199"]
+    assert "_node_ids" not in vars(g)
+    assert g.node_ids[:2] == ("000", "001") and "_node_ids" in vars(g)
+
+
+def written(write, path, *args):
+    """The bytes `write(path, *args)` leaves, or the type of what it raises."""
+    try:
+        write(path, *args)
+    except (ValueError, csv.Error) as e:  # a lone surrogate does not encode
+        return type(e)
+    return path.read_bytes()
+
+
+# any code point, NUL and lone surrogates included
+any_char = st.characters(exclude_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+any_text = st.text(any_char, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_text, min_size=1, max_size=8), st.data())
+def test_exotic_ids_survive_the_id_text(tmp_path_factory, ids, data):
+    ids = tuple(ids)
+    n = len(ids)
+    edges = np.array([(i, (i + 1) % n) for i in range(n)])
+    g = DirectedGraph.from_edges(edges, node_ids=ids, n_nodes=n)
+    assert g.node_ids == ids
+    # to_csv writes the labels the id tuple gives, or fails as writing them does
+    adopted = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    log = AdoptionLog(np.where(adopted, 0, NEVER), first_day=0, last_day=0)
+    nodes = log.adopters()
+    labels = [ids[i] for i in nodes.tolist()]
+    assert g.external_ids(nodes) == labels
+    d = tmp_path_factory.mktemp("ids")
+    want = written(errors.write_csv, d / "want.csv", ("node", "day"), (labels, [0] * len(labels)))
+    assert written(log.to_csv, d / "got.csv", g) == want
+    g.save(d / "g.npz")
+    g2 = DirectedGraph.load(d / "g.npz")
+    assert g2 == g and g2.node_ids == ids
+

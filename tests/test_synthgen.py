@@ -91,6 +91,13 @@ def test_config_validation():
         SynthConfig(n_nodes=10, mean_degree=40.0)
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 1.0, -2.0])
+def test_tail_exponent_must_be_finite_and_exceed_one(exponent):
+    # NaN once reached np.repeat as negative counts, inf a constant degree
+    with pytest.raises(DataError, match=f"tail exponent .* got {exponent}"):
+        SynthConfig(n_nodes=10, exponent=exponent)
+
+
 # -- homophily adoptions --------------------------------------------------------
 
 
@@ -223,11 +230,12 @@ def test_mask_params_fields():
 
 
 def csr_digest(g):
-    """sha256 over the four CSR arrays, which must all be int64."""
+    """sha256 over the four CSR arrays, each widened to int64, so that the
+    digest pins the values whatever width the graph stores them in."""
     h = hashlib.sha256()
     for a in (*g.followee_csr(), *g.follower_csr()):
-        assert a.dtype == np.int64
-        h.update(a.tobytes())
+        assert a.dtype.kind == "i"
+        h.update(a.astype(np.int64).tobytes())
     return h.hexdigest()
 
 
