@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, read_csv, read_json, write_csv, write_json
-from .netgraph import DirectedGraph
+from .errors import DataError, read_json, write_csv, write_json
+from .netgraph import DirectedGraph, read_node_csv
 from .rngstream import PARAM_ASSIGNMENT, stream
 from .shocks import ShockSchedule
 
 NEVER = -1  # sentinel adoption day for nodes that never adopt
 _MAX_DAY = int(np.iinfo(np.int64).max)
+# entries per step of ExposureIndex's in-place owner pass
+_CHUNK = 1 << 14
 
 DEFAULT_ACTIVITY_MEAN = 0.032
 
@@ -90,16 +92,14 @@ class AdoptionLog:
         if lo > hi:
             raise DataError(f"empty horizon [{first_day}, {last_day}]")
 
-        def record(fields):
-            node = g.index_of(fields[0].strip())
-            day = int(fields[1])
+        def adoption_day(field):
+            day = int(field)
             if not lo <= day <= hi:
                 raise ValueError(f"adoption day {day} outside [{lo}, {hi}]")
-            if days[node] != NEVER:
-                raise ValueError(f"duplicate record for node {fields[0]!r}")
-            days[node] = day
+            return day
 
-        read_csv(path, ("node", "day"), lambda header: record)
+        nodes, values = read_node_csv(path, g, "day", adoption_day, unique=True)
+        days[nodes] = values
         return cls(days, first_day=first_day, last_day=last_day)
 
 
@@ -114,18 +114,27 @@ class ExposureIndex:
     def __init__(self, csr: tuple[np.ndarray, np.ndarray], adoption_day: np.ndarray):
         ptr, nbr = csr
         n = len(ptr) - 1
-        # only the adopted neighbors' entries, each with the node it lists
-        pos = np.flatnonzero((adoption_day != NEVER)[nbr])
-        t_v = adoption_day[nbr[pos]]
-        owner = np.searchsorted(ptr, pos, "right") - 1
         # Key days by rank, not by value: log days come from outside and a
         # raw owner * (max_day + 2) + day key can overflow int64.
-        d = np.sort(adoption_day[adoption_day != NEVER])
+        adopted = adoption_day != NEVER
+        d = np.sort(adoption_day[adopted])
         self._days = d[np.diff(d, prepend=NEVER) != 0]
         self._span = len(self._days) + 1
-        self._key = np.sort(owner * self._span + np.searchsorted(self._days, t_v))
+        rank = np.searchsorted(self._days, adoption_day)
+        # only the adopted neighbors' entries: their positions in nbr, turned
+        # into the nodes that list them in place, then into the key
+        key = np.flatnonzero(adopted[nbr])
+        day_rank = rank[nbr[key]]
+        for a in range(0, len(key), _CHUNK):
+            part = key[a : a + _CHUNK]
+            part[:] = np.searchsorted(ptr, part, "right") - 1
         self._start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=n), out=self._start[1:])
+        np.cumsum(np.bincount(key, minlength=n), out=self._start[1:])
+        key *= self._span
+        key += day_rank
+        del day_rank
+        key.sort()
+        self._key = key
 
     def count(self, nodes: np.ndarray, days) -> np.ndarray:
         """Number of neighbors v of nodes[i] with NEVER != t_v < days[i]; days may be one day."""
@@ -292,10 +301,10 @@ class MechanismParams:
 
     def to_json(self, path) -> None:
         payload = {
-            "beta": self.beta.tolist(),
-            "phi": self.phi.tolist(),
+            "beta": self.beta,
+            "phi": self.phi,
             "r": self.r,
-            "activity": self.activity.tolist(),
+            "activity": self.activity,
             "shock_schedule": self.shock_schedule.to_records(),
             "shock_prob_at_peak": self.shock_prob_at_peak,
         }

@@ -55,6 +55,8 @@ EVENT_DTYPE = np.dtype(
 )
 # packed, so a row's bytes are the mechanism code then the feature floats
 _DEDUP_KEY = np.dtype([("mechanism", np.int8), ("features", np.float64, (N_FEATURES,))])
+# sorted keys compared per step of dedup_events
+_DEDUP_CHUNK = 1 << 14
 
 # indexed by a fired bitmask: the rule positions set in it, ascending
 _FIRED_BITS = [
@@ -172,6 +174,9 @@ def run_realization(
         n_adopted += len(adopters)
         if n_adopted >= stop_fraction * n:
             break
+    # the last day's draws and the exposure counts are dead: let them go
+    # before the eve features are built
+    u_active = u_simple = u_spont = u_shock = u_tie = exposure = None
 
     events = np.recarray(n_adopted, dtype=EVENT_DTYPE)
     events.node = np.concatenate(nodes)
@@ -206,8 +211,17 @@ def dedup_events(events: np.recarray) -> np.recarray:
     key = np.empty(len(events), dtype=_DEDUP_KEY)
     key["mechanism"] = events.mechanism
     key["features"] = events.features
-    _, first = np.unique(key.view(f"V{key.itemsize}"), return_index=True)
-    return events[np.sort(first)]
+    key = key.view(f"V{key.itemsize}")
+    # equal keys are adjacent in one stable order, first occurrence first;
+    # adjacent keys are compared a chunk at a time, never all gathered
+    order = np.argsort(key, kind="stable")
+    keep = np.ones(len(key), dtype=bool)
+    for a in range(0, len(key) - 1, _DEDUP_CHUNK):
+        run = key[order[a : a + _DEDUP_CHUNK + 1]]
+        keep[a + 1 : a + len(run)] = run[1:] != run[:-1]
+    first = order[keep]
+    first.sort()
+    return events[first]
 
 
 def mechanism_counts(events: np.recarray) -> dict[str, int]:
@@ -259,13 +273,17 @@ def run_ensemble(
             per_run = pool.map(_run_one, jobs)
     else:
         per_run = [_run_one(j) for j in jobs]
+    first = per_run[0]
     merged = np.concatenate(per_run).view(np.recarray)
+    del per_run
+    counts_before = mechanism_counts(merged)
     deduped = dedup_events(merged)
+    del merged
     return EnsembleResult(
         events=deduped,
-        counts_before=mechanism_counts(merged),
+        counts_before=counts_before,
         counts_after=mechanism_counts(deduped),
-        first_realization=per_run[0],
+        first_realization=first,
     )
 
 

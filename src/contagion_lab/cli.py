@@ -36,7 +36,7 @@ from .cascade import (
     write_events,
 )
 from .errors import ConvergenceError, DataError, ParseError
-from .errors import read_csv, read_json, write_csv, write_json
+from .errors import read_json, write_csv, write_json
 from .features import (
     events_feature_matrix,
     extract_features_log,
@@ -65,7 +65,7 @@ from .mechclass import (
     predict_proba,
     train,
 )
-from .netgraph import DirectedGraph, load_edge_list, save_id_map
+from .netgraph import DirectedGraph, load_edge_list, read_node_csv, save_id_map
 from .shocks import AdoptionSeries, ShockSchedule, detect_shocks, fit_power_law, shock_day_mask
 from .structtest import DEGREE_KINDS, degree_order_test
 from .synthgen import SynthConfig, gen_graph, gen_traits
@@ -293,13 +293,14 @@ def cmd_calibrate(args, sp):
     if args.activity_posts:
         counts = np.zeros(g.node_count)
 
-        def posting(fields):
-            count = float(fields[1])
+        def posting(field):
+            count = float(field)
             if not 0 <= count < np.inf:
-                raise ValueError(f"posting count {fields[1]!r} is not finite and >= 0")
-            counts[g.index_of(fields[0].strip())] = count
+                raise ValueError(f"posting count {field!r} is not finite and >= 0")
+            return count
 
-        read_csv(args.activity_posts, ("node", "count"), lambda header: posting)
+        nodes, values = read_node_csv(args.activity_posts, g, "count", posting, unique=False)
+        counts[nodes] = values
         activity = calibrate_activity(counts, args.activity_mean)
         inputs.append(args.activity_posts)
     else:

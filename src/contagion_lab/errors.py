@@ -9,14 +9,16 @@ text, and a `ParseError` naming the file (and line) for any bad record.
 
 Every text output is written by `write_csv`, `write_json` or `write_jsonl`,
 so the output policy lives here: UTF-8 text; CSV rows from `csv.writer`,
-ending in ``\r\n``; JSON as one `json.dumps` text plus a newline; a numpy
-column converted by `.tolist()`, so a float is written as its shortest
-repr. Tables are converted and written `_CHUNK_ROWS` rows at a time, so a
-writer never holds a whole table as Python objects.
+ending in ``\r\n``; JSON as the text `json.dumps` gives, plus a newline; a
+numpy column converted by `.tolist()`, so a float is written as its shortest
+repr. Tables, and the numpy arrays and `Records` of a compact JSON dict, are
+converted and written `_CHUNK_ROWS` rows at a time, so a writer never holds
+a whole table as Python objects.
 """
 
 import csv
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -136,7 +138,7 @@ def read_jsonl(path, parse) -> list:
     return rows
 
 
-# table rows converted to Python objects at once by `_rows`
+# table rows (and JSON array items) converted to Python objects at once
 _CHUNK_ROWS = 1 << 14
 
 
@@ -164,12 +166,52 @@ def write_csv(path, header, columns) -> None:
         w.writerows(rows)
 
 
+class Records:
+    """A JSON array of objects given as a dict of equal-length columns: one
+    object per row, keyed by the column names in order."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+
+def _chunks(value):
+    """A `Records` or a numpy array (one axis or more) as lists of Python
+    objects, `_CHUNK_ROWS` items at a time."""
+    if isinstance(value, Records):
+        names = list(value.columns)
+        rows = _rows(value.columns.values())
+        while chunk := [dict(zip(names, row)) for row in islice(rows, _CHUNK_ROWS)]:
+            yield chunk
+    else:
+        for a in range(0, len(value), _CHUNK_ROWS):
+            yield value[a : a + _CHUNK_ROWS].tolist()
+
+
 def write_json(path, value, indent=None, sort_keys=False) -> None:
-    """Write `value` as one JSON text and a newline to a UTF-8 file."""
-    text = json.dumps(value, indent=indent, sort_keys=sort_keys)
+    """Write `value` as JSON and a newline to a UTF-8 file, as `json.dumps`
+    gives it.
+
+    A compact dict is written a member at a time. A numpy array member (one
+    axis or more) is written as its `.tolist()`, and a `Records` member as its
+    list of objects, a chunk of items at a time, so their Python objects are
+    never all held at once.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        if indent is not None or not isinstance(value, dict):
+            fh.write(json.dumps(value, indent=indent, sort_keys=sort_keys) + "\n")
+            return
+        fh.write("{")
+        for i, (key, member) in enumerate(sorted(value.items()) if sort_keys else value.items()):
+            # the `"key": ` text as json.dumps writes it, for a key of any type
+            fh.write(", " * (i > 0) + json.dumps({key: 0})[1:-2])
+            if not (isinstance(member, Records) or isinstance(member, np.ndarray) and member.ndim):
+                fh.write(json.dumps(member, sort_keys=sort_keys))
+                continue
+            fh.write("[")
+            for j, chunk in enumerate(_chunks(member)):
+                fh.write(", " * (j > 0) + json.dumps(chunk, sort_keys=sort_keys)[1:-1])
+            fh.write("]")
+        fh.write("}\n")
 
 
 def write_jsonl(path, columns) -> None:

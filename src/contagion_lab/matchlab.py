@@ -10,6 +10,67 @@ the fit runs over the panel's distinct covariate rows, and the matcher
 collapses each day's controls into the fit's groups; both give what a pass
 over every row would. The fit's sums run in a fixed order, so its bits do not
 depend on the BLAS thread count.
+
+Covariates. The 10-column core block (`CORE_COVARIATES`) is full rank: it has
+no total degree, which is in + out degree, but keeps its log.
+
+Propensity fit. One multinomial Newton system serves every design: a reference
+level plus one coefficient row per other level present, so two levels and one
+row for the timing and placebo designs. Its likelihood is an exact log-sum-exp
+and its probabilities a softmax, both in numpy, so `match` imports no
+`scipy.special`. Every product with the design block (the gradient, the Hessian
+and the line-search direction) goes through `np.einsum`, which sums in a fixed
+order where a BLAS product may split a sum by thread.
+
+Row grouping. Both the fit and the matcher work on distinct covariate rows,
+grouped once, by the fit. A row's covariates are a function of its ego's
+`node_X` row and its three lagged counts, so `TreatmentPanel.row_keys` packs
+the ego's `node_X` class (one per distinct row, by its bits) and the counts
+into one int64; on the `match` world at seed 41, 482,539 panel rows hold 9,907
+distinct covariate rows (11,678 with the trait as a static column). The fit
+weights each distinct row by its row count per treatment level, so every Newton
+pass runs over the distinct rows, and rows with equal covariates get bit-
+identical logits. Static columns are part of `node_X`, so they split groups.
+
+Matching. A day's controls collapse into the fit's groups
+(`PropensityModel.group`), whose members share one covariate row and so one
+logit and one whitened row; caliper windows and distances run over one
+representative row per group, and each group hands out its free egos in
+ascending order. Mahalanobis distances are Euclidean distances in the whitened
+block `W = Z·L` (`L Lᵀ` = the inverse covariance), built once per panel with
+one row per group from each group's representative panel row
+(`PropensityModel.rep`) and gathered by the group index for each matched day;
+their squares are summed column by column, so each day's (treated, group)
+distances are computed once, in chunks of at most 2^16 window entries.
+
+Panel order. Panel rows are in ascending (day, ego) order, each (day, ego)
+once, and `TreatmentPanel` rejects any other order, so a day's rows are one
+slice: the fit, the matcher, the diagnostics and the within-day permutation
+read each day as a slice, and the covariate moments (the fit's standardization
+and the matcher's whitening) are computed once per panel. Matched pairs are one
+`PAIR_DTYPE` record table per day and one for the run.
+
+Memory model. The treatment panel stores per row only narrow ints (ego, day,
+treatment, outcome and the three lagged adopted-neighbor counts; 12 bytes a row
+on the `match` world) plus one float row per node (degrees, log total degree,
+static columns); every float covariate row is built from those by one helper,
+one day's risk set at a time. The covariate moments are summed over one day's
+rows at a time. The propensity fit holds one design row per distinct covariate
+row and one group index per panel row (narrow ints); the model keeps the index
+and one probability per group and level, not per row. Grouping the rows holds
+each day's distinct keys once more, about 26 bytes per summed day-key at its
+peak. The matcher and the diagnostics keep the matched level's logits one per
+group (`PropensityModel.group_logits`) and gather one day's from the group
+index. Matching gathers a day's whitened rows only when it matches that day,
+and the pairs CSV is written 2^14 rows at a time. So the stage holds O(edges +
+nodes + distinct rows) plus the group index and one day's gathered rows.
+
+Measured in-process on 2 vCPUs with one BLAS thread, on the `match` world's
+rates at seed 41 (panel, fit, matching, diagnostics and the pairs write; peak
+RSS includes the world's build): 100k nodes × 120 days is 9.72M rows and 87,385
+distinct covariate rows, and takes 48 s (fit 3.7 s in 20 Newton iterations,
+matching 39 s) at 310 MB; 20k nodes × 365 days is 4.82M rows and takes 12 s at
+151 MB.
 """
 
 from __future__ import annotations

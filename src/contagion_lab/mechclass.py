@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibrate import AdoptionLog
 from .cascade import MECHANISMS
-from .errors import DataError, read_json, write_json
+from .errors import DataError, Records, read_json, write_json
 from .features import FEATURE_NAMES, extract_features_log
 from .netgraph import DirectedGraph
 from .rngstream import TRAIN_SPLIT, stream
@@ -544,16 +544,14 @@ class DecompositionReport:
 
     def to_json(self, path) -> None:
         counts, proportions, shares = self._tables()
-        columns = (self.nodes, self.days, self.labels, self.probabilities)
+        events = {"node": self.nodes, "day": self.days, "label": self.labels,
+                  "probabilities": self.probabilities}
         payload = {
             "classes": list(self.classes),
             "overall_shares": shares,
             "daily_counts": {str(d): v for d, v in counts.items()},
             "daily_proportions": {str(d): v for d, v in proportions.items()},
-            "events": [
-                {"node": u, "day": t, "label": lbl, "probabilities": p}
-                for u, t, lbl, p in zip(*(c.tolist() for c in columns))
-            ],
+            "events": Records(events),
         }
         write_json(path, payload)
 

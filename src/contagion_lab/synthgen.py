@@ -56,7 +56,7 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
     `exponent`, rescaled to hit mean_degree, and clipped to [1, n-1].
     With homophily h and a trait vector, each node draws its followees by
     successive weighted sampling without replacement, with weight 1 for a
-    same-trait candidate and 1-h for a cross-trait one (`_homophily_edges`:
+    same-trait candidate and 1-h for a cross-trait one (`_homophily_keys`:
     O(m) draws in a few batched rounds).
     """
     rng = stream(cfg.seed, GRAPH_GEN, 0)
@@ -67,22 +67,41 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
         trait = gen_traits(cfg)
 
     # Pareto with x_m = 1: survival (1-u)^(-1/(exponent-1))
-    u = rng.random(n)
-    raw = np.power(1.0 - u, -1.0 / (cfg.exponent - 1.0))
+    raw = np.power(1.0 - rng.random(n), -1.0 / (cfg.exponent - 1.0))
     k = np.clip(np.rint(raw * (cfg.mean_degree / raw.mean())), 1, n - 1).astype(
         np.int64
     )
+    del raw
 
     if trait is not None and cfg.homophily > 0:
-        edges = _homophily_edges(k, np.asarray(trait), cfg.homophily, rng)
-        return DirectedGraph.from_edges(edges, n_nodes=n)
-    edges = np.empty((k.sum(), 2), dtype=np.int32)
-    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int32), k)
-    for i, (ki, end) in enumerate(zip(k.tolist(), np.cumsum(k).tolist())):
-        # same draws as choosing from all ids but i: skip past i
-        idx = rng.choice(n - 1, size=ki, replace=False)
-        edges[end - ki : end, 1] = idx + (idx >= i)
-    return DirectedGraph.from_edges(edges, n_nodes=n)
+        key = _homophily_keys(k, np.asarray(trait), cfg.homophily, rng)
+    else:
+        key = _trait_blind_keys(k, rng)
+    return DirectedGraph._from_keys(key, n)
+
+
+# nodes per step of the trait-blind sampler's keying pass
+_NODE_CHUNK = 1 << 12
+
+
+def _trait_blind_keys(k: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Edge keys source * n + target: node i draws k[i] distinct followees
+    uniformly from the other nodes."""
+    n = len(k)
+    ends = np.cumsum(k)
+    key = np.empty(int(ends[-1]), dtype=np.int64)
+    for ki, end in zip(k.tolist(), ends.tolist()):
+        key[end - ki : end] = rng.choice(n - 1, size=ki, replace=False)
+    # the same draws as choosing from all ids but i: skip past i, then key
+    # the edge as i * n + target, a chunk of nodes at a time
+    for a in range(0, n, _NODE_CHUNK):
+        b = min(a + _NODE_CHUNK, n)
+        part = key[ends[a] - k[a] : ends[b - 1]]
+        src = np.repeat(np.arange(a, b, dtype=np.int64), k[a:b])
+        part += part >= src
+        src *= n
+        part += src
+    return key
 
 
 # a node whose followee count exceeds this share of its weighted pool takes
@@ -90,11 +109,12 @@ def gen_graph(cfg: SynthConfig, trait: np.ndarray | None = None) -> DirectedGrap
 HUB_SHARE = 1 / 50
 
 
-def _homophily_edges(
+def _homophily_keys(
     k: np.ndarray, trait: np.ndarray, homophily: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """(m, 2) edges: node i draws min(k[i], eligible) distinct followees by
-    successive sampling, weight 1 for same-trait ids and 1-h for the rest.
+    """Edge keys source * n + target: node i draws min(k[i], eligible)
+    distinct followees by successive sampling, weight 1 for same-trait ids and
+    1-h for the rest.
 
     Successive sampling keeps the first k distinct values of an i.i.d.
     sequence of weighted draws, so all edges are drawn i.i.d. at once, one
@@ -140,13 +160,12 @@ def _homophily_edges(
         keys = np.sort(np.concatenate([keys, src * n + order[pos]]), kind="stable")
         keys = keys[np.diff(keys, prepend=-1) != 0]
         need = np.where(hub, 0, k - np.bincount(keys // n, minlength=n))
-    edges = [np.column_stack([keys // n, keys % n])]
+    parts = [keys]
     for i in np.flatnonzero(hub):
         w = np.where(trait == trait[i], 1.0, c)
         w[i] = 0.0
-        dst = _es_top_k(np.flatnonzero(w), w, k[i], rng)
-        edges.append(np.column_stack([np.full(len(dst), i), dst]))
-    return np.concatenate(edges)
+        parts.append(i * n + _es_top_k(np.flatnonzero(w), w, k[i], rng))
+    return np.concatenate(parts)
 
 
 def _es_top_k(cand: np.ndarray, w: np.ndarray, k: int, rng: np.random.Generator):

@@ -1,8 +1,11 @@
 """Parameter estimation from adoption logs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from contagion_lab import errors
 from contagion_lab.calibrate import (
     NEVER,
     AdoptionLog,
@@ -25,6 +28,18 @@ def graph_from(edges, n):
 
 def log_from(days, **kw):
     return AdoptionLog(np.array(days, dtype=np.int64), **kw)
+
+
+def traced(f):
+    """(f(), the bytes it keeps, its peak bytes), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
 
 
 # -- transmission ------------------------------------------------------------
@@ -265,6 +280,19 @@ def test_log_duplicate_node_raises(tmp_path):
         AdoptionLog.from_csv(p, g)
 
 
+def test_log_read_keeps_one_day_per_node(tmp_path):
+    # labels are resolved against the id text: 8.0 bytes per node stay (the
+    # day array), where an id tuple and an id dict on the graph kept 118
+    n = 20_000
+    g = DirectedGraph.from_edges(np.empty((0, 2), np.int64), n_nodes=n)
+    days = np.where(np.random.default_rng(1).random(n) < 0.25, 3, NEVER)
+    log_from(days, last_day=10).to_csv(tmp_path / "log.csv", g)
+    g = DirectedGraph.from_edges(np.empty((0, 2), np.int64), n_nodes=n)
+    log, kept, _ = traced(lambda: AdoptionLog.from_csv(tmp_path / "log.csv", g))
+    assert np.array_equal(log.adoption_day, days)
+    assert kept <= 16 * n
+
+
 def test_log_day_outside_horizon_raises():
     with pytest.raises(DataError):
         log_from([5], first_day=0, last_day=3)
@@ -347,6 +375,20 @@ def test_exposure_index_from_adopted_edges_equals_edge_scan():
             assert got.dtype == want.dtype and np.array_equal(got, want), trial
 
 
+def test_exposure_index_build_stays_under_30_bytes_per_entry():
+    # beyond the one adopted-or-not byte per edge: the key, the gathered day
+    # ranks and one int32 gather, 20.8 bytes per adopted-neighbor entry here
+    # (five int64 columns peaked at 37.4)
+    rng = np.random.default_rng(6)
+    n = 20_000
+    g = graph_from(rng.integers(0, n, size=(240_000, 2)), n)
+    days = np.where(rng.random(n) < 0.3, rng.integers(0, 50, n), NEVER)
+    ptr, nbr = g.followee_csr()
+    entries = np.count_nonzero((days != NEVER)[nbr])
+    _, _, peak = traced(lambda: ExposureIndex((ptr, nbr), days))
+    assert peak - len(nbr) <= 30 * entries
+
+
 # -- params container ----------------------------------------------------------------
 
 
@@ -369,6 +411,19 @@ def test_params_json_round_trip(tmp_path):
     assert np.allclose(p.activity, q.activity)
     assert np.array_equal(p.shock_schedule.tau, q.shock_schedule.tau)
     assert q.shock_prob_at_peak == 0.02
+
+
+def test_params_json_peak_is_bounded_by_the_chunk_not_the_nodes(tmp_path):
+    # the per-node columns are written a chunk at a time: 2.1 MiB (137 bytes
+    # per chunk row) at 100k nodes, where one json.dumps of their lists
+    # peaked at 20.7 MiB
+    n = 100_000
+    rng = np.random.default_rng(4)
+    p = MechanismParams(beta=rng.random(n), phi=rng.random(n) + 0.1, r=0.01,
+                        activity=rng.random(n))
+    _, _, peak = traced(lambda: p.to_json(tmp_path / "params.json"))
+    assert peak <= 256 * errors._CHUNK_ROWS
+    assert MechanismParams.from_json(tmp_path / "params.json").beta.tolist() == p.beta.tolist()
 
 
 def test_params_validation():

@@ -1029,8 +1029,8 @@ def _write(d, name, data):
     return path
 
 
-def _node(world):
-    return DirectedGraph.load(world["graph"]).node_ids[0]
+def _node(world, i=0):
+    return DirectedGraph.load(world["graph"]).node_ids[i]
 
 
 def _params(world, d, **change):
@@ -1128,6 +1128,19 @@ MALFORMED_INPUTS = {
     "posting counts header only": lambda w, d: (
         _calibrate(w, d, posts=(p := _write(d, "posts.csv", "node,count\n"))), p, None,
         "no records"),
+    # a later record is bad in another way: the first bad one in file order is named
+    "log names a node the graph lacks": lambda w, d: (
+        _calibrate(w, d, log=(p := _write(d, "log.csv", f"node,day\n{_node(w)},1\nghost,2\n"
+                                                        f"{_node(w, 1)},x\n"))),
+        p, 3, "'ghost' not found"),
+    "log repeats a node": lambda w, d: (
+        _calibrate(w, d, log=(p := _write(d, "log.csv", f"node,day\n{_node(w)},1\n{_node(w, 1)},2\n"
+                                                        f"{_node(w)},3\nghost,1\n"))),
+        p, 4, f"duplicate record for node '{_node(w)}'"),
+    "posting counts name an unknown node": lambda w, d: (
+        _calibrate(w, d, posts=(p := _write(d, "posts.csv", f"node,count\n{_node(w)},3\n\n"
+                                                            f"ghost,1\n{_node(w)},nan\n"))),
+        p, 4, "'ghost' not found"),
 }
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contagion_lab
 from contagion_lab import errors
-from contagion_lab.errors import write_csv, write_json, write_jsonl
+from contagion_lab.errors import Records, write_csv, write_json, write_jsonl
 
 PACKAGE = Path(contagion_lab.__file__).parent
 
@@ -72,6 +74,67 @@ def test_json_layouts_match_json_dump(tmp_path, layout):
         json.dump(value, fh, **layout)
         fh.write("\n")
     assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+def materialized(value):
+    """`value` with each numpy array member as its `.tolist()` and each
+    `Records` member as its list of objects."""
+    def plain(v):
+        if isinstance(v, Records):
+            names = list(v.columns)
+            cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+                    for c in v.columns.values()]
+            return [dict(zip(names, row)) for row in zip(*cols)]
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return {k: plain(v) for k, v in value.items()}
+
+
+def assert_writes_its_dumps(path, value, **layout):
+    write_json(path, value, **layout)
+    assert path.read_text(encoding="utf-8") == json.dumps(materialized(value), **layout) + "\n"
+
+
+CHUNK = errors._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+def test_json_arrays_write_the_text_of_their_lists(tmp_path, n):
+    # array members are written a chunk at a time; no boundary shows
+    floats = np.resize(np.array(awkward_floats()), n)
+    value = {"x": floats, "r": 0.5, "i": np.arange(n) - n // 2, "pairs": floats.reshape(-1, 1),
+             "s": np.array(["é", "a\"b"])[np.arange(n) % 2], "nested": {"k": [1, None]}}
+    for layout in ({}, {"sort_keys": True}):
+        assert_writes_its_dumps(tmp_path / "v.json", value, **layout)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+def test_json_report_events_write_the_text_of_their_objects(tmp_path, n):
+    rng = np.random.default_rng(n)
+    p = rng.dirichlet(np.ones(4), n)
+    p[::7, 0] = -0.0
+    events = Records({"node": rng.integers(0, 10**6, n), "day": rng.integers(0, 730, n),
+                      "label": np.array(["Simple", "Complex", "Shock"])[rng.integers(0, 3, n)],
+                      "probabilities": p})
+    value = {"classes": ["Simple", "Complex"], "overall_shares": {"Simple": 0.25},
+             "events": events}
+    assert_writes_its_dumps(tmp_path / "report.json", value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=3), st.integers(0, 2**32))
+def test_json_members_of_any_length_write_their_dumps(tmp_path_factory, lengths, seed):
+    # chunks of 5 items: every length puts a boundary somewhere else
+    rng = np.random.default_rng(seed)
+    pool = np.array(awkward_floats())
+    value = {f"m{i}": pool[rng.integers(0, len(pool), n)] for i, n in enumerate(lengths)}
+    n = lengths[0]
+    mixed = [None, "é"] * (n // 2) + [1] * (n % 2)
+    value["rows"] = Records({"a": rng.integers(-5, 5, n), "b": mixed})
+    chunk, errors._CHUNK_ROWS = errors._CHUNK_ROWS, 5
+    try:
+        assert_writes_its_dumps(tmp_path_factory.mktemp("j") / "v.json", value)
+    finally:
+        errors._CHUNK_ROWS = chunk
 
 
 def test_jsonl_writes_one_object_per_row_in_key_order(tmp_path):

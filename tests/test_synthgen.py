@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,22 @@ def test_trait_blind_graph_matches_candidate_reference(cfg):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_trait_blind_graph_build_stays_under_26_bytes_per_edge():
+    # the draws go straight into the key buffer that the graph build sorts in
+    # place: the key, the two int32 id arrays and chunk-sized temporaries,
+    # 20.1 bytes per edge here (an (m, 2) edge array and a second key: 32.7)
+    cfg = SynthConfig(n_nodes=20_000, mean_degree=12.0, seed=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = gen_graph(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 200_000
+    assert peak <= 26 * g.edge_count
+
+
 def test_graph_bytes_pinned():
     # any change to the draws changes these; say so in CHANGES.md
     blind = gen_graph(SynthConfig(n_nodes=200, mean_degree=6.0, seed=4))
@@ -424,9 +441,8 @@ def sample_sets_batched(cfg, trait, monkeypatch):
     monkeypatch.setattr(synthgen, "HUB_SHARE", np.inf)  # no node is a hub
     rng = stream(cfg.seed, GRAPH_GEN, 0)
     k = draw_counts(rng, cfg)
-    return DirectedGraph.from_edges(
-        synthgen._homophily_edges(k, trait, cfg.homophily, rng), n_nodes=cfg.n_nodes
-    )
+    keys, n = synthgen._homophily_keys(k, trait, cfg.homophily, rng), cfg.n_nodes
+    return DirectedGraph.from_edges(np.column_stack([keys // n, keys % n]), n_nodes=n)
 
 
 def sample_sets_hub_keys(cfg, trait, monkeypatch):
