@@ -34,7 +34,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, MechanismParams
-from .errors import DataError, read_jsonl, write_jsonl
+from .errors import DataError, newline_count, read_jsonl, write_jsonl
 from .features import FEATURE_NAMES, eve_features
 from .netgraph import DirectedGraph
 from .rngstream import REALIZATION, stream
@@ -268,21 +268,41 @@ def run_ensemble(
         (g, params, seed0, stop_fraction, horizon_days, seeds, i)
         for i in range(n_realizations)
     ]
-    if n_jobs > 1:
-        with Pool(n_jobs) as pool:
-            per_run = pool.map(_run_one, jobs)
-    else:
-        per_run = [_run_one(j) for j in jobs]
-    first = per_run[0]
-    merged = np.concatenate(per_run).view(np.recarray)
-    del per_run
-    counts_before = mechanism_counts(merged)
-    deduped = dedup_events(merged)
-    del merged
+    if n_jobs <= 1:
+        return _merge_runs(map(_run_one, jobs))
+    chunks, extra = divmod(len(jobs), n_jobs * 4)  # the chunk size Pool.map picks
+    with Pool(n_jobs) as pool:
+        return _merge_runs(pool.imap(_run_one, jobs, chunksize=chunks + bool(extra)))
+
+
+def _merge_runs(tables) -> EnsembleResult:
+    """Merge and deduplicate the realizations' tables, given in realization
+    order, as they arrive.
+
+    Tables wait until their rows reach the kept rows' count, then join the
+    kept rows in one dedup. Dedup keeps first occurrences in table order,
+    so that is the one-pass dedup of every table so far. Waiting sorts each
+    row a few times at most, where a dedup per table would sort every kept
+    row again for each table. The ensemble holds realization 0's table, the
+    kept rows and about as many waiting rows, never every table.
+    """
+    first = next(tables)
+    before = np.bincount(first.mechanism, minlength=len(MECHANISMS))
+    kept, waiting, n_waiting = dedup_events(first), [], 0
+    for events in tables:
+        before += np.bincount(events.mechanism, minlength=len(MECHANISMS))
+        waiting.append(events)
+        n_waiting += len(events)
+        del events  # else it holds a merged table through the next realization
+        if n_waiting >= len(kept):
+            kept = dedup_events(np.concatenate([kept, *waiting]).view(np.recarray))
+            waiting, n_waiting = [], 0
+    if waiting:
+        kept = dedup_events(np.concatenate([kept, *waiting]).view(np.recarray))
     return EnsembleResult(
-        events=deduped,
-        counts_before=counts_before,
-        counts_after=mechanism_counts(deduped),
+        events=kept,
+        counts_before={mech: int(c) for mech, c in zip(MECHANISMS, before)},
+        counts_after=mechanism_counts(kept),
         first_realization=first,
     )
 
@@ -345,4 +365,14 @@ def _event_record(d) -> tuple:
 
 
 def read_events(path) -> np.recarray:
-    return np.array(read_jsonl(path, _event_record), dtype=EVENT_DTYPE).view(np.recarray)
+    """The event table of a JSON-lines event stream, each line parsed into
+    its row of a table sized by the file's line count (grown should a line
+    end in a lone carriage return) and trimmed to the records read."""
+    table = np.empty(newline_count(path) + 1, dtype=EVENT_DTYPE)
+    n = 0
+    for n, record in enumerate(read_jsonl(path, _event_record), start=1):
+        if n > len(table):
+            table.resize(2 * n, refcheck=False)
+        table[n - 1] = record
+    table.resize(n, refcheck=False)  # in place: no view of the table exists
+    return table.view(np.recarray)

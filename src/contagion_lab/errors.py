@@ -12,12 +12,15 @@ so the output policy lives here: UTF-8 text; CSV rows from `csv.writer`,
 ending in ``\r\n``; JSON as the text `json.dumps` gives, plus a newline; a
 numpy column converted by `.tolist()`, so a float is written as its shortest
 repr. Tables, and the numpy arrays and `Records` of a compact JSON dict, are
-converted and written `_CHUNK_ROWS` rows at a time, so a writer never holds
-a whole table as Python objects.
+converted and written a chunk of rows at a time (`_CHUNK_ROWS`, or
+`_RECORD_ROWS` for a `Records` object), and an iterator member of such a
+dict an item at a time, so a writer never holds a whole table as Python
+objects.
 """
 
 import csv
 import json
+from collections.abc import Iterator
 from itertools import islice
 
 import numpy as np
@@ -122,24 +125,33 @@ def read_json(path, parse):
         raise ParseError(f"bad value: {_why(e)}", path) from e
 
 
-def read_jsonl(path, parse) -> list:
-    """`parse(value)` of every non-blank line of a UTF-8 JSON-lines file."""
+def newline_count(path) -> int:
+    """The number of newline bytes in a file, read 64 KiB at a time, by
+    which a line reader sizes the table it fills."""
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+
+
+def read_jsonl(path, parse):
+    """Yield `parse(value)` of every non-blank line of a UTF-8 JSON-lines
+    file, in file order, one line at a time."""
     path = str(path)
-    rows = []
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    rows.append(parse(json.loads(line)))
+                    yield parse(json.loads(line))
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
         except _RECORD_ERRORS as e:
             raise ParseError(f"bad record: {_why(e)}", path, lineno) from e
-    return rows
 
 
 # table rows (and JSON array items) converted to Python objects at once
 _CHUNK_ROWS = 1 << 14
+# rows of a JSON `Records` member made into objects at once: an object
+# holds its keys and values, so these chunks are smaller
+_RECORD_ROWS = 1 << 10
 
 
 def _plain(column):
@@ -147,19 +159,19 @@ def _plain(column):
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _rows(columns):
+def _rows(columns, chunk):
     """The rows of the equal-length `columns` (each sliceable) as tuples of
-    Python scalars, converted `_CHUNK_ROWS` rows at a time."""
+    Python scalars, converted `chunk` rows at a time."""
     columns = list(columns)
     n = min(map(len, columns), default=0)
-    for a in range(0, n, _CHUNK_ROWS):
-        yield from zip(*(_plain(c[a : a + _CHUNK_ROWS]) for c in columns))
+    for a in range(0, n, chunk):
+        yield from zip(*(_plain(c[a : a + chunk]) for c in columns))
 
 
 def write_csv(path, header, columns) -> None:
     """Write a UTF-8 CSV file: the `header` row, then one row per position of
     the equal-length `columns`."""
-    rows = _rows(columns)
+    rows = _rows(columns, _CHUNK_ROWS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -175,13 +187,17 @@ class Records:
 
 
 def _chunks(value):
-    """A `Records` or a numpy array (one axis or more) as lists of Python
-    objects, `_CHUNK_ROWS` items at a time."""
+    """A `Records`, an iterator or a numpy array (one axis or more) as lists
+    of Python objects: a `Records` object's rows `_RECORD_ROWS` at a time,
+    an array's items `_CHUNK_ROWS` at a time and an iterator's one by one."""
     if isinstance(value, Records):
         names = list(value.columns)
-        rows = _rows(value.columns.values())
-        while chunk := [dict(zip(names, row)) for row in islice(rows, _CHUNK_ROWS)]:
+        rows = _rows(value.columns.values(), _RECORD_ROWS)
+        while chunk := [dict(zip(names, row)) for row in islice(rows, _RECORD_ROWS)]:
             yield chunk
+    elif isinstance(value, Iterator):
+        for item in value:
+            yield [item]
     else:
         for a in range(0, len(value), _CHUNK_ROWS):
             yield value[a : a + _CHUNK_ROWS].tolist()
@@ -192,9 +208,9 @@ def write_json(path, value, indent=None, sort_keys=False) -> None:
     gives it.
 
     A compact dict is written a member at a time. A numpy array member (one
-    axis or more) is written as its `.tolist()`, and a `Records` member as its
-    list of objects, a chunk of items at a time, so their Python objects are
-    never all held at once.
+    axis or more) is written as its `.tolist()`, a `Records` member as its
+    list of objects, and an iterator member as the list of its items, a few
+    items at a time, so their Python objects are never all held at once.
     """
     with open(path, "w", encoding="utf-8") as fh:
         if indent is not None or not isinstance(value, dict):
@@ -204,7 +220,8 @@ def write_json(path, value, indent=None, sort_keys=False) -> None:
         for i, (key, member) in enumerate(sorted(value.items()) if sort_keys else value.items()):
             # the `"key": ` text as json.dumps writes it, for a key of any type
             fh.write(", " * (i > 0) + json.dumps({key: 0})[1:-2])
-            if not (isinstance(member, Records) or isinstance(member, np.ndarray) and member.ndim):
+            if not (isinstance(member, (Records, Iterator))
+                    or isinstance(member, np.ndarray) and member.ndim):
                 fh.write(json.dumps(member, sort_keys=sort_keys))
                 continue
             fh.write("[")
@@ -218,6 +235,6 @@ def write_jsonl(path, columns) -> None:
     """Write a UTF-8 JSON-lines file: one object per row of `columns`, a dict
     of equal-length columns whose keys, in order, are each object's keys."""
     names = list(columns)
-    rows = _rows(columns.values())
+    rows = _rows(columns.values(), _CHUNK_ROWS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(dict(zip(names, row))) + "\n" for row in rows)

@@ -737,7 +737,8 @@ class DayMatchResult:
 @dataclass(frozen=True)
 class MatchRun:
     """Every day's result in day order, and the run's pairs as one
-    `PAIR_DTYPE` table (the days' tables, concatenated in that order)."""
+    `PAIR_DTYPE` table (the days' tables, concatenated in that order); each
+    day's `pairs` is its slice of that table."""
 
     results: tuple
     pairs: np.recarray
@@ -941,9 +942,14 @@ def match_all_days(
         raise DataError(f"caliper multiplier must be >= 0, got {caliper_mult}")
     ctx = _MatchContext(panel, model, level)
     days = panel.rows_by_day()
-    results = tuple(_match_day(ctx, D, rows, caliper_mult, level) for D, rows in days)
-    pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results])
-    return MatchRun(results, pairs.view(np.recarray))
+    results = [_match_day(ctx, D, rows, caliper_mult, level) for D, rows in days]
+    pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results]).view(np.recarray)
+    # each day keeps its slice of the run's table, so every pair is held once
+    ends = np.cumsum([len(r.pairs) for r in results])
+    results = tuple(
+        replace(r, pairs=pairs[end - len(r.pairs) : end]) for r, end in zip(results, ends.tolist())
+    )
+    return MatchRun(results, pairs)
 
 
 @dataclass(frozen=True)

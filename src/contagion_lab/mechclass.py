@@ -12,6 +12,14 @@ values).  Leaf weights are -lr * G/(H+lam).  Deterministic throughout:
 training rows are put in a canonical sort order before the seeded
 stratified split, and split ties break to the lowest feature index, then
 the lowest threshold.
+
+A tree is a `Tree`: flat preorder node arrays (`feature`, `threshold`,
+`gain`, `left`, `right`, `value`), the node layout of XGBoost (Chen &
+Guestrin, KDD 2016), grown straight into those arrays with no Python object
+per node, and routed over them split by split as before, so predictions
+keep their bits. The model JSON format is unchanged: each tree is written
+as the nested dict of its `as_dict` view, one boosting round at a time, and
+read back into arrays after validation.
 """
 
 from __future__ import annotations
@@ -35,18 +43,92 @@ MODEL_VERSION = 1
 MIN_SPLIT_GAIN = 1e-12
 
 
+class Tree:
+    """One regression tree as flat preorder node arrays.
+
+    Node 0 is the root; a split's left child is the node after it and its
+    right child, `right[i]`, follows the left subtree. A split routes x
+    left when x[feature] <= threshold and keeps its `gain`; a leaf has
+    feature, left and right -1 and holds its weight in `value` (the fields
+    a node does not use are 0). `as_dict` gives the nested-dict view the
+    model JSON holds: {"leaf": value} or {"feature": f, "threshold": t,
+    "gain": g, "left": ..., "right": ...}.
+    """
+
+    __slots__ = ("feature", "threshold", "gain", "left", "right", "value")
+
+    def __init__(self, n_nodes: int):
+        self.feature, self.left, self.right = (
+            np.full(n_nodes, -1, dtype=np.int32) for _ in range(3)
+        )
+        self.threshold, self.gain, self.value = (np.zeros(n_nodes) for _ in range(3))
+
+    def __len__(self) -> int:
+        return len(self.feature)
+
+    def _trim(self, n_nodes: int) -> "Tree":
+        """This tree's first `n_nodes` nodes, in arrays of their own."""
+        if n_nodes < len(self):
+            for name in self.__slots__:
+                setattr(self, name, getattr(self, name)[:n_nodes].copy())
+        return self
+
+    def as_dict(self) -> dict:
+        fields = ("feature", "threshold", "gain", "right", "value")
+        return _node_dict(0, *(getattr(self, k).tolist() for k in fields))
+
+    @classmethod
+    def from_dict(cls, root: dict) -> "Tree":
+        """The arrays of a nested-dict tree that `_check_trees` has passed."""
+        tree, i = cls(_node_count(root)), 0  # counted first: the arrays are made once
+        stack = [(root, -1)]  # (node, the split whose right child it is)
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                tree.right[parent] = i
+            if "leaf" in node:
+                tree.value[i] = node["leaf"]
+            else:
+                tree.feature[i], tree.left[i] = node["feature"], i + 1
+                tree.threshold[i], tree.gain[i] = node["threshold"], node["gain"]
+                stack += (node["right"], i), (node["left"], -1)
+            i += 1
+        return tree
+
+
+def _node_dict(i, feature, threshold, gain, right, value) -> dict:
+    """Node i of a tree, given as lists, and its subtrees as nested dicts."""
+    if feature[i] < 0:
+        return {"leaf": value[i]}
+    lists = feature, threshold, gain, right, value
+    return {"feature": feature[i], "threshold": threshold[i], "gain": gain[i],
+            "left": _node_dict(i + 1, *lists), "right": _node_dict(right[i], *lists)}
+
+
+def _node_count(root: dict) -> int:
+    n, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        n += 1
+        if "leaf" not in node:
+            stack += node["right"], node["left"]
+    return n
+
+
 @dataclass(frozen=True)
 class BoostedForest:
     """Per-round, per-class trees plus the hyperparameters that built them.
 
-    A tree is a nested dict: either {"leaf": value} or
-    {"feature": f, "threshold": t, "gain": g, "left": ..., "right": ...}
-    with the rule x[f] <= t going left.
+    `trees[round][class_index]` is a `Tree`, its nodes in flat preorder
+    arrays. `save` writes the model JSON a round at a time, each tree as its
+    nested-dict view, so the file's text is what `json.dumps` gives for the
+    nested dicts and the whole text is never held; `load` checks every tree
+    and turns it into arrays a round at a time.
     """
 
     classes: tuple[str, ...]
     feature_names: tuple[str, ...]
-    trees: list  # trees[round][class_index] -> node dict
+    trees: list  # trees[round][class_index] -> Tree
     learning_rate: float
     max_depth: int
     min_child_weight: float
@@ -70,7 +152,8 @@ class BoostedForest:
             "reg_lambda": self.reg_lambda,
             "seed": self.seed,
             "loss_curve": list(self.loss_curve),
-            "trees": self.trees,
+            # an iterator member is written an item (here a round) at a time
+            "trees": ([tree.as_dict() for tree in r] for r in self.trees),
         }
         write_json(path, payload)
 
@@ -81,10 +164,15 @@ class BoostedForest:
                 raise TypeError("expected a JSON object")
             if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
                 raise ValueError("unrecognized model format")
-            model = cls(
-                classes=tuple(d["classes"]),
-                feature_names=tuple(d["feature_names"]),
-                trees=d["trees"],
+            classes, feature_names = tuple(d["classes"]), tuple(d["feature_names"])
+            trees = d["trees"]
+            _check_trees(trees, len(classes), len(feature_names))
+            for i, r in enumerate(trees):  # each round's dicts go as it is converted
+                trees[i] = [Tree.from_dict(tree) for tree in r]
+            return cls(
+                classes=classes,
+                feature_names=feature_names,
+                trees=trees,
                 learning_rate=float(d["learning_rate"]),
                 max_depth=int(d["max_depth"]),
                 min_child_weight=float(d["min_child_weight"]),
@@ -92,15 +180,14 @@ class BoostedForest:
                 seed=int(d["seed"]),
                 loss_curve=tuple(d.get("loss_curve", ())),
             )
-            _check_trees(model.trees, len(model.classes), len(model.feature_names))
-            return model
 
         return read_json(path, parse)
 
 
 def _check_trees(trees, n_classes: int, n_features: int) -> None:
     """Raise unless every round holds one tree per class and every node is a
-    finite leaf or a split on a feature in range at a finite threshold."""
+    finite leaf or a split on a feature in range at a finite threshold, with
+    a numeric gain."""
     if not all(isinstance(r, list) and len(r) == n_classes for r in trees):
         raise ValueError(f"every round must hold one tree per class ({n_classes})")
     stack = [tree for r in trees for tree in r]
@@ -113,6 +200,8 @@ def _check_trees(trees, n_classes: int, n_features: int) -> None:
         if type(f) is not int or not 0 <= f < n_features:
             raise ValueError(f"split feature {f!r} outside [0, {n_features})")
         _check_finite(node["threshold"], "split threshold")
+        if type(node["gain"]) not in (int, float):
+            raise ValueError(f"split gain {node['gain']!r} is not a number")
         stack += node["left"], node["right"]
 
 
@@ -160,25 +249,49 @@ def _fit_tree(
     reg_lambda: float,
     learning_rate: float,
     deltas: np.ndarray,
-) -> dict:
-    """Grow one tree over rows `idx`, writing each row's leaf value to `deltas`.
+) -> Tree:
+    """Grow one tree over rows `idx` from `depth`, writing each row's leaf
+    value to `deltas`.
 
     `codes[i, f]` is row i's bin for feature f offset by f * width, so one
     bincount fills every feature's histogram as row f of a (d, width) grid;
-    `beyond[f, b]` marks the bins b at or past feature f's edge count.
+    `beyond[f, b]` marks the bins b at or past feature f's edge count. Nodes
+    are grown depth first, left child first, and written in that (pre)order
+    straight into the tree's arrays, sized for the most nodes the depth and
+    the row count allow (a leaf holds a row, so n rows make at most 2n - 1
+    nodes) and trimmed once grown.
     """
-    gi, hi = g[idx], h[idx]
-    G = float(gi.sum())
-    H = float(hi.sum())
+    levels = min(max(max_depth - depth, 0), 62)
+    tree = Tree(max(1, min(2 ** (levels + 1) - 1, 2 * len(idx) - 1)))
+    n_nodes = 0
+    stack = [(idx, depth, -1)]  # (rows, depth, the split whose right child it is)
+    while stack:
+        idx, depth, parent = stack.pop()
+        i = n_nodes
+        n_nodes += 1
+        if parent >= 0:
+            tree.right[parent] = i
+        gi, hi = g[idx], h[idx]
+        G = float(gi.sum())
+        H = float(hi.sum())
+        split = None
+        if depth < max_depth and len(idx) >= 2:
+            split = _best_split(codes, beyond, gi, hi, G, H, idx, min_child_weight, reg_lambda)
+        if split is None:
+            value = -learning_rate * G / (H + reg_lambda)
+            deltas[idx] = value
+            tree.value[i] = value
+            continue
+        f, b, tree.gain[i], go_left = split
+        tree.feature[i], tree.threshold[i], tree.left[i] = f, edges[f][b], i + 1
+        stack += (idx[~go_left], depth + 1, i), (idx[go_left], depth + 1, -1)
+    return tree._trim(n_nodes)
 
-    def close_leaf():
-        value = -learning_rate * G / (H + reg_lambda)
-        deltas[idx] = value
-        return {"leaf": value}
 
-    if depth >= max_depth or len(idx) < 2:
-        return close_leaf()
-
+def _best_split(codes, beyond, gi, hi, G, H, idx, min_child_weight, reg_lambda):
+    """(feature, bin, gain, rows going left) of the best split of rows `idx`,
+    whose gradients and hessians are `gi` and `hi` with sums G and H, or
+    None if no split gains more than MIN_SPLIT_GAIN."""
     # bincount adds each bin's rows in index order, so the sums match a
     # per-feature pass bit for bit
     d, width = beyond.shape
@@ -203,41 +316,25 @@ def _fit_tree(
         best_f, best_b = divmod(int(np.argmax(gains)), width)
         best_gain = float(gains[best_f, best_b])
         if not best_gain > MIN_SPLIT_GAIN:
-            return close_leaf()
+            return None
         go_left = codes[idx, best_f] <= best_f * width + best_b
         if 0 < np.count_nonzero(go_left) < len(idx):
-            break
+            return best_f, best_b, best_gain, go_left
         # with no hessian floor, rounding in H - HL can leave a split with an
         # empty child a finite gain; that split would make a 0/0 leaf
         gains[best_f, best_b] = -np.inf
 
-    threshold = float(edges[best_f][best_b])
-    left_idx = idx[go_left]
-    right_idx = idx[~go_left]
-    args = (codes, beyond, edges, g, h)
-    kw = dict(
-        max_depth=max_depth,
-        min_child_weight=min_child_weight,
-        reg_lambda=reg_lambda,
-        learning_rate=learning_rate,
-        deltas=deltas,
-    )
-    return {
-        "feature": best_f,
-        "threshold": threshold,
-        "gain": best_gain,
-        "left": _fit_tree(*args, left_idx, depth + 1, **kw),
-        "right": _fit_tree(*args, right_idx, depth + 1, **kw),
-    }
 
-
-def _route_accumulate(node: dict, X: np.ndarray, idx: np.ndarray, out: np.ndarray):
-    if "leaf" in node:
-        out[idx] += node["leaf"]
+def _route_accumulate(i, feature, threshold, right, value, X, idx, out) -> None:
+    """Add to `out[idx]` the leaf value each row of `idx` reaches from node
+    i of a tree given as lists, splitting the rows node by node."""
+    if feature[i] < 0:
+        out[idx] += value[i]
         return
-    go_left = X[idx, node["feature"]] <= node["threshold"]
-    _route_accumulate(node["left"], X, idx[go_left], out)
-    _route_accumulate(node["right"], X, idx[~go_left], out)
+    go_left = X[idx, feature[i]] <= threshold[i]
+    lists = feature, threshold, right, value
+    _route_accumulate(i + 1, *lists, X, idx[go_left], out)
+    _route_accumulate(right[i], *lists, X, idx[~go_left], out)
 
 
 def _log_softmax(F: np.ndarray) -> np.ndarray:
@@ -393,7 +490,7 @@ def _boost(
             gk = p[:, k] - Y[:, k]
             hk = p[:, k] * (1.0 - p[:, k])
             deltas = np.zeros(n)
-            node = _fit_tree(
+            tree = _fit_tree(
                 codes,
                 beyond,
                 edges,
@@ -408,7 +505,7 @@ def _boost(
                 deltas,
             )
             F[:, k] += deltas
-            round_trees.append(node)
+            round_trees.append(tree)
         trees.append(round_trees)
         loss_curve.append(float(-_log_softmax(F)[np.arange(n), ytr].mean()))
     return BoostedForest(
@@ -437,8 +534,9 @@ def predict_proba(model: BoostedForest, X: np.ndarray) -> np.ndarray:
     F = np.zeros((len(X), len(model.classes)))
     idx = np.arange(len(X))
     for round_trees in model.trees:
-        for k, node in enumerate(round_trees):
-            _route_accumulate(node, X, idx, F[:, k])
+        for k, tree in enumerate(round_trees):
+            lists = (a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.value))
+            _route_accumulate(0, *lists, X, idx, F[:, k])
     return np.exp(_log_softmax(F))
 
 
@@ -485,20 +583,18 @@ def macro_f1_score(y_true, y_pred, classes) -> float:
 
 def gain_importance(model: BoostedForest) -> np.ndarray:
     """Per-feature mean split gain, normalized to sum 1."""
-    sums = np.zeros(len(model.feature_names))
-    counts = np.zeros(len(model.feature_names))
-
-    def walk(node):
-        if "leaf" in node:
-            return
-        sums[node["feature"]] += node["gain"]
-        counts[node["feature"]] += 1
-        walk(node["left"])
-        walk(node["right"])
-
-    for round_trees in model.trees:
-        for node in round_trees:
-            walk(node)
+    trees = [tree for round_trees in model.trees for tree in round_trees]
+    if not trees:
+        raise DataError("model has no splits")
+    split = [tree.feature >= 0 for tree in trees]
+    feature = np.concatenate([t.feature[s] for t, s in zip(trees, split)])
+    # bincount adds in node order, trees in order, as a walk of the trees would
+    sums = np.bincount(
+        feature,
+        weights=np.concatenate([t.gain[s] for t, s in zip(trees, split)]),
+        minlength=len(model.feature_names),
+    )
+    counts = np.bincount(feature, minlength=len(model.feature_names))
     if counts.sum() == 0:
         raise DataError("model has no splits")
     means = np.zeros_like(sums)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contagion_lab.calibrate import NEVER, MechanismParams
 from contagion_lab.cascade import (
+    EVENT_DTYPE,
     FIRED_NAMES,
     MECHANISMS,
     complex_fires,
@@ -369,6 +371,49 @@ def test_ensemble_parallel_equals_serial():
     assert a.counts_before == b.counts_before
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_ensemble_merged_as_it_arrives_is_the_one_pass_dedup(n_jobs):
+    # dedup of (rows kept so far ++ next tables) keeps first occurrences, so
+    # merging tables as they arrive (here six dedups for nine tables, some
+    # joining two at once) gives the bytes of one pass over them all
+    g, p = make_world(5)
+    tables = [run_realization(g, p, seed=7, seeds=[0], horizon_days=30, realization_id=i)
+              for i in range(9)]
+    merged = np.concatenate(tables).view(np.recarray)
+    res = run_ensemble(g, p, n_realizations=9, seed0=7, horizon_days=30, seeds=[0],
+                       n_jobs=n_jobs)
+    assert len(res.events) < len(merged)
+    assert res.events.tobytes() == dedup_events(merged).tobytes()
+    assert res.first_realization.tobytes() == tables[0].tobytes()
+    assert res.counts_before == mechanism_counts(merged)
+    assert res.counts_after == mechanism_counts(res.events)
+
+
+def test_ensemble_holds_the_kept_rows_not_every_table(monkeypatch):
+    # between realizations an ensemble holds realization 0's table, the
+    # deduplicated rows so far and the tables waiting to join them: 152.4 kB
+    # at most here (90.5 kB of them the two tables it returns), where keeping
+    # every table until the last one ended held 1,714.9 kB
+    g, p = make_world(6, n=2000)
+    held = []
+    run = cascade.run_realization
+
+    def observed(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cascade, "run_realization", observed)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run_ensemble(g, p, n_realizations=40, seed0=8, horizon_days=30, seeds=[0])
+    finally:
+        tracemalloc.stop()
+    assert sum(res.counts_before.values()) > 8 * len(res.events)
+    tables = res.events.nbytes + res.first_realization.nbytes
+    assert max(held) - base <= 3 * tables
+
+
 def test_identical_realizations_collapse():
     g, p = make_world(2)
     single = run_realization(g, p, seed=6, seeds=[0], horizon_days=30)
@@ -425,6 +470,45 @@ def test_read_events_rejects_records_the_engine_never_writes(tmp_path, change, m
     with pytest.raises(ParseError, match=message) as err:
         read_events(path)
     assert (err.value.path, err.value.line) == (str(path), 2)
+
+
+def test_read_events_fills_its_table_a_line_at_a_time(tmp_path):
+    # the table is sized by the file's newlines and filled row by row: 83.1
+    # bytes at peak per 82-byte event, where a list of per-line records
+    # peaked at 503
+    n = 20_000
+    rng = np.random.default_rng(9)
+    events = np.zeros(n, dtype=EVENT_DTYPE).view(np.recarray)
+    events.node = rng.permutation(n)
+    events.day = rng.integers(0, 730, n)
+    events.mechanism = rng.integers(0, len(MECHANISMS), n)
+    events.fired = 1 << events.mechanism
+    events.features = rng.random((n, events.features.shape[1]))
+    path = tmp_path / "events.jsonl"
+    write_events(events, path)
+    read_events(path)  # warm: the first read pays for imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_events(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == events.tobytes()
+    assert peak / n <= 120
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n\n\n"])
+def test_read_events_reads_any_line_ending_and_skips_blank_lines(tmp_path, newline):
+    # a lone carriage return ends a line but is no newline byte, so the
+    # table grows; blank lines leave rows the table is trimmed of
+    g, p = make_world(3)
+    events = run_realization(g, p, seed=10, seeds=[0], horizon_days=25)
+    path = tmp_path / "events.jsonl"
+    write_events(events, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_bytes(newline.join(lines).encode())
+    assert read_events(path).tobytes() == events.tobytes()
 
 
 def test_events_to_log():

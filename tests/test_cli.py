@@ -537,6 +537,19 @@ def test_train_malformed_events_is_parse_error(world, tmp_path, capsys, change):
     assert f"{events}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [b"{not json", b'{"node": "\xff"}', b"[1, 2]"])
+def test_train_events_errors_count_blank_lines(world, tmp_path, capsys, bad):
+    # the table is filled a line at a time; the blank line 2 still counts,
+    # so the bad record is on line 5
+    lines = open(world["events"], "rb").read().splitlines()
+    events = tmp_path / "events.jsonl"
+    events.write_bytes(b"\n".join(lines[:1] + [b""] + lines[1:3] + [bad] + lines[3:]) + b"\n")
+    assert run(["train", "--events", events, "--rounds", 2,
+                "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"{events}:5:" in err and "Traceback" not in err
+
+
 def test_classify_output_shape(world, tmp_path, capsys):
     model = tmp_path / "m.json"
     feats = tmp_path / "f.csv"
@@ -583,6 +596,8 @@ SPLIT = {"feature": 0, "threshold": 0.5, "gain": 1.0,
          "max_depth": 3, "min_child_weight": 1.0, "reg_lambda": 1.0, "seed": 0},
         _model([{k: v for k, v in SPLIT.items() if k != "threshold"}, {"leaf": 0.0}]),
         _model([{**SPLIT, "feature": 99}, {"leaf": 0.0}]),
+        _model([{**SPLIT, "gain": "high"}, {"leaf": 0.0}]),
+        _model([{k: v for k, v in SPLIT.items() if k != "gain"}, {"leaf": 0.0}]),
         _model([{"leaf": 0.0}]),  # one tree for two classes
     ],
 )

@@ -123,18 +123,20 @@ def test_json_report_events_write_the_text_of_their_objects(tmp_path, n):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=3), st.integers(0, 2**32))
 def test_json_members_of_any_length_write_their_dumps(tmp_path_factory, lengths, seed):
-    # chunks of 5 items: every length puts a boundary somewhere else
+    # chunks of 5 items (3 objects for `Records`): every length puts a
+    # boundary somewhere else
     rng = np.random.default_rng(seed)
     pool = np.array(awkward_floats())
     value = {f"m{i}": pool[rng.integers(0, len(pool), n)] for i, n in enumerate(lengths)}
     n = lengths[0]
     mixed = [None, "é"] * (n // 2) + [1] * (n % 2)
     value["rows"] = Records({"a": rng.integers(-5, 5, n), "b": mixed})
-    chunk, errors._CHUNK_ROWS = errors._CHUNK_ROWS, 5
+    chunks = errors._CHUNK_ROWS, errors._RECORD_ROWS
+    errors._CHUNK_ROWS, errors._RECORD_ROWS = 5, 3
     try:
         assert_writes_its_dumps(tmp_path_factory.mktemp("j") / "v.json", value)
     finally:
-        errors._CHUNK_ROWS = chunk
+        errors._CHUNK_ROWS, errors._RECORD_ROWS = chunks
 
 
 def test_jsonl_writes_one_object_per_row_in_key_order(tmp_path):

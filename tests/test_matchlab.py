@@ -40,6 +40,7 @@ from contagion_lab.matchlab import (
     write_pairs,
     _MatchContext,
     _distinct_rows,
+    _match_day,
     _rank_auc,
     _sq_dist,
 )
@@ -693,6 +694,28 @@ def test_fit_and_match_hold_no_panel_wide_design_block():
         tracemalloc.stop()
     assert panel.n_rows > 50_000 and len(run.pairs) > 1000
     assert peak < block, (peak, block)
+
+
+def test_match_run_holds_each_pair_once():
+    # each day's pairs are its slice of the run's table, equal to the day's
+    # own matching pass, so the run holds every pair once
+    g, log, trait = homophily_world(3)
+    cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Timing(d=3))
+    model = fit_propensity(panel)
+    run = match_all_days(panel, model, caliper_mult=0.2)
+    ctx = _MatchContext(panel, model, 1)
+    start = 0
+    for r, (day, rows) in zip(run.results, panel.rows_by_day(), strict=True):
+        want = _match_day(ctx, day, rows, 0.2, 1)
+        assert (r.day, r.n_treated, r.n_matched, r.skip_reason) == (
+            want.day, want.n_treated, want.n_matched, want.skip_reason)
+        assert isinstance(r.pairs, np.recarray) and r.pairs.tobytes() == want.pairs.tobytes()
+        assert r.pairs.tobytes() == run.pairs[start : start + len(r.pairs)].tobytes()
+        if len(r.pairs):
+            assert np.shares_memory(r.pairs, run.pairs)
+        start += len(r.pairs)
+    assert start == len(run.pairs) and sum(len(r.pairs) > 0 for r in run.results) > 5
 
 
 def test_row_keys_name_distinct_covariate_rows():

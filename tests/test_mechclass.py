@@ -1,16 +1,25 @@
 """Boosted-tree classifier: capacity, determinism, importances, decomposition."""
 
+import gc
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contagion_lab import errors
 from contagion_lab.calibrate import NEVER, AdoptionLog
 from contagion_lab.errors import DataError, ParseError
+from contagion_lab.features import FEATURE_NAMES
 from contagion_lab.mechclass import (
     MIN_SPLIT_GAIN,
     BoostedForest,
+    DecompositionReport,
+    Tree,
     _bin_edges,
     _binize,
     _fit_tree,
@@ -55,6 +64,11 @@ def synth_rows(n_per_class, seed=0, classes=("Simple", "Complex", "Spontaneous",
     return np.array(rows, dtype=float), np.array(labels)
 
 
+def tree_dicts(trees):
+    """The nested-dict view of every tree, by round and class."""
+    return [[tree.as_dict() for tree in r] for r in trees]
+
+
 def test_overfit_tiny_duplicated_set():
     Xs, ys = synth_rows(13, seed=1)  # 52 distinct rows
     X = np.tile(Xs, (4, 1))[:200]
@@ -68,7 +82,7 @@ def test_determinism_same_seed():
     X, y = synth_rows(30, seed=2)
     a = train(X, y, n_rounds=20, seed=5)
     b = train(X, y, n_rounds=20, seed=5)
-    assert json.dumps(a.model.trees) == json.dumps(b.model.trees)
+    assert json.dumps(tree_dicts(a.model.trees)) == json.dumps(tree_dicts(b.model.trees))
     assert a.macro_f1 == b.macro_f1
     assert a.per_class == b.per_class
 
@@ -78,7 +92,7 @@ def test_row_order_invariance():
     res = train(X, y, n_rounds=15, seed=7)
     perm = np.random.default_rng(0).permutation(len(X))
     res2 = train(X[perm], y[perm], n_rounds=15, seed=7)
-    assert json.dumps(res.model.trees) == json.dumps(res2.model.trees)
+    assert json.dumps(tree_dicts(res.model.trees)) == json.dumps(tree_dicts(res2.model.trees))
     assert res.macro_f1 == res2.macro_f1
     probe, _ = synth_rows(5, seed=99)
     assert np.array_equal(predict_proba(res.model, probe), predict_proba(res2.model, probe))
@@ -103,7 +117,7 @@ def test_more_rounds_extend_same_prefix():
     X, y = synth_rows(30, seed=6)
     short = train(X, y, n_rounds=8, seed=3)
     long = train(X, y, n_rounds=16, seed=3)
-    assert json.dumps(long.model.trees[:8]) == json.dumps(short.model.trees)
+    assert json.dumps(tree_dicts(long.model.trees[:8])) == json.dumps(tree_dicts(short.model.trees))
     assert long.model.loss_curve[7] == short.model.loss_curve[7]
 
 
@@ -367,7 +381,7 @@ def test_single_pass_split_search_matches_per_feature_loop(case):
     want, got = np.zeros(n), np.zeros(n)
     nans = [0]
     ref = fit_tree_per_feature(B, edges, g, h, idx, 0, 5, mcw, lam, 0.1, want, nans)
-    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 5, mcw, lam, 0.1, got)
+    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 5, mcw, lam, 0.1, got).as_dict()
     assert tree == ref
     assert np.array_equal(got, want)
     assert "feature" in tree
@@ -386,7 +400,7 @@ def test_unregularized_node_splits_on_a_feature_with_empty_low_bins():
     idx = np.flatnonzero(X[:, 0] >= 5)
     got, want = np.zeros(200), np.zeros(200)
     nans = [0]
-    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 1, 0.0, 0.0, 0.1, got)
+    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 1, 0.0, 0.0, 0.1, got).as_dict()
     ref = fit_tree_per_feature(B, edges, g, h, idx, 0, 1, 0.0, 0.0, 0.1, want, nans)
     assert nans[0] > 0
     assert (tree["feature"], tree["threshold"]) == (0, 6.0)
@@ -405,3 +419,117 @@ def test_model_json_bytes_pinned(tmp_path):
         path = tmp_path / "model.json"
         train(X, y, n_rounds=12, seed=3, **dict(kw)).model.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# -- flat trees and their JSON ---------------------------------------------------
+
+AWKWARD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf,
+                     -math.inf]),
+)
+TREES = st.recursive(
+    st.builds(lambda v: {"leaf": v}, AWKWARD),
+    lambda sub: st.builds(
+        lambda f, t, g, left, right: {"feature": f, "threshold": t, "gain": g,
+                                      "left": left, "right": right},
+        st.integers(0, len(FEATURE_NAMES) - 1), AWKWARD, AWKWARD, sub, sub,
+    ),
+    max_leaves=12,
+)
+
+
+def finite_rules(tree):
+    if "leaf" in tree:
+        return math.isfinite(tree["leaf"])
+    return (math.isfinite(tree["threshold"]) and finite_rules(tree["left"])
+            and finite_rules(tree["right"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(TREES, min_size=2, max_size=2), min_size=1, max_size=3))
+def test_model_json_is_the_dumps_of_its_nested_dicts(tmp_path_factory, rounds):
+    # save writes a round at a time the text json.dumps gives the nested
+    # dicts; load gives back the same arrays, or rejects a non-finite rule
+    model = BoostedForest(
+        classes=("Simple", "Complex"), feature_names=FEATURE_NAMES,
+        trees=[[Tree.from_dict(tree) for tree in r] for r in rounds], learning_rate=0.1,
+        max_depth=6, min_child_weight=1.0, reg_lambda=0.0, seed=3, loss_curve=(0.5, -0.0),
+    )
+    path = tmp_path_factory.mktemp("m") / "model.json"
+    model.save(path)
+    payload = {"format": "contagion-lab-gbdt", "version": 1, "classes": ["Simple", "Complex"],
+               "feature_names": list(FEATURE_NAMES), "learning_rate": 0.1, "max_depth": 6,
+               "min_child_weight": 1.0, "reg_lambda": 0.0, "seed": 3, "loss_curve": [0.5, -0.0],
+               "trees": rounds}
+    assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+    if not all(finite_rules(tree) for r in rounds for tree in r):
+        with pytest.raises(ParseError, match="is not a finite number"):
+            BoostedForest.load(path)
+        return
+    back = BoostedForest.load(path)
+    for r_back, r in zip(back.trees, model.trees, strict=True):
+        for a, b in zip(r_back, r, strict=True):
+            for name in Tree.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_trained_trees_are_preorder_arrays():
+    X, y = synth_rows(30, seed=15)
+    model = train(X, y, n_rounds=4, max_depth=4, seed=1).model
+    for r in model.trees:
+        for tree in r:
+            assert Tree.from_dict(tree.as_dict()).as_dict() == tree.as_dict()
+            split = tree.feature >= 0
+            assert np.array_equal(tree.left[split], np.flatnonzero(split) + 1)
+            assert np.all(tree.right[split] > tree.left[split])
+            assert np.all(tree.left[~split] == -1) and np.all(tree.right[~split] == -1)
+
+
+def test_trained_model_holds_under_80_bytes_per_tree_node():
+    # six flat arrays a tree: 48 bytes per node held after training here,
+    # where a dict per node held 220
+    rng = np.random.default_rng(14)
+    X = rng.integers(0, 50, size=(2000, 7)).astype(float)
+    y = np.array(["Simple", "Complex", "Spontaneous", "Shock"])[rng.integers(0, 4, 2000)]
+    train(X, y, n_rounds=2, seed=0)  # warm: the first fit pays for imports
+    tracemalloc.start()
+    try:
+        res = train(X, y, n_rounds=30, max_depth=6, seed=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(tree) for r in res.model.trees for tree in r)
+    assert nodes > 5000
+    assert held / nodes <= 80
+
+
+def test_report_events_write_peaks_a_chunk_above_the_tables(tmp_path):
+    # the events are dumped 2^10 row objects at a time: the write peaks
+    # 0.07 MiB above the report's own day tables (1.53 MiB) here, where a
+    # 2^14-row chunk of objects peaked 13.6 MiB above them
+    n = 2 * errors._CHUNK_ROWS + 5
+    rng = np.random.default_rng(16)
+    classes = ("Simple", "Complex", "Spontaneous", "Shock")
+    p = rng.dirichlet(np.ones(4), n)
+    report = DecompositionReport(nodes=np.arange(n), days=rng.integers(0, 150, n),
+                                 labels=np.asarray(classes)[p.argmax(axis=1)],
+                                 probabilities=p, classes=classes)
+    path = tmp_path / "report.json"
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    report.to_json(path)  # warm
+    tables, write = peak(report._tables), peak(lambda: report.to_json(path))
+    assert write - tables <= 64 * errors._CHUNK_ROWS
+    written = json.loads(path.read_text(encoding="utf-8"))["events"]
+    assert [e["probabilities"] for e in written] == p.tolist()
