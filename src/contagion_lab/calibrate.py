@@ -20,8 +20,8 @@ from .shocks import ShockSchedule
 
 NEVER = -1  # sentinel adoption day for nodes that never adopt
 _MAX_DAY = int(np.iinfo(np.int64).max)
-# entries per step of ExposureIndex's in-place owner pass
-_CHUNK = 1 << 14
+# nbr entries per step of ExposureIndex's key build
+_CHUNK = 1 << 16
 
 DEFAULT_ACTIVITY_MEAN = 0.032
 
@@ -121,20 +121,32 @@ class ExposureIndex:
         self._days = d[np.diff(d, prepend=NEVER) != 0]
         self._span = len(self._days) + 1
         rank = np.searchsorted(self._days, adoption_day)
-        # only the adopted neighbors' entries: their positions in nbr, turned
-        # into the nodes that list them in place, then into the key
-        key = np.flatnonzero(adopted[nbr])
-        day_rank = rank[nbr[key]]
-        for a in range(0, len(key), _CHUNK):
-            part = key[a : a + _CHUNK]
-            part[:] = np.searchsorted(ptr, part, "right") - 1
-        self._start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=n), out=self._start[1:])
-        key *= self._span
-        key += day_rank
-        del day_rank
+        # only the adopted neighbors' entries, owner * span + day rank, written
+        # a chunk of nbr at a time into a buffer a counting pass sized
+        chunks = range(0, len(nbr), _CHUNK)
+        sizes = [np.count_nonzero(adopted[nbr[a : a + _CHUNK]]) for a in chunks]
+        key = np.empty(sum(sizes), dtype=np.int64)
+        at = 0
+        for a, size in zip(chunks, sizes):
+            b = min(a + _CHUNK, len(nbr))
+            pos = np.flatnonzero(adopted[nbr[a:b]])
+            pos += a
+            # the chunk's owners are lo..hi, so only their offsets are searched
+            lo, hi = np.searchsorted(ptr, [a, b - 1], "right") - 1
+            part = key[at : at + size]
+            part[:] = np.searchsorted(ptr[lo + 1 : hi + 1], pos, "right")
+            part += lo
+            part *= self._span
+            pos = nbr[pos]  # the neighbors themselves
+            part += rank[pos]
+            at += size
+        del rank
         key.sort()
         self._key = key
+        # a node's entries start at the first key of its owner * span
+        first_keys = np.arange(n + 1, dtype=np.int64)
+        first_keys *= self._span
+        self._start = np.searchsorted(key, first_keys)
 
     def count(self, nodes: np.ndarray, days) -> np.ndarray:
         """Number of neighbors v of nodes[i] with NEVER != t_v < days[i]; days may be one day."""

@@ -29,7 +29,6 @@ realizations are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -270,6 +269,8 @@ def run_ensemble(
     ]
     if n_jobs <= 1:
         return _merge_runs(map(_run_one, jobs))
+    from multiprocessing import Pool  # imported here: serial runs never pay for it
+
     chunks, extra = divmod(len(jobs), n_jobs * 4)  # the chunk size Pool.map picks
     with Pool(n_jobs) as pool:
         return _merge_runs(pool.imap(_run_one, jobs, chunksize=chunks + bool(extra)))

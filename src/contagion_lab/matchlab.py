@@ -395,7 +395,10 @@ class TreatmentPanel:
         return mean, np.where(sd == 0, 1.0, sd), cross
 
     def level_counts(self) -> np.ndarray:
-        return np.bincount(self.treatment, minlength=len(self.levels))
+        """Rows per treatment level, counted a level at a time: a bincount
+        would first copy the narrow treatment column to intp."""
+        counts = [np.count_nonzero(self.treatment == k) for k in range(len(self.levels))]
+        return np.array(counts, dtype=np.int64)
 
 
 def build_panel(

@@ -13,6 +13,14 @@ training rows are put in a canonical sort order before the seeded
 stratified split, and split ties break to the lowest feature index, then
 the lowest threshold.
 
+The split search skips what can never split, as XGBoost's `hist` grower
+does: only live features (those with at least one threshold) are binned,
+only the real bins below each feature's edge count are scored, and a node
+whose hessian sum is under 2 * min_child_weight (less 1e-9 of it) becomes
+a leaf without a search. Every gain is the one a full-grid search computes
+and the first maximum is taken in the same order, so models keep their
+bits.
+
 A tree is a `Tree`: flat preorder node arrays (`feature`, `threshold`,
 `gain`, `left`, `right`, `value`), the node layout of XGBoost (Chen &
 Guestrin, KDD 2016), grown straight into those arrays with no Python object
@@ -255,86 +263,101 @@ def _fit_tree(
 
     `codes[i, f]` is row i's bin for feature f offset by f * width, so one
     bincount fills every feature's histogram as row f of a (d, width) grid;
-    `beyond[f, b]` marks the bins b at or past feature f's edge count. Nodes
-    are grown depth first, left child first, and written in that (pre)order
-    straight into the tree's arrays, sized for the most nodes the depth and
-    the row count allow (a leaf holds a row, so n rows make at most 2n - 1
-    nodes) and trimmed once grown.
+    `beyond[f, b]` marks the bins b at or past feature f's edge count, and
+    only the other, real bins are scored. Nodes are grown depth first, left
+    child first, and written in that (pre)order straight into the tree's
+    arrays, sized for the most nodes the depth and the row count allow (a
+    leaf holds a row, so n rows make at most 2n - 1 nodes) and trimmed once
+    grown.
+
+    A node whose hessian sum H is under 2 * min_child_weight * (1 - 1e-9)
+    is a leaf without a search: a split needs HL >= min_child_weight, which
+    leaves H - HL below min_child_weight by far more than its rounding, so
+    no bin could pass the floor on both sides.
     """
+    real = np.flatnonzero(~beyond.ravel())
+    floor = 2 * min_child_weight * (1 - 1e-9) if min_child_weight > 0 else -math.inf
     levels = min(max(max_depth - depth, 0), 62)
     tree = Tree(max(1, min(2 ** (levels + 1) - 1, 2 * len(idx) - 1)))
     n_nodes = 0
     stack = [(idx, depth, -1)]  # (rows, depth, the split whose right child it is)
-    while stack:
-        idx, depth, parent = stack.pop()
-        i = n_nodes
-        n_nodes += 1
-        if parent >= 0:
-            tree.right[parent] = i
-        gi, hi = g[idx], h[idx]
-        G = float(gi.sum())
-        H = float(hi.sum())
-        split = None
-        if depth < max_depth and len(idx) >= 2:
-            split = _best_split(codes, beyond, gi, hi, G, H, idx, min_child_weight, reg_lambda)
-        if split is None:
-            value = -learning_rate * G / (H + reg_lambda)
-            deltas[idx] = value
-            tree.value[i] = value
-            continue
-        f, b, tree.gain[i], go_left = split
-        tree.feature[i], tree.threshold[i], tree.left[i] = f, edges[f][b], i + 1
-        stack += (idx[~go_left], depth + 1, i), (idx[go_left], depth + 1, -1)
+    # with no regularization an empty side's gain is 0/0 or x/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while stack:
+            idx, depth, parent = stack.pop()
+            i = n_nodes
+            n_nodes += 1
+            if parent >= 0:
+                tree.right[parent] = i
+            gi, hi = g[idx], h[idx]
+            G = float(gi.sum())
+            H = float(hi.sum())
+            split = None
+            if depth < max_depth and len(idx) >= 2 and len(real) and H >= floor:
+                split = _best_split(
+                    codes, beyond.shape, real, gi, hi, G, H, idx, min_child_weight, reg_lambda
+                )
+            if split is None:
+                value = -learning_rate * G / (H + reg_lambda)
+                deltas[idx] = value
+                tree.value[i] = value
+                continue
+            f, b, tree.gain[i], go_left = split
+            tree.feature[i], tree.threshold[i], tree.left[i] = f, edges[f][b], i + 1
+            stack += (idx[~go_left], depth + 1, i), (idx[go_left], depth + 1, -1)
     return tree._trim(n_nodes)
 
 
-def _best_split(codes, beyond, gi, hi, G, H, idx, min_child_weight, reg_lambda):
+def _best_split(codes, shape, real, gi, hi, G, H, idx, min_child_weight, reg_lambda):
     """(feature, bin, gain, rows going left) of the best split of rows `idx`,
     whose gradients and hessians are `gi` and `hi` with sums G and H, or
-    None if no split gains more than MIN_SPLIT_GAIN."""
+    None if no split gains more than MIN_SPLIT_GAIN. `shape` is the (d,
+    width) histogram grid and `real` its bins below each feature's edge
+    count, in flat order."""
     # bincount adds each bin's rows in index order, so the sums match a
-    # per-feature pass bit for bit
-    d, width = beyond.shape
-    node_codes = codes[idx].ravel()
+    # per-feature pass bit for bit; the cumsum runs over each full row
+    d, width = shape
+    node_codes = np.take(codes, idx, axis=0)
     GL, HL = (
-        np.bincount(node_codes, weights=np.repeat(w, d), minlength=d * width)
+        np.bincount(node_codes.ravel(), weights=np.repeat(w, d), minlength=d * width)
         .reshape(d, width)
         .cumsum(axis=1)
+        .take(real)
         for w in (gi, hi)
     )
     GR = G - GL
     HR = H - HL
     base = G * G / (H + reg_lambda)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - base)
-    valid = (HL >= min_child_weight) & (HR >= min_child_weight) & ~beyond
-    gains[~valid] = -np.inf
-    # with no regularization an empty side's gain is 0/0; only that bin goes
+    gains = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda) - base)
+    gains[~((HL >= min_child_weight) & (HR >= min_child_weight))] = -np.inf
+    # an empty side's 0/0 rules out that bin only
     gains[np.isnan(gains)] = -np.inf
     while True:
-        # first max: lowest feature wins ties, then lowest threshold
-        best_f, best_b = divmod(int(np.argmax(gains)), width)
-        best_gain = float(gains[best_f, best_b])
+        # first max in flat order: lowest feature wins ties, then lowest threshold
+        j = int(np.argmax(gains))
+        best_gain = float(gains[j])
         if not best_gain > MIN_SPLIT_GAIN:
             return None
-        go_left = codes[idx, best_f] <= best_f * width + best_b
+        best_f, best_b = divmod(int(real[j]), width)
+        go_left = node_codes[:, best_f] <= best_f * width + best_b
         if 0 < np.count_nonzero(go_left) < len(idx):
             return best_f, best_b, best_gain, go_left
         # with no hessian floor, rounding in H - HL can leave a split with an
         # empty child a finite gain; that split would make a 0/0 leaf
-        gains[best_f, best_b] = -np.inf
+        gains[j] = -np.inf
 
 
-def _route_accumulate(i, feature, threshold, right, value, X, idx, out) -> None:
+def _route_accumulate(i, feature, threshold, right, value, XT, idx, out) -> None:
     """Add to `out[idx]` the leaf value each row of `idx` reaches from node
-    i of a tree given as lists, splitting the rows node by node."""
+    i of a tree given as lists, splitting the rows node by node; `XT[f]` is
+    feature f's column, contiguous."""
     if feature[i] < 0:
         out[idx] += value[i]
         return
-    go_left = X[idx, feature[i]] <= threshold[i]
+    go_left = XT[feature[i]][idx] <= threshold[i]
     lists = feature, threshold, right, value
-    _route_accumulate(i + 1, *lists, X, idx[go_left], out)
-    _route_accumulate(right[i], *lists, X, idx[~go_left], out)
+    _route_accumulate(i + 1, *lists, XT, idx[go_left], out)
+    _route_accumulate(right[i], *lists, XT, idx[~go_left], out)
 
 
 def _log_softmax(F: np.ndarray) -> np.ndarray:
@@ -469,11 +492,15 @@ def _boost(
     seed,
 ) -> BoostedForest:
     n = len(Xtr)
-    d = Xtr.shape[1]
-    edges = [_bin_edges(Xtr[:, f], max_bins) for f in range(d)]
-    n_edges = np.array([len(e) for e in edges])
-    width = int(n_edges.max()) + 1
-    codes = _binize(Xtr, edges) + np.arange(d, dtype=np.int64) * width
+    edges = [_bin_edges(Xtr[:, f], max_bins) for f in range(Xtr.shape[1])]
+    # only features with a threshold are binned; a tree's split features are
+    # mapped back to their ids through `ids` (whose last entry keeps a leaf's -1)
+    live = [f for f, e in enumerate(edges) if len(e)]
+    ids = np.array(live + [-1], dtype=np.int32)
+    edges = [edges[f] for f in live]
+    n_edges = np.array([len(e) for e in edges], dtype=np.int64)
+    width = int(n_edges.max(initial=0)) + 1
+    codes = _binize(Xtr[:, live], edges) + np.arange(len(live), dtype=np.int64) * width
     beyond = np.arange(width) >= n_edges[:, None]
     Y = np.zeros((n, n_classes))
     Y[np.arange(n), ytr] = 1.0
@@ -482,8 +509,8 @@ def _boost(
 
     trees = []
     loss_curve = []
+    logp = _log_softmax(F)
     for _ in range(n_rounds):
-        logp = _log_softmax(F)
         p = np.exp(logp)
         round_trees = []
         for k in range(n_classes):
@@ -505,9 +532,11 @@ def _boost(
                 deltas,
             )
             F[:, k] += deltas
+            tree.feature = ids[tree.feature]
             round_trees.append(tree)
         trees.append(round_trees)
-        loss_curve.append(float(-_log_softmax(F)[np.arange(n), ytr].mean()))
+        logp = _log_softmax(F)  # this round's loss and the next round's p
+        loss_curve.append(float(-logp[np.arange(n), ytr].mean()))
     return BoostedForest(
         classes=classes,
         feature_names=FEATURE_NAMES,
@@ -533,10 +562,11 @@ def predict_proba(model: BoostedForest, X: np.ndarray) -> np.ndarray:
         )
     F = np.zeros((len(X), len(model.classes)))
     idx = np.arange(len(X))
+    XT = np.ascontiguousarray(X.T)  # rows are routed a column at a time
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):
             lists = (a.tolist() for a in (tree.feature, tree.threshold, tree.right, tree.value))
-            _route_accumulate(0, *lists, X, idx, F[:, k])
+            _route_accumulate(0, *lists, XT, idx, F[:, k])
     return np.exp(_log_softmax(F))
 
 

@@ -88,6 +88,17 @@ def test_cli_import_loads_no_scipy_stats_or_special():
     assert out.strip() == "['scipy']"
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # only a realization pool needs it; every other CLI start would pay 3-7 ms
+    env = dict(os.environ)
+    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    code = "import sys, contagion_lab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_version_exits_zero(capsys):
     assert run(["--version"]) == 0
     assert "contagion-lab" in capsys.readouterr().out

@@ -643,6 +643,25 @@ def test_distinct_rows_hold_no_inverse_over_the_day_keys():
     assert peak < 32 * day_keys, (peak / day_keys, day_keys)
 
 
+def test_level_counts_hold_no_wide_copy_of_the_treatment_column():
+    # a bincount would first copy the int8 column to intp, 8 bytes per row
+    import tracemalloc
+
+    g, log, trait = homophily_world(1, n=2000, horizon=60)
+    cov = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
+    panel = build_panel(g, log, cov, Dose())
+    tracemalloc.start()
+    try:
+        counts = panel.level_counts()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.treatment.dtype == np.int8 and panel.n_rows > 50_000
+    want = np.bincount(panel.treatment.astype(np.int64), minlength=len(panel.levels))
+    assert counts.dtype == np.int64 and np.array_equal(counts, want)
+    assert peak < 2 * panel.n_rows, peak / panel.n_rows
+
+
 @pytest.mark.parametrize("levels", [BINARY_LEVELS, DOSE_LEVELS])
 def test_newton_cap_raises_convergence_error(levels, monkeypatch):
     # one iteration cannot bring the decrement of a fit from zero

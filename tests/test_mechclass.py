@@ -23,6 +23,7 @@ from contagion_lab.mechclass import (
     _bin_edges,
     _binize,
     _fit_tree,
+    _log_softmax,
     classification_metrics,
     decompose,
     gain_importance,
@@ -359,34 +360,68 @@ def split_grid(X, max_bins=16):
     return edges, B, codes, beyond
 
 
-@pytest.mark.parametrize("case", ["float", "dyadic-unregularized", "tied-columns"])
+def node_hessians(tree, X, h, idx, out):
+    """(hessian sum, split or not) of each node of a nested-dict tree, in preorder."""
+    out.append((float(h[idx].sum()), "feature" in tree))
+    if "feature" in tree:
+        go_left = X[idx, tree["feature"]] <= tree["threshold"]
+        node_hessians(tree["left"], X, h, idx[go_left], out)
+        node_hessians(tree["right"], X, h, idx[~go_left], out)
+    return out
+
+
+SPLIT_CASES = ["float", "dyadic-unregularized", "tied-columns", "dyadic-floor", "all-constant",
+               "constant-columns"]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
 def test_single_pass_split_search_matches_per_feature_loop(case):
-    rng = np.random.default_rng(["float", "dyadic-unregularized", "tied-columns"].index(case))
+    rng = np.random.default_rng(SPLIT_CASES.index(case))
     n, d = 300, 6
     X = rng.integers(0, 12, size=(n, d)).astype(float)
     X[:, 2] = rng.normal(size=n)  # many distinct values: quantile edges
     X[:, 4] = 1.0  # constant: no edges
     if case == "tied-columns":
         X[:, 3] = X[:, 1]
-    if case == "dyadic-unregularized":
-        # exact sums, so an empty side has H exactly 0 and its gain is 0/0
+    if case == "all-constant":
+        X[:] = 2.0
+    if case == "constant-columns":
+        X[:, 0] = X[:, 3] = -1.0  # dead features first and between live ones
+    if case.startswith("dyadic"):
+        # exact sums: an empty side has H exactly 0 and its gain is 0/0, and a
+        # node's H can sit exactly on the hessian floor 2 * mcw or just under it
         g = rng.integers(-8, 9, size=n) / 8.0
         h = rng.integers(1, 9, size=n) / 8.0
-        mcw, lam = 0.0, 0.0
+        mcw, lam = (0.0, 0.0) if case == "dyadic-unregularized" else (1.0, 1.0)
     else:
         g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
         mcw, lam = 1.0, 1.0
+    max_depth = 8 if case == "dyadic-floor" else 5
     edges, B, codes, beyond = split_grid(X)
     idx = np.arange(n)
     want, got = np.zeros(n), np.zeros(n)
     nans = [0]
-    ref = fit_tree_per_feature(B, edges, g, h, idx, 0, 5, mcw, lam, 0.1, want, nans)
-    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, 5, mcw, lam, 0.1, got).as_dict()
+    ref = fit_tree_per_feature(B, edges, g, h, idx, 0, max_depth, mcw, lam, 0.1, want, nans)
+    tree = _fit_tree(codes, beyond, edges, g, h, idx, 0, max_depth, mcw, lam, 0.1, got).as_dict()
     assert tree == ref
     assert np.array_equal(got, want)
-    assert "feature" in tree
+    assert ("feature" in tree) == (case != "all-constant")
     if case == "dyadic-unregularized":
         assert nans[0] > 0
+    if case == "dyadic-floor":
+        nodes = node_hessians(ref, X, h, idx, [])
+        assert any(H == 2 * mcw and split for H, split in nodes)
+        assert any(2 * mcw - 0.125 <= H < 2 * mcw for H, _ in nodes)
+    if case == "constant-columns":
+        used = split_features(tree)
+        assert 0 not in used and 3 not in used and used & {2, 5}
+
+
+def split_features(tree):
+    """The features a nested-dict tree splits on."""
+    if "leaf" in tree:
+        return set()
+    return {tree["feature"]} | split_features(tree["left"]) | split_features(tree["right"])
 
 
 def test_unregularized_node_splits_on_a_feature_with_empty_low_bins():
@@ -419,6 +454,45 @@ def test_model_json_bytes_pinned(tmp_path):
         path = tmp_path / "model.json"
         train(X, y, n_rounds=12, seed=3, **dict(kw)).model.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_dead_features_keep_their_ids(tmp_path):
+    # features 0 and 4 are constant, so only the others are binned; splits
+    # on features after them must still name their own columns
+    X, y = synth_rows(40, seed=12)
+    X[:, 0], X[:, 4] = 3.0, -2.0
+    model = train(X, y, n_rounds=12, seed=3).model
+    used = {int(f) for r in model.trees for tree in r for f in tree.feature if f >= 0}
+    assert used <= {1, 2, 3, 5, 6} and 5 in used
+    path = tmp_path / "model.json"
+    model.save(path)
+    digest = "4a3312845f4a13941e0276d10ab1fdc91b49fa921fc4ddea9c59925805ee3ce7"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def route_rows(tree, X, i, idx, out):
+    """Add each row's leaf value to `out`, gathering X[idx, feature] at each split."""
+    if tree.feature[i] < 0:
+        out[idx] += tree.value[i]
+        return
+    go_left = X[idx, tree.feature[i]] <= tree.threshold[i]
+    route_rows(tree, X, i + 1, idx[go_left], out)
+    route_rows(tree, X, tree.right[i], idx[~go_left], out)
+
+
+def test_column_routing_matches_the_row_gather():
+    X, y = synth_rows(40, seed=4)
+    model = train(X, y, n_rounds=15, seed=2).model
+    rng = np.random.default_rng(9)
+    Q = X[rng.integers(0, len(X), 500)]  # rows on thresholds, repeated rows
+    Q[::3] += rng.normal(scale=0.5, size=Q[::3].shape)
+    F = np.zeros((len(Q), len(model.classes)))
+    for r in model.trees:
+        for k, tree in enumerate(r):
+            route_rows(tree, Q, 0, np.arange(len(Q)), F[:, k])
+    want = np.exp(_log_softmax(F))
+    assert predict_proba(model, Q).tobytes() == want.tobytes()
+    assert predict_proba(model, np.asfortranarray(Q)).tobytes() == want.tobytes()
 
 
 # -- flat trees and their JSON ---------------------------------------------------
