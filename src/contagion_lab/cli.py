@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 numeric
 non-convergence. Every successful run writes a manifest (config echo,
-package versions, input and output paths, no timestamps) next to its
-first output, so identical invocations produce byte-identical artifacts.
+package versions, the input and output files it was given, no timestamps)
+next to its first output, so identical invocations produce byte-identical
+artifacts. Each command is declared once, in `build_parser`: its handler
+and its flags, a file flag typed `_In` or `_Out` so that the manifest can
+list it.
 """
 
 from __future__ import annotations
@@ -75,22 +78,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CONVERGENCE = 3
 
-COMMANDS = (
-    "ingest",
-    "simulate",
-    "calibrate",
-    "features",
-    "train",
-    "classify",
-    "decompose",
-    "degree-order-test",
-    "detect-shocks",
-    "fit-shock",
-    "match",
-    "synth",
-    "report",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit 1 instead of 2."""
@@ -120,27 +107,32 @@ def resolve_threads(flag_value) -> int:
     return os.cpu_count() or 1
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+class _In(str):
+    """The type of a file flag the run reads: its manifest lists it as an input."""
 
 
-def _write_manifest(args, inputs, outputs, summary) -> None:
+class _Out(str):
+    """The type of a file flag the run writes: its manifest lists it as an output."""
+
+
+def _write_manifest(args, sp, summary) -> None:
+    """The run's manifest, beside its first output; it lists the file flags
+    given, in flag order."""
+    files = {_In: [], _Out: []}
+    for action in sp._actions:
+        path = getattr(args, action.dest, None)
+        if action.type in files and path:
+            files[action.type].append(str(path))
     config = {
-        k: _jsonable(v)
+        k: v
         for k, v in sorted(vars(args).items())
         if k not in ("command", "config") and not k.startswith("_")
     }
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "inputs": files[_In],
+        "outputs": files[_Out],
         "summary": summary,
         "versions": {
             "contagion-lab": __version__,
@@ -149,7 +141,7 @@ def _write_manifest(args, inputs, outputs, summary) -> None:
             "scipy": scipy.__version__,
         },
     }
-    _write_json(manifest, f"{outputs[0]}.manifest.json")
+    _write_json(manifest, f"{files[_Out][0]}.manifest.json")
 
 
 def _require(sp, args, *names):
@@ -159,7 +151,7 @@ def _require(sp, args, *names):
 
 
 def _info(args, message):
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -177,25 +169,30 @@ def _graph_and_log(args) -> tuple[DirectedGraph, AdoptionLog]:
     return g, AdoptionLog.from_csv(args.log, g, first_day=args.first_day, last_day=args.last_day)
 
 
+def _graph_and_log_flags(sp):
+    """The flags `_graph_and_log` reads."""
+    sp.add_argument("--graph", type=_In, help="graph cache (.npz)")
+    sp.add_argument("--log", type=_In, help="adoption log CSV")
+    sp.add_argument("--first-day", type=int, default=0)
+    sp.add_argument("--last-day", type=int, default=None)
+
+
 # --------------------------------------------------------------------- stages
 
 def cmd_ingest(args, sp):
     _require(sp, args, "edges", "out")
     g = load_edge_list(args.edges)
     g.save(args.out)
-    outputs = [args.out]
     if args.id_map:
         save_id_map(g, args.id_map)
-        outputs.append(args.id_map)
     rep = g.load_report
-    summary = {
+    return {
         "nodes": g.node_count,
         "edges": g.edge_count,
         "records": rep.records if rep else None,
         "duplicates": rep.duplicates if rep else None,
         "self_loops": rep.self_loops if rep else None,
     }
-    return [args.edges], outputs, summary
 
 
 def cmd_synth(args, sp):
@@ -211,11 +208,9 @@ def cmd_synth(args, sp):
     trait = gen_traits(cfg)
     g = gen_graph(cfg, trait)
     g.save(args.out)
-    outputs = [args.out]
     if args.traits:
         write_csv(args.traits, ("node", "trait"), (g.node_ids, trait))
-        outputs.append(args.traits)
-    return [], outputs, {"nodes": g.node_count, "edges": g.edge_count}
+    return {"nodes": g.node_count, "edges": g.edge_count}
 
 
 def _params_for_simulate(args, g) -> MechanismParams:
@@ -254,19 +249,15 @@ def cmd_simulate(args, sp):
         n_jobs=n_jobs,
     )
     write_events(result.events, args.out)
-    outputs = [args.out]
-    inputs = [args.graph] + ([args.params] if args.params else [])
     if args.log_out:
         log = events_to_log(result.first_realization, g.node_count, last_day=args.horizon - 1)
         log.to_csv(args.log_out, g)
-        outputs.append(args.log_out)
-    summary = {
+    return {
         "realizations": args.realizations,
         "events": len(result.events),
         "mechanisms": result.counts_after,
         "mechanisms_before_dedup": result.counts_before,
     }
-    return inputs, outputs, summary
 
 
 def _shock_ranges(d) -> list:
@@ -280,12 +271,10 @@ def _shock_ranges(d) -> list:
 def cmd_calibrate(args, sp):
     _require(sp, args, "graph", "log", "out")
     g, log = _graph_and_log(args)
-    inputs = [args.graph, args.log]
     if args.shock_ranges:
         ranges = read_json(args.shock_ranges, _shock_ranges)
         mask = shock_day_mask(log.horizon_days, ranges)
         log = AdoptionLog(log.adoption_day, log.first_day, log.last_day, shock_mask=mask)
-        inputs.append(args.shock_ranges)
     eve = eve_counts(g, log)
     beta = calibrate_transmission(g, log, eve)
     phi = calibrate_thresholds(g, log, eve)
@@ -302,7 +291,6 @@ def cmd_calibrate(args, sp):
         nodes, values = read_node_csv(args.activity_posts, g, "count", posting, unique=False)
         counts[nodes] = values
         activity = calibrate_activity(counts, args.activity_mean)
-        inputs.append(args.activity_posts)
     else:
         activity = np.full(g.node_count, args.activity_mean)
     payload = {
@@ -312,31 +300,25 @@ def cmd_calibrate(args, sp):
         "activity_mean": float(np.mean(activity)),
     }
     _write_json(payload, args.out)
-    outputs = [args.out]
     if args.params_out:
-        schedule = _load_schedule(args.shocks)
-        if args.shocks:
-            inputs.append(args.shocks)
         params = assign_from_pools(
             g.node_count,
             beta.values,
             phi.values,
             r,
             activity,
-            shock_schedule=schedule,
+            shock_schedule=_load_schedule(args.shocks),
             shock_prob_at_peak=args.shock_prob,
             seed=args.seed,
         )
         params.to_json(args.params_out)
-        outputs.append(args.params_out)
-    summary = {
+    return {
         "beta_n": beta.n,
         "beta_mean": beta.mean,
         "phi_n": phi.n,
         "phi_mean": phi.mean,
         "r": r,
     }
-    return inputs, outputs, summary
 
 
 def cmd_features(args, sp):
@@ -345,8 +327,7 @@ def cmd_features(args, sp):
     schedule = _load_schedule(args.shocks)
     nodes, X = extract_features_log(g, log, schedule)
     write_feature_csv(X, args.out)
-    inputs = [args.graph, args.log] + ([args.shocks] if args.shocks else [])
-    return inputs, [args.out], {"rows": int(len(nodes))}
+    return {"rows": int(len(nodes))}
 
 
 def cmd_train(args, sp):
@@ -358,12 +339,10 @@ def cmd_train(args, sp):
         if not args.no_dedup:
             events = dedup_events(events)
         X, y = events_feature_matrix(events)
-        inputs = [args.events]
     else:
         X, y = read_feature_csv(args.features)
         if y is None:
             raise DataError("training features must include a label column")
-        inputs = [args.features]
     result = train(
         X,
         y,
@@ -377,7 +356,6 @@ def cmd_train(args, sp):
         seed=args.seed,
     )
     result.model.save(args.out)
-    outputs = [args.out]
     metrics = {
         "macro_f1": result.macro_f1,
         "per_class": result.per_class,
@@ -387,10 +365,8 @@ def cmd_train(args, sp):
     }
     if args.metrics_out:
         _write_json(metrics, args.metrics_out)
-        outputs.append(args.metrics_out)
     print(f"held-out macro-F1 {result.macro_f1:.4f} ({result.n_test} test rows)")
-    summary = {"macro_f1": result.macro_f1, "n_train": result.n_train, "n_test": result.n_test}
-    return inputs, outputs, summary
+    return {"macro_f1": result.macro_f1, "n_train": result.n_train, "n_test": result.n_test}
 
 
 def cmd_classify(args, sp):
@@ -407,7 +383,7 @@ def cmd_classify(args, sp):
     }
     if labels is not None:
         summary["macro_f1"] = macro_f1_score(labels, pred, model.classes)
-    return [args.model, args.features], [args.out], summary
+    return summary
 
 
 def cmd_decompose(args, sp):
@@ -417,8 +393,7 @@ def cmd_decompose(args, sp):
     schedule = _load_schedule(args.shocks)
     report = decompose(model, log, g, schedule)
     report.to_json(args.out)
-    inputs = [args.model, args.graph, args.log] + ([args.shocks] if args.shocks else [])
-    return inputs, [args.out], {"shares": report.overall_shares()}
+    return {"shares": report.overall_shares()}
 
 
 def cmd_degree_order_test(args, sp):
@@ -426,7 +401,7 @@ def cmd_degree_order_test(args, sp):
     g, log = _graph_and_log(args)
     result = degree_order_test(g, log, degree_kind=args.degree)
     _write_json(result.to_dict(), args.out)
-    return [args.graph, args.log], [args.out], result.to_dict()
+    return result.to_dict()
 
 
 def cmd_detect_shocks(args, sp):
@@ -436,7 +411,7 @@ def cmd_detect_shocks(args, sp):
         series, min_count=args.min_count, window=args.window, z=args.z
     )
     _write_json({"ranges": [[int(a), int(b)] for a, b in ranges]}, args.out)
-    return [args.series], [args.out], {"n_ranges": len(ranges)}
+    return {"n_ranges": len(ranges)}
 
 
 def cmd_fit_shock(args, sp):
@@ -453,7 +428,6 @@ def cmd_fit_shock(args, sp):
         taus, [counts[t] for t in taus], [f.alpha for f in fits]
     )
     schedule.to_json(args.out)
-    outputs = [args.out]
     fit_payload = [
         {
             "tau": int(tau),
@@ -467,8 +441,7 @@ def cmd_fit_shock(args, sp):
     ]
     if args.fits_out:
         _write_json(fit_payload, args.fits_out)
-        outputs.append(args.fits_out)
-    return [args.series], outputs, {"bursts": len(taus)}
+    return {"bursts": len(taus)}
 
 
 def cmd_match(args, sp):
@@ -501,11 +474,9 @@ def cmd_match(args, sp):
     write_pairs(run.pairs, args.out_pairs)
     table = pool_risk_ratio(run.pairs)
     table.to_json(args.out_risk)
-    outputs = [args.out_pairs, args.out_risk]
     if args.out_diagnostics:
         _write_json(diagnostics(panel, model, run, level=level), args.out_diagnostics)
-        outputs.append(args.out_diagnostics)
-    summary = {
+    return {
         "kind": panel.kind_label,
         "level": args.level,
         "panel_rows": panel.n_rows,
@@ -521,7 +492,6 @@ def cmd_match(args, sp):
         "ci": [table.ci_low, table.ci_high],
         "naive_rr": naive_risk_table(panel, level=level).rr,
     }
-    return [args.graph, args.log], outputs, summary
 
 
 def _manifest(d) -> tuple[dict, list]:
@@ -560,51 +530,33 @@ def cmd_report(args, sp):
     _write_json({"runs": runs, "missing": missing}, args.out)
     if missing:
         print(f"warning: {len(missing)} referenced outputs missing or empty", file=sys.stderr)
-    return [args.dir], [args.out], {"n_runs": len(runs), "n_missing": len(missing)}
-
-
-HANDLERS = {
-    "ingest": cmd_ingest,
-    "synth": cmd_synth,
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "features": cmd_features,
-    "train": cmd_train,
-    "classify": cmd_classify,
-    "decompose": cmd_decompose,
-    "degree-order-test": cmd_degree_order_test,
-    "detect-shocks": cmd_detect_shocks,
-    "fit-shock": cmd_fit_shock,
-    "match": cmd_match,
-    "report": cmd_report,
-}
+    return {"n_runs": len(runs), "n_missing": len(missing)}
 
 
 # --------------------------------------------------------------------- parser
 
-def _common(sp):
+def _command(subs, name, handler, help):
+    """Subcommand `name`, run as `handler(args, sp)`, with the flags every
+    command takes."""
+    sp = subs.add_parser(name, help=help)
+    sp.set_defaults(_handler=handler)
     sp.add_argument("--config", help="flat JSON file of flag defaults; flags win")
     sp.add_argument("--verbose", action="store_true", help="progress messages on stderr")
-
-
-def _log_window(sp):
-    sp.add_argument("--first-day", type=int, default=0)
-    sp.add_argument("--last-day", type=int, default=None)
+    return sp
 
 
 def build_parser():
+    """The parser and its subcommands' parsers by name."""
     parser = _Parser(prog="contagion-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"contagion-lab {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    registry = {}
 
-    sp = registry["ingest"] = subs.add_parser("ingest", help="edge CSV to graph cache")
-    sp.add_argument("--edges", help="edge list CSV with header source,target")
-    sp.add_argument("--out", help="graph cache (.npz)")
-    sp.add_argument("--id-map", help="optional node id map CSV")
-    _common(sp)
+    sp = _command(subs, "ingest", cmd_ingest, "edge CSV to graph cache")
+    sp.add_argument("--edges", type=_In, help="edge list CSV with header source,target")
+    sp.add_argument("--out", type=_Out, help="graph cache (.npz)")
+    sp.add_argument("--id-map", type=_Out, help="optional node id map CSV")
 
-    sp = registry["synth"] = subs.add_parser("synth", help="generate a synthetic graph")
+    sp = _command(subs, "synth", cmd_synth, "generate a synthetic graph")
     sp.add_argument("--nodes", type=int)
     sp.add_argument("--mean-degree", type=float, default=5.0)
     sp.add_argument("--exponent", type=float, default=2.5)
@@ -616,18 +568,17 @@ def build_parser():
     )
     sp.add_argument("--trait-balance", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="graph cache (.npz)")
-    sp.add_argument("--traits", help="optional trait CSV")
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="graph cache (.npz)")
+    sp.add_argument("--traits", type=_Out, help="optional trait CSV")
 
-    sp = registry["simulate"] = subs.add_parser("simulate", help="run cascade realizations")
-    sp.add_argument("--graph")
-    sp.add_argument("--params", help="mechanism parameter JSON; overrides inline values")
+    sp = _command(subs, "simulate", cmd_simulate, "run cascade realizations")
+    sp.add_argument("--graph", type=_In, help="graph cache (.npz)")
+    sp.add_argument("--params", type=_In, help="mechanism parameter JSON; overrides inline values")
     sp.add_argument("--beta", type=float, default=0.089)
     sp.add_argument("--phi", type=float, default=0.146)
     sp.add_argument("--r", type=float, default=60e-6)
     sp.add_argument("--activity", type=float, default=0.032)
-    sp.add_argument("--shocks", help="shock schedule JSON")
+    sp.add_argument("--shocks", type=_In, help="shock schedule JSON")
     sp.add_argument("--shock-prob", type=float, default=0.0)
     sp.add_argument("--realizations", type=int, default=100)
     sp.add_argument("--stop-fraction", type=float, default=0.18)
@@ -635,35 +586,28 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--seed-nodes", type=int, default=1)
     sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", help="events JSONL")
-    sp.add_argument("--log-out", help="adoption log CSV of realization 0")
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="events JSONL")
+    sp.add_argument("--log-out", type=_Out, help="adoption log CSV of realization 0")
 
-    sp = registry["calibrate"] = subs.add_parser("calibrate", help="fit pools from a log")
-    sp.add_argument("--graph")
-    sp.add_argument("--log", help="adoption log CSV")
-    sp.add_argument("--shock-ranges", help="detect-shocks output JSON to mask")
-    sp.add_argument("--activity-posts", help="per-node posting CSV (node,count)")
+    sp = _command(subs, "calibrate", cmd_calibrate, "fit pools from a log")
+    _graph_and_log_flags(sp)
+    sp.add_argument("--shock-ranges", type=_In, help="detect-shocks output JSON to mask")
+    sp.add_argument("--activity-posts", type=_In, help="per-node posting CSV (node,count)")
     sp.add_argument("--activity-mean", type=float, default=0.032)
-    sp.add_argument("--out", help="calibration JSON")
-    sp.add_argument("--params-out", help="optional per-node parameter JSON")
-    sp.add_argument("--shocks", help="shock schedule JSON for the parameter file")
+    sp.add_argument("--out", type=_Out, help="calibration JSON")
+    sp.add_argument("--params-out", type=_Out, help="optional per-node parameter JSON")
+    sp.add_argument("--shocks", type=_In, help="shock schedule JSON for the parameter file")
     sp.add_argument("--shock-prob", type=float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
-    _log_window(sp)
-    _common(sp)
 
-    sp = registry["features"] = subs.add_parser("features", help="egocentric feature matrix")
-    sp.add_argument("--graph")
-    sp.add_argument("--log")
-    sp.add_argument("--shocks")
-    sp.add_argument("--out", help="feature CSV")
-    _log_window(sp)
-    _common(sp)
+    sp = _command(subs, "features", cmd_features, "egocentric feature matrix")
+    _graph_and_log_flags(sp)
+    sp.add_argument("--shocks", type=_In, help="shock schedule JSON")
+    sp.add_argument("--out", type=_Out, help="feature CSV")
 
-    sp = registry["train"] = subs.add_parser("train", help="fit the mechanism classifier")
-    sp.add_argument("--events", help="events JSONL from simulate")
-    sp.add_argument("--features", help="labeled feature CSV")
+    sp = _command(subs, "train", cmd_train, "fit the mechanism classifier")
+    sp.add_argument("--events", type=_In, help="events JSONL from simulate")
+    sp.add_argument("--features", type=_In, help="labeled feature CSV")
     sp.add_argument("--no-dedup", action="store_true", help="skip event deduplication")
     sp.add_argument("--rounds", type=int, default=300)
     sp.add_argument("--depth", type=int, default=6)
@@ -673,58 +617,43 @@ def build_parser():
     sp.add_argument("--max-bins", type=int, default=256)
     sp.add_argument("--test-fraction", type=float, default=0.2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="model JSON")
-    sp.add_argument("--metrics-out", help="held-out metrics JSON")
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="model JSON")
+    sp.add_argument("--metrics-out", type=_Out, help="held-out metrics JSON")
 
-    sp = registry["classify"] = subs.add_parser("classify", help="label feature rows")
-    sp.add_argument("--model")
-    sp.add_argument("--features")
-    sp.add_argument("--out", help="prediction CSV")
-    _common(sp)
+    sp = _command(subs, "classify", cmd_classify, "label feature rows")
+    sp.add_argument("--model", type=_In, help="model JSON")
+    sp.add_argument("--features", type=_In, help="feature CSV")
+    sp.add_argument("--out", type=_Out, help="prediction CSV")
 
-    sp = registry["decompose"] = subs.add_parser("decompose", help="mechanism mix of a log")
-    sp.add_argument("--model")
-    sp.add_argument("--graph")
-    sp.add_argument("--log")
-    sp.add_argument("--shocks")
-    sp.add_argument("--out", help="decomposition JSON")
-    _log_window(sp)
-    _common(sp)
+    sp = _command(subs, "decompose", cmd_decompose, "mechanism mix of a log")
+    sp.add_argument("--model", type=_In, help="model JSON")
+    _graph_and_log_flags(sp)
+    sp.add_argument("--shocks", type=_In, help="shock schedule JSON")
+    sp.add_argument("--out", type=_Out, help="decomposition JSON")
 
-    sp = registry["degree-order-test"] = subs.add_parser(
-        "degree-order-test", help="degree vs adoption-order rank correlation"
-    )
-    sp.add_argument("--graph")
-    sp.add_argument("--log")
+    sp = _command(subs, "degree-order-test", cmd_degree_order_test,
+                  "degree vs adoption-order rank correlation")
+    _graph_and_log_flags(sp)
     sp.add_argument("--degree", choices=DEGREE_KINDS, default="in")
-    sp.add_argument("--out", help="result JSON")
-    _log_window(sp)
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="result JSON")
 
-    sp = registry["detect-shocks"] = subs.add_parser(
-        "detect-shocks", help="flag burst days in a daily count series"
-    )
-    sp.add_argument("--series", help="CSV with header day,count")
+    sp = _command(subs, "detect-shocks", cmd_detect_shocks,
+                  "flag burst days in a daily count series")
+    sp.add_argument("--series", type=_In, help="CSV with header day,count")
     sp.add_argument("--min-count", type=int, default=150)
     sp.add_argument("--window", type=int, default=30)
     sp.add_argument("--z", type=float, default=3.0)
-    sp.add_argument("--out", help="ranges JSON")
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="ranges JSON")
 
-    sp = registry["fit-shock"] = subs.add_parser(
-        "fit-shock", help="fit decay exponents at given peaks"
-    )
-    sp.add_argument("--series", help="CSV with header day,count")
+    sp = _command(subs, "fit-shock", cmd_fit_shock, "fit decay exponents at given peaks")
+    sp.add_argument("--series", type=_In, help="CSV with header day,count")
     sp.add_argument("--peaks", type=_int_list, help="comma-separated peak days")
     sp.add_argument("--min-points", type=int, default=3)
-    sp.add_argument("--out", help="shock schedule JSON")
-    sp.add_argument("--fits-out", help="per-burst fit diagnostics JSON")
-    _common(sp)
+    sp.add_argument("--out", type=_Out, help="shock schedule JSON")
+    sp.add_argument("--fits-out", type=_Out, help="per-burst fit diagnostics JSON")
 
-    sp = registry["match"] = subs.add_parser("match", help="matched-sample risk ratios")
-    sp.add_argument("--graph")
-    sp.add_argument("--log")
+    sp = _command(subs, "match", cmd_match, "matched-sample risk ratios")
+    _graph_and_log_flags(sp)
     sp.add_argument("--kind", choices=("timing", "dose"), default="timing")
     sp.add_argument("--d", type=int, help="timing window length in days (1..6)")
     sp.add_argument("--direction", choices=("followee", "follower", "mutual"),
@@ -737,18 +666,15 @@ def build_parser():
     sp.add_argument("--level", default="1", help="treatment level to estimate")
     sp.add_argument("--min-level-rows", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out-pairs", help="matched pairs CSV")
-    sp.add_argument("--out-risk", help="pooled risk table JSON")
-    sp.add_argument("--out-diagnostics", help="balance diagnostics JSON")
-    _log_window(sp)
-    _common(sp)
+    sp.add_argument("--out-pairs", type=_Out, help="matched pairs CSV")
+    sp.add_argument("--out-risk", type=_Out, help="pooled risk table JSON")
+    sp.add_argument("--out-diagnostics", type=_Out, help="balance diagnostics JSON")
 
-    sp = registry["report"] = subs.add_parser("report", help="audit manifests in a directory")
-    sp.add_argument("--dir", help="directory containing *.manifest.json files")
-    sp.add_argument("--out", help="report JSON")
-    _common(sp)
+    sp = _command(subs, "report", cmd_report, "audit manifests in a directory")
+    sp.add_argument("--dir", type=_In, help="directory containing *.manifest.json files")
+    sp.add_argument("--out", type=_Out, help="report JSON")
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _flat_object(cfg) -> dict:
@@ -779,20 +705,18 @@ def _apply_config(sp, path):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             print("contagion-lab: error: a subcommand is required", file=sys.stderr)
             return EXIT_USAGE
-        if getattr(args, "config", None):
-            _apply_config(registry[args.command], args.config)
+        sp = commands[args.command]
+        if args.config:
+            _apply_config(sp, args.config)
             args = parser.parse_args(argv)
-        sp = registry[args.command]
-        inputs, outputs, summary = HANDLERS[args.command](args, sp)
-        if outputs:
-            _write_manifest(args, inputs, outputs, summary)
+        _write_manifest(args, sp, args._handler(args, sp))
         return EXIT_OK
     except SystemExit as e:
         return 0 if e.code is None else int(e.code)

@@ -22,10 +22,10 @@ and the first maximum is taken in the same order, so models keep their
 bits.
 
 A tree is a `Tree`: flat preorder node arrays (`feature`, `threshold`,
-`gain`, `left`, `right`, `value`), the node layout of XGBoost (Chen &
-Guestrin, KDD 2016), grown straight into those arrays with no Python object
-per node, and routed over them split by split as before, so predictions
-keep their bits. The model JSON format is unchanged: each tree is written
+`gain`, `right`, `value`; a split's left child is the node after it), the
+node layout of XGBoost (Chen & Guestrin, KDD 2016), grown straight into
+those arrays with no Python object per node, and routed over them split by
+split as before, so predictions keep their bits. The model JSON format is unchanged: each tree is written
 as the nested dict of its `as_dict` view, one boosting round at a time, and
 read back into arrays after validation.
 """
@@ -57,18 +57,16 @@ class Tree:
     Node 0 is the root; a split's left child is the node after it and its
     right child, `right[i]`, follows the left subtree. A split routes x
     left when x[feature] <= threshold and keeps its `gain`; a leaf has
-    feature, left and right -1 and holds its weight in `value` (the fields
+    feature and right -1 and holds its weight in `value` (the fields
     a node does not use are 0). `as_dict` gives the nested-dict view the
     model JSON holds: {"leaf": value} or {"feature": f, "threshold": t,
     "gain": g, "left": ..., "right": ...}.
     """
 
-    __slots__ = ("feature", "threshold", "gain", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "gain", "right", "value")
 
     def __init__(self, n_nodes: int):
-        self.feature, self.left, self.right = (
-            np.full(n_nodes, -1, dtype=np.int32) for _ in range(3)
-        )
+        self.feature, self.right = (np.full(n_nodes, -1, dtype=np.int32) for _ in range(2))
         self.threshold, self.gain, self.value = (np.zeros(n_nodes) for _ in range(3))
 
     def __len__(self) -> int:
@@ -97,7 +95,7 @@ class Tree:
             if "leaf" in node:
                 tree.value[i] = node["leaf"]
             else:
-                tree.feature[i], tree.left[i] = node["feature"], i + 1
+                tree.feature[i] = node["feature"]
                 tree.threshold[i], tree.gain[i] = node["threshold"], node["gain"]
                 stack += (node["right"], i), (node["left"], -1)
             i += 1
@@ -195,7 +193,7 @@ class BoostedForest:
 def _check_trees(trees, n_classes: int, n_features: int) -> None:
     """Raise unless every round holds one tree per class and every node is a
     finite leaf or a split on a feature in range at a finite threshold, with
-    a numeric gain."""
+    a gain that is a number and not NaN (JSON keeps no NaN's bits)."""
     if not all(isinstance(r, list) and len(r) == n_classes for r in trees):
         raise ValueError(f"every round must hold one tree per class ({n_classes})")
     stack = [tree for r in trees for tree in r]
@@ -208,8 +206,9 @@ def _check_trees(trees, n_classes: int, n_features: int) -> None:
         if type(f) is not int or not 0 <= f < n_features:
             raise ValueError(f"split feature {f!r} outside [0, {n_features})")
         _check_finite(node["threshold"], "split threshold")
-        if type(node["gain"]) not in (int, float):
-            raise ValueError(f"split gain {node['gain']!r} is not a number")
+        g = node["gain"]
+        if type(g) not in (int, float) or math.isnan(g):
+            raise ValueError(f"split gain {g!r} is not a number")
         stack += node["left"], node["right"]
 
 
@@ -303,7 +302,7 @@ def _fit_tree(
                 tree.value[i] = value
                 continue
             f, b, tree.gain[i], go_left = split
-            tree.feature[i], tree.threshold[i], tree.left[i] = f, edges[f][b], i + 1
+            tree.feature[i], tree.threshold[i] = f, edges[f][b]
             stack += (idx[~go_left], depth + 1, i), (idx[go_left], depth + 1, -1)
     return tree._trim(n_nodes)
 

@@ -182,16 +182,9 @@ def detect_shocks(
         mu = past.mean()
         sd = past.std(ddof=1)
         flagged[t] = counts[t] >= min_count and counts[t] > mu + z * sd
-    ranges: list[tuple[int, int]] = []
-    t = 0
-    while t < n:
-        if flagged[t]:
-            start = t
-            while t + 1 < n and flagged[t + 1]:
-                t += 1
-            ranges.append((start, t))
-        t += 1
-    return ranges
+    # the padded flags change at each run's first day and the day after its last
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flagged, [False]))))
+    return [(int(first), int(after) - 1) for first, after in zip(edges[::2], edges[1::2])]
 
 
 def shock_day_mask(n_days: int, ranges: list[tuple[int, int]]) -> np.ndarray:

@@ -8,7 +8,7 @@ single mechanism enabled.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,40 +209,25 @@ def gen_homophily_adoptions(
     return AdoptionLog(days, first_day=0, last_day=horizon_days - 1)
 
 
+# each rule's parameter and the value that switches the rule off (a
+# per-node parameter takes it at every node; saturation never reaches 2)
+_RULE_OFF = {
+    "Simple": ("beta", 0.0),
+    "Complex": ("phi", 2.0),
+    "Spontaneous": ("r", 0.0),
+    "Shock": ("shock_prob_at_peak", 0.0),
+}
+
+
 def mask_params(params: MechanismParams, mechanism: str) -> MechanismParams:
     """Copy of params with every rule except `mechanism` disabled."""
-    n = params.n_nodes
-    off = {
-        "beta": np.zeros(n),
-        "phi": np.full(n, 2.0),  # saturation never reaches 2
-        "r": 0.0,
-        "shock_prob_at_peak": 0.0,
-    }
-    keep = {
-        "Simple": ("beta",),
-        "Complex": ("phi",),
-        "Spontaneous": ("r",),
-        "Shock": ("shock_prob_at_peak",),
-    }
-    if mechanism not in keep:
+    if mechanism not in _RULE_OFF:
         raise DataError(f"unknown mechanism: {mechanism!r}")
-    fields = {
-        "beta": params.beta,
-        "phi": params.phi,
-        "r": params.r,
-        "shock_prob_at_peak": params.shock_prob_at_peak,
-    }
-    for name in off:
-        if name not in keep[mechanism]:
-            fields[name] = off[name]
-    return MechanismParams(
-        beta=fields["beta"],
-        phi=fields["phi"],
-        r=fields["r"],
-        activity=params.activity,
-        shock_schedule=params.shock_schedule,
-        shock_prob_at_peak=fields["shock_prob_at_peak"],
-    )
+    n = params.n_nodes
+    return replace(params, **{
+        name: np.full(n, value) if np.ndim(getattr(params, name)) else value
+        for rule, (name, value) in _RULE_OFF.items() if rule != mechanism
+    })
 
 
 def gen_pure_cascade(

@@ -20,7 +20,7 @@ from contagion_lab import cli, matchlab
 from contagion_lab.calibrate import AdoptionLog
 from contagion_lab.errors import ConvergenceError, DataError
 from contagion_lab.netgraph import DirectedGraph
-from contagion_lab.shocks import AdoptionSeries
+from contagion_lab.shocks import AdoptionSeries, ShockSchedule
 
 
 def sha(path):
@@ -140,7 +140,7 @@ def test_convergence_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     def boom(args, sp):
         raise ConvergenceError("did not settle", iterations=50)
 
-    monkeypatch.setitem(cli.HANDLERS, "report", boom)
+    monkeypatch.setattr(cli, "cmd_report", boom)
     assert run(["report", "--dir", tmp_path, "--out", tmp_path / "r.json"]) == 3
     assert "did not settle" in capsys.readouterr().err
 
@@ -450,6 +450,37 @@ def test_config_bad_value_is_data_error(tmp_path, capsys):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "g.npz"]) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and "nodes" in err
+
+
+def test_every_command_declares_a_handler_and_an_output():
+    _, commands = cli.build_parser()
+    assert len(commands) == 13
+    for name, sp in commands.items():
+        assert callable(sp.get_default("_handler")), name
+        assert any(a.type is cli._Out for a in sp._actions), name
+
+
+def test_simulate_manifest_lists_its_shock_schedule(world, tmp_path):
+    # the inline parameters read --shocks; the manifest once left it out
+    schedule = tmp_path / "schedule.json"
+    ShockSchedule.from_peaks([5], [40.0], [0.6]).to_json(schedule)
+    out = tmp_path / "ev.jsonl"
+    assert run(["simulate", "--graph", world["graph"], "--shocks", schedule,
+                "--shock-prob", 0.2, "--realizations", 2, "--horizon", 20,
+                "--threads", 1, "--out", out]) == 0
+    assert manifest(out)["inputs"] == [str(world["graph"]), str(schedule)]
+
+
+def test_manifest_lists_file_flags_given_by_config(world, tmp_path):
+    out, log_out = tmp_path / "ev.jsonl", tmp_path / "log.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(world["graph"]), "log-out": str(log_out),
+                               "realizations": 2, "horizon": 20, "threads": 1}))
+    assert run(["simulate", "--config", cfg, "--out", out]) == 0
+    m = manifest(out)
+    assert m["inputs"] == [str(world["graph"])]
+    assert m["outputs"] == [str(out), str(log_out)]
+    assert m["config"]["log_out"] == str(log_out)
 
 
 def test_train_requires_exactly_one_source(world, tmp_path, capsys):
