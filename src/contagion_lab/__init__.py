@@ -40,13 +40,13 @@ from .matchlab import (
     CovariateTable,
     Dose,
     PlaceboFuture,
-    PlaceboPermuted,
     RiskTable,
     Timing,
     TreatmentPanel,
     build_panel,
     fit_propensity,
     match_all_days,
+    permute_within_day,
     pool_risk_ratio,
 )
 from .mechclass import BoostedForest, decompose, predict_label, predict_proba, train
@@ -88,7 +88,6 @@ __all__ = [
     "OrderTestResult",
     "ParseError",
     "PlaceboFuture",
-    "PlaceboPermuted",
     "PowerLawFit",
     "RiskTable",
     "ShockSchedule",
@@ -115,6 +114,7 @@ __all__ = [
     "gen_traits",
     "load_edge_list",
     "match_all_days",
+    "permute_within_day",
     "pool_risk_ratio",
     "predict_label",
     "predict_proba",

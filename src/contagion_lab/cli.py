@@ -50,13 +50,13 @@ from .matchlab import (
     CovariateTable,
     Dose,
     PlaceboFuture,
-    PlaceboPermuted,
     Timing,
     build_panel,
     diagnostics,
     fit_propensity,
     match_all_days,
     naive_risk_table,
+    permute_within_day,
     pool_risk_ratio,
     write_pairs,
 )
@@ -448,27 +448,23 @@ def cmd_match(args, sp):
     _require(sp, args, "graph", "log", "out_pairs", "out_risk")
     if args.kind == "timing" and args.d is None:
         sp.error("--d is required for --kind timing")
-    g, log = _graph_and_log(args)
-    base = (
-        Timing(d=args.d, direction=args.direction)
-        if args.kind == "timing"
-        else Dose(direction=args.direction)
-    )
     if args.placebo == "future":
         if args.kind != "timing":
             sp.error("--placebo future requires --kind timing")
         kind = PlaceboFuture(d=args.d, direction=args.direction)
-    elif args.placebo == "permute":
-        kind = PlaceboPermuted(base, seed=args.seed)
+    elif args.kind == "timing":
+        kind = Timing(d=args.d, direction=args.direction)
     else:
-        kind = base
-    cov = CovariateTable(g, log, lag=args.lag)
-    panel = build_panel(g, log, cov, kind)
-    if args.level not in panel.levels:
-        sp.error(f"--level must be one of {','.join(panel.levels)}")
-    level = panel.levels.index(args.level)
+        kind = Dose(direction=args.direction)
+    if args.level not in kind.levels:
+        sp.error(f"--level must be one of {','.join(kind.levels)}")
+    level = kind.levels.index(args.level)
     if level == 0:
         sp.error("--level 0 is the control group")
+    g, log = _graph_and_log(args)
+    panel = build_panel(CovariateTable(g, log, lag=args.lag), kind)
+    if args.placebo == "permute":
+        panel = permute_within_day(panel, args.seed)
     model = fit_propensity(panel, min_level_rows=args.min_level_rows)
     run = match_all_days(panel, model, caliper_mult=args.caliper, level=level)
     write_pairs(run.pairs, args.out_pairs)
@@ -683,6 +679,38 @@ def _flat_object(cfg) -> dict:
     return cfg
 
 
+# the JSON values, beside a string, that a config file may give a flag of a type
+_CONFIG_JSON = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    _int_list: ((list,), "a list of integers"),
+}
+
+
+def _config_value(action, value):
+    """A config file's `value` for the flag `action`, checked as the flag's
+    own value would be: a switch takes true or false; null leaves a flag
+    unset where its default does; a string goes through the flag's type,
+    and any other JSON value must be one of that type's; the flag's choices
+    apply to the result."""
+    if action.nargs == 0:  # a switch
+        expected, name = (bool,), "true or false"
+    elif value is None and action.default is None:
+        return value
+    else:
+        expected, name = _CONFIG_JSON.get(action.type, ((), "a string"))
+        expected += (str,)
+    if type(value) not in expected or (
+        isinstance(value, list) and not all(type(x) is int for x in value)
+    ):
+        raise ValueError(f"{value!r} is not {name}")
+    if isinstance(value, str) and action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+    return value
+
+
 def _apply_config(sp, path):
     cfg = read_json(path, _flat_object)
     actions = {a.dest: a for a in sp._actions}
@@ -691,15 +719,10 @@ def _apply_config(sp, path):
         dest = key.replace("-", "_")
         if dest not in actions:
             sp.error(f"unknown config key: {key}")
-        action = actions[dest]
-        if action.type is not None and isinstance(value, str):
-            try:
-                value = action.type(value)
-            except (TypeError, ValueError) as e:
-                raise ParseError(
-                    f"bad value for config key {key!r}: {e}", path=str(path)
-                ) from e
-        defaults[dest] = value
+        try:
+            defaults[dest] = _config_value(actions[dest], value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+            raise ParseError(f"bad value for config key {key!r}: {e}", path=str(path)) from e
     sp.set_defaults(**defaults)
 
 

@@ -1,11 +1,14 @@
 """Dynamic matched-sample estimation of peer-influence risk ratios.
 
-Builds daily risk-set panels from an adoption log, fits propensity scores
-with one multinomial logistic model for every design (two levels for the
-timing and placebo designs) by Newton iteration, matches treated egos to
-same-day controls under a propensity-logit caliper with Mahalanobis
-tie-breaking, and pools daily 2x2 tables into a risk ratio with a
-small-cell correction. Most panel rows repeat another row's covariates, so
+Builds daily risk-set panels for a treatment design from a covariate table
+alone (`build_panel(covariates, design)`: the table holds the adoption days
+of the log it was built from), fits propensity scores with one multinomial
+logistic model for every design (two levels for the timing and placebo
+designs) by Newton iteration, matches treated egos to same-day controls
+under a propensity-logit caliper with Mahalanobis tie-breaking, and pools
+daily 2x2 tables into a risk ratio with a small-cell correction. The
+permuted placebo is a panel transform (`permute_within_day`), applied to a
+built panel. Most panel rows repeat another row's covariates, so
 the fit runs over the panel's distinct covariate rows, and the matcher
 collapses each day's controls into the fit's groups; both give what a pass
 over every row would. The fit's sums run in a fixed order, so its bits do not
@@ -175,18 +178,6 @@ class PlaceboFuture:
         return f"placebo_future(d={self.d},direction={self.direction})"
 
 
-@dataclass(frozen=True)
-class PlaceboPermuted:
-    """Seeded within-day permutation of a base design's treatment column."""
-
-    base: object
-    seed: int = 0
-
-    @property
-    def label(self):
-        return f"placebo_permuted(base={self.base.label},seed={self.seed})"
-
-
 def _int_dtype(lo: int, hi: int):
     """The narrowest signed int dtype that holds every value in [lo, hi]."""
     for dt in (np.int8, np.int16, np.int32):
@@ -227,17 +218,22 @@ class CovariateTable:
     while its log is not linear in the others). Optional
     static per-node columns are appended after the core block.  Holds one
     exposure index per direction (`exposure`, which `build_panel` also
-    reads each row's treatment from) and one float row per node (`node_X`:
-    the three degrees, the log total degree and the static columns), so
-    memory is O(edges), not O(n·horizon).
+    reads each row's treatment from), one float row per node (`node_X`:
+    the three degrees, the log total degree and the static columns) and its
+    log's adoption days and horizon (`adoption_day`, `first_day` and
+    `last_day`, which `build_panel` reads the risk sets and outcomes from),
+    so memory is O(edges), not O(n·horizon).
     """
 
     def __init__(self, g: DirectedGraph, log: AdoptionLog, lag: int = 7, static=None):
         if lag < 0:
             raise DataError(f"covariate lag must be >= 0, got {lag}")
+        n = g.node_count
+        if len(log.adoption_day) != n:
+            raise DataError(f"adoption log covers {len(log.adoption_day)} nodes, the graph {n}")
         self.lag = lag
-        self._n = g.node_count
-        self._first, self._last = log.first_day, log.last_day
+        self.adoption_day = log.adoption_day
+        self.first_day, self.last_day = log.first_day, log.last_day
         names = list(CORE_COVARIATES)
         # DIRECTIONS name the graph's followee_csr, follower_csr and mutual_csr
         csrs = {d: getattr(g, f"{d}_csr")() for d in DIRECTIONS}
@@ -249,9 +245,9 @@ class CovariateTable:
         if static is not None:
             extra_names, extra = static
             extra = np.atleast_2d(np.asarray(extra, dtype=float))
-            if extra.shape[0] == 1 and self._n != 1:
+            if extra.shape[0] == 1 and n != 1:
                 extra = extra.T
-            if extra.shape[0] != self._n or extra.shape[1] != len(extra_names):
+            if extra.shape[0] != n or extra.shape[1] != len(extra_names):
                 raise DataError("static covariate block does not match node count")
             names.extend(extra_names)
             cols.append(extra)
@@ -265,9 +261,9 @@ class CovariateTable:
         return np.column_stack(cnt).astype(self._count_dtype)
 
     def values(self, day: int) -> np.ndarray:
-        if not self._first <= day <= self._last:
+        if not self.first_day <= day <= self.last_day:
             raise DataError(f"covariates requested for day {day} outside the log horizon")
-        nodes = np.arange(self._n)
+        nodes = np.arange(len(self.node_X))
         return _covariate_rows(self.counts(day, nodes), self.node_X, nodes)
 
 
@@ -401,30 +397,22 @@ class TreatmentPanel:
         return np.array(counts, dtype=np.int64)
 
 
-def build_panel(
-    g: DirectedGraph,
-    log: AdoptionLog,
-    covariates: CovariateTable,
-    kind,
-    days=None,
-) -> TreatmentPanel:
+def build_panel(covariates: CovariateTable, kind, days=None) -> TreatmentPanel:
     """Assemble the daily risk-set panel for one treatment design.
 
-    A design gives its treatment `window`, inclusive day offsets from the
-    panel day, and its `levels`; a row's level is its neighbors' adoptions in
-    the window, counted by the table's exposure index for the design's
-    direction and capped at the last level. Egos leave the risk set the day
-    after adopting; each row's counts come from `covariates` (built from `g`
-    and `log`), which counts adoptions on or before day - lag, so the lag
-    must predate the window's first day. Rows are stored in (day, ego) order
-    (`days` is sorted) in the narrowest int dtypes that hold the node ids,
+    Everything but the design comes from `covariates`: the risk sets and
+    outcomes from the adoption days of the log it was built from, each
+    row's treatment from its exposure index for the design's direction, and
+    each row's counts from its adoptions on or before day - lag. A design
+    gives its treatment `window`, inclusive day offsets from the panel day,
+    and its `levels`; a row's level is its neighbors' adoptions in the
+    window, capped at the last level, so the lag must predate the window's
+    first day. Egos leave the risk set the day after adopting. Rows are
+    stored in (day, ego) order (`days` is sorted; by default every day from
+    first_day + lag) in the narrowest int dtypes that hold the node ids,
     days and degrees, in columns sized once from the adoption days and
     filled one day's slice at a time.
     """
-    if isinstance(kind, PlaceboPermuted):
-        base = build_panel(g, log, covariates, kind.base, days=days)
-        return permute_within_day(base, kind.seed, label=kind.label)
-
     lag = covariates.lag
     lo, hi = kind.window
     if lag <= -lo:
@@ -432,10 +420,8 @@ def build_panel(
             f"covariate lag {lag} does not predate the {kind.label} treatment window, "
             f"which opens {-lo} days before the panel day; the lag must be at least {1 - lo}"
         )
-    if len(covariates.node_X) != g.node_count:
-        raise DataError("covariate table does not cover every node")
 
-    first, last = log.first_day, log.last_day
+    first, last = covariates.first_day, covariates.last_day
     if days is None:
         start = first + lag
         if start > last:
@@ -445,18 +431,19 @@ def build_panel(
     for D in days:
         if not first <= D <= last:
             raise DataError(f"panel day {D} outside the log horizon")
-    ad = log.adoption_day
+    ad = covariates.adoption_day
+    n_nodes = len(covariates.node_X)
     index = covariates.exposure[kind.direction]
 
     # a day's risk set is every node that has not adopted before it, so one
     # sorted copy of the adoption days sizes every day's slice of the columns
     adopted = np.sort(ad[ad != NEVER])
     bounds = np.zeros(len(days) + 1, dtype=np.int64)
-    np.cumsum(g.node_count - np.searchsorted(adopted, days), out=bounds[1:])
+    np.cumsum(n_nodes - np.searchsorted(adopted, days), out=bounds[1:])
     n_rows = int(bounds[-1])
     if n_rows == 0:
         raise DataError("empty panel: no risk-set rows on the requested days")
-    ego = np.empty(n_rows, dtype=_int_dtype(0, g.node_count))
+    ego = np.empty(n_rows, dtype=_int_dtype(0, n_nodes))
     day_col = np.empty(n_rows, dtype=_int_dtype(first, last))
     treat = np.empty(n_rows, dtype=np.int8)
     out = np.empty(n_rows, dtype=np.int8)
@@ -485,15 +472,16 @@ def build_panel(
     )
 
 
-def permute_within_day(panel: TreatmentPanel, seed: int, label=None) -> TreatmentPanel:
-    """Shuffle treatment labels within each day, preserving daily level counts."""
+def permute_within_day(panel: TreatmentPanel, seed: int) -> TreatmentPanel:
+    """The permuted placebo of `panel`: its treatment labels shuffled within
+    each day by a seeded permutation, so each day keeps its level counts,
+    labeled `placebo_permuted(base=<panel's label>,seed=<seed>)`."""
     rng = stream(seed, PLACEBO)
     treat = np.array(panel.treatment)
     for _, rows in panel.rows_by_day():
         treat[rows] = treat[rows][rng.permutation(rows.stop - rows.start)]
-    return replace(
-        panel, treatment=treat, kind_label=label if label is not None else panel.kind_label
-    )
+    label = f"placebo_permuted(base={panel.kind_label},seed={seed})"
+    return replace(panel, treatment=treat, kind_label=label)
 
 
 @dataclass(frozen=True)
@@ -548,30 +536,6 @@ def _line_search(objective, nll):
             return t, new, halvings
         t *= 0.5
     return t, objective(t), 30
-
-
-def _newton(system, objective, along, theta, eta):
-    """Damped Newton iteration from coefficients `theta` and predictors `eta`.
-
-    `system(eta, theta)` gives the penalized gradient and Hessian,
-    `objective(eta, theta)` the penalized negative log-likelihood, and
-    `along(step)` the predictors' change per unit of a coefficient step.
-    Stops once half the squared Newton decrement is at most `NEWTON_TOL`;
-    returns (theta, eta, iterations, line-search halvings).
-    """
-    nll = objective(eta, theta)
-    halvings = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        grad, H = system(eta, theta)
-        step = np.linalg.solve(H, grad)
-        if 0.5 * (grad @ step) <= NEWTON_TOL:
-            return theta, eta, it, halvings
-        delta = along(step)
-        t, nll, h = _line_search(lambda t: objective(eta + t * delta, theta + t * step), nll)
-        theta, eta = theta + t * step, eta + t * delta
-        halvings += h
-        del delta  # one predictor block fewer through the next system pass
-    raise ConvergenceError("propensity fit did not converge", iterations=NEWTON_MAX_ITER)
 
 
 def _distinct_rows(panel: TreatmentPanel):
@@ -666,7 +630,10 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         lse = np.logaddexp.reduce(np.vstack([np.zeros(G), E]), axis=0)
         return float((n * lse).sum() - (Y[1:] * E).sum() + 0.5 * (pen * th * th).sum())
 
-    def newton_system(E, theta):
+    theta, E = np.zeros((K - 1) * q), np.zeros((K - 1, G))
+    nll = nll_of(E, theta)
+    halvings = 0
+    for it in range(1, NEWTON_MAX_ITER + 1):
         P = probs_of(E)[1:]
         # gradient block k is D' r_k; Hessian block (k, l) is
         # D' diag(n p_k (1[k = l] - p_l)) D = 1[k = l] D'S_k - S_k'(n S_l),
@@ -678,15 +645,17 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
         DS = np.einsum("gi,gj->ij", D, nS)
         for k in range(K - 1):
             H[k * q : (k + 1) * q, k * q : (k + 1) * q] += DS[:, k * q : (k + 1) * q]
-        return grad, H
-
-    theta, E, it, halvings = _newton(
-        newton_system,
-        nll_of,
-        lambda step: np.einsum("ki,gi->kg", step.reshape(K - 1, q), D),
-        np.zeros((K - 1) * q),
-        np.zeros((K - 1, G)),
-    )
+        del P, S, nS, DS  # the system's blocks go before the line search
+        step = np.linalg.solve(H, grad)
+        if 0.5 * (grad @ step) <= NEWTON_TOL:
+            break
+        delta = np.einsum("ki,gi->kg", step.reshape(K - 1, q), D)
+        t, nll, h = _line_search(lambda t: nll_of(E + t * delta, theta + t * step), nll)
+        theta, E = theta + t * step, E + t * delta
+        halvings += h
+        del delta  # one predictor block fewer through the next iteration
+    else:
+        raise ConvergenceError("propensity fit did not converge", iterations=NEWTON_MAX_ITER)
     probs = np.zeros((G, len(panel.levels)))
     probs[:, classes] = probs_of(E).T
     return PropensityModel(

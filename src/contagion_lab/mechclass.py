@@ -142,10 +142,6 @@ class BoostedForest:
     seed: int
     loss_curve: tuple[float, ...] = field(default=())
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.trees)
-
     def save(self, path) -> None:
         payload = {
             "format": MODEL_FORMAT,
@@ -430,14 +426,14 @@ def train(
         raise DataError("feature matrix and labels misaligned")
     if len(X) == 0:
         raise DataError("empty training set")
-    classes = tuple(m for m in MECHANISMS if m in set(y))
-    extra = sorted(set(y) - set(MECHANISMS))
-    if extra:
-        classes = classes + tuple(extra)
+    # the mechanisms present in their order, then any other labels sorted
+    labels, inverse = np.unique(y, return_inverse=True)
+    present = set(labels)
+    classes = tuple(m for m in MECHANISMS if m in present)
+    classes += tuple(c for c in labels if c not in MECHANISMS)
     if len(classes) < 2:
         raise DataError("need at least 2 classes to train")
-    class_index = {c: k for k, c in enumerate(classes)}
-    y_codes = np.array([class_index[v] for v in y], dtype=np.int64)
+    y_codes = np.array([classes.index(c) for c in labels], dtype=np.int64)[inverse]
 
     order = _canonical_order(X, y_codes)
     Xc, yc = X[order], y_codes[order]

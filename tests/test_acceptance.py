@@ -413,7 +413,7 @@ def _homophily_world(seed, h, rates):
 def _timing_rr(g, log, trait, include_trait):
     static = (("trait",), trait.astype(float)) if include_trait else None
     cov = CovariateTable(g, log, lag=7, static=static)
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     model = fit_propensity(panel, min_level_rows=5)
     return panel, match_all_days(panel, model)
 

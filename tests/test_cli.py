@@ -267,6 +267,14 @@ TEXT_OUTPUT_RUNS = {
         ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "dose", "--lag", 8,
          "--direction", "mutual", "--min-level-rows", 5, "--out-pairs", "dose_pairs.csv",
          "--out-risk", "dose_risk.json"],
+        ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "timing", "--d", 3,
+         "--placebo", "permute", "--seed", 5, "--min-level-rows", 5,
+         "--out-pairs", "permute_pairs.csv", "--out-risk", "permute_risk.json",
+         "--out-diagnostics", "permute_diagnostics.json"],
+        ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "timing", "--d", 3,
+         "--placebo", "future", "--min-level-rows", 5,
+         "--out-pairs", "future_pairs.csv", "--out-risk", "future_risk.json",
+         "--out-diagnostics", "future_diagnostics.json"],
         ["report", "--dir", ".", "--out", "audit.json"],
     ],
 }
@@ -335,9 +343,9 @@ TEXT_OUTPUT_SHA256 = {
     },
     "hworld": {
         "audit.json":
-            "96bb8a33b572878e7fa6989db640c4a7632025f1a9760a80ce331f148521c772",
+            "b79c919df9724076be1a4308d2a3434ffaa62a520e241485f1cfb4d765e6c77e",
         "audit.json.manifest.json":
-            "fa9ca5a1dea20923145c112674ea43319a197479de739b4092b5e334208d00b0",
+            "435efa0170c2123507f068d84fd5b28dd3454ee126005b26f21e383febbeb16e",
         "diagnostics.json":
             "dbe20529e142751e52a2a0789c5902790575a80fe96db4eb1580e41a1e0b2aed",
         "dose_pairs.csv":
@@ -348,10 +356,26 @@ TEXT_OUTPUT_SHA256 = {
             "12835d66aa2b31701017e62568212d487824a52c7177fb1e7ec97d8300fa6496",
         "edges.csv":
             "72a5fc033ddb92025a83c582f21bb58231a64c2171c77355058b9b6f001f8906",
+        "future_diagnostics.json":
+            "53f91b30bf57162907578574f8b216a2ac883f5244ad3e83efff4f1782df4f00",
+        "future_pairs.csv":
+            "e545e9f3c658f5d820bdf32df025f50ee9287cc8b85d8032f3804b0a1c160822",
+        "future_pairs.csv.manifest.json":
+            "c4a4673620da99083d0a3fbe57ad1400b51c880e933848effd3e0530964231be",
+        "future_risk.json":
+            "5144aa6981075e7a4c183aa5f9e4bd07fad55aaab143994e3c579d6197aa5c1e",
         "pairs.csv":
             "935bf38ce72c2eb5243085689b523041ddd7290c6694b2208a7af8391746b739",
         "pairs.csv.manifest.json":
             "e7cc7b4ddc56b62ec2fdd4a7dccef66c34174a667540df33e64fbae68c260c8c",
+        "permute_diagnostics.json":
+            "11727dbf5270e27049136edc7f55083493b9b4d1a8f49cc419e645be916178e2",
+        "permute_pairs.csv":
+            "0a2eb02edf9891d0e251ea63594356d98b4fc44b1987393783da30c27af6eeb8",
+        "permute_pairs.csv.manifest.json":
+            "752edd8a201af26161d0cab6f584025e47226a18db07ee92b8ebcc3bd6c412c0",
+        "permute_risk.json":
+            "5287135fc29ef059b2bc39178d656c50bf9cdb48b9e00773a75b896c5040e366",
         "risk.json":
             "f870a9b31bbab63f109be0f206d20c44a89717c86b8e780ae5262da06b4188fa",
         "series.csv":
@@ -450,6 +474,21 @@ def test_config_bad_value_is_data_error(tmp_path, capsys):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "g.npz"]) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and "nodes" in err
+
+
+def test_config_json_values_keep_their_meaning(tmp_path):
+    # a JSON list for --peaks and a JSON int for a float flag mean what the flags do
+    series = tmp_path / "series.csv"
+    _shock_series(series)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"peaks": [40, 110], "min_points": 3, "verbose": True}))
+    by_flags, by_config = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["fit-shock", "--series", series, "--peaks", "40,110", "--out", by_flags]) == 0
+    assert run(["fit-shock", "--config", cfg, "--series", series, "--out", by_config]) == 0
+    assert sha(by_flags) == sha(by_config)
+    cfg.write_text(json.dumps({"nodes": 60, "mean_degree": 4, "homophily": "0.5"}))
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "g.npz"]) == 0
+    assert manifest(tmp_path / "g.npz")["config"]["mean_degree"] == 4
 
 
 def test_every_command_declares_a_handler_and_an_output():
@@ -745,6 +784,28 @@ def test_match_flag_validation(hworld, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_match_level_is_checked_before_the_work(hworld, tmp_path, monkeypatch, capsys):
+    # a --level outside the design's levels, or 0, fails before any table is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the covariate table was built")
+
+    monkeypatch.setattr(cli, "CovariateTable", unreachable)
+    common = ["match", "--graph", hworld["graph"], "--log", hworld["log"],
+              "--out-pairs", tmp_path / "p.csv", "--out-risk", tmp_path / "r.json"]
+    for flags, message in (
+        (["--kind", "timing", "--d", 3, "--level", "0"], "--level 0 is the control group"),
+        (["--kind", "timing", "--d", 3, "--level", "2"], "--level must be one of 0,1"),
+        (["--kind", "dose", "--lag", 8, "--level", "4"], "--level must be one of 0,1,2,3,3+"),
+        (["--kind", "dose", "--lag", 8, "--placebo", "permute", "--level", "0"],
+         "--level 0 is the control group"),
+        (["--kind", "timing", "--d", 3, "--placebo", "future", "--level", "3+"],
+         "--level must be one of 0,1"),
+    ):
+        assert run(common + flags) == 1, flags
+        assert message in capsys.readouterr().err, flags
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_match_newton_cap_exits_three(hworld, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(matchlab, "NEWTON_MAX_ITER", 1)
     rc = run(["match", "--graph", hworld["graph"], "--log", hworld["log"],
@@ -780,7 +841,7 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     g = DirectedGraph.load(hworld["graph"])
     log = AdoptionLog.from_csv(hworld["log"], g)
     cov = matchlab.CovariateTable(g, log, lag=7)
-    panel = matchlab.build_panel(g, log, cov, matchlab.Timing(d=3))
+    panel = matchlab.build_panel(cov, matchlab.Timing(d=3))
     distinct = np.unique(panel.covariates(np.arange(panel.n_rows)), axis=0)
     assert m["summary"]["propensity_groups"] == len(distinct) < panel.n_rows
 
@@ -1147,6 +1208,20 @@ MALFORMED_INPUTS = {
     "config not UTF-8": lambda w, d: (
         ["synth", "--config", p := _write(d, "cfg.json", b'{"nodes": "\xff"}'),
          "--out", d / "g.npz"], p, 1, "not UTF-8"),
+    "config nodes not an integer": lambda w, d: (
+        ["synth", "--config", p := _write(d, "cfg.json", '{"nodes": 50.5}'), "--out", d / "g.npz"],
+        p, None, "'nodes': 50.5 is not an integer"),
+    "config seed a list": lambda w, d: (
+        ["synth", "--config", p := _write(d, "cfg.json", '{"nodes": 50, "seed": [1]}'),
+         "--out", d / "g.npz"], p, None, "'seed': [1] is not an integer"),
+    "config kind not a choice": lambda w, d: (
+        ["match", "--config", p := _write(d, "cfg.json", '{"kind": "bogus"}'),
+         "--out-pairs", d / "p.csv", "--out-risk", d / "r.json"],
+        p, None, "'kind': 'bogus' is not one of timing, dose"),
+    "config placebo not a choice": lambda w, d: (
+        ["match", "--config", p := _write(d, "cfg.json", '{"placebo": "maybe"}'),
+         "--out-pairs", d / "p.csv", "--out-risk", d / "r.json"],
+        p, None, "'placebo': 'maybe' is not one of none, future, permute"),
     "config nested too deeply": lambda w, d: (
         ["synth", "--config", p := _write(d, "cfg.json", "[" * 100_000), "--out", d / "g.npz"],
         p, None, "recursion"),

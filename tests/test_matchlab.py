@@ -25,7 +25,6 @@ from contagion_lab.matchlab import (
     Dose,
     MatchRun,
     PlaceboFuture,
-    PlaceboPermuted,
     PropensityModel,
     RiskTable,
     Timing,
@@ -115,7 +114,7 @@ def test_timing_same_day_exposure_excluded():
     g, log = line_world()
     cov = CovariateTable(g, log, lag=7)
     for d in range(1, 7):
-        panel = build_panel(g, log, cov, Timing(d=d), days=[10])
+        panel = build_panel(cov, Timing(d=d), days=[10])
         row = np.flatnonzero(panel.ego == 0)[0]
         assert panel.treatment[row] == 0
 
@@ -123,22 +122,22 @@ def test_timing_same_day_exposure_excluded():
 def test_timing_window_boundaries():
     g, log = line_world()
     cov = CovariateTable(g, log, lag=7)
-    panel = build_panel(g, log, cov, Timing(d=3), days=range(10, 15))
+    panel = build_panel(cov, Timing(d=3), days=range(10, 15))
     for day, expect in [(10, 0), (11, 1), (12, 1), (13, 1), (14, 0)]:
         row = np.flatnonzero((panel.ego == 0) & (panel.day == day))[0]
         assert panel.treatment[row] == expect, day
     # days are sorted, so rows come out in (day, ego) order; a repeated day is rejected
-    back = build_panel(g, log, cov, Timing(d=3), days=range(14, 9, -1))
+    back = build_panel(cov, Timing(d=3), days=range(14, 9, -1))
     assert np.array_equal(back.day, panel.day) and np.array_equal(back.ego, panel.ego)
     assert np.array_equal(back.treatment, panel.treatment)
     with pytest.raises(DataError):
-        build_panel(g, log, cov, Timing(d=3), days=[12, 10, 12])
+        build_panel(cov, Timing(d=3), days=[12, 10, 12])
 
 
 def test_risk_set_drops_adopters():
     g, log = line_world()
     cov = CovariateTable(g, log, lag=7)
-    panel = build_panel(g, log, cov, Timing(d=2), days=range(9, 13))
+    panel = build_panel(cov, Timing(d=2), days=range(9, 13))
     mine = panel.day[panel.ego == 1]
     assert set(mine.tolist()) == {9, 10}
     on_day = np.flatnonzero((panel.ego == 1) & (panel.day == 10))[0]
@@ -152,12 +151,12 @@ def test_dose_binning_three_plus():
     ad = np.array([NEVER, 3, 3, 4, 5, 5])
     log = AdoptionLog(ad, last_day=15)
     cov = CovariateTable(g, log, lag=8)
-    panel = build_panel(g, log, cov, Dose(), days=[8])
+    panel = build_panel(cov, Dose(), days=[8])
     row = np.flatnonzero(panel.ego == 0)[0]
     assert panel.levels[panel.treatment[row]] == "3+"
     # and exact small counts map to their own bins
     for day, lv in [(11, "3"), (12, "2"), (13, "0")]:
-        p2 = build_panel(g, log, cov, Dose(), days=[day])
+        p2 = build_panel(cov, Dose(), days=[day])
         r2 = np.flatnonzero(p2.ego == 0)[0]
         assert p2.levels[p2.treatment[r2]] == lv
 
@@ -165,7 +164,7 @@ def test_dose_binning_three_plus():
 def test_placebo_future_window():
     g, log = line_world()
     cov = CovariateTable(g, log, lag=7)
-    panel = build_panel(g, log, cov, PlaceboFuture(d=3), days=range(7, 12))
+    panel = build_panel(cov, PlaceboFuture(d=3), days=range(7, 12))
     for day, expect in [(7, 1), (8, 1), (9, 1), (10, 0), (11, 0)]:
         row = np.flatnonzero((panel.ego == 0) & (panel.day == day))[0]
         assert panel.treatment[row] == expect, day
@@ -174,9 +173,10 @@ def test_placebo_future_window():
 def test_placebo_permuted_preserves_daily_multisets():
     g, log, trait = homophily_world(seed=3)
     cov = CovariateTable(g, log, lag=8)
-    base = build_panel(g, log, cov, Dose())
-    perm = build_panel(g, log, cov, PlaceboPermuted(Dose(), seed=11))
+    base = build_panel(cov, Dose())
+    perm = permute_within_day(base, 11)
     assert perm.n_rows == base.n_rows
+    assert perm.kind_label == "placebo_permuted(base=dose(window=7,direction=followee),seed=11)"
     changed = 0
     for D, _ in base.rows_by_day():
         idx = np.flatnonzero(base.day == D)
@@ -185,18 +185,22 @@ def test_placebo_permuted_preserves_daily_multisets():
         assert np.array_equal(a, b)
         changed += int(not np.array_equal(base.treatment[idx], perm.treatment[idx]))
     assert changed > 0
-    again = build_panel(g, log, cov, PlaceboPermuted(Dose(), seed=11))
+    again = permute_within_day(build_panel(cov, Dose()), 11)
     assert np.array_equal(perm.treatment, again.treatment)
 
 
 def test_covariate_misalignment_errors():
     g, log = line_world()
+    # a table's log covers its graph's nodes: the panel reads both from it
+    for ad in ([NEVER, 10], [NEVER, 10, NEVER, 12]):
+        with pytest.raises(DataError, match="adoption log covers"):
+            CovariateTable(g, AdoptionLog(np.array(ad), last_day=20), lag=7)
     with pytest.raises(DataError):
-        build_panel(g, log, CovariateTable(g, log, lag=3), Timing(d=5))
+        build_panel(CovariateTable(g, log, lag=3), Timing(d=5))
     # counts at day - lag must predate the window's first day, day - 7
     for lag in (5, 7):
         with pytest.raises(DataError, match="at least 8"):
-            build_panel(g, log, CovariateTable(g, log, lag=lag), Dose())
+            build_panel(CovariateTable(g, log, lag=lag), Dose())
 
 
 def test_dose_lag_seven_would_count_a_neighbor_twice():
@@ -206,7 +210,7 @@ def test_dose_lag_seven_would_count_a_neighbor_twice():
     log = AdoptionLog(np.array([NEVER, 3, NEVER]), last_day=20)
     i_cnt = CovariateTable(g, log, lag=7).names.index("followee_adopted_count")
     assert CovariateTable(g, log, lag=7).values(10)[0, i_cnt] == 1
-    panel = build_panel(g, log, CovariateTable(g, log, lag=8), Dose(), days=[10])
+    panel = build_panel(CovariateTable(g, log, lag=8), Dose(), days=[10])
     assert panel.covariates(np.arange(panel.n_rows))[0, i_cnt] == 0
     assert panel.levels[panel.treatment[0]] == "1"
 
@@ -299,7 +303,7 @@ def test_panel_treatment_matches_reference():
             A = reference_neighbor_adoptions(g, log, direction)
             for make, (a, b), code in designs:
                 kind = make(direction)
-                panel = build_panel(g, log, cov, kind, days=days)
+                panel = build_panel(cov, kind, days=days)
                 for D in days:
                     rows = panel.day == D
                     risk = np.flatnonzero((ad == NEVER) | (ad >= D))
@@ -505,9 +509,9 @@ def reference_fit_dense(X, treatment, ridge=1e-6, tol=1e-8, max_iter=100):
 def agreement_panels():
     g, log, trait = homophily_world(2)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    yield build_panel(g, log, cov, Timing(d=3))
+    yield build_panel(cov, Timing(d=3))
     g, log, _ = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
-    yield build_panel(g, log, CovariateTable(g, log, lag=8), Dose())
+    yield build_panel(CovariateTable(g, log, lag=8), Dose())
 
 
 def test_per_day_fit_matches_the_dense_reference():
@@ -547,7 +551,7 @@ def test_fit_bits_do_not_depend_on_the_blas_thread_count():
         g = gen_graph(cfg, trait)
         log = gen_homophily_adoptions(g, trait, np.array([0.012, 0.003]), 120, seed=41)
         for lag, kind in ((8, Dose()), (7, Timing(d=3))):
-            m = fit_propensity(build_panel(g, log, CovariateTable(g, log, lag=lag), kind))
+            m = fit_propensity(build_panel(CovariateTable(g, log, lag=lag), kind))
             print(len(m.classes), *(hashlib.sha256(a.tobytes()).hexdigest()
                                     for a in (m.coef, m.probs)))
     """)
@@ -567,8 +571,8 @@ def test_grouped_fit_is_one_fit_per_distinct_covariate_row():
     g, log, trait = homophily_world(5)
     static = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
     panels = [
-        build_panel(g, log, CovariateTable(g, log, lag=7), PlaceboPermuted(Timing(d=3), seed=2)),
-        build_panel(g, log, static, Dose()),
+        permute_within_day(build_panel(CovariateTable(g, log, lag=7), Timing(d=3)), 2),
+        build_panel(static, Dose()),
     ]
     for panel in panels:
         model = fit_propensity(panel, min_level_rows=5)
@@ -614,9 +618,9 @@ def test_distinct_rows_equal_the_inverse_grouping():
     g, log, trait = homophily_world(5)
     static = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
     panels = [
-        build_panel(g, log, CovariateTable(g, log, lag=7), Timing(d=3)),
-        build_panel(g, log, CovariateTable(g, log, lag=8), Dose()),
-        build_panel(g, log, static, PlaceboFuture(d=2)),
+        build_panel(CovariateTable(g, log, lag=7), Timing(d=3)),
+        build_panel(CovariateTable(g, log, lag=8), Dose()),
+        build_panel(static, PlaceboFuture(d=2)),
     ]
     for panel in panels:
         got, want = _distinct_rows(panel), distinct_rows_with_inverse(panel)
@@ -631,7 +635,7 @@ def test_distinct_rows_hold_no_inverse_over_the_day_keys():
 
     g, log, trait = homophily_world(1, n=2000, horizon=60)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     day_keys = sum(len(np.unique(panel.row_keys(rows))) for _, rows in panel.rows_by_day())
     tracemalloc.start()
     try:
@@ -649,7 +653,7 @@ def test_level_counts_hold_no_wide_copy_of_the_treatment_column():
 
     g, log, trait = homophily_world(1, n=2000, horizon=60)
     cov = CovariateTable(g, log, lag=8, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Dose())
+    panel = build_panel(cov, Dose())
     tracemalloc.start()
     try:
         counts = panel.level_counts()
@@ -702,7 +706,7 @@ def test_fit_and_match_hold_no_panel_wide_design_block():
 
     g, log, trait = homophily_world(1, n=2000, horizon=60)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     block = panel.n_rows * (len(panel.names) + 1) * 8
     tracemalloc.start()
     try:
@@ -720,7 +724,7 @@ def test_match_run_holds_each_pair_once():
     # own matching pass, so the run holds every pair once
     g, log, trait = homophily_world(3)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     model = fit_propensity(panel)
     run = match_all_days(panel, model, caliper_mult=0.2)
     ctx = _MatchContext(panel, model, 1)
@@ -740,7 +744,7 @@ def test_match_run_holds_each_pair_once():
 def test_row_keys_name_distinct_covariate_rows():
     g, log, trait = homophily_world(3)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     rows = np.arange(panel.n_rows)
     _, by_key = np.unique(panel.row_keys(rows), return_inverse=True)
     _, by_row = np.unique(panel.covariates(rows), axis=0, return_inverse=True)
@@ -769,7 +773,7 @@ def test_row_keys_name_distinct_covariate_rows():
 def test_panel_covariates_equal_table_values():
     g, log, trait = homophily_world(3)
     cov = CovariateTable(g, log, lag=7, static=(("trait",), trait.astype(float)))
-    panel = build_panel(g, log, cov, Timing(d=3))
+    panel = build_panel(cov, Timing(d=3))
     for D, rows in panel.rows_by_day():
         # the same helper builds both, so the rows are bit-identical
         want = np.ascontiguousarray(cov.values(D)[panel.ego[rows]])
@@ -785,7 +789,7 @@ def test_panel_covariates_equal_table_values():
 
 def test_core_covariates_are_full_rank():
     g, log, _ = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
-    panel = build_panel(g, log, CovariateTable(g, log, lag=7), Timing(d=3))
+    panel = build_panel(CovariateTable(g, log, lag=7), Timing(d=3))
     core = panel.covariates(np.arange(panel.n_rows))[:, list(panel.core_idx)]
     assert np.linalg.matrix_rank(core) == len(CORE_COVARIATES) == core.shape[1]
 
@@ -1346,7 +1350,7 @@ def homophily_world(seed, n=400, h=0.95, rates=(0.025, 0.001), horizon=50):
 def run_timing_rr(g, log, trait, d=3, include_trait=True, seed=0):
     static = (("trait",), trait.astype(float)) if include_trait else None
     cov = CovariateTable(g, log, lag=7, static=static)
-    panel = build_panel(g, log, cov, Timing(d=d))
+    panel = build_panel(cov, Timing(d=d))
     model = fit_propensity(panel, min_level_rows=5)
     run = match_all_days(panel, model)
     return panel, model, run
@@ -1432,7 +1436,7 @@ def test_diagnostics_aucs_equal_the_panel_wide_logits():
     g, log, trait = homophily_world(6, n=400, h=0.5, rates=(0.03, 0.006))
     runs = []
     for lag, kind in ((7, Timing(d=3)), (8, Dose()), (7, PlaceboFuture(d=3))):
-        panel = build_panel(g, log, CovariateTable(g, log, lag=lag), kind)
+        panel = build_panel(CovariateTable(g, log, lag=lag), kind)
         model = fit_propensity(panel, min_level_rows=5)
         runs += [(panel, model, lv) for lv in model.classes if lv != 0]
     assert len(runs) >= 5  # timing, placebo and at least three dose levels
@@ -1496,7 +1500,7 @@ def test_pairs_csv_round_trip(tmp_path):
 def test_dose_pipeline_end_to_end():
     g, log, trait = homophily_world(6, n=260, h=0.5, rates=(0.02, 0.004))
     cov = CovariateTable(g, log, lag=8)
-    panel = build_panel(g, log, cov, Dose())
+    panel = build_panel(cov, Dose())
     assert panel.levels == ("0", "1", "2", "3", "3+")
     model = fit_propensity(panel, min_level_rows=5)
     levels_present = [lv for lv in model.classes if lv != 0]

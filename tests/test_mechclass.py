@@ -71,6 +71,14 @@ def tree_dicts(trees):
     return [[tree.as_dict() for tree in r] for r in trees]
 
 
+def test_classes_are_the_present_mechanisms_in_order_then_other_labels_sorted():
+    X, y = synth_rows(8, seed=2, classes=("Shock", "Complex", "Simple"))
+    y[[0, 9, 17]] = "zeta"
+    y[[1, 10]] = "alpha"
+    res = train(X, y, n_rounds=2, max_depth=2, test_fraction=0)
+    assert res.model.classes == ("Simple", "Complex", "Shock", "alpha", "zeta")
+
+
 def test_overfit_tiny_duplicated_set():
     Xs, ys = synth_rows(13, seed=1)  # 52 distinct rows
     X = np.tile(Xs, (4, 1))[:200]

@@ -5,6 +5,7 @@ fast check that the names and row shapes bench/tracing.py relies on still hold.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -62,8 +63,8 @@ def test_tracer_sees_each_realization(monkeypatch):
     assert tracer.counts["cascade.adoptions"] > 0
 
 
-def test_tracer_sees_the_match_stages(monkeypatch):
-    from contagion_lab import matchlab
+def test_tracer_sees_the_match_stages(monkeypatch, tmp_path):
+    from contagion_lab import cli, matchlab
     from contagion_lab.synthgen import (
         SynthConfig,
         gen_graph,
@@ -81,7 +82,7 @@ def test_tracer_sees_the_match_stages(monkeypatch):
     try:
         # called through the module, where install put the wrappers
         cov = matchlab.CovariateTable(g, log, lag=7)
-        panel = matchlab.build_panel(g, log, cov, matchlab.Timing(d=3))
+        panel = matchlab.build_panel(cov, matchlab.Timing(d=3))
         model = matchlab.fit_propensity(panel, min_level_rows=5)
         run = matchlab.match_all_days(panel, model)
         matchlab.diagnostics(panel, model, run)
@@ -94,3 +95,25 @@ def test_tracer_sees_the_match_stages(monkeypatch):
     assert tracer.counts["matchlab.panel_bytes"] > 0
     assert tracer.counts["matchlab.pairs"] == len(run.pairs) > 0
     assert tracer.counts["matchlab.newton_iterations"] == model.iterations
+
+    # a permuted placebo through the CLI, as the benchmark runs it: one panel
+    # span, and its rows counted once
+    g.save(tmp_path / "g.npz")
+    log.to_csv(tmp_path / "log.csv", g)
+    pairs = tmp_path / "pairs.csv"
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert cli.main([
+            "match", "--graph", str(tmp_path / "g.npz"), "--log", str(tmp_path / "log.csv"),
+            "--last-day", str(log.last_day), "--kind", "timing", "--d", "3",
+            "--placebo", "permute", "--seed", "2",
+            "--min-level-rows", "5", "--out-pairs", str(pairs),
+            "--out-risk", str(tmp_path / "risk.json"),
+        ]) == 0
+    finally:
+        tracer.restore()
+    summary = json.loads(Path(f"{pairs}.manifest.json").read_text())["summary"]
+    assert summary["kind"].startswith("placebo_permuted(")
+    assert [s.name for s in tracer.spans].count("matchlab.panel") == 1
+    assert tracer.counts["matchlab.panel_rows"] == summary["panel_rows"] == panel.n_rows
