@@ -47,6 +47,7 @@ from .features import (
     write_feature_csv,
 )
 from .matchlab import (
+    DIRECTIONS,
     CovariateTable,
     Dose,
     PlaceboFuture,
@@ -448,6 +449,8 @@ def cmd_match(args, sp):
     _require(sp, args, "graph", "log", "out_pairs", "out_risk")
     if args.kind == "timing" and args.d is None:
         sp.error("--d is required for --kind timing")
+    if args.kind == "dose" and args.d is not None:
+        sp.error("--d applies only to --kind timing; dose has a fixed 7-day window")
     if args.placebo == "future":
         if args.kind != "timing":
             sp.error("--placebo future requires --kind timing")
@@ -652,8 +655,7 @@ def build_parser():
     _graph_and_log_flags(sp)
     sp.add_argument("--kind", choices=("timing", "dose"), default="timing")
     sp.add_argument("--d", type=int, help="timing window length in days (1..6)")
-    sp.add_argument("--direction", choices=("followee", "follower", "mutual"),
-                    default="followee")
+    sp.add_argument("--direction", choices=DIRECTIONS, default="followee")
     sp.add_argument("--placebo", choices=("none", "future", "permute"), default="none")
     sp.add_argument("--lag", type=int, default=7,
                     help="covariate measurement lag in days; the covariates must predate the "

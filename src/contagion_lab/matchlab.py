@@ -1,18 +1,18 @@
 """Dynamic matched-sample estimation of peer-influence risk ratios.
 
 Builds daily risk-set panels for a treatment design from a covariate table
-alone (`build_panel(covariates, design)`: the table holds the adoption days
-of the log it was built from), fits propensity scores with one multinomial
-logistic model for every design (two levels for the timing and placebo
-designs) by Newton iteration, matches treated egos to same-day controls
-under a propensity-logit caliper with Mahalanobis tie-breaking, and pools
-daily 2x2 tables into a risk ratio with a small-cell correction. The
-permuted placebo is a panel transform (`permute_within_day`), applied to a
-built panel. Most panel rows repeat another row's covariates, so
-the fit runs over the panel's distinct covariate rows, and the matcher
-collapses each day's controls into the fit's groups; both give what a pass
-over every row would. The fit's sums run in a fixed order, so its bits do not
-depend on the BLAS thread count.
+alone (`build_panel(covariates, design)`; the table holds its log's adoption
+days). A design gives its levels, its window (the lag rule reads it) and its
+rule, `treatment(covariates, risk, D)`; timing, dose and placebo-future share
+one: a capped count of window adoptions. It fits propensity scores with one
+multinomial logit by Newton iteration, matches treated egos to same-day
+controls under a propensity-logit caliper with Mahalanobis tie-breaking, and
+pools daily 2x2 tables into a risk ratio with a small-cell correction. The
+permuted placebo is a panel transform (`permute_within_day`). Most panel rows
+repeat another row's covariates, so the fit runs over the panel's distinct
+covariate rows, and the matcher collapses each day's controls into the fit's
+groups; both give what a pass over every row would. The fit's sums run in a
+fixed order, so its bits do not depend on the BLAS thread count.
 
 Covariates. The 10-column core block (`CORE_COVARIATES`) is full rank: it has
 no total degree, which is in + out degree, but keeps its log.
@@ -113,23 +113,33 @@ CORE_COVARIATES = (
 )
 
 
-def _check_direction(direction):
-    if direction not in DIRECTIONS:
-        raise DataError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+class _CappedCount:
+    """A design whose level is its neighbors' adoptions in `window`, capped at
+    the last level; a window length `d` must be in 1..6."""
+
+    def __post_init__(self):
+        if not 1 <= getattr(self, "d", 1) <= 6:
+            name = self.label.split("(")[0].split("_")[0]  # timing or placebo
+            raise DataError(f"{name} window d must be in 1..6, got {self.d}")
+        if self.direction not in DIRECTIONS:
+            raise DataError(f"unknown direction {self.direction!r}; expected one of {DIRECTIONS}")
+
+    def treatment(self, covariates, risk, D) -> np.ndarray:
+        """Level codes of the nodes `risk` on day D, read from the exposure
+        index of the design's direction."""
+        lo, hi = self.window
+        index = covariates.exposure[self.direction]
+        cnt = index.count(risk, D + hi + 1) - index.count(risk, D + lo)
+        return np.minimum(cnt, len(self.levels) - 1)
 
 
 @dataclass(frozen=True)
-class Timing:
+class Timing(_CappedCount):
     """Treated iff >= 1 neighbor adopted within the last d days (same day excluded)."""
 
     d: int
     direction: str = "followee"
     levels = BINARY_LEVELS
-
-    def __post_init__(self):
-        if not 1 <= self.d <= 6:
-            raise DataError(f"timing window d must be in 1..6, got {self.d}")
-        _check_direction(self.direction)
 
     @property
     def window(self):
@@ -141,15 +151,12 @@ class Timing:
 
 
 @dataclass(frozen=True)
-class Dose:
+class Dose(_CappedCount):
     """Neighbor adoptions over the trailing week, binned 0/1/2/3/3+."""
 
     direction: str = "followee"
     levels = DOSE_LEVELS
     window = (-DOSE_WINDOW, -1)
-
-    def __post_init__(self):
-        _check_direction(self.direction)
 
     @property
     def label(self):
@@ -157,17 +164,12 @@ class Dose:
 
 
 @dataclass(frozen=True)
-class PlaceboFuture:
+class PlaceboFuture(_CappedCount):
     """Counterfeit treatment from the mirrored future window [day+1, day+d]."""
 
     d: int
     direction: str = "followee"
     levels = BINARY_LEVELS
-
-    def __post_init__(self):
-        if not 1 <= self.d <= 6:
-            raise DataError(f"placebo window d must be in 1..6, got {self.d}")
-        _check_direction(self.direction)
 
     @property
     def window(self):
@@ -217,8 +219,8 @@ class CovariateTable:
     degree: it is in + out degree, which would make the block singular,
     while its log is not linear in the others). Optional
     static per-node columns are appended after the core block.  Holds one
-    exposure index per direction (`exposure`, which `build_panel` also
-    reads each row's treatment from), one float row per node (`node_X`:
+    exposure index per direction (`exposure`, which a design reads each
+    row's treatment from), one float row per node (`node_X`:
     the three degrees, the log total degree and the static columns) and its
     log's adoption days and horizon (`adoption_day`, `first_day` and
     `last_day`, which `build_panel` reads the risk sets and outcomes from),
@@ -400,21 +402,21 @@ class TreatmentPanel:
 def build_panel(covariates: CovariateTable, kind, days=None) -> TreatmentPanel:
     """Assemble the daily risk-set panel for one treatment design.
 
-    Everything but the design comes from `covariates`: the risk sets and
-    outcomes from the adoption days of the log it was built from, each
-    row's treatment from its exposure index for the design's direction, and
-    each row's counts from its adoptions on or before day - lag. A design
-    gives its treatment `window`, inclusive day offsets from the panel day,
-    and its `levels`; a row's level is its neighbors' adoptions in the
-    window, capped at the last level, so the lag must predate the window's
-    first day. Egos leave the risk set the day after adopting. Rows are
+    Everything but the treatment comes from `covariates`: the risk sets and
+    outcomes from the adoption days of the log it was built from, and each
+    row's counts from its adoptions on or before day - lag. A design gives
+    its `levels`, its treatment `window` (inclusive day offsets from the
+    panel day; the lag must predate the window's first day) and its rule,
+    `treatment(covariates, risk, D)`: day D's level codes for the risk set
+    `risk`, read from whichever exposure index of `covariates` it needs.
+    Egos leave the risk set the day after adopting. Rows are
     stored in (day, ego) order (`days` is sorted; by default every day from
     first_day + lag) in the narrowest int dtypes that hold the node ids,
     days and degrees, in columns sized once from the adoption days and
     filled one day's slice at a time.
     """
     lag = covariates.lag
-    lo, hi = kind.window
+    lo = kind.window[0]
     if lag <= -lo:
         raise DataError(
             f"covariate lag {lag} does not predate the {kind.label} treatment window, "
@@ -433,7 +435,6 @@ def build_panel(covariates: CovariateTable, kind, days=None) -> TreatmentPanel:
             raise DataError(f"panel day {D} outside the log horizon")
     ad = covariates.adoption_day
     n_nodes = len(covariates.node_X)
-    index = covariates.exposure[kind.direction]
 
     # a day's risk set is every node that has not adopted before it, so one
     # sorted copy of the adoption days sizes every day's slice of the columns
@@ -452,8 +453,7 @@ def build_panel(covariates: CovariateTable, kind, days=None) -> TreatmentPanel:
         if a == b:
             continue
         risk = np.flatnonzero((ad == NEVER) | (ad >= D))
-        cnt = index.count(risk, D + hi + 1) - index.count(risk, D + lo)
-        treat[a:b] = np.minimum(cnt, len(kind.levels) - 1)
+        treat[a:b] = kind.treatment(covariates, risk, D)
         ego[a:b] = risk
         day_col[a:b] = D
         out[a:b] = ad[risk] == D
@@ -582,7 +582,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     most `NEWTON_TOL` (Boyd & Vandenberghe 2004, sec. 9.5.1), so a direction
     the covariates leave unidentified cannot hold it open; after
     `NEWTON_MAX_ITER` iterations it raises `ConvergenceError`. Requires at
-    least two levels meeting the row floor.
+    least two levels present in the panel and meeting the row floor.
 
     The likelihood reads a row only through its covariates and its
     treatment, so the fit runs over the panel's distinct covariate rows
@@ -596,7 +596,7 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     thread count. The model keeps one probability per group and level.
     """
     counts = panel.level_counts()
-    if np.count_nonzero(counts >= min_level_rows) < 2:
+    if np.count_nonzero((counts > 0) & (counts >= min_level_rows)) < 2:
         raise DataError(
             f"need >= 2 treatment levels with >= {min_level_rows} rows; "
             f"level counts {counts.tolist()}"

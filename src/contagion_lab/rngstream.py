@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
+
 # component tags (first path element)
 REALIZATION = 1
 PARAM_ASSIGNMENT = 2
@@ -23,5 +25,7 @@ PLACEBO = 6
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Derive an independent generator for (seed, path)."""
+    if int(seed) < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
     seq = np.random.SeedSequence([int(seed), *(int(p) for p in path)])
     return np.random.Generator(np.random.PCG64(seq))

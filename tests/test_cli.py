@@ -785,7 +785,8 @@ def test_match_flag_validation(hworld, tmp_path, capsys):
 
 
 def test_match_level_is_checked_before_the_work(hworld, tmp_path, monkeypatch, capsys):
-    # a --level outside the design's levels, or 0, fails before any table is built
+    # a --level outside the design's levels, or 0, or a --d the dose design
+    # would ignore, fails before any table is built
     def unreachable(*args, **kwargs):
         raise AssertionError("the covariate table was built")
 
@@ -800,6 +801,8 @@ def test_match_level_is_checked_before_the_work(hworld, tmp_path, monkeypatch, c
          "--level 0 is the control group"),
         (["--kind", "timing", "--d", 3, "--placebo", "future", "--level", "3+"],
          "--level must be one of 0,1"),
+        (["--kind", "dose", "--lag", 8, "--d", 3],
+         "--d applies only to --kind timing; dose has a fixed 7-day window"),
     ):
         assert run(common + flags) == 1, flags
         assert message in capsys.readouterr().err, flags
@@ -912,6 +915,33 @@ def test_train_bad_split_or_step_is_data_error(world, tmp_path, capsys, flags):
                 "--out", out, "--metrics-out", tmp_path / "metrics.json"]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--nodes", 50, "--seed", -1, "--out", "{out}/g.npz"],
+        ["simulate", "--graph", "{graph}", "--realizations", 1, "--horizon", 5,
+         "--threads", 1, "--seed", -3, "--out", "{out}/e.jsonl"],
+        ["calibrate", "--graph", "{graph}", "--log", "{log}", "--out", "{out}/pools.json",
+         "--params-out", "{out}/params.json", "--seed", -1],
+        ["train", "--events", "{events}", "--rounds", 2, "--seed", -4,
+         "--out", "{out}/m.json"],
+        ["match", "--graph", "{hgraph}", "--log", "{hlog}", "--kind", "timing", "--d", 3,
+         "--min-level-rows", 5, "--placebo", "permute", "--seed", -2,
+         "--out-pairs", "{out}/p.csv", "--out-risk", "{out}/r.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_data_error(world, hworld, tmp_path, capsys, argv):
+    # SeedSequence rejects a negative seed with a ValueError traceback
+    paths = {"out": tmp_path, "graph": world["graph"], "log": world["log"],
+             "events": world["events"], "hgraph": hworld["graph"], "hlog": hworld["log"]}
+    seed = argv[argv.index("--seed") + 1]
+    assert run([str(a).format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"seed must be a non-negative integer, got {seed}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("caliper", [-1, "nan"])

@@ -170,6 +170,27 @@ def test_placebo_future_window():
         assert panel.treatment[row] == expect, day
 
 
+DIRECTION_ERROR = "unknown direction 'x'; expected one of ('followee', 'follower', 'mutual')"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Timing(d=0), "timing window d must be in 1..6, got 0"),
+        (lambda: Timing(d=7), "timing window d must be in 1..6, got 7"),
+        (lambda: PlaceboFuture(d=0), "placebo window d must be in 1..6, got 0"),
+        (lambda: PlaceboFuture(d=7), "placebo window d must be in 1..6, got 7"),
+        (lambda: Timing(d=3, direction="x"), DIRECTION_ERROR),
+        (lambda: Dose(direction="x"), DIRECTION_ERROR),
+        (lambda: PlaceboFuture(d=3, direction="x"), DIRECTION_ERROR),
+    ],
+)
+def test_design_errors_are_pinned(make, message):
+    with pytest.raises(DataError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_placebo_permuted_preserves_daily_multisets():
     g, log, trait = homophily_world(seed=3)
     cov = CovariateTable(g, log, lag=8)
@@ -314,6 +335,43 @@ def test_panel_treatment_matches_reference():
                     assert np.array_equal(panel.treatment[rows], code(cnt)), (kind, D)
 
 
+@dataclasses.dataclass(frozen=True)
+class Recency:
+    """Level k when the most recent neighbor adoption in [D - 6, D - 1] was
+    k days before D, and level 0 when there was none: a rule no capped count
+    gives."""
+
+    direction: str = "followee"
+    levels = tuple(str(k) for k in range(7))
+    window = (-6, -1)
+    label = "recency(window=6)"
+
+    def treatment(self, covariates, risk, D):
+        m, _, last = covariates.exposure[self.direction].exposure(risk, D)
+        ago = np.where(m > 0, D - last, 0)
+        return np.where(ago <= 6, ago, 0)
+
+
+def test_panel_treatment_comes_from_the_design_rule():
+    nbrs = {"followee": DirectedGraph.followees, "follower": DirectedGraph.followers,
+            "mutual": DirectedGraph.mutual}
+    for g, log in reference_worlds():
+        cov = CovariateTable(g, log, lag=7)
+        ad = log.adoption_day
+        days = range(log.first_day, log.last_day + 1)
+        for direction, of in nbrs.items():
+            panel = build_panel(cov, Recency(direction), days=days)
+            assert panel.levels == Recency.levels and panel.kind_label == "recency(window=6)"
+            for D in days:
+                rows = panel.day == D
+                expect = []
+                for u in panel.ego[rows]:
+                    t = ad[of(g, u)]
+                    ago = D - t[(t != NEVER) & (t < D) & (t >= D - 6)]
+                    expect.append(ago.min() if len(ago) else 0)
+                assert np.array_equal(panel.treatment[rows], expect), (direction, D)
+
+
 # ----------------------------------------------------------------- propensity
 
 def random_panel(n, p, seed, treat_rule):
@@ -397,6 +455,14 @@ def test_propensity_floor_enforced():
     panel = random_panel(30, 3, 3, lambda rng, X: (np.arange(len(X)) < 5).astype(int))
     with pytest.raises(DataError):
         fit_propensity(panel)
+
+
+@pytest.mark.parametrize("floor", [-5, 0])
+def test_propensity_floor_needs_two_present_levels(floor):
+    # one level holds every row: no floor makes the absent level count
+    panel = random_panel(30, 3, 3, lambda rng, X: np.zeros(len(X)))
+    with pytest.raises(DataError, match=r"level counts \[30, 0\]"):
+        fit_propensity(panel, min_level_rows=floor)
 
 
 def test_propensity_multinomial_probabilities():
