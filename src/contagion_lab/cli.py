@@ -21,6 +21,7 @@ import scipy
 
 from . import __version__
 from .calibrate import (
+    DEFAULT_ACTIVITY_MEAN,
     AdoptionLog,
     MechanismParams,
     assign_from_pools,
@@ -31,6 +32,8 @@ from .calibrate import (
     eve_counts,
 )
 from .cascade import (
+    DEFAULT_HORIZON_DAYS,
+    DEFAULT_STOP_FRACTION,
     dedup_events,
     events_to_log,
     read_events,
@@ -300,7 +303,6 @@ def cmd_calibrate(args, sp):
         "r": r,
         "activity_mean": float(np.mean(activity)),
     }
-    _write_json(payload, args.out)
     if args.params_out:
         params = assign_from_pools(
             g.node_count,
@@ -313,6 +315,7 @@ def cmd_calibrate(args, sp):
             seed=args.seed,
         )
         params.to_json(args.params_out)
+    _write_json(payload, args.out)
     return {
         "beta_n": beta.n,
         "beta_mean": beta.mean,
@@ -470,11 +473,11 @@ def cmd_match(args, sp):
         panel = permute_within_day(panel, args.seed)
     model = fit_propensity(panel, min_level_rows=args.min_level_rows)
     run = match_all_days(panel, model, caliper_mult=args.caliper, level=level)
-    write_pairs(run.pairs, args.out_pairs)
     table = pool_risk_ratio(run.pairs)
+    write_pairs(run.pairs, args.out_pairs)
     table.to_json(args.out_risk)
     if args.out_diagnostics:
-        _write_json(diagnostics(panel, model, run, level=level), args.out_diagnostics)
+        _write_json(diagnostics(panel, run, level=level), args.out_diagnostics)
     return {
         "kind": panel.kind_label,
         "level": args.level,
@@ -580,8 +583,8 @@ def build_parser():
     sp.add_argument("--shocks", type=_In, help="shock schedule JSON")
     sp.add_argument("--shock-prob", type=float, default=0.0)
     sp.add_argument("--realizations", type=int, default=100)
-    sp.add_argument("--stop-fraction", type=float, default=0.18)
-    sp.add_argument("--horizon", type=int, default=730)
+    sp.add_argument("--stop-fraction", type=float, default=DEFAULT_STOP_FRACTION)
+    sp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON_DAYS)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--seed-nodes", type=int, default=1)
     sp.add_argument("--threads", type=int, default=None)
@@ -592,7 +595,7 @@ def build_parser():
     _graph_and_log_flags(sp)
     sp.add_argument("--shock-ranges", type=_In, help="detect-shocks output JSON to mask")
     sp.add_argument("--activity-posts", type=_In, help="per-node posting CSV (node,count)")
-    sp.add_argument("--activity-mean", type=float, default=0.032)
+    sp.add_argument("--activity-mean", type=float, default=DEFAULT_ACTIVITY_MEAN)
     sp.add_argument("--out", type=_Out, help="calibration JSON")
     sp.add_argument("--params-out", type=_Out, help="optional per-node parameter JSON")
     sp.add_argument("--shocks", type=_In, help="shock schedule JSON for the parameter file")
@@ -663,7 +666,7 @@ def build_parser():
     sp.add_argument("--caliper", type=float, default=0.1)
     sp.add_argument("--level", default="1", help="treatment level to estimate")
     sp.add_argument("--min-level-rows", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="read only by --placebo permute")
     sp.add_argument("--out-pairs", type=_Out, help="matched pairs CSV")
     sp.add_argument("--out-risk", type=_Out, help="pooled risk table JSON")
     sp.add_argument("--out-diagnostics", type=_Out, help="balance diagnostics JSON")

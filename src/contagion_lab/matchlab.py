@@ -48,10 +48,11 @@ distances are computed once, in chunks of at most 2^16 window entries.
 
 Panel order. Panel rows are in ascending (day, ego) order, each (day, ego)
 once, and `TreatmentPanel` rejects any other order, so a day's rows are one
-slice: the fit, the matcher, the diagnostics and the within-day permutation
-read each day as a slice, and the covariate moments (the fit's standardization
-and the matcher's whitening) are computed once per panel. Matched pairs are one
-`PAIR_DTYPE` record table per day and one for the run.
+slice: the fit, the matcher (which also takes each day's AUC) and the
+within-day permutation read each day as a slice, and the covariate moments
+(the fit's standardization and the matcher's whitening) are computed once per
+panel. Matched pairs are one `PAIR_DTYPE` record table per day and one for
+the run.
 
 Memory model. The treatment panel stores per row only narrow ints (ego, day,
 treatment, outcome and the three lagged adopted-neighbor counts; 12 bytes a row
@@ -62,11 +63,11 @@ rows at a time. The propensity fit holds one design row per distinct covariate
 row and one group index per panel row (narrow ints); the model keeps the index
 and one probability per group and level, not per row. Grouping the rows holds
 each day's distinct keys once more, about 26 bytes per summed day-key at its
-peak. The matcher and the diagnostics keep the matched level's logits one per
-group (`PropensityModel.group_logits`) and gather one day's from the group
-index. Matching gathers a day's whitened rows only when it matches that day,
-and the pairs CSV is written 2^14 rows at a time. So the stage holds O(edges +
-nodes + distinct rows) plus the group index and one day's gathered rows.
+peak. The matcher keeps the matched level's logits one per group
+(`PropensityModel.group_logits`) and gathers one day's from the group index.
+Matching gathers a day's whitened rows only when it matches that day, and the
+pairs CSV is written 2^14 rows at a time. So the stage holds O(edges + nodes +
+distinct rows) plus the group index and one day's gathered rows.
 
 Measured in-process on 2 vCPUs with one BLAS thread, on the `match` world's
 rates at seed 41 (panel, fit, matching, diagnostics and the pairs write; peak
@@ -698,6 +699,7 @@ class DayMatchResult:
     n_treated: int
     n_matched: int
     skip_reason: str | None = None
+    auc: float | None = None  # of the day's logits for `level` vs control; None if skipped
 
     @property
     def overlap(self) -> float | None:
@@ -883,6 +885,8 @@ def _match_day(ctx, day, rows, caliper_mult, level):
         return DayMatchResult(
             day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
+    use = (treat == level) | (treat == 0)
+    auc = _rank_auc(s[use], treat[use] == level)
     ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
     ti, cj, dist = _window_picks(ctx.W[grp], s, grp, ego, t, c, caliper)
     pairs = _pair_table(ti.size)
@@ -893,7 +897,7 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     pairs.mahalanobis = dist
     pairs.treated_outcome = outcome[ti]
     pairs.control_outcome = outcome[cj]
-    return DayMatchResult(day, pairs, int(t.size), ti.size, None)
+    return DayMatchResult(day, pairs, int(t.size), ti.size, None, auc)
 
 
 def match_all_days(
@@ -990,23 +994,11 @@ def naive_risk_table(panel: TreatmentPanel, level: int = 1) -> RiskTable:
     return RiskTable.from_counts(a, b, cc, dd)
 
 
-def diagnostics(
-    panel: TreatmentPanel,
-    model: PropensityModel,
-    run: MatchRun,
-    level: int = 1,
-) -> dict:
+def diagnostics(panel: TreatmentPanel, run: MatchRun, level: int = 1) -> dict:
     """Balance and overlap summary: per-day AUC, logit gaps, match distances.
-    The AUCs read the logits that `run` matched on, one day's at a time."""
-    logits = model.group_logits(level)
-    aucs = []
-    for _, rows in panel.rows_by_day():
-        grp = panel.treatment[rows]
-        use = (grp == level) | (grp == 0)
-        s = logits[model.group[rows]]
-        auc = _rank_auc(s[use], grp[use] == level)  # None without both groups
-        if auc is not None:
-            aucs.append(auc)
+    The AUCs are the matched days', taken by `match_all_days` from the logits
+    it matched on."""
+    aucs = [r.auc for r in run.results if r.auc is not None]
     gaps = np.abs(run.pairs.logit_gap)
     dists = run.pairs.mahalanobis
     overlaps = [r.overlap for r in run.results if r.skip_reason is None]

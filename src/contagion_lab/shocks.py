@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DataError, read_csv, read_json, write_csv, write_json
 
@@ -176,12 +177,10 @@ def detect_shocks(
     n = len(counts)
     if n <= window:
         raise DataError(f"series length {n} must exceed window {window}")
+    past = sliding_window_view(counts[:-1], window)  # row i: the days before window + i
+    now = counts[window:]
     flagged = np.zeros(n, dtype=bool)
-    for t in range(window, n):
-        past = counts[t - window : t]
-        mu = past.mean()
-        sd = past.std(ddof=1)
-        flagged[t] = counts[t] >= min_count and counts[t] > mu + z * sd
+    flagged[window:] = (now >= min_count) & (now > past.mean(axis=1) + z * past.std(axis=1, ddof=1))
     # the padded flags change at each run's first day and the day after its last
     edges = np.flatnonzero(np.diff(np.concatenate(([False], flagged, [False]))))
     return [(int(first), int(after) - 1) for first, after in zip(edges[::2], edges[1::2])]

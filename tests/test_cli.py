@@ -75,28 +75,42 @@ def test_help_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy_stats_or_special():
-    # every CLI step pays its import; scipy.stats alone costs about 1 s
+def fresh_python(code):
+    """The stripped stdout of `code` run in a new interpreter that imports
+    this checkout's package."""
     env = dict(os.environ)
     pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy_stats_or_special():
+    # every CLI step pays its import; scipy.stats alone costs about 1 s
     code = ("import sys, contagion_lab.cli; "
             "print(sorted(m for m in ('scipy', 'scipy.stats', 'scipy.special') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "['scipy']"
+    assert fresh_python(code) == "['scipy']"
 
 
 def test_cli_import_loads_no_multiprocessing():
     # only a realization pool needs it; every other CLI start would pay 3-7 ms
-    env = dict(os.environ)
-    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     code = "import sys, contagion_lab.cli; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # names are imported from their modules; the package re-exports none
+    code = ("import sys, contagion_lab; "
+            "print(sorted(m for m in sys.modules if m.startswith('contagion_lab.')))")
+    assert fresh_python(code) == "[]"
+
+
+def test_engine_import_loads_no_later_stage():
+    code = ("import sys, contagion_lab.cascade; "
+            "print([m for m in ('matchlab', 'mechclass', 'synthgen', 'structtest', 'cli') "
+            "if 'contagion_lab.' + m in sys.modules])")
+    assert fresh_python(code) == "[]"
 
 
 def test_version_exits_zero(capsys):
@@ -866,9 +880,6 @@ def test_match_summary_counts_skipped_days_by_reason(hworld, tmp_path, capsys):
 
 def test_binary_match_never_loads_scipy_special(hworld, tmp_path):
     # the propensity fit's probabilities are numpy's, not scipy.special's
-    env = dict(os.environ)
-    pkg_root = str(Path(contagion_lab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     argv = ["match", "--graph", str(hworld["graph"]), "--log", str(hworld["log"]),
             "--kind", "timing", "--d", "3", "--min-level-rows", "5",
             "--out-pairs", str(tmp_path / "p.csv"), "--out-risk", str(tmp_path / "r.json"),
@@ -876,9 +887,7 @@ def test_binary_match_never_loads_scipy_special(hworld, tmp_path):
     code = ("import sys, contagion_lab.cli as cli; "
             f"rc = cli.main({argv!r}); "
             "print(rc, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split()[-2:] == ["0", "False"]
+    assert fresh_python(code).split()[-2:] == ["0", "False"]
 
 
 def test_match_dose_converges(hworld, tmp_path, capsys):
@@ -942,6 +951,7 @@ def test_negative_seed_is_data_error(world, hworld, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"seed must be a non-negative integer, got {seed}" in err
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())  # calibrate once left its pools behind
 
 
 @pytest.mark.parametrize("caliper", [-1, "nan"])
@@ -953,6 +963,25 @@ def test_match_bad_caliper_is_data_error(hworld, tmp_path, capsys, caliper):
     err = capsys.readouterr().err
     assert "caliper multiplier must be >= 0" in err and "Traceback" not in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_match_without_pairs_writes_no_output(tmp_path, capsys):
+    # n01..n29 follow n00 alone; no treated ego finds a control in its caliper
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target\n" + "".join(f"n{i:02d},n00\n" for i in range(1, 30)))
+    log = tmp_path / "log.csv"
+    log.write_text("node,day\nn00,5\nn07,15\nn11,20\n")
+    graph = tmp_path / "g.npz"
+    assert run(["ingest", "--edges", edges, "--out", graph]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run(["match", "--graph", graph, "--log", log, "--kind", "timing", "--d", 3,
+              "--lag", 4, "--last-day", 29, "--min-level-rows", 5,
+              "--out-pairs", out / "pairs.csv", "--out-risk", out / "risk.json",
+              "--out-diagnostics", out / "diagnostics.json"])
+    assert rc == 2
+    assert "no matched pairs to pool" in capsys.readouterr().err
+    assert not any(out.iterdir())  # a header-only pairs CSV was once left behind
 
 
 def test_detect_shocks_window_below_two_is_data_error(tmp_path, capsys):

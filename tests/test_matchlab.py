@@ -1458,13 +1458,13 @@ def test_diagnostics_perfect_and_disjoint():
     )
     model = stub_model(panel, [0.2, 0.4, 0.6, 0.8, 0.2, 0.4, 0.6, 0.8])
     run = match_all_days(panel, model)
-    diag = diagnostics(panel, model, run)
+    diag = diagnostics(panel, run)
     assert diag["dlogit_p90"] == 0.0
     assert diag["overlap_median"] == 1.0
     assert diag["distance_p90"] == 0.0
     far = stub_model(panel, [10.0, 10.0, 10.0, 10.0, -10.0, -10.0, -10.0, -10.0])
     run2 = match_all_days(panel, far)
-    diag2 = diagnostics(panel, far, run2)
+    diag2 = diagnostics(panel, run2)
     assert diag2["n_pairs"] == 0
     assert diag2["overlap_median"] == 0.0
 
@@ -1472,7 +1472,7 @@ def test_diagnostics_perfect_and_disjoint():
 def test_diagnostics_recomputation_oracle():
     g, log, trait = homophily_world(2)
     panel, model, run = run_timing_rr(g, log, trait)
-    diag = diagnostics(panel, model, run)
+    diag = diagnostics(panel, run)
     gaps = sorted(abs(p.logit_gap) for p in run.pairs)
     dists = sorted(p.mahalanobis for p in run.pairs)
     assert diag["n_pairs"] == len(gaps)
@@ -1507,7 +1507,7 @@ def test_diagnostics_aucs_equal_the_panel_wide_logits():
         runs += [(panel, model, lv) for lv in model.classes if lv != 0]
     assert len(runs) >= 5  # timing, placebo and at least three dose levels
     for panel, model, level in runs:
-        diag = diagnostics(panel, model, match_all_days(panel, model, level=level), level)
+        diag = diagnostics(panel, match_all_days(panel, model, level=level), level)
         aucs = panel_wide_aucs(panel, model, level)
         assert aucs, (panel.kind_label, level)
         assert diag["auc_median"] == float(np.median(aucs)), (panel.kind_label, level)

@@ -158,6 +158,43 @@ def test_five_spike_series_five_ranges():
     assert flagged == detect_oracle(counts)
 
 
+def detect_loop(counts, min_count, window, z):
+    """The day-by-day numpy loop `detect_shocks` replaced, kept as its reference."""
+    counts = counts.astype(float)
+    flagged = np.zeros(len(counts), dtype=bool)
+    for t in range(window, len(counts)):
+        past = counts[t - window : t]
+        flagged[t] = counts[t] >= min_count and counts[t] > past.mean() + z * past.std(ddof=1)
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flagged, [False]))))
+    return [(int(a), int(b) - 1) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def test_windowed_detection_equals_the_day_loop():
+    # besides fixed z values, z is set to a random day's exact boundary
+    # (counts[t] - mean) / sd, so a last bit moved in that day's window mean
+    # or SD can flip its flag
+    rng = np.random.default_rng(7)
+    cases = [(np.zeros(40, dtype=np.int64), 0, 30), (np.zeros(3, dtype=np.int64), 0, 2)]
+    for _ in range(150):
+        n = int(rng.integers(3, 900))
+        window = int(rng.integers(2, min(n - 1, 199) + 1))
+        counts = rng.poisson(rng.uniform(0, 50), size=n)
+        counts[rng.random(n) < 0.05] = 0
+        spikes = rng.random(n) < 0.02
+        counts[spikes] = rng.integers(100, 3000, size=int(spikes.sum()))
+        cases.append((counts, int(rng.choice([0, 1, 150])), window))
+    cases.append((cases[-1][0], 0, len(cases[-1][0]) - 1))  # window == n - 1
+    for counts, min_count, window in cases:
+        t = int(rng.integers(window, len(counts)))
+        past = counts[t - window : t].astype(float)
+        sd = past.std(ddof=1)
+        zs = [3.0, -1.0] + ([(counts[t] - past.mean()) / sd] if sd > 0 else [])
+        for z in zs:
+            got = detect_shocks(AdoptionSeries(counts), min_count=min_count, window=window, z=z)
+            assert got == detect_loop(counts, min_count, window, z), (len(counts), window, z)
+    assert detect_shocks(AdoptionSeries(np.zeros(40, dtype=np.int64)), min_count=0) == []
+
+
 def test_detection_ignores_early_days():
     counts = np.full(40, 10)
     counts[5] = 500  # inside the warm-up window: never flagged
