@@ -98,19 +98,6 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def resolve_threads(flag_value) -> int:
-    """CONTAGION_LAB_THREADS beats the flag; the flag beats cpu_count."""
-    env = os.environ.get("CONTAGION_LAB_THREADS")
-    if env is not None and env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DataError(f"CONTAGION_LAB_THREADS must be an integer, got {env!r}")
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    return os.cpu_count() or 1
-
-
 class _In(str):
     """The type of a file flag the run reads: its manifest lists it as an input."""
 
@@ -240,7 +227,7 @@ def cmd_simulate(args, sp):
     _require(sp, args, "graph", "out")
     g = DirectedGraph.load(args.graph)
     params = _params_for_simulate(args, g)
-    n_jobs = resolve_threads(args.threads)
+    n_jobs = (os.cpu_count() or 1) if args.threads is None else max(1, args.threads)
     _info(args, f"running {args.realizations} realizations on {n_jobs} workers")
     result = run_ensemble(
         g,
@@ -274,6 +261,8 @@ def _shock_ranges(d) -> list:
 
 def cmd_calibrate(args, sp):
     _require(sp, args, "graph", "log", "out")
+    if not 0 < args.activity_mean <= 1:  # NaN fails too
+        raise DataError(f"activity mean must lie in (0, 1], got {args.activity_mean}")
     g, log = _graph_and_log(args)
     if args.shock_ranges:
         ranges = read_json(args.shock_ranges, _shock_ranges)
@@ -462,25 +451,25 @@ def cmd_match(args, sp):
         kind = Timing(d=args.d, direction=args.direction)
     else:
         kind = Dose(direction=args.direction)
-    if args.level not in kind.levels:
-        sp.error(f"--level must be one of {','.join(kind.levels)}")
-    level = kind.levels.index(args.level)
-    if level == 0:
-        sp.error("--level 0 is the control group")
     g, log = _graph_and_log(args)
     panel = build_panel(CovariateTable(g, log, lag=args.lag), kind)
     if args.placebo == "permute":
         panel = permute_within_day(panel, args.seed)
     model = fit_propensity(panel, min_level_rows=args.min_level_rows)
-    run = match_all_days(panel, model, caliper_mult=args.caliper, level=level)
+    run = match_all_days(panel, model, caliper_mult=args.caliper)
     table = pool_risk_ratio(run.pairs)
-    write_pairs(run.pairs, args.out_pairs)
-    table.to_json(args.out_risk)
+    # each file holds the run pooled over its levels, then each level's own
+    name = panel.levels
+    runs = {k: run.at(k) for k in sorted({r.level for r in run.results})}
+    tables = {k: pool_risk_ratio(r.pairs) for k, r in runs.items() if len(r.pairs)}
+    write_pairs(run.pairs, name, args.out_pairs)
+    risk = {name[k]: t.to_dict() for k, t in tables.items()}
+    write_json(args.out_risk, {**table.to_dict(), "levels": risk}, indent=2)
     if args.out_diagnostics:
-        _write_json(diagnostics(panel, run, level=level), args.out_diagnostics)
+        diag = {name[k]: diagnostics(r) for k, r in runs.items()}
+        _write_json({**diagnostics(run), "levels": diag}, args.out_diagnostics)
     return {
         "kind": panel.kind_label,
-        "level": args.level,
         "panel_rows": panel.n_rows,
         "propensity_iterations": model.iterations,
         "propensity_step_halvings": model.step_halvings,
@@ -492,7 +481,14 @@ def cmd_match(args, sp):
         ),
         "rr": table.rr,
         "ci": [table.ci_low, table.ci_high],
-        "naive_rr": naive_risk_table(panel, level=level).rr,
+        "levels": {
+            name[k]: {
+                "rr": t.rr,
+                "ci": [t.ci_low, t.ci_high],
+                "naive_rr": naive_risk_table(panel, level=k).rr,
+            }
+            for k, t in tables.items()
+        },
     }
 
 
@@ -664,7 +660,6 @@ def build_parser():
                     help="covariate measurement lag in days; the covariates must predate the "
                          "treatment window, so timing needs lag > d and dose lag >= 8")
     sp.add_argument("--caliper", type=float, default=0.1)
-    sp.add_argument("--level", default="1", help="treatment level to estimate")
     sp.add_argument("--min-level-rows", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0, help="read only by --placebo permute")
     sp.add_argument("--out-pairs", type=_Out, help="matched pairs CSV")

@@ -5,14 +5,15 @@ alone (`build_panel(covariates, design)`; the table holds its log's adoption
 days). A design gives its levels, its window (the lag rule reads it) and its
 rule, `treatment(covariates, risk, D)`; timing, dose and placebo-future share
 one: a capped count of window adoptions. It fits propensity scores with one
-multinomial logit by Newton iteration, matches treated egos to same-day
-controls under a propensity-logit caliper with Mahalanobis tie-breaking, and
-pools daily 2x2 tables into a risk ratio with a small-cell correction. The
-permuted placebo is a panel transform (`permute_within_day`). Most panel rows
-repeat another row's covariates, so the fit runs over the panel's distinct
-covariate rows, and the matcher collapses each day's controls into the fit's
-groups; both give what a pass over every row would. The fit's sums run in a
-fixed order, so its bits do not depend on the BLAS thread count.
+multinomial logit by Newton iteration, matches each treated level's egos, a
+level at a time, to same-day controls under a propensity-logit caliper with
+Mahalanobis tie-breaking, and pools daily 2x2 tables into a risk ratio with a
+small-cell correction. The permuted placebo is a panel transform
+(`permute_within_day`). Most panel rows repeat another row's covariates, so
+the fit runs over the panel's distinct covariate rows, and the matcher
+collapses each day's controls into the fit's groups; both give what a pass
+over every row would. The fit's sums run in a fixed order, so its bits do not
+depend on the BLAS thread count.
 
 Covariates. The 10-column core block (`CORE_COVARIATES`) is full rank: it has
 no total degree, which is in + out degree, but keeps its log.
@@ -51,8 +52,8 @@ once, and `TreatmentPanel` rejects any other order, so a day's rows are one
 slice: the fit, the matcher (which also takes each day's AUC) and the
 within-day permutation read each day as a slice, and the covariate moments
 (the fit's standardization and the matcher's whitening) are computed once per
-panel. Matched pairs are one `PAIR_DTYPE` record table per day and one for
-the run.
+panel. Matched pairs are one `PAIR_DTYPE` record table per (level, day) and
+one for the run, level-major.
 
 Memory model. The treatment panel stores per row only narrow ints (ego, day,
 treatment, outcome and the three lagged adopted-neighbor counts; 12 bytes a row
@@ -63,7 +64,7 @@ rows at a time. The propensity fit holds one design row per distinct covariate
 row and one group index per panel row (narrow ints); the model keeps the index
 and one probability per group and level, not per row. Grouping the rows holds
 each day's distinct keys once more, about 26 bytes per summed day-key at its
-peak. The matcher keeps the matched level's logits one per group
+peak. The matcher keeps each treated level's logits one per group
 (`PropensityModel.group_logits`) and gathers one day's from the group index.
 Matching gathers a day's whitened rows only when it matches that day, and the
 pairs CSV is written 2^14 rows at a time. So the stage holds O(edges + nodes +
@@ -80,13 +81,13 @@ matching 39 s) at 310 MB; 20k nodes × 365 days is 4.82M rows and takes 12 s at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .calibrate import NEVER, AdoptionLog, ExposureIndex
-from .errors import ConvergenceError, DataError, write_csv, write_json
+from .errors import ConvergenceError, DataError, write_csv
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
 from .structtest import average_ranks
@@ -497,7 +498,6 @@ class PropensityModel:
     placebo model has two classes and one row.
     """
 
-    levels: tuple
     classes: tuple  # level codes the model was fit over, the reference first
     coef: np.ndarray  # (n_classes-1, p+1) rows vs the reference class
     mean: np.ndarray
@@ -660,7 +660,6 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     probs = np.zeros((G, len(panel.levels)))
     probs[:, classes] = probs_of(E).T
     return PropensityModel(
-        levels=panel.levels,
         classes=classes,
         coef=theta.reshape(K - 1, q),
         mean=mean,
@@ -673,9 +672,10 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     )
 
 
-# one row per matched pair; the first five fields are the columns of a pairs CSV
+# one row per matched pair; the first six fields are the columns of a pairs CSV
 PAIR_DTYPE = np.dtype(
     [
+        ("level", np.int8),  # the treated ego's level code
         ("day", np.int64),
         ("treated", np.int64),  # ego ids
         ("control", np.int64),
@@ -685,7 +685,7 @@ PAIR_DTYPE = np.dtype(
         ("control_outcome", np.int8),
     ]
 )
-_PAIR_CSV_COLUMNS = PAIR_DTYPE.names[:5]
+_PAIR_CSV_COLUMNS = PAIR_DTYPE.names[:6]
 
 
 def _pair_table(n: int) -> np.recarray:
@@ -694,6 +694,7 @@ def _pair_table(n: int) -> np.recarray:
 
 @dataclass(frozen=True)
 class DayMatchResult:
+    level: int  # the treated level's code
     day: int
     pairs: np.recarray  # PAIR_DTYPE, in ascending treated ego order
     n_treated: int
@@ -710,9 +711,9 @@ class DayMatchResult:
 
 @dataclass(frozen=True)
 class MatchRun:
-    """Every day's result in day order, and the run's pairs as one
-    `PAIR_DTYPE` table (the days' tables, concatenated in that order); each
-    day's `pairs` is its slice of that table."""
+    """Every (level, day) result, level-major, and the run's pairs as one
+    `PAIR_DTYPE` table (the results' tables in that order); each result's
+    `pairs`, and each level's (`at`), is a slice of that table."""
 
     results: tuple
     pairs: np.recarray
@@ -721,12 +722,17 @@ class MatchRun:
     def skipped(self) -> tuple:
         return tuple(r for r in self.results if r.skip_reason is not None)
 
+    def at(self, level: int) -> "MatchRun":
+        """One level's run: its results and its slice of the pairs."""
+        lo, hi = np.searchsorted(self.pairs.level, [level, level + 1]).tolist()
+        return MatchRun(tuple(r for r in self.results if r.level == level), self.pairs[lo:hi])
+
 
 class _MatchContext:
     """Panel-wide quantities shared by every day's matching pass, one row
-    per fit group: the matched level's logits (`logits`) and whitened core
-    rows (`W`, from each group's `rep` row), so with each row's group
-    (`group`) a day's are `logits[group[rows]]` and `W[group[rows]]`.
+    per fit group: each treated level's logits (`logits[level]`) and whitened
+    core rows (`W`, from each group's `rep` row), so with each row's group
+    (`group`) a day's are `logits[level][group[rows]]` and `W[group[rows]]`.
 
     `Z` is the core block standardized with its panel mean and SD, and `L`
     the Cholesky factor of the inverse covariance `VI` of `Z` (`L Lᵀ = VI`),
@@ -735,9 +741,9 @@ class _MatchContext:
     `W = Z·L` rows (`_sq_dist`).
     """
 
-    def __init__(self, panel, model, level):
+    def __init__(self, panel, model):
         self.panel = panel
-        self.logits = model.group_logits(level)
+        self.logits = {k: model.group_logits(k) for k in model.classes if k != 0}
         self.group = model.group
         core = list(panel.core_idx)
         n = panel.n_rows
@@ -869,13 +875,13 @@ def _window_picks(W, s, grp, ego, t, c, caliper):
 
 
 def _match_day(ctx, day, rows, caliper_mult, level):
-    """Match one day, whose panel rows are the slice `rows`."""
+    """Match one day at `level`, whose panel rows are the slice `rows`."""
     panel = ctx.panel
     n = rows.stop - rows.start
     if n == 0:
-        return DayMatchResult(day, _pair_table(0), 0, 0, "no risk-set rows")
+        return DayMatchResult(level, day, _pair_table(0), 0, 0, "no risk-set rows")
     grp = ctx.group[rows]
-    s = ctx.logits[grp]
+    s = ctx.logits[level][grp]
     sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
@@ -883,13 +889,14 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     c = np.flatnonzero(treat == 0)
     if t.size == 0 or c.size == 0:
         return DayMatchResult(
-            day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
+            level, day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
     use = (treat == level) | (treat == 0)
     auc = _rank_auc(s[use], treat[use] == level)
     ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
     ti, cj, dist = _window_picks(ctx.W[grp], s, grp, ego, t, c, caliper)
     pairs = _pair_table(ti.size)
+    pairs.level = level
     pairs.day = day
     pairs.treated = ego[ti]
     pairs.control = ego[cj]
@@ -897,17 +904,14 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     pairs.mahalanobis = dist
     pairs.treated_outcome = outcome[ti]
     pairs.control_outcome = outcome[cj]
-    return DayMatchResult(day, pairs, int(t.size), ti.size, None, auc)
+    return DayMatchResult(level, day, pairs, int(t.size), ti.size, None, auc)
 
 
 def match_all_days(
-    panel: TreatmentPanel,
-    model: PropensityModel,
-    caliper_mult: float = 0.1,
-    level: int = 1,
+    panel: TreatmentPanel, model: PropensityModel, caliper_mult: float = 0.1
 ) -> MatchRun:
-    """Greedily match each day's treated egos (ascending id) at `level` to
-    same-day controls (level 0).
+    """Greedily match each day's treated egos (ascending id) to same-day
+    controls (level 0), a level at a time: each level the fit saw but 0.
 
     Candidates must sit within `caliper_mult` (>= 0; inf for no caliper) x
     SD of the day's logits; the closest by standardized Mahalanobis distance
@@ -916,11 +920,11 @@ def match_all_days(
     """
     if not caliper_mult >= 0:  # NaN fails too
         raise DataError(f"caliper multiplier must be >= 0, got {caliper_mult}")
-    ctx = _MatchContext(panel, model, level)
+    ctx = _MatchContext(panel, model)
     days = panel.rows_by_day()
-    results = [_match_day(ctx, D, rows, caliper_mult, level) for D, rows in days]
+    results = [_match_day(ctx, D, rows, caliper_mult, k) for k in ctx.logits for D, rows in days]
     pairs = np.concatenate([_pair_table(0)] + [r.pairs for r in results]).view(np.recarray)
-    # each day keeps its slice of the run's table, so every pair is held once
+    # each result keeps its slice of the run's table, so every pair is held once
     ends = np.cumsum([len(r.pairs) for r in results])
     results = tuple(
         replace(r, pairs=pairs[end - len(r.pairs) : end]) for r, end in zip(results, ends.tolist())
@@ -961,14 +965,7 @@ class RiskTable:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "rr": self.rr, "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "corrected": self.corrected,
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_dict(), indent=2)
+        return asdict(self)
 
 
 def pool_risk_ratio(pairs) -> RiskTable:
@@ -994,17 +991,16 @@ def naive_risk_table(panel: TreatmentPanel, level: int = 1) -> RiskTable:
     return RiskTable.from_counts(a, b, cc, dd)
 
 
-def diagnostics(panel: TreatmentPanel, run: MatchRun, level: int = 1) -> dict:
-    """Balance and overlap summary: per-day AUC, logit gaps, match distances.
-    The AUCs are the matched days', taken by `match_all_days` from the logits
-    it matched on."""
+def diagnostics(run: MatchRun) -> dict:
+    """Balance and overlap summary of a run, or of one level's (`run.at`):
+    AUCs, logit gaps, match distances. The AUCs are the matched results',
+    taken by `match_all_days` from the logits it matched on."""
     aucs = [r.auc for r in run.results if r.auc is not None]
     gaps = np.abs(run.pairs.logit_gap)
     dists = run.pairs.mahalanobis
     overlaps = [r.overlap for r in run.results if r.skip_reason is None]
     q = lambda arr, frac: float(np.quantile(arr, frac)) if arr.size else None
     return {
-        "level": panel.levels[level],
         "n_pairs": len(run.pairs),
         "n_days_matched": sum(1 for r in run.results if r.skip_reason is None),
         "n_days_skipped": len(run.skipped),
@@ -1018,7 +1014,23 @@ def diagnostics(panel: TreatmentPanel, run: MatchRun, level: int = 1) -> dict:
     }
 
 
-def write_pairs(pairs, path) -> None:
+class _LevelNames:
+    """The name in `names` of each code in `codes`, made a slice at a time,
+    so no column of names spans a pairs table."""
+
+    def __init__(self, names, codes):
+        self.names, self.codes = np.asarray(names), codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        return self.names[self.codes[rows]]
+
+
+def write_pairs(pairs, levels, path) -> None:
     """Write a pairs table as CSV: a header, then one row per pair holding
-    its first five fields, floats as their shortest round-trip repr."""
-    write_csv(path, _PAIR_CSV_COLUMNS, [pairs[name] for name in _PAIR_CSV_COLUMNS])
+    its first six fields, its level as its name in `levels` (by code) and
+    floats as their shortest round-trip repr."""
+    columns = [pairs[name] for name in _PAIR_CSV_COLUMNS[1:]]
+    write_csv(path, _PAIR_CSV_COLUMNS, [_LevelNames(levels, pairs.level), *columns])

@@ -272,7 +272,7 @@ def _fit_tree(
     """
     real = np.flatnonzero(~beyond.ravel())
     floor = 2 * min_child_weight * (1 - 1e-9) if min_child_weight > 0 else -math.inf
-    levels = min(max(max_depth - depth, 0), 62)
+    levels = min(max_depth - depth, 62)
     tree = Tree(max(1, min(2 ** (levels + 1) - 1, 2 * len(idx) - 1)))
     n_nodes = 0
     stack = [(idx, depth, -1)]  # (rows, depth, the split whose right child it is)
@@ -406,7 +406,8 @@ def train(
     """Fit the boosted forest on a stratified split that holds out
     `test_fraction` (in [0, 1)) of each class, at a finite `learning_rate`,
     for at least one round, with finite, non-negative `reg_lambda` and
-    `min_child_weight`.
+    `min_child_weight`, a `max_depth` >= 0 and `max_bins` >= 2 (at least
+    one threshold per feature).
 
     Row order does not matter: rows are sorted into a canonical order
     before the seeded split, so shuffled inputs give identical models.
@@ -420,6 +421,10 @@ def train(
             raise DataError(f"{name} must be finite and >= 0, got {value}")
     if n_rounds < 1:
         raise DataError(f"need at least one boosting round, got {n_rounds}")
+    if max_depth < 0:
+        raise DataError(f"max depth must be >= 0, got {max_depth}")
+    if max_bins < 2:
+        raise DataError(f"max bins must be >= 2, got {max_bins}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):

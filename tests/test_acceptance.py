@@ -348,7 +348,7 @@ def _stub_model(panel, logits_by_row):
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
     return PropensityModel(
-        levels=panel.levels, classes=(0, 1),
+        classes=(0, 1),
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)), scale=np.ones(len(panel.names)),
         group=np.arange(len(probs)), rep=np.arange(len(probs)), probs=probs,
@@ -516,13 +516,22 @@ def test_cli_pipeline_reproducible(tmp_path, announce):
             ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "timing",
              "--d", "3", "--direction", "follower", "--out-pairs", "pairs.csv",
              "--out-risk", "risk.json", "--out-diagnostics", "diagnostics.json"],
+            # every dose level from one fit, over the simulated 80 days: the
+            # log's own horizon ends with its last adoption, on day 7, before
+            # the lag is past
+            ["match", "--graph", "g.npz", "--log", "log.csv", "--kind", "dose",
+             "--lag", "8", "--last-day", "79", "--direction", "follower",
+             "--out-pairs", "dose_pairs.csv", "--out-risk", "dose_risk.json",
+             "--out-diagnostics", "dose_diagnostics.json"],
         ]
         outs = ["g.npz", "events.jsonl", "log.csv", "pools.json",
                 "model.json", "metrics.json", "report.json",
-                "pairs.csv", "risk.json", "diagnostics.json"]
+                "pairs.csv", "risk.json", "diagnostics.json",
+                "dose_pairs.csv", "dose_risk.json", "dose_diagnostics.json"]
         manifests = ["g.npz.manifest.json", "events.jsonl.manifest.json",
                      "pools.json.manifest.json", "model.json.manifest.json",
-                     "report.json.manifest.json", "pairs.csv.manifest.json"]
+                     "report.json.manifest.json", "pairs.csv.manifest.json",
+                     "dose_pairs.csv.manifest.json"]
         for step in steps:
             proc = _run_cli(step, d)
             assert proc.returncode == 0, proc.stderr

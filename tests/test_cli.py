@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -18,7 +19,7 @@ import scipy
 import contagion_lab
 from contagion_lab import cli, matchlab
 from contagion_lab.calibrate import AdoptionLog
-from contagion_lab.errors import ConvergenceError, DataError
+from contagion_lab.errors import ConvergenceError
 from contagion_lab.netgraph import DirectedGraph
 from contagion_lab.shocks import AdoptionSeries, ShockSchedule
 
@@ -357,41 +358,41 @@ TEXT_OUTPUT_SHA256 = {
     },
     "hworld": {
         "audit.json":
-            "b79c919df9724076be1a4308d2a3434ffaa62a520e241485f1cfb4d765e6c77e",
+            "03a1ba3cf40481c7bca6b7bf1030894b4cb47752ca3b70cc3abf4d0e6f2d9d63",
         "audit.json.manifest.json":
             "435efa0170c2123507f068d84fd5b28dd3454ee126005b26f21e383febbeb16e",
         "diagnostics.json":
-            "dbe20529e142751e52a2a0789c5902790575a80fe96db4eb1580e41a1e0b2aed",
+            "c13021a2d5ed853dea50c47eb21a504102ec6e62282dfdd3d2ffd3e3eac4784f",
         "dose_pairs.csv":
-            "0c46283596ffce740049ad2eed42ed7d3aa9ab38d6c993fd5531be2366dcce5c",
+            "7e3b834bbe6c141c8f5aa2e30ab9fbbd2804475cdb3a74f7a508b9b30cc1e065",
         "dose_pairs.csv.manifest.json":
-            "7a1da90b107264e2fb3573bf83a4ec3dd54ef671511119bdc073c7377ea72ce1",
+            "e513e8415f7b4442094044f37ae2d38326dfe5b964d1f9c23e6b9024a630c4ee",
         "dose_risk.json":
-            "12835d66aa2b31701017e62568212d487824a52c7177fb1e7ec97d8300fa6496",
+            "fc953e84468388aefb59a68353bb4f3f097b58183903a173f000e97292c49fa9",
         "edges.csv":
             "72a5fc033ddb92025a83c582f21bb58231a64c2171c77355058b9b6f001f8906",
         "future_diagnostics.json":
-            "53f91b30bf57162907578574f8b216a2ac883f5244ad3e83efff4f1782df4f00",
+            "4b86789fab8689a5491be26c62786d3834f4251df2ca3ff5e4830c333885cfb4",
         "future_pairs.csv":
-            "e545e9f3c658f5d820bdf32df025f50ee9287cc8b85d8032f3804b0a1c160822",
+            "bb8a80a44bae4bae9dfb0f4892a74fed182f1964eee7430397a60bf89f90aef9",
         "future_pairs.csv.manifest.json":
-            "c4a4673620da99083d0a3fbe57ad1400b51c880e933848effd3e0530964231be",
+            "a8970ec1306e182415cd16b954c934e4ad09a422237215e206b2812df62caa5f",
         "future_risk.json":
-            "5144aa6981075e7a4c183aa5f9e4bd07fad55aaab143994e3c579d6197aa5c1e",
+            "0825a91ee88087159418b5054b4d246a8c0d4ad6fe52a653d5e968793e1175a8",
         "pairs.csv":
-            "935bf38ce72c2eb5243085689b523041ddd7290c6694b2208a7af8391746b739",
+            "a40c6919080d9fb17ef4acef9e28edbafb2cc1e845873e02b0f94c7c3041f81b",
         "pairs.csv.manifest.json":
-            "e7cc7b4ddc56b62ec2fdd4a7dccef66c34174a667540df33e64fbae68c260c8c",
+            "277c45e2d9b0d1cd028fd357555fd3e94b0be68d20120d9eba0ce864ac2eaeaf",
         "permute_diagnostics.json":
-            "11727dbf5270e27049136edc7f55083493b9b4d1a8f49cc419e645be916178e2",
+            "a123c3cebf2bc546f95a3e2e61c1b047ed29b028603bbf96d2e714b513898d41",
         "permute_pairs.csv":
-            "0a2eb02edf9891d0e251ea63594356d98b4fc44b1987393783da30c27af6eeb8",
+            "f5e7b802f90afa835f10ca3311cc19fd5291b8b6fa5de8f92c3df8eeec775a39",
         "permute_pairs.csv.manifest.json":
-            "752edd8a201af26161d0cab6f584025e47226a18db07ee92b8ebcc3bd6c412c0",
+            "1ce4788916223607955c1278e818ede9c87d689d441a0fd3297e402556b83a38",
         "permute_risk.json":
-            "5287135fc29ef059b2bc39178d656c50bf9cdb48b9e00773a75b896c5040e366",
+            "09ca75e87c31c08f29dfbd904cee8a40238bd129626ef9945d12ac55e46d1001",
         "risk.json":
-            "f870a9b31bbab63f109be0f206d20c44a89717c86b8e780ae5262da06b4188fa",
+            "dae05a95e1fdced1fc25295f35c72bfc8440364a42dfd1ad72cfe55a69a1a4ad",
         "series.csv":
             "a40abb3f6099dd3f1302a8d173486fecb6f843669b1c842870b1872b32429cbe",
     },
@@ -431,36 +432,15 @@ def test_text_outputs_pinned(case, request, tmp_path, monkeypatch, capsys):
     assert digests == TEXT_OUTPUT_SHA256[case]
 
 
-def test_thread_count_does_not_change_results(world, tmp_path, monkeypatch):
+def test_thread_count_does_not_change_results(world, tmp_path):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
     base = ["simulate", "--graph", world["graph"], "--beta", 0.2, "--r", 1e-3,
             "--activity", 0.6, "--realizations", 6, "--horizon", 40,
             "--seed", 9, "--seed-nodes", 1]
-    monkeypatch.delenv("CONTAGION_LAB_THREADS", raising=False)
     assert run(base + ["--threads", 1, "--out", out1]) == 0
-    monkeypatch.setenv("CONTAGION_LAB_THREADS", "2")
-    assert run(base + ["--threads", 1, "--out", out2]) == 0
+    assert run(base + ["--threads", 2, "--out", out2]) == 0
     assert sha(out1) == sha(out2)
-
-
-def test_env_var_beats_threads_flag(monkeypatch):
-    monkeypatch.setenv("CONTAGION_LAB_THREADS", "3")
-    assert cli.resolve_threads(1) == 3
-    monkeypatch.delenv("CONTAGION_LAB_THREADS")
-    assert cli.resolve_threads(2) == 2
-    assert cli.resolve_threads(None) >= 1
-    monkeypatch.setenv("CONTAGION_LAB_THREADS", "zebra")
-    with pytest.raises(DataError):
-        cli.resolve_threads(1)
-
-
-def test_bad_env_thread_count_is_data_error(world, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONTAGION_LAB_THREADS", "many")
-    rc = run(["simulate", "--graph", world["graph"], "--out", tmp_path / "e.jsonl",
-              "--realizations", 1, "--horizon", 5])
-    assert rc == 2
-    capsys.readouterr()
 
 
 def test_config_file_supplies_defaults_flags_win(tmp_path):
@@ -799,8 +779,7 @@ def test_match_flag_validation(hworld, tmp_path, capsys):
 
 
 def test_match_level_is_checked_before_the_work(hworld, tmp_path, monkeypatch, capsys):
-    # a --level outside the design's levels, or 0, or a --d the dose design
-    # would ignore, fails before any table is built
+    # a --d the dose design would ignore fails before any table is built
     def unreachable(*args, **kwargs):
         raise AssertionError("the covariate table was built")
 
@@ -808,13 +787,6 @@ def test_match_level_is_checked_before_the_work(hworld, tmp_path, monkeypatch, c
     common = ["match", "--graph", hworld["graph"], "--log", hworld["log"],
               "--out-pairs", tmp_path / "p.csv", "--out-risk", tmp_path / "r.json"]
     for flags, message in (
-        (["--kind", "timing", "--d", 3, "--level", "0"], "--level 0 is the control group"),
-        (["--kind", "timing", "--d", 3, "--level", "2"], "--level must be one of 0,1"),
-        (["--kind", "dose", "--lag", 8, "--level", "4"], "--level must be one of 0,1,2,3,3+"),
-        (["--kind", "dose", "--lag", 8, "--placebo", "permute", "--level", "0"],
-         "--level 0 is the control group"),
-        (["--kind", "timing", "--d", 3, "--placebo", "future", "--level", "3+"],
-         "--level must be one of 0,1"),
         (["--kind", "dose", "--lag", 8, "--d", 3],
          "--d applies only to --kind timing; dose has a fixed 7-day window"),
     ):
@@ -844,7 +816,7 @@ def test_match_smoke_outputs(hworld, tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     header = next(csv.reader(open(pairs)))
-    assert header == ["day", "treated", "control", "logit_gap", "mahalanobis"]
+    assert header == ["level", "day", "treated", "control", "logit_gap", "mahalanobis"]
     r = json.load(open(risk))
     assert set(r) >= {"a", "b", "c", "d", "rr", "ci_low", "ci_high"}
     dg = json.load(open(diag))
@@ -890,6 +862,80 @@ def test_binary_match_never_loads_scipy_special(hworld, tmp_path):
     assert fresh_python(code).split()[-2:] == ["0", "False"]
 
 
+# the sha256s of each level's pairs.csv and risk.json from hworld's dose run
+# at `--level k`, when a run matched one level and had that flag; on mutual
+# ties, level 2's run found no pair and levels 3 and 3+ have no rows
+DOSE_LEVEL_SHA256 = {
+    "followee": {
+        "1": ("8bafb0d5a8e63e95510a67b7a74190bf4cb7cf54d671580e1a711b0c01201940",
+              "8ed61f586a0e9e1a71a47aee5556b191362d396450c3844e09a73f3f1347c13b"),
+        "2": ("1620939f40b015f464f0bd95d3db89d22be8cc84bd1e34536f1c15f92792aa72",
+              "eb2b3ca8972e2cd63ad8b21ea9e819ecd9aff9068d70677e6cc4641e379149ee"),
+        "3": ("f6406a68a13506f8924c535d440276ae4b6427baf72714ee9d0b7c1b7f0c7d19",
+              "a34e1f92864190b3baf3c24919cc58e85b86337459414c04cebb62bf6fd45666"),
+        "3+": ("00e64c7d035b4e83b9ac5805fa28f51f103880006c6015ca924c789a32439c19",
+               "9c8e5de5b5c7843cd3471862f0c643b20869908a018ddd64bb82ce2939fd1ca0"),
+    },
+    "mutual": {
+        "1": ("0c46283596ffce740049ad2eed42ed7d3aa9ab38d6c993fd5531be2366dcce5c",
+              "12835d66aa2b31701017e62568212d487824a52c7177fb1e7ec97d8300fa6496"),
+    },
+}
+
+
+def _dose_run(hworld, tmp_path, direction):
+    """hworld's dose run on `direction` ties: its pairs.csv rows, its risk.json
+    and its diagnostics.json."""
+    pairs, risk, diag = tmp_path / "pairs.csv", tmp_path / "risk.json", tmp_path / "diag.json"
+    assert run(["match", "--graph", hworld["graph"], "--log", hworld["log"], "--kind", "dose",
+                "--lag", 8, "--direction", direction, "--min-level-rows", 5,
+                "--out-pairs", pairs, "--out-risk", risk, "--out-diagnostics", diag]) == 0
+    with open(pairs, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows, json.loads(risk.read_text()), json.loads(diag.read_text())
+
+
+@pytest.mark.parametrize("direction", sorted(DOSE_LEVEL_SHA256))
+def test_match_levels_equal_single_level_runs(hworld, tmp_path, capsys, direction):
+    # one run matches every dose level against one fit; each level's rows and
+    # table keep the bytes of a run that matched that level alone
+    rows, risk, _ = _dose_run(hworld, tmp_path, direction)
+    capsys.readouterr()
+    pins = DOSE_LEVEL_SHA256[direction]
+    names = [r[0] for r in rows[1:]]
+    assert names == sorted(names, key=matchlab.DOSE_LEVELS.index)  # level-major
+    assert set(names) == set(pins) and list(risk["levels"]) == list(pins)
+    for level, want in pins.items():
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(rows[0][1:])
+        w.writerows(r[1:] for r in rows[1:] if r[0] == level)
+        table = json.dumps(risk["levels"][level], indent=2) + "\n"
+        got = tuple(hashlib.sha256(b.encode()).hexdigest() for b in (buf.getvalue(), table))
+        assert got == want, level
+    # the top-level table pools every pair of the run
+    for cell in "abcd":
+        assert risk[cell] == sum(t[cell] for t in risk["levels"].values())
+    assert risk["a"] + risk["b"] == len(rows) - 1
+
+
+def test_match_level_without_pairs_is_left_out_of_the_tables(hworld, tmp_path, capsys):
+    # on mutual ties dose level 2 has treated egos but no pair, and levels 3
+    # and 3+ have no rows, so the fit never saw them
+    rows, risk, diag = _dose_run(hworld, tmp_path, "mutual")
+    capsys.readouterr()
+    assert list(risk["levels"]) == ["1"]
+    assert list(diag["levels"]) == ["1", "2"]
+    assert diag["levels"]["2"]["n_pairs"] == 0 and diag["levels"]["2"]["n_days_matched"] > 0
+    assert diag["n_pairs"] == diag["levels"]["1"]["n_pairs"] == len(rows) - 1
+    for key in ("n_days_matched", "n_days_skipped"):  # (level, day) results
+        assert diag[key] == sum(d[key] for d in diag["levels"].values())
+    summary = manifest(tmp_path / "pairs.csv")["summary"]
+    assert list(summary["levels"]) == ["1"] and "level" not in summary
+    assert summary["levels"]["1"]["rr"] == summary["rr"] == risk["rr"]
+    assert summary["n_days_skipped"] == diag["n_days_skipped"]
+
+
 def test_match_dose_converges(hworld, tmp_path, capsys):
     # the multinomial fit stops on its Newton decrement
     pairs = tmp_path / "pairs.csv"
@@ -911,6 +957,37 @@ def test_match_dose_rejects_a_lag_inside_its_window(hworld, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lag must be at least 8" in err and "Traceback" not in err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--max-bins", -5],
+        ["train", "--max-bins", 0],
+        ["train", "--max-bins", 1],
+        ["train", "--depth", -3],
+        ["calibrate", "--activity-mean", "nan"],
+        ["calibrate", "--activity-mean", 5],
+        ["calibrate", "--activity-mean", 0],
+        ["calibrate", "--activity-mean", 5, "--params-out", "{out}/params.json"],
+    ],
+    ids=lambda argv: " ".join(str(a) for a in argv[:3]) + " params" * (len(argv) > 3),
+)
+def test_bad_tree_shape_or_activity_mean_is_data_error(world, tmp_path, capsys, argv):
+    # once a linspace traceback, trees without a split, a negative depth
+    # taken as 0, or an activity mean written as NaN or outside (0, 1]
+    inputs = {
+        "train": ["--events", world["events"], "--rounds", 2, "--out", tmp_path / "m.json"],
+        "calibrate": ["--graph", world["graph"], "--log", world["log"],
+                      "--out", tmp_path / "pools.json"],
+    }
+    command, flag, value, *more = argv
+    more = [str(a).format(out=tmp_path) for a in more]
+    assert run([command, *inputs[command], flag, value, *more]) == 2
+    err = capsys.readouterr().err
+    shown = float(value) if flag == "--activity-mean" else value
+    assert f"got {shown}" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 
 from contagion_lab import matchlab
 from contagion_lab.calibrate import NEVER, AdoptionLog
-from contagion_lab.errors import ConvergenceError, DataError
+from contagion_lab.errors import ConvergenceError, DataError, write_json
 from contagion_lab.matchlab import (
     BINARY_LEVELS,
     CORE_COVARIATES,
@@ -93,7 +93,7 @@ def test_risk_table_symmetry_and_errors():
 def test_risk_table_json_round_trip(tmp_path):
     t = RiskTable.from_counts(3, 17, 1, 19)
     path = tmp_path / "rr.json"
-    t.to_json(path)
+    write_json(path, t.to_dict(), indent=2)
     assert json.loads(path.read_text(encoding="utf-8")) == {
         "a": 3.0, "b": 17.0, "c": 1.0, "d": 19.0,
         "rr": t.rr, "ci_low": t.ci_low, "ci_high": t.ci_high, "corrected": False,
@@ -793,7 +793,7 @@ def test_match_run_holds_each_pair_once():
     panel = build_panel(cov, Timing(d=3))
     model = fit_propensity(panel)
     run = match_all_days(panel, model, caliper_mult=0.2)
-    ctx = _MatchContext(panel, model, 1)
+    ctx = _MatchContext(panel, model)
     start = 0
     for r, (day, rows) in zip(run.results, panel.rows_by_day(), strict=True):
         want = _match_day(ctx, day, rows, 0.2, 1)
@@ -885,7 +885,6 @@ def stub_model(panel, logits_by_row):
     p1 = 1 / (1 + np.exp(-np.asarray(logits_by_row, dtype=float)))
     probs = np.column_stack([1 - p1, p1])
     return PropensityModel(
-        levels=panel.levels,
         classes=(0, 1),
         coef=np.zeros((1, len(panel.names) + 1)),
         mean=np.zeros(len(panel.names)),
@@ -1062,15 +1061,15 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
     rows = np.flatnonzero(panel.day == day)
     no_pairs = np.recarray(0, dtype=PAIR_DTYPE)
     if rows.size == 0:
-        return DayMatchResult(day, no_pairs, 0, 0, "no risk-set rows")
-    s = ctx.logits[ctx.group[rows]]
+        return DayMatchResult(level, day, no_pairs, 0, 0, "no risk-set rows")
+    s = ctx.logits[level][ctx.group[rows]]
     sd = float(np.std(s, ddof=1)) if rows.size > 1 else 0.0
     caliper = caliper_mult * sd
     t = np.flatnonzero(panel.treatment[rows] == level)
     c = np.flatnonzero(panel.treatment[rows] == 0)
     if t.size == 0 or c.size == 0:
         return DayMatchResult(
-            day, no_pairs, int(t.size), 0, "insufficient treated or control counts"
+            level, day, no_pairs, int(t.size), 0, "insufficient treated or control counts"
         )
     ego = panel.ego[rows]
     t = t[np.argsort(ego[t], kind="stable")]
@@ -1094,6 +1093,7 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
         available[pick] = False
         pairs.append(
             (
+                level,
                 day,
                 ego[t[i]],
                 c_ego[pick],
@@ -1104,13 +1104,15 @@ def reference_match_day(ctx, day, caliper_mult, level=1):
             )
         )
     pairs = np.array(pairs, dtype=PAIR_DTYPE).view(np.recarray)
-    return DayMatchResult(day, pairs, int(t.size), len(pairs), None)
+    return DayMatchResult(level, day, pairs, int(t.size), len(pairs), None)
 
 
 class FixedLogits:
     """Propensity stand-in whose treated-level logits are given per row. Rows
     are grouped by (row key, logit bits), as a fit groups them by row key,
     and `rep` holds one row of each group."""
+
+    classes = (0, 1)
 
     def __init__(self, panel, logits):
         logits = np.asarray(logits, dtype=float)
@@ -1252,7 +1254,7 @@ def test_window_matcher_equals_full_scan():
                         mults += [m, np.nextafter(m, 0.0), np.nextafter(m, 1.0)]
                         on_grid += 1
             for mult in mults:
-                ctx = _MatchContext(panel, model, 1)
+                ctx = _MatchContext(panel, model)
                 ref = [
                     result_bits(reference_match_day(ctx, D, mult))
                     for D, _ in panel.rows_by_day()
@@ -1336,7 +1338,7 @@ def duplicate_panel(seed, n_days=8):
 
 def test_grouped_matcher_equals_full_scan_on_duplicate_rows(monkeypatch):
     panel, model = duplicate_panel(0)
-    ctx = _MatchContext(panel, model, 1)
+    ctx = _MatchContext(panel, model)
     n_groups = n_controls = 0
     for D, rows in panel.rows_by_day():
         c = np.flatnonzero(panel.treatment[rows] == 0)
@@ -1458,13 +1460,13 @@ def test_diagnostics_perfect_and_disjoint():
     )
     model = stub_model(panel, [0.2, 0.4, 0.6, 0.8, 0.2, 0.4, 0.6, 0.8])
     run = match_all_days(panel, model)
-    diag = diagnostics(panel, run)
+    diag = diagnostics(run)
     assert diag["dlogit_p90"] == 0.0
     assert diag["overlap_median"] == 1.0
     assert diag["distance_p90"] == 0.0
     far = stub_model(panel, [10.0, 10.0, 10.0, 10.0, -10.0, -10.0, -10.0, -10.0])
     run2 = match_all_days(panel, far)
-    diag2 = diagnostics(panel, run2)
+    diag2 = diagnostics(run2)
     assert diag2["n_pairs"] == 0
     assert diag2["overlap_median"] == 0.0
 
@@ -1472,7 +1474,7 @@ def test_diagnostics_perfect_and_disjoint():
 def test_diagnostics_recomputation_oracle():
     g, log, trait = homophily_world(2)
     panel, model, run = run_timing_rr(g, log, trait)
-    diag = diagnostics(panel, run)
+    diag = diagnostics(run)
     gaps = sorted(abs(p.logit_gap) for p in run.pairs)
     dists = sorted(p.mahalanobis for p in run.pairs)
     assert diag["n_pairs"] == len(gaps)
@@ -1507,7 +1509,7 @@ def test_diagnostics_aucs_equal_the_panel_wide_logits():
         runs += [(panel, model, lv) for lv in model.classes if lv != 0]
     assert len(runs) >= 5  # timing, placebo and at least three dose levels
     for panel, model, level in runs:
-        diag = diagnostics(panel, match_all_days(panel, model, level=level), level)
+        diag = diagnostics(match_all_days(panel, model).at(level))
         aucs = panel_wide_aucs(panel, model, level)
         assert aucs, (panel.kind_label, level)
         assert diag["auc_median"] == float(np.median(aucs)), (panel.kind_label, level)
@@ -1518,8 +1520,8 @@ def test_matcher_keeps_logits_per_group_only():
     g, log, trait = homophily_world(2)
     panel, model, _ = run_timing_rr(g, log, trait)
     assert len(model.probs) < panel.n_rows
-    ctx = _MatchContext(panel, model, 1)
-    assert ctx.logits.size == len(model.probs)
+    ctx = _MatchContext(panel, model)
+    assert ctx.logits[1].size == len(model.probs)
     assert ctx.group is model.group
     assert "scores" not in {f.name for f in dataclasses.fields(MatchRun)}
 
@@ -1527,7 +1529,7 @@ def test_matcher_keeps_logits_per_group_only():
 def test_matcher_whitens_once_per_group():
     g, log, trait = homophily_world(2)
     panel, model, _ = run_timing_rr(g, log, trait)
-    ctx = _MatchContext(panel, model, 1)
+    ctx = _MatchContext(panel, model)
     assert ctx.W.shape == (len(model.probs), len(panel.core_idx))
     assert not hasattr(ctx, "block")
     for _, rows in panel.rows_by_day()[::7]:
@@ -1552,14 +1554,14 @@ def test_pairs_csv_round_trip(tmp_path):
         assert p.control_outcome == panel.outcome[row[p.control, p.day]]
 
     path = tmp_path / "pairs.csv"
-    write_pairs(pairs, path)
+    write_pairs(pairs, panel.levels, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "day,treated,control,logit_gap,mahalanobis"
+    assert lines[0] == "level,day,treated,control,logit_gap,mahalanobis"
     assert len(lines) == len(pairs) + 1
     for line, p in zip(lines[1:51], pairs):
-        # ints as written, floats as their shortest round-trip repr
-        day, t, c, gap, md = line.split(",")
-        assert (int(day), int(t), int(c)) == (p.day, p.treated, p.control)
+        # the level's name, ints as written, floats as their shortest round-trip repr
+        level, day, t, c, gap, md = line.split(",")
+        assert (level, int(day), int(t), int(c)) == ("1", p.day, p.treated, p.control)
         assert (gap, md) == (repr(float(p.logit_gap)), repr(float(p.mahalanobis)))
 
 
@@ -1571,7 +1573,7 @@ def test_dose_pipeline_end_to_end():
     model = fit_propensity(panel, min_level_rows=5)
     levels_present = [lv for lv in model.classes if lv != 0]
     assert levels_present, "dose panel produced no exposed rows"
-    run = match_all_days(panel, model, level=levels_present[0])
+    run = match_all_days(panel, model).at(levels_present[0])
     if len(run.pairs):
         table = pool_risk_ratio(run.pairs)
         assert table.ci_low <= table.rr <= table.ci_high

@@ -85,7 +85,7 @@ def test_tracer_sees_the_match_stages(monkeypatch, tmp_path):
         panel = matchlab.build_panel(cov, matchlab.Timing(d=3))
         model = matchlab.fit_propensity(panel, min_level_rows=5)
         run = matchlab.match_all_days(panel, model)
-        matchlab.diagnostics(panel, run)
+        matchlab.diagnostics(run)
     finally:
         tracer.restore()
     names = [s.name for s in tracer.spans]
