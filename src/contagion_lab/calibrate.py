@@ -10,6 +10,7 @@ counts in the background denominator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ NEVER = -1  # sentinel adoption day for nodes that never adopt
 _MAX_DAY = int(np.iinfo(np.int64).max)
 # nbr entries per step of ExposureIndex's key build
 _CHUNK = 1 << 16
+# running counts an ExposureIndex keeps for one-day queries
+_CURSORS = 4
 
 DEFAULT_ACTIVITY_MEAN = 0.032
 
@@ -109,6 +112,16 @@ class ExposureIndex:
     Built once from a CSR (followee, follower or mutual) and the adoption
     days; answers "which neighbors adopted strictly before day t" for any
     (node, day) pairs.  Memory is O(edges).
+
+    A query with one day for every node reads a running count instead of
+    searching: up to `_CURSORS` cursors each hold every node's count at one
+    day rank (one int64 per node per cursor), and a query advances the
+    nearest cursor at or below its rank over the entries adopted in between.
+    Those come from a copy of the entries' owners ordered by day rank (one
+    int64 per adopted-neighbor entry), built on the first such query, so an
+    index that only sees per-row days never holds it.  A panel asks for a
+    few days that each rise by one a day, so each query touches only the
+    entries of the days it advances over.
     """
 
     def __init__(self, csr: tuple[np.ndarray, np.ndarray], adoption_day: np.ndarray):
@@ -147,11 +160,45 @@ class ExposureIndex:
         first_keys = np.arange(n + 1, dtype=np.int64)
         first_keys *= self._span
         self._start = np.searchsorted(key, first_keys)
+        self._cursors = []  # [day rank, every node's count there], least recently used first
+
+    @cached_property
+    def _by_day(self):
+        """The entries' owners in ascending (day rank, owner) order, and
+        where each day rank's entries start."""
+        rank = self._key % self._span
+        if self._span <= 1 << 16:
+            rank = rank.astype(np.uint16)  # so the stable sort is numpy's radix sort
+        order = np.argsort(rank, kind="stable")
+        bounds = np.zeros(self._span, dtype=np.int64)
+        np.cumsum(np.bincount(rank, minlength=self._span - 1), out=bounds[1:])
+        owner = self._key[order]
+        owner //= self._span
+        return owner, bounds
+
+    def _running_count(self, nodes, rank: int) -> np.ndarray:
+        """count(nodes, day) for the one day whose rank is `rank`."""
+        owner, bounds = self._by_day
+        below = [i for i, c in enumerate(self._cursors) if c[0] <= rank]
+        if below:
+            cursor = self._cursors.pop(max(below, key=lambda i: self._cursors[i][0]))
+        elif len(self._cursors) < _CURSORS:
+            cursor = [0, np.zeros(len(self._start) - 1, dtype=np.int64)]
+        else:  # every cursor is past `rank`: restart the least recently used
+            cursor = self._cursors.pop(0)
+            cursor[0] = 0
+            cursor[1][:] = 0
+        np.add.at(cursor[1], owner[bounds[cursor[0]] : bounds[rank]], 1)
+        cursor[0] = rank
+        self._cursors.append(cursor)
+        return cursor[1][nodes]
 
     def count(self, nodes: np.ndarray, days) -> np.ndarray:
         """Number of neighbors v of nodes[i] with NEVER != t_v < days[i]; days may be one day."""
         nodes = np.asarray(nodes, dtype=np.int64)
         rank = np.searchsorted(self._days, np.asarray(days, dtype=np.int64))
+        if rank.ndim == 0:
+            return self._running_count(nodes, int(rank))
         return np.searchsorted(self._key, nodes * self._span + rank) - self._start[nodes]
 
     def exposure(self, nodes: np.ndarray, days) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

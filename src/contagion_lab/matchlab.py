@@ -36,16 +36,29 @@ weights each distinct row by its row count per treatment level, so every Newton
 pass runs over the distinct rows, and rows with equal covariates get bit-
 identical logits. Static columns are part of `node_X`, so they split groups.
 
+Panel build. A design's treatment and the lagged counts are read for one
+day's risk set at a time, each from an exposure index at one day, so the
+index answers from running counts (`ExposureIndex`): a few cursors, each
+holding every node's count at one day rank, which each query advances over
+the entries adopted since. A day's counts cost the entries of the days in
+between plus one gather per risk-set node, not a binary search per node.
+
 Matching. A day's controls collapse into the fit's groups
 (`PropensityModel.group`), whose members share one covariate row and so one
 logit and one whitened row; caliper windows and distances run over one
 representative row per group, and each group hands out its free egos in
-ascending order. Mahalanobis distances are Euclidean distances in the whitened
-block `W = Z·L` (`L Lᵀ` = the inverse covariance), built once per panel with
-one row per group from each group's representative panel row
-(`PropensityModel.rep`) and gathered by the group index for each matched day;
-their squares are summed column by column, so each day's (treated, group)
-distances are computed once, in chunks of at most 2^16 window entries.
+ascending order. Each treated level's groups are ranked once, by (logit,
+group id), so one stable argsort of a day's rows' ranks (a radix sort for at
+most 2^16 groups) orders them for both the control runs and the AUC's tie
+groups. |fl(sg - st)| <= caliper holds on one run of the ascending group
+logits sg, so each treated ego's window is found by `searchsorted` on bounds
+widened by a few ulps, then trimmed at its ends by a vectorized binary search,
+and holds exactly the groups inside the caliper. Mahalanobis distances are
+Euclidean distances in the whitened block `W = Z·L` (`L Lᵀ` = the inverse
+covariance), built once per panel with one row per group from each group's
+representative panel row (`PropensityModel.rep`), column-major, and read by
+group; their squares are summed column by column, so each day's (treated,
+group) distances are computed once, in chunks of at most 2^16 window entries.
 
 Panel order. Panel rows are in ascending (day, ego) order, each (day, ego)
 once, and `TreatmentPanel` rejects any other order, so a day's rows are one
@@ -64,11 +77,15 @@ rows at a time. The propensity fit holds one design row per distinct covariate
 row and one group index per panel row (narrow ints); the model keeps the index
 and one probability per group and level, not per row. Grouping the rows holds
 each day's distinct keys once more, about 26 bytes per summed day-key at its
-peak. The matcher keeps each treated level's logits one per group
-(`PropensityModel.group_logits`) and gathers one day's from the group index.
-Matching gathers a day's whitened rows only when it matches that day, and the
-pairs CSV is written 2^14 rows at a time. So the stage holds O(edges + nodes +
-distinct rows) plus the group index and one day's gathered rows.
+peak. The panel build's exposure indexes hold, beyond their keys, one int64
+per node per cursor used (three on the followee index for a timing design,
+one on the others) and a copy of their entries' owners ordered by day, one
+int64 per adopted-neighbor entry. The matcher keeps each treated level's
+logits and ranks one per group (`PropensityModel.group_logits`; a rank in
+the narrowest unsigned dtype) and gathers one day's from the group index; it
+reads the whitened rows by group, and the pairs CSV is written 2^14 rows at a
+time. So the stage holds O(edges + nodes + distinct rows) plus the group
+index and one day's gathered rows.
 
 Measured in-process on 2 vCPUs with one BLAS thread, on the `match` world's
 rates at seed 41 (panel, fit, matching, diagnostics and the pairs write; peak
@@ -90,7 +107,6 @@ from .calibrate import NEVER, AdoptionLog, ExposureIndex
 from .errors import ConvergenceError, DataError, write_csv
 from .netgraph import DirectedGraph
 from .rngstream import PLACEBO, stream
-from .structtest import average_ranks
 
 DIRECTIONS = ("followee", "follower", "mutual")
 DOSE_LEVELS = ("0", "1", "2", "3", "3+")
@@ -515,13 +531,27 @@ class PropensityModel:
         return logits
 
 
-def _rank_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
-    n1 = int(positive.sum())
-    n0 = len(positive) - n1
+def _rank_auc(scores: np.ndarray, positive: np.ndarray, order=None) -> float | None:
+    """Rank AUC of `scores` for `positive` against the rest, ties given their
+    mean rank. `order` names the scored rows in ascending score order (by
+    default every row, by a stable argsort); NaN scores sort last and each
+    ranks alone, in ascending row order. The rank sum is of half-integers,
+    so it is exact in any order."""
+    if order is None:
+        order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    if s.size and np.isnan(s[-1]):
+        order = order.copy()
+        order[np.count_nonzero(~np.isnan(s)) :].sort()
+    pos = positive[order]
+    n1 = int(np.count_nonzero(pos))
+    n0 = len(pos) - n1
     if n1 == 0 or n0 == 0:
         return None
-    r = average_ranks(scores)
-    return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    end = np.r_[start[1:], s.size]
+    ranks = (start + end + 1) / 2.0 * np.add.reduceat(pos, start, dtype=np.int64)
+    return float((ranks.sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
 def _line_search(objective, nll):
@@ -730,21 +760,36 @@ class MatchRun:
 
 class _MatchContext:
     """Panel-wide quantities shared by every day's matching pass, one row
-    per fit group: each treated level's logits (`logits[level]`) and whitened
-    core rows (`W`, from each group's `rep` row), so with each row's group
-    (`group`) a day's are `logits[level][group[rows]]` and `W[group[rows]]`.
+    per fit group: each treated level's logits (`logits[level]`) and rank
+    (`rank[level]`) and the whitened core rows (`W`, from each group's `rep`
+    row), so with each row's group (`group`) a day's are
+    `logits[level][group[rows]]` and `W[group[rows]]`.
+
+    A level's groups are ranked once by (logit, group id), in the narrowest
+    unsigned dtype, so a stable argsort of a day's rows' ranks (`order`) is
+    their (logit, group, row) order, by numpy's radix sort when there are at
+    most 2^16 groups; ties on the logit (-0.0 equals 0.0) go to the lower
+    group id, and NaN logits rank last.
 
     `Z` is the core block standardized with its panel mean and SD, and `L`
     the Cholesky factor of the inverse covariance `VI` of `Z` (`L Lᵀ = VI`),
     all from the panel's `moments`; so the Mahalanobis distance
     `diffᵀ·VI·diff` of two rows is the squared Euclidean distance of their
-    `W = Z·L` rows (`_sq_dist`).
+    `W = Z·L` rows (`_sq_dist`). `W` is column-major, so `_sq_dist` reads
+    each column from one block.
     """
 
     def __init__(self, panel, model):
         self.panel = panel
         self.logits = {k: model.group_logits(k) for k in model.classes if k != 0}
         self.group = model.group
+        self.rank = {}
+        for k, logits in self.logits.items():
+            dt = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                      if len(logits) <= np.iinfo(d).max + 1)
+            rank = np.empty(len(logits), dtype=dt)
+            rank[np.argsort(logits, kind="stable")] = np.arange(len(logits), dtype=dt)
+            self.rank[k] = rank
         core = list(panel.core_idx)
         n = panel.n_rows
         mean, sd, cross = panel.moments
@@ -755,7 +800,12 @@ class _MatchContext:
         else:
             VI = np.eye(len(core))
         Z = (panel.covariates(model.rep)[:, core] - mu) / sd
-        self.W = (np.linalg.cholesky(VI).T @ Z.T).T
+        self.W = np.asfortranarray((np.linalg.cholesky(VI).T @ Z.T).T)
+
+    def order(self, level, grp) -> np.ndarray:
+        """Positions of the rows whose groups are `grp` in ascending
+        (`level`'s logit, group, position) order."""
+        return np.argsort(self.rank[level][grp], kind="stable")
 
 
 def _sq_dist(W, a, b):
@@ -771,19 +821,55 @@ def _sq_dist(W, a, b):
     return d2
 
 
-def _caliper_windows(sc, st, caliper):
-    """[lo, hi) slices of the ascending control logits `sc` holding, for each
-    treated logit in `st`, every control with |sc - st| <= caliper.
+def _side(sg, st, caliper):
+    """-1, 0 or 1 as each control logit `sg` lies below, inside or above
+    the caliper around its treated logit `st`: 0 where |fl(sg - st)| <=
+    caliper. A pair outside is above where sg > st, where sg is NaN or
+    where both are +inf, and below otherwise. fl(sg - st) does not fall as
+    sg rises, so for one `st` the side does not fall along ascending `sg`
+    (NaN last), whatever the logits and the caliper."""
+    inside = np.abs(sg - st) <= caliper
+    above = (sg > st) | np.isnan(sg) | ((sg == st) & (sg == np.inf))
+    return np.where(inside, 0, np.where(above, 1, -1))
 
-    The bounds are widened by a few ulps of the largest magnitude in play so
-    that rounding in `st +- caliper` cannot drop a boundary control; the
-    caller re-applies the exact test to each slice.
+
+def _bisect_side(sg, st, caliper, lo, hi, side, probe):
+    """For each treated logit in `st`, the first i in [lo, hi) whose
+    `_side` is at least `side`, or hi where none is: a vectorized binary
+    search whose first probe is `probe`, the end that is most often the
+    answer, so most searches end after one step."""
+    lo, hi = lo.copy(), hi.copy()
+    j = np.flatnonzero(lo < hi)
+    mid = probe[j]
+    while j.size:
+        ok = _side(sg[mid], st[j], caliper) >= side
+        hi[j[ok]] = mid[ok]
+        lo[j[~ok]] = mid[~ok] + 1
+        j = j[lo[j] < hi[j]]
+        mid = (lo[j] + hi[j]) // 2
+    return lo
+
+
+def _caliper_windows(sg, st, caliper):
+    """[lo, hi) slices of the ascending control logits `sg` (NaN last)
+    holding, for each treated logit in `st`, exactly the controls with
+    |fl(sg - st)| <= caliper.
+
+    A window widened by a few ulps of the largest magnitude in play, so
+    that rounding in `st +- caliper` cannot drop a boundary control, or the
+    whole of `sg` when that width is not finite (non-finite logits or
+    caliper), has its ends trimmed by `_bisect_side`: the controls inside
+    the caliper are one run of it.
     """
-    top = max(float(np.abs(sc).max()), float(np.abs(st).max()), caliper)
+    top = max(float(np.abs(sg).max()), float(np.abs(st).max()), caliper)
     width = caliper + 4 * np.spacing(top)
-    if not np.isfinite(width):  # non-finite logits or caliper: scan every control
-        return np.zeros(st.size, dtype=np.int64), np.full(st.size, sc.size)
-    return np.searchsorted(sc, st - width, "left"), np.searchsorted(sc, st + width, "right")
+    if np.isfinite(width):
+        lo = np.searchsorted(sg, st - width, "left")
+        hi = np.searchsorted(sg, st + width, "right")
+    else:
+        lo, hi = np.zeros(st.size, dtype=np.int64), np.full(st.size, sg.size)
+    lo = _bisect_side(sg, st, caliper, lo, hi, 0, lo)
+    return lo, _bisect_side(sg, st, caliper, lo, hi, 1, hi - 1)
 
 
 # caliper-window entries scored at once (a treated ego's whole window stays in
@@ -792,26 +878,28 @@ def _caliper_windows(sc, st, caliper):
 _WINDOW_CHUNK = 1 << 16
 
 
-def _control_groups(s, grp, c):
-    """The controls `c` in ascending (logit, group) order, and the start of
-    each run of one fit group `grp` in that order.
+def _control_groups(order, grp, control):
+    """The controls (rows where `control`) in ascending (logit, group)
+    order, taken from the day's `order` (`_MatchContext.order`), and the
+    start of each run of one fit group `grp` in that order.
 
     A group's members share their covariate row, so their logit and whitened
-    row, and every treated row is equally far from all of them. The sort is
-    stable and `c` ascends by ego, so a run's egos ascend.
+    row, and every treated row is equally far from all of them. `order` is
+    stable, so a run's egos ascend.
     """
-    c = c[np.lexsort((grp[c], s[c]))]
+    c = order[control[order]]
     g = grp[c]
     return c, np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
 
 
-def _window_picks(W, s, grp, ego, t, c, caliper):
+def _window_picks(W, s, grp, ego, t, c, start, caliper):
     """Greedy picks over caliper windows: (treated, control, distances).
 
-    `W`, `s`, `grp` and `ego` are one day's whitened rows, logits, fit groups
-    and egos; `t` (ascending ego) and `c` index them, and so do the returned
-    picks. The controls collapse into their groups (`_control_groups`), whose
-    members are interchangeable but for their egos, so windows and
+    `s`, `grp` and `ego` are one day's logits, fit groups and egos, and `W`
+    holds one whitened row per fit group; `t` (ascending ego) and `c` index
+    the day's rows, and so do the returned picks. The controls `c` come in
+    runs of one group (`_control_groups`, whose runs start at `start`),
+    whose members are interchangeable but for their egos, so windows and
     distances run over one representative row per group. A group always
     gives up its lowest free ego, so its free egos are a suffix of its run
     and one head pointer per group tracks them. A distance does not depend
@@ -822,11 +910,11 @@ def _window_picks(W, s, grp, ego, t, c, caliper):
     ego whose first-choice group has since given up its head sorts its own
     candidates by their current heads and takes the first live one.
     """
-    c, start = _control_groups(s, grp, c)
     rep = c[start]  # each group's first member, its representative row
     end = np.r_[start[1:], c.size]
     head = start.copy()  # each group's lowest free member, in sorted order
     st, sg = s[t], s[rep]  # sg ascends, so each caliper is one slice
+    wt, wg = grp[t].astype(np.intp), grp[rep].astype(np.intp)  # their rows of W
     c_ego = ego[c]
     n_groups = rep.size
     lo, hi = _caliper_windows(sg, st, caliper)
@@ -842,12 +930,10 @@ def _window_picks(W, s, grp, ego, t, c, caliper):
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, st.size]):
         n = lens[a:b]
         seg = np.repeat(np.arange(a, b), n)  # treated index of each entry
-        k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
-        ok = np.abs(sg[k] - st[seg]) <= caliper  # the exact caliper test
-        seg, k = seg[ok], k[ok]
         if seg.size == 0:
             continue
-        md = np.sqrt(_sq_dist(W, rep[k], t[seg]))
+        k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n - lo[a:b], n)
+        md = np.sqrt(_sq_dist(W, wg[k], wt[seg]))
         starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
         ends = np.r_[starts[1:], seg.size]
         best = np.minimum.reduceat(md, starts)
@@ -886,15 +972,17 @@ def _match_day(ctx, day, rows, caliper_mult, level):
     caliper = caliper_mult * sd
     treat = panel.treatment[rows]
     t = np.flatnonzero(treat == level)
-    c = np.flatnonzero(treat == 0)
-    if t.size == 0 or c.size == 0:
+    if t.size == 0 or not (treat == 0).any():
         return DayMatchResult(
             level, day, _pair_table(0), int(t.size), 0, "insufficient treated or control counts"
         )
-    use = (treat == level) | (treat == 0)
-    auc = _rank_auc(s[use], treat[use] == level)
+    # one order of the day's rows gives both the AUC's ties and the control runs
+    order = ctx.order(level, grp)
+    ranked = treat[order]
+    auc = _rank_auc(s, treat == level, order[(ranked == level) | (ranked == 0)])
+    c, start = _control_groups(order, grp, treat == 0)
     ego, outcome = panel.ego[rows], panel.outcome[rows]  # ego ascends, and so t's egos
-    ti, cj, dist = _window_picks(ctx.W[grp], s, grp, ego, t, c, caliper)
+    ti, cj, dist = _window_picks(ctx.W, s, grp, ego, t, c, start, caliper)
     pairs = _pair_table(ti.size)
     pairs.level = level
     pairs.day = day

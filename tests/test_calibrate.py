@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion_lab import calibrate, errors
 from contagion_lab.calibrate import (
@@ -16,6 +18,7 @@ from contagion_lab.calibrate import (
     calibrate_background,
     calibrate_thresholds,
     calibrate_transmission,
+    eve_counts,
 )
 from contagion_lab.errors import DataError, ParseError
 from contagion_lab.netgraph import DirectedGraph
@@ -413,6 +416,87 @@ def test_exposure_index_build_writes_its_key_a_chunk_at_a_time():
     want = [np.count_nonzero((days[nbr[ptr[v] : ptr[v + 1]]] != NEVER)
                              & (days[nbr[ptr[v] : ptr[v + 1]]] < 30)) for v in nodes]
     assert np.array_equal(index.count(nodes, 30), want)
+
+
+@st.composite
+def exposure_worlds(draw):
+    """A small graph, adoption days on 0..9 (some NEVER) and one-day queries
+    from before the first to past the last adoption day, each with its nodes
+    (repeats allowed)."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=40))
+    days = draw(st.lists(st.sampled_from([NEVER, *range(10)]), min_size=n, max_size=n))
+    queries = draw(st.lists(st.tuples(st.integers(-2, 12), st.lists(node, max_size=2 * n)),
+                            min_size=1, max_size=12))
+    return graph_from(edges or np.empty((0, 2)), n), np.array(days, dtype=np.int64), queries
+
+
+def brute_count(csr, days, nodes, day):
+    ptr, nbr = csr
+    return [np.count_nonzero((days[nbr[ptr[v] : ptr[v + 1]]] != NEVER)
+                             & (days[nbr[ptr[v] : ptr[v + 1]]] < day)) for v in nodes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(exposure_worlds())
+def test_one_day_counts_equal_a_neighbor_scan(world):
+    # the running counts must give every query order what a scan of each
+    # node's neighbors gives: as drawn (repeats and jumps back), forward,
+    # backward, with fewer cursors than query days, and with no adopters
+    g, days, queries = world
+    forward = sorted(queries, key=lambda q: q[0])
+    orders = (queries, forward, forward[::-1], queries + queries)
+    for csr in (g.followee_csr(), g.follower_csr(), g.mutual_csr()):
+        for log_days in (days, np.full(len(days), NEVER)):
+            for cursors in (1, calibrate._CURSORS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(calibrate, "_CURSORS", cursors)
+                    for order in orders:
+                        index = ExposureIndex(csr, log_days)
+                        for day, nodes in order:
+                            got = index.count(np.array(nodes, dtype=np.int64), day)
+                            want = index.count(nodes, np.full(len(nodes), day))
+                            assert got.dtype == want.dtype == np.int64
+                            assert got.tolist() == brute_count(csr, log_days, nodes, day)
+                            assert np.array_equal(got, want)
+                        assert len(index._cursors) <= cursors
+
+
+def test_per_row_days_never_build_the_day_ordered_copy(monkeypatch):
+    # calibrate and features query with one day per row, so their indexes
+    # never hold the day-ordered copy or a cursor
+    from contagion_lab import features
+    from contagion_lab.shocks import ShockSchedule
+
+    built = []
+
+    class Recorded(ExposureIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(calibrate, "ExposureIndex", Recorded)
+    monkeypatch.setattr(features, "ExposureIndex", Recorded)
+    rng = np.random.default_rng(3)
+    n = 200
+    g = graph_from(rng.integers(0, n, size=(1500, 2)), n)
+    days = np.where(rng.random(n) < 0.4, rng.integers(0, 30, n), NEVER)
+    log = log_from(days, last_day=40)
+    calibrate_background(g, log)
+    nodes = log.adopters()
+    features.eve_features(g, days, ShockSchedule.empty(), nodes, days[nodes])
+    index = Recorded(g.followee_csr(), days)
+    nodes = rng.integers(0, n, 500)
+    index.count(nodes, rng.integers(-1, 32, 500))
+    index.exposure(nodes, rng.integers(-1, 32, 500))
+    assert len(built) == 3
+    assert all("_by_day" not in vars(ix) and ix._cursors == [] for ix in built)
+    # a one-day query builds it, and keeps one count per node per cursor used
+    want = index.count(nodes, np.full(500, 12))
+    assert np.array_equal(index.count(nodes, 12), want)
+    assert "_by_day" in vars(index) and len(index._cursors) == 1
+    assert index._cursors[0][1].shape == (n,)
 
 
 # -- params container ----------------------------------------------------------------

@@ -44,6 +44,7 @@ from contagion_lab.matchlab import (
     _sq_dist,
 )
 from contagion_lab.netgraph import DirectedGraph
+from contagion_lab.structtest import average_ranks
 from contagion_lab.synthgen import SynthConfig, gen_graph, gen_homophily_adoptions, gen_traits
 
 
@@ -1342,8 +1343,8 @@ def test_grouped_matcher_equals_full_scan_on_duplicate_rows(monkeypatch):
     n_groups = n_controls = 0
     for D, rows in panel.rows_by_day():
         c = np.flatnonzero(panel.treatment[rows] == 0)
-        s = row_logits(model)[rows]
-        order, start = matchlab._control_groups(s, model.group[rows], c)
+        order, start = matchlab._control_groups(
+            ctx.order(1, model.group[rows]), model.group[rows], panel.treatment[rows] == 0)
         gid = np.repeat(np.arange(start.size), np.diff(np.r_[start, order.size]))
         group_of = dict(zip(panel.ego[rows][order].tolist(), gid.tolist()))
         if D == 0:
@@ -1364,6 +1365,125 @@ def test_grouped_matcher_equals_full_scan_on_duplicate_rows(monkeypatch):
                 picks = dict(zip(day0.treated.tolist(), day0.control.tolist()))
                 assert (picks[10], picks[20]) == (11, 21)
                 assert picks[30] not in (11, 21)
+
+
+def old_rank_auc(scores, positive):
+    """A day's AUC as average ranks over a stable argsort of its scores."""
+    n1 = int(positive.sum())
+    n0 = len(positive) - n1
+    if n1 == 0 or n0 == 0:
+        return None
+    r = average_ranks(scores)
+    return float((r[positive].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+def assert_matches_the_full_scan(panel, model, mults):
+    """Every (day, multiplier) result equals `reference_match_day` bit for
+    bit, and every matched day's AUC equals `old_rank_auc` of its rows."""
+    ctx = _MatchContext(panel, model)
+    for mult in mults:
+        got = match_all_days(panel, model, caliper_mult=mult)
+        ref = [result_bits(reference_match_day(ctx, D, mult)) for D, _ in panel.rows_by_day()]
+        assert [result_bits(r) for r in got.results] == ref, mult
+        for r, (_, rows) in zip(got.results, panel.rows_by_day()):
+            treat = panel.treatment[rows]
+            use = treat <= 1
+            want = old_rank_auc(row_logits(model)[rows][use], treat[use] == 1)
+            assert r.auc == (None if r.skip_reason else want), (r.day, mult)
+    return got
+
+
+def test_logits_tied_across_groups_match_the_full_scan():
+    # five logits shared by up to 27 core rows a day: groups tie on the logit,
+    # and -0.0 against 0.0 among them; their order goes to the lower group id
+    rng = np.random.default_rng(4)
+    ego, treat, x, lg = [], [], [], []
+    for _ in range(6):
+        size = int(rng.integers(60, 200))
+        ego.append(rng.choice(500, size, replace=False))
+        treat.append((rng.random(size) < 0.3).astype(np.int64))
+        x.append(rng.integers(-1, 2, (size, 3)).astype(float))
+        lg.append(rng.choice([-0.5, -0.0, 0.0, 0.25], size))
+    panel, model = stacked_panel(rng, ego, treat, x, lg)
+    zeros = model.logits[model.logits == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert len(model.logits) > 4 * 4 and _MatchContext(panel, model).rank[1].dtype == np.uint8
+    run = assert_matches_the_full_scan(panel, model, (0.0, 0.1, 0.7, 2.0, np.inf))
+    assert sum(r.n_matched for r in run.results) > 50
+
+
+def test_more_than_2_16_groups_take_the_wide_key():
+    # every ego its own group: 70,000 groups rank in uint32, past the 16-bit
+    # keys numpy radix-sorts, with logits on a 1/16 grid so groups tie
+    rng = np.random.default_rng(5)
+    n = 70_000
+    treatment = np.zeros(n, dtype=np.int64)
+    treatment[rng.choice(n, 120, replace=False)] = 1
+    panel = TreatmentPanel(
+        ego=np.arange(n, dtype=np.int64),
+        day=np.zeros(n, dtype=np.int64),
+        treatment=treatment,
+        outcome=rng.integers(0, 2, n),
+        X=no_counts(n),
+        node_X=rng.normal(size=(n, 3)),
+        names=("a", "b", "c"),
+        core_idx=(0, 1, 2),
+        levels=BINARY_LEVELS,
+    )
+    model = FixedLogits(panel, rng.integers(-40, 41, n) / 16.0)
+    assert len(model.logits) == n and _MatchContext(panel, model).rank[1].dtype == np.uint32
+    run = assert_matches_the_full_scan(panel, model, (0.0, 0.05))
+    assert run.results[0].n_matched == 120
+
+
+def test_non_finite_logits_or_caliper_match_the_full_scan():
+    # the window is the whole day where the caliper or a logit is not finite:
+    # day 0 holds an inf and NaN logits (its SD, and so its caliper, is NaN),
+    # day 1 a treated -inf, day 2 logits near +-1e200 (an infinite SD, so an
+    # infinite caliper at any positive multiplier), day 3 only finite logits
+    rng = np.random.default_rng(6)
+    ego, treat, x, lg = [], [], [], []
+    for D in range(4):
+        size = int(rng.integers(30, 80))
+        ego.append(np.sort(rng.choice(500, size, replace=False)))
+        t = (rng.random(size) < 0.4).astype(np.int64)
+        s = rng.integers(-8, 9, size) / 8.0
+        X = rng.integers(-1, 2, (size, 3)).astype(float)
+        if D == 0:
+            t[:6], s[:6] = (0, 1, 0, 1, 1, 0), (np.inf, *[np.nan] * 5)
+            # the NaN rows' groups descend with their rows, but NaNs rank
+            # alone in ascending row order in the AUC
+            X[1:6] = np.c_[np.full((5, 2), 9.0), np.arange(5.0, 0.0, -1.0)]
+        elif D == 1:
+            t[0], s[0] = 1, -np.inf
+        elif D == 2:
+            s = rng.choice([-1e200, 1e200, 0.5], size)
+        treat.append(t)
+        x.append(X)
+        lg.append(s)
+    panel, model = stacked_panel(rng, ego, treat, x, lg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = assert_matches_the_full_scan(panel, model, (0.0, 0.1, np.inf))
+    assert [r.n_matched > 0 for r in run.results] == [False, False, True, True]
+
+
+def test_caliper_windows_are_exactly_the_caliper_test():
+    # the trimmed windows hold exactly the controls that pass
+    # |fl(sg - st)| <= caliper, whatever the logits and the caliper
+    rng = np.random.default_rng(7)
+    special = [-np.inf, np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 5e-324]
+    for trial in range(300):
+        sg = np.where(rng.random(40) < 0.2, rng.choice(special, 40), rng.integers(-6, 7, 40) / 4)
+        sg = np.sort(sg)  # NaN last
+        st = np.r_[rng.integers(-6, 7, 20) / 4, special]
+        caliper = rng.choice([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1e308, np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = matchlab._caliper_windows(sg, st, caliper)
+            for j in range(st.size):
+                inside = np.flatnonzero(np.abs(sg - st[j]) <= caliper)
+                want = (inside[0], inside[-1] + 1) if inside.size else (lo[j], lo[j])
+                assert (lo[j], hi[j]) == want, (trial, st[j], caliper)
+                assert inside.size == 0 or inside.size == inside[-1] + 1 - inside[0]
 
 
 def test_panel_rows_must_be_in_day_ego_order():
