@@ -52,8 +52,9 @@ group id), so one stable argsort of a day's rows' ranks (a radix sort for at
 most 2^16 groups) orders them for both the control runs and the AUC's tie
 groups. |fl(sg - st)| <= caliper holds on one run of the ascending group
 logits sg, so each treated ego's window is found by `searchsorted` on bounds
-widened by a few ulps, then trimmed at its ends by a vectorized binary search,
-and holds exactly the groups inside the caliper. Mahalanobis distances are
+widened by a few ulps, then trimmed at each end by the caliper test itself,
+one group at a time up to the first that passes, and holds exactly the groups
+inside the caliper. Mahalanobis distances are
 Euclidean distances in the whitened block `W = Z·L` (`L Lᵀ` = the inverse
 covariance), built once per panel with one row per group from each group's
 representative panel row (`PropensityModel.rep`), column-major, and read by
@@ -86,13 +87,6 @@ the narrowest unsigned dtype) and gathers one day's from the group index; it
 reads the whitened rows by group, and the pairs CSV is written 2^14 rows at a
 time. So the stage holds O(edges + nodes + distinct rows) plus the group
 index and one day's gathered rows.
-
-Measured in-process on 2 vCPUs with one BLAS thread, on the `match` world's
-rates at seed 41 (panel, fit, matching, diagnostics and the pairs write; peak
-RSS includes the world's build): 100k nodes × 120 days is 9.72M rows and 87,385
-distinct covariate rows, and takes 48 s (fit 3.7 s in 20 Newton iterations,
-matching 39 s) at 310 MB; 20k nodes × 365 days is 4.82M rows and takes 12 s at
-151 MB.
 """
 
 from __future__ import annotations
@@ -410,12 +404,6 @@ class TreatmentPanel:
         sd = np.sqrt(np.diag(cross) / n)
         return mean, np.where(sd == 0, 1.0, sd), cross
 
-    def level_counts(self) -> np.ndarray:
-        """Rows per treatment level, counted a level at a time: a bincount
-        would first copy the narrow treatment column to intp."""
-        counts = [np.count_nonzero(self.treatment == k) for k in range(len(self.levels))]
-        return np.array(counts, dtype=np.int64)
-
 
 def build_panel(covariates: CovariateTable, kind, days=None) -> TreatmentPanel:
     """Assemble the daily risk-set panel for one treatment design.
@@ -531,14 +519,11 @@ class PropensityModel:
         return logits
 
 
-def _rank_auc(scores: np.ndarray, positive: np.ndarray, order=None) -> float | None:
+def _rank_auc(scores: np.ndarray, positive: np.ndarray, order: np.ndarray) -> float | None:
     """Rank AUC of `scores` for `positive` against the rest, ties given their
-    mean rank. `order` names the scored rows in ascending score order (by
-    default every row, by a stable argsort); NaN scores sort last and each
-    ranks alone, in ascending row order. The rank sum is of half-integers,
-    so it is exact in any order."""
-    if order is None:
-        order = np.argsort(scores, kind="stable")
+    mean rank. `order` names the scored rows in ascending score order; NaN
+    scores sort last and each ranks alone, in ascending row order. The rank
+    sum is of half-integers, so it is exact in any order."""
     s = scores[order]
     if s.size and np.isnan(s[-1]):
         order = order.copy()
@@ -626,14 +611,14 @@ def fit_propensity(panel: TreatmentPanel, min_level_rows: int = 20) -> Propensit
     split the work by thread, so the fit's bits do not depend on the BLAS
     thread count. The model keeps one probability per group and level.
     """
-    counts = panel.level_counts()
+    group, rep, by_level = _distinct_rows(panel)
+    counts = by_level.sum(axis=0)
     if np.count_nonzero((counts > 0) & (counts >= min_level_rows)) < 2:
         raise DataError(
             f"need >= 2 treatment levels with >= {min_level_rows} rows; "
             f"level counts {counts.tolist()}"
         )
     classes = tuple(int(c) for c in np.flatnonzero(counts > 0))
-    group, rep, by_level = _distinct_rows(panel)
     Y = by_level[:, classes].T.astype(float)  # (classes, groups) row counts
     n = Y.sum(axis=0)  # rows per group
     G, p = len(rep), len(panel.names)
@@ -785,8 +770,7 @@ class _MatchContext:
         self.group = model.group
         self.rank = {}
         for k, logits in self.logits.items():
-            dt = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
-                      if len(logits) <= np.iinfo(d).max + 1)
+            dt = np.min_scalar_type(len(logits) - 1)
             rank = np.empty(len(logits), dtype=dt)
             rank[np.argsort(logits, kind="stable")] = np.arange(len(logits), dtype=dt)
             self.rank[k] = rank
@@ -821,35 +805,6 @@ def _sq_dist(W, a, b):
     return d2
 
 
-def _side(sg, st, caliper):
-    """-1, 0 or 1 as each control logit `sg` lies below, inside or above
-    the caliper around its treated logit `st`: 0 where |fl(sg - st)| <=
-    caliper. A pair outside is above where sg > st, where sg is NaN or
-    where both are +inf, and below otherwise. fl(sg - st) does not fall as
-    sg rises, so for one `st` the side does not fall along ascending `sg`
-    (NaN last), whatever the logits and the caliper."""
-    inside = np.abs(sg - st) <= caliper
-    above = (sg > st) | np.isnan(sg) | ((sg == st) & (sg == np.inf))
-    return np.where(inside, 0, np.where(above, 1, -1))
-
-
-def _bisect_side(sg, st, caliper, lo, hi, side, probe):
-    """For each treated logit in `st`, the first i in [lo, hi) whose
-    `_side` is at least `side`, or hi where none is: a vectorized binary
-    search whose first probe is `probe`, the end that is most often the
-    answer, so most searches end after one step."""
-    lo, hi = lo.copy(), hi.copy()
-    j = np.flatnonzero(lo < hi)
-    mid = probe[j]
-    while j.size:
-        ok = _side(sg[mid], st[j], caliper) >= side
-        hi[j[ok]] = mid[ok]
-        lo[j[~ok]] = mid[~ok] + 1
-        j = j[lo[j] < hi[j]]
-        mid = (lo[j] + hi[j]) // 2
-    return lo
-
-
 def _caliper_windows(sg, st, caliper):
     """[lo, hi) slices of the ascending control logits `sg` (NaN last)
     holding, for each treated logit in `st`, exactly the controls with
@@ -858,8 +813,9 @@ def _caliper_windows(sg, st, caliper):
     A window widened by a few ulps of the largest magnitude in play, so
     that rounding in `st +- caliper` cannot drop a boundary control, or the
     whole of `sg` when that width is not finite (non-finite logits or
-    caliper), has its ends trimmed by `_bisect_side`: the controls inside
-    the caliper are one run of it.
+    caliper), has each end trimmed one control at a time by that test,
+    up to the first control that passes. fl(sg - st) does not fall as sg
+    rises, so the controls inside the caliper are one run of the window.
     """
     top = max(float(np.abs(sg).max()), float(np.abs(st).max()), caliper)
     width = caliper + 4 * np.spacing(top)
@@ -868,8 +824,13 @@ def _caliper_windows(sg, st, caliper):
         hi = np.searchsorted(sg, st + width, "right")
     else:
         lo, hi = np.zeros(st.size, dtype=np.int64), np.full(st.size, sg.size)
-    lo = _bisect_side(sg, st, caliper, lo, hi, 0, lo)
-    return lo, _bisect_side(sg, st, caliper, lo, hi, 1, hi - 1)
+    for end, at, step in ((lo, 0, 1), (hi, -1, -1)):  # an end's control is sg[end + at]
+        j = np.arange(st.size)
+        while j.size:
+            j = j[lo[j] < hi[j]]
+            j = j[~(np.abs(sg[end[j] + at] - st[j]) <= caliper)]
+            end[j] += step
+    return lo, hi
 
 
 # caliper-window entries scored at once (a treated ego's whole window stays in
@@ -963,13 +924,11 @@ def _window_picks(W, s, grp, ego, t, c, start, caliper):
 def _match_day(ctx, day, rows, caliper_mult, level):
     """Match one day at `level`, whose panel rows are the slice `rows`."""
     panel = ctx.panel
-    n = rows.stop - rows.start
-    if n == 0:
-        return DayMatchResult(level, day, _pair_table(0), 0, 0, "no risk-set rows")
     grp = ctx.group[rows]
     s = ctx.logits[level][grp]
-    sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
-    caliper = caliper_mult * sd
+    sd = float(np.std(s, ddof=1)) if s.size > 1 else 0.0
+    # inf x 0 is NaN, which no control passes: no caliper stays no caliper
+    caliper = math.inf if caliper_mult == math.inf and sd == 0 else caliper_mult * sd
     treat = panel.treatment[rows]
     t = np.flatnonzero(treat == level)
     if t.size == 0 or not (treat == 0).any():
@@ -1002,7 +961,8 @@ def match_all_days(
     controls (level 0), a level at a time: each level the fit saw but 0.
 
     Candidates must sit within `caliper_mult` (>= 0; inf for no caliper) x
-    SD of the day's logits; the closest by standardized Mahalanobis distance
+    SD of the day's logits, and inf stays no caliper on a day whose logits
+    all tie (SD 0, where inf x 0 would be NaN); the closest by standardized Mahalanobis distance
     over the core covariates wins, ties to the lowest control id, each
     control used at most once.
     """

@@ -448,49 +448,6 @@ def train(
     Xtr, ytr = Xc[train_rows], yc[train_rows]
     Xte, yte = Xc[test_rows], yc[test_rows]
 
-    model = _boost(
-        Xtr,
-        ytr,
-        n_classes=len(classes),
-        classes=classes,
-        learning_rate=learning_rate,
-        max_depth=max_depth,
-        n_rounds=n_rounds,
-        min_child_weight=min_child_weight,
-        reg_lambda=reg_lambda,
-        max_bins=max_bins,
-        seed=seed,
-    )
-    if len(Xte):
-        pred = predict_label(model, Xte)
-        true = np.array([classes[c] for c in yte])
-        per_class = classification_metrics(true, pred, classes)
-        macro = float(np.mean([per_class[c]["f1"] for c in classes]))
-    else:
-        per_class = {}
-        macro = float("nan")
-    return TrainResult(
-        model=model,
-        macro_f1=macro,
-        per_class=per_class,
-        n_train=len(Xtr),
-        n_test=len(Xte),
-    )
-
-
-def _boost(
-    Xtr,
-    ytr,
-    n_classes,
-    classes,
-    learning_rate,
-    max_depth,
-    n_rounds,
-    min_child_weight,
-    reg_lambda,
-    max_bins,
-    seed,
-) -> BoostedForest:
     n = len(Xtr)
     edges = [_bin_edges(Xtr[:, f], max_bins) for f in range(Xtr.shape[1])]
     # only features with a threshold are binned; a tree's split features are
@@ -502,9 +459,9 @@ def _boost(
     width = int(n_edges.max(initial=0)) + 1
     codes = _binize(Xtr[:, live], edges) + np.arange(len(live), dtype=np.int64) * width
     beyond = np.arange(width) >= n_edges[:, None]
-    Y = np.zeros((n, n_classes))
+    Y = np.zeros((n, len(classes)))
     Y[np.arange(n), ytr] = 1.0
-    F = np.zeros((n, n_classes))
+    F = np.zeros((n, len(classes)))
     all_idx = np.arange(n)
 
     trees = []
@@ -513,7 +470,7 @@ def _boost(
     for _ in range(n_rounds):
         p = np.exp(logp)
         round_trees = []
-        for k in range(n_classes):
+        for k in range(len(classes)):
             gk = p[:, k] - Y[:, k]
             hk = p[:, k] * (1.0 - p[:, k])
             deltas = np.zeros(n)
@@ -537,7 +494,9 @@ def _boost(
         trees.append(round_trees)
         logp = _log_softmax(F)  # this round's loss and the next round's p
         loss_curve.append(float(-logp[np.arange(n), ytr].mean()))
-    return BoostedForest(
+    # the binned codes and every per-row array go before the held-out prediction
+    del codes, Y, F, logp, p, gk, hk, deltas, all_idx
+    model = BoostedForest(
         classes=classes,
         feature_names=FEATURE_NAMES,
         trees=trees,
@@ -547,6 +506,21 @@ def _boost(
         reg_lambda=reg_lambda,
         seed=seed,
         loss_curve=tuple(loss_curve),
+    )
+    if len(Xte):
+        pred = predict_label(model, Xte)
+        true = np.array([classes[c] for c in yte])
+        per_class = classification_metrics(true, pred, classes)
+        macro = float(np.mean([per_class[c]["f1"] for c in classes]))
+    else:
+        per_class = {}
+        macro = float("nan")
+    return TrainResult(
+        model=model,
+        macro_f1=macro,
+        per_class=per_class,
+        n_train=len(Xtr),
+        n_test=len(Xte),
     )
 
 

@@ -1061,6 +1061,44 @@ def test_match_without_pairs_writes_no_output(tmp_path, capsys):
     assert not any(out.iterdir())  # a header-only pairs CSV was once left behind
 
 
+def test_infinite_caliper_matches_days_whose_logits_all_tie(tmp_path, capsys):
+    # a 60-node ring (n{i} follows n{i+1}): every row's covariates, and so
+    # every logit, tie, so each day's logit SD is 0 and inf x 0 once gave a
+    # NaN caliper that no control passes, while every finite multiplier
+    # matched every treated ego
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target\n" + "".join(f"n{i},n{(i + 1) % 60}\n" for i in range(60)))
+    rng = np.random.default_rng(0)
+    nodes, days = rng.choice(60, 30, replace=False), rng.integers(8, 14, 30)
+    log = tmp_path / "log.csv"
+    log.write_text("node,day\n" + "".join(f"n{a},{b}\n" for a, b in zip(nodes, days)))
+    graph = tmp_path / "g.npz"
+    assert run(["ingest", "--edges", edges, "--out", graph]) == 0
+
+    g = DirectedGraph.load(graph)
+    panel = matchlab.build_panel(
+        matchlab.CovariateTable(g, AdoptionLog.from_csv(log, g, last_day=13), lag=7),
+        matchlab.Timing(d=3),
+    )
+    model = matchlab.fit_propensity(panel, min_level_rows=1)
+    finite, inf = (matchlab.match_all_days(panel, model, m).results for m in (0.1, np.inf))
+    logits = model.group_logits(1)[model.group]
+    tied = [i for i, (_, rows) in enumerate(panel.rows_by_day())
+            if np.std(logits[rows], ddof=1) == 0]
+    assert sum(finite[i].n_matched for i in tied) > 0
+    assert [inf[i].n_matched for i in tied] == [finite[i].n_matched for i in tied]
+
+    n_pairs = {}
+    for caliper in (0.1, "inf"):
+        pairs = tmp_path / f"pairs_{caliper}.csv"
+        assert run(["match", "--graph", graph, "--log", log, "--kind", "timing", "--d", 3,
+                    "--lag", 7, "--last-day", 13, "--min-level-rows", 1, "--caliper", caliper,
+                    "--out-pairs", pairs, "--out-risk", tmp_path / f"risk_{caliper}.json"]) == 0
+        n_pairs[caliper] = manifest(pairs)["summary"]["n_pairs"]
+    capsys.readouterr()
+    assert n_pairs["inf"] >= n_pairs[0.1] > 0
+
+
 def test_detect_shocks_window_below_two_is_data_error(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text("day,count\n" + "".join(f"{d},10\n" for d in range(40)))
